@@ -1,18 +1,31 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Numeric kernels with numba-accelerated and pure-numpy implementations.
 
-Two kernels dominate the homology oracle's runtime: dense matrix rank over a
-prime field (boundary-matrix elimination) and batched divisibility tests
-(does any generator divide each of a batch of monomials).  Each ships in two
-equivalent versions; the numba one is used when numba imports cleanly, unless
-the environment variable ``POLYSHIFT_PURE_NUMPY`` is set to a non-empty value
-other than ``0``.  ``benchmarks/bench_kernels.py`` compares the two paths.
+Two kernels live here: dense matrix rank over a prime field, which the
+homology oracle uses for boundary-matrix elimination, and batched
+divisibility tests (does any generator divide each of a batch of monomials),
+which the oracle no longer calls since it builds its frames from facet
+masks.  Neither is the oracle's main cost on large lcm lattices: there the
+lattice closure and the frames take most of the time, and rank over F_p a
+few percent.  Each kernel ships in two equivalent versions; the numba one is
+used when numba imports cleanly, unless the environment variable
+``POLYSHIFT_PURE_NUMPY`` is set to a non-empty value other than ``0``.
+``benchmarks/bench_kernels.py`` compares the two paths.
+
+Every modulus passes :func:`validate_prime`: the elimination inverts pivots
+by Fermat's little theorem, which needs a prime, and multiplies two residues
+in int64, which needs (p - 1)^2 < 2^63.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import os
 
 import numpy as np
+
+PRIME_LIMIT = 2**31
 
 FORCE_NUMPY = os.environ.get("POLYSHIFT_PURE_NUMPY", "") not in ("", "0")
 
@@ -123,9 +136,21 @@ if not FORCE_NUMPY:
         pass
 
 
+@functools.lru_cache(maxsize=64)
+def validate_prime(p: int) -> int:
+    """``p`` as an int when it is a prime below 2^31; ValueError otherwise."""
+    q = operator.index(p)
+    if not 2 <= q < PRIME_LIMIT or any(
+        q % d == 0 for d in range(2, math.isqrt(q) + 1)
+    ):
+        raise ValueError(f"the modulus must be a prime below 2^31, got {p}")
+    return q
+
+
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p (entries are reduced first)."""
     global _rank_impl, HAVE_NUMBA
+    p = validate_prime(p)
     a = np.ascontiguousarray(np.asarray(matrix, dtype=np.int64) % p)
     if a.size == 0:
         return 0

@@ -5,8 +5,10 @@ generator-list grammar or the family-document dialect.  Reports are JSON
 (``--json`` for compact machine output) and are byte-reproducible from the
 input and seed; wall-clock timings appear only under ``--timings``.
 
-Exit codes: 0 success, 1 usage or parse error, 2 precondition violation,
-3 resource cap exceeded, 4 internal cross-route disagreement.
+Exit codes: 0 success, 1 usage or parse error (a bad value included: a
+modulus that is not a prime below 2^31, a bad ``POLYSHIFT_PRIME``, an
+out-of-range count or exponent), 2 precondition violation, 3 resource cap
+exceeded, 4 internal cross-route disagreement.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .monomials import (
     monomial_multiples,
     x_of,
 )
-from .oracle import betti_table
+from .oracle import betti_table, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -52,7 +54,6 @@ from .socle import (
     SocleReport,
     family_socle,
     intersection_graph,
-    max_pd,
     socle_colon,
     socle_exchange,
     socle_report,
@@ -347,7 +348,9 @@ def cmd_betti(args) -> int:
         "pd": table.pd,
         "totals": {str(i): t for i, t in table.totals().items()},
         "entries": entries,
-        "max_pd": max_pd(I) if not I.is_zero else False,
+        # pd relative to the support; the unit ideal counts as maximal
+        "max_pd": not I.is_zero
+        and (not I.support or table.pd == len(I.support) - 1),
     }
     _emit(report, args)
     return 0
@@ -399,6 +402,15 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+def _prime(text: str) -> int:
+    try:
+        return validate_prime(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"the modulus must be a prime below 2^31, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polyshift")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bet = sub.add_parser("betti", help="multigraded Betti table via the homology oracle")
     common(bet)
-    bet.add_argument("--prime", type=int, default=None)
+    bet.add_argument("--prime", type=_prime, default=None)
     bet.add_argument("--cap", type=int, default=None, help="lcm-lattice size cap")
 
     fz = sub.add_parser("fuzz", help="run a conjecture-fuzzing campaign")
@@ -486,6 +498,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return PRECONDITION_EXIT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except (ValueError, OverflowError) as exc:
+        print(f"invalid value: {exc}", file=sys.stderr)
         return USAGE_EXIT
 
 

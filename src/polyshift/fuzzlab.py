@@ -36,7 +36,7 @@ from .families import (
     veronese_shift,
 )
 from .monomials import MonomialIdeal, monomial_multiples, restrict_to_support, x_of
-from .oracle import DEFAULT_PRIME, betti_table, hs_oracle
+from .oracle import betti_table, default_prime, hs_oracle, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -64,7 +64,7 @@ class CampaignConfig:
     degree_max: int = 4
     gen_max: int = 120
     conjectures: frozenset = frozenset(CONJECTURE_KEYS)
-    prime: int = DEFAULT_PRIME
+    prime: int = field(default_factory=default_prime)
 
     def __post_init__(self):
         if self.instance_count < 1:
@@ -72,6 +72,7 @@ class CampaignConfig:
         unknown = set(self.conjectures) - set(CONJECTURE_KEYS)
         if unknown:
             raise ValueError(f"unknown conjecture keys: {sorted(unknown)}")
+        validate_prime(self.prime)
 
     @property
     def budget(self) -> GenBudget:

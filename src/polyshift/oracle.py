@@ -6,9 +6,19 @@ lcms of the generators (the lcm lattice bounds every true shift), and the
 Betti number at a multidegree is a reduced homology rank of the upper Koszul
 complex there, computed over a prime field by boundary-matrix elimination.
 
-The default prime is 32003; set POLYSHIFT_PRIME to override it, and compare
-two primes with :func:`cross_prime_agreement` when characteristic effects
-are a concern.
+Both steps work on the int64 (m, n) generator matrix.  The lattice is its
+closure under pairwise lcm (row-wise maximum).  The upper Koszul complex
+K^a(I) = {F subset of supp(a) : x^a / x_F in I} is generated by facets:
+x^a / x_F lies in I exactly when F is contained in {i : g_i < a_i} for some
+generator g dividing x^a.  So K^a(I) is a full simplex, hence contractible,
+when one such facet is all of a nonempty supp(a); that test runs on the whole
+lattice at once, and only the remaining frames are built and their homology
+taken.  Every array temporary is kept near ``_BLOCK_ROWS`` rows by blocking.
+
+The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
+at call time), and compare two primes with :func:`cross_prime_agreement`
+when characteristic effects are a concern.  Every prime must pass
+:func:`validate_prime`.
 """
 
 from __future__ import annotations
@@ -20,38 +30,106 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from ._kernels import validate_prime
 from .errors import NotStronglyStableError, ResourceCapError
 from .monomials import Monomial, MonomialIdeal
 from .families import is_strongly_stable
 
-DEFAULT_PRIME = int(os.environ.get("POLYSHIFT_PRIME", "32003"))
 SECONDARY_PRIME = 101
 LATTICE_CAP = 50_000
+# (point, generator) pairs per array block; blocks hold one point at least
+_BLOCK_ROWS = 4096
+# face bitmasks are int64, so a frame has at most 62 vertices
+_MAX_FRAME_VERTICES = 62
+
+
+def default_prime() -> int:
+    """The homology prime: POLYSHIFT_PRIME if set, else 32003.  The variable
+    is read at each call; a value that is not a prime below 2^31 raises
+    ValueError."""
+    text = os.environ.get("POLYSHIFT_PRIME")
+    if text is None:
+        return 32003
+    try:
+        return validate_prime(int(text))
+    except ValueError:
+        raise ValueError(
+            f"POLYSHIFT_PRIME must be a prime below 2^31, got {text!r}"
+        ) from None
+
+
+def _gen_matrix(I: MonomialIdeal) -> np.ndarray:
+    return np.array([g.exponents for g in I.gens], dtype=np.int64).reshape(
+        I.num_gens, I.n
+    )
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row holding the row's bytes: exact for every n."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _block(m: int) -> int:
+    """Points per block when each point meets all m generators."""
+    return max(1, _BLOCK_ROWS // max(m, 1))
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:
     """All lcms of nonempty generator subsets, by pairwise-lcm closure.
 
     Closing the generator set under pairwise lcm reaches every subset lcm,
-    so no 2^m enumeration is needed.  Sorted descending-lexicographically.
+    so no 2^m enumeration is needed.  Each round meets a block of the newest
+    points with every generator, drops the rows already seen, and keeps the
+    rest as the next frontier.  Raises ResourceCapError exactly when the
+    lattice has more than ``cap`` points.  Sorted descending-lexicographically.
     """
-    seen: set[tuple[int, ...]] = {g.exponents for g in I.gens}
-    frontier = list(seen)
-    gens = [g.exponents for g in I.gens]
-    while frontier:
-        new: list[tuple[int, ...]] = []
-        for x in frontier:
-            for g in gens:
-                merged = tuple(max(a, b) for a, b in zip(x, g))
-                if merged not in seen:
-                    seen.add(merged)
-                    if len(seen) > cap:
-                        raise ResourceCapError(
-                            f"lcm lattice exceeds the cap of {cap} points"
-                        )
-                    new.append(merged)
-        frontier = new
-    return [Monomial(e) for e in sorted(seen, reverse=True)]
+    gens = _gen_matrix(I)
+    m, n = gens.shape
+    if m > cap:
+        raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
+    if n == 0:  # zero-width rows have no bytes to key on; at most the unit
+        return [Monomial(())] * min(m, 1)
+    seen = np.sort(_row_keys(gens))
+    frontier = gens
+    step = _block(m)
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), step):
+            block = frontier[start : start + step]
+            cand = np.maximum(block[:, None, :], gens[None, :, :])
+            # lcm(x, g) = x whenever g divides x: drop those before sorting
+            cand = cand[(cand != block[:, None, :]).any(axis=2)]
+            # np.unique would import numpy.ma, 1.5 MB of resident memory
+            keys = _row_keys(cand)
+            order = keys.argsort()
+            keys = keys[order]
+            at = np.searchsorted(seen, keys)
+            new = seen[np.minimum(at, len(seen) - 1)] != keys
+            new[1:] &= keys[1:] != keys[:-1]
+            if not new.any():
+                continue
+            seen = np.insert(seen, at[new], keys[new])
+            if len(seen) > cap:
+                raise ResourceCapError(
+                    f"lcm lattice exceeds the cap of {cap} points"
+                )
+            fresh.append(cand[order[new]])
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    points = seen.view(np.int64).reshape(-1, n).tolist()
+    return [Monomial(tuple(e)) for e in sorted(points, reverse=True)]
+
+
+def _full_simplex(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Which points a have K^a(I) a full simplex on a nonempty supp(a):
+    some generator g divides x^a with g_i < a_i on all of supp(a)."""
+    out = np.zeros(len(points), dtype=np.bool_)
+    step = _block(len(gens))
+    for start in range(0, len(points), step):
+        a = points[start : start + step, None, :]
+        strict = (gens[None] < a) | ((gens[None] == 0) & (a == 0))
+        out[start : start + step] = strict.all(axis=2).any(axis=1)
+    return out & points.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -84,23 +162,32 @@ class SimplicialComplexFrame:
         return out
 
 
+def _frame(gens: np.ndarray, a: Monomial) -> SimplicialComplexFrame:
+    """K^a(I) from its facets: each face mask is tested against the facet
+    masks {i in supp(a) : g_i < a_i} of the generators g dividing x^a."""
+    target = np.array(a.exponents, dtype=np.int64)
+    supp = np.flatnonzero(target)
+    v = len(supp)
+    if v > _MAX_FRAME_VERTICES:
+        raise ResourceCapError(
+            f"upper Koszul frame at {a} has {v} vertices; "
+            f"at most {_MAX_FRAME_VERTICES} are supported"
+        )
+    dividing = gens[(gens <= target).all(axis=1)]
+    facets = (dividing[:, supp] < target[supp]) @ (1 << np.arange(v))
+    masks: list[int] = []
+    for start in range(0, 1 << v, _BLOCK_ROWS):
+        block = np.arange(start, min(start + _BLOCK_ROWS, 1 << v))
+        inside = ((block[:, None] & ~facets[None, :]) == 0).any(axis=1)
+        masks.extend(block[inside].tolist())
+    return SimplicialComplexFrame(
+        len(a.exponents), a, tuple((supp + 1).tolist()), tuple(masks)
+    )
+
+
 def upper_koszul(I: MonomialIdeal, a: Monomial) -> SimplicialComplexFrame:
     """Faces F of supp(a) with x^a / x_F still inside the ideal."""
-    supp0 = [i for i, e in enumerate(a.exponents) if e > 0]
-    v = len(supp0)
-    gens_arr = np.array([g.exponents for g in I.gens], dtype=np.int64).reshape(
-        I.num_gens, I.n
-    )
-    count = 1 << v
-    targets = np.tile(np.array(a.exponents, dtype=np.int64), (count, 1))
-    for k, col in enumerate(supp0):
-        bit = (np.arange(count) >> k) & 1
-        targets[:, col] -= bit
-    member = _kernels.contains_mask(gens_arr, targets)
-    masks = tuple(int(m) for m in np.nonzero(member)[0])
-    return SimplicialComplexFrame(
-        I.n, a, tuple(i + 1 for i in supp0), masks
-    )
+    return _frame(_gen_matrix(I), a)
 
 
 def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[int, int]:
@@ -113,15 +200,6 @@ def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[in
     if not masks:
         return {}
     v = len(frame.vertices)
-    if v == 0:
-        return {-1: 1}  # the irrelevant complex {empty face}
-    maskset = set(masks)
-    if len(masks) == 1 << v:
-        return {}  # full simplex: contractible
-    for k in range(v):
-        bit = 1 << k
-        if all((m | bit) in maskset for m in masks):
-            return {}  # cone with apex k: contractible
     by_size: dict[int, list[int]] = {}
     for m in masks:
         by_size.setdefault(bin(m).count("1"), []).append(m)
@@ -159,7 +237,7 @@ class BettiTable:
 
     n: int
     entries: dict[tuple[int, Monomial], int] = field(default_factory=dict)
-    prime: int = DEFAULT_PRIME
+    prime: int = field(default_factory=default_prime)
 
     @property
     def pd(self) -> int:
@@ -196,13 +274,17 @@ def betti_table(
     I: MonomialIdeal, prime: Optional[int] = None, cap: int = LATTICE_CAP
 ) -> BettiTable:
     """Full multigraded Betti table of the ideal over F_prime."""
-    p = DEFAULT_PRIME if prime is None else prime
+    p = default_prime() if prime is None else validate_prime(prime)
     table = BettiTable(I.n, {}, p)
     if I.is_zero:
         return table
-    for a in lcm_lattice(I, cap):
-        frame = upper_koszul(I, a)
-        for dim, rank in reduced_homology_ranks(frame, p).items():
+    lattice = lcm_lattice(I, cap)
+    gens = _gen_matrix(I)
+    points = np.array([a.exponents for a in lattice], dtype=np.int64)
+    for a, contractible in zip(lattice, _full_simplex(gens, points).tolist()):
+        if contractible:
+            continue
+        for dim, rank in reduced_homology_ranks(_frame(gens, a), p).items():
             table.entries[(dim + 1, a)] = rank
     return table
 
@@ -221,15 +303,17 @@ def oracle_pd(I: MonomialIdeal, prime: Optional[int] = None) -> int:
 
 
 def cross_prime_agreement(
-    I: MonomialIdeal, primes: tuple[int, int] = (DEFAULT_PRIME, SECONDARY_PRIME)
+    I: MonomialIdeal, primes: Optional[tuple[int, int]] = None
 ) -> bool:
     """Whether the Betti tables over two primes coincide entry by entry.
 
-    Disagreement flags characteristic sensitivity; it is data, not an error.
+    The primes default to (the homology prime, 101).  Disagreement flags
+    characteristic sensitivity; it is data, not an error.
     """
-    first = betti_table(I, primes[0])
-    second = betti_table(I, primes[1])
-    return first.entries == second.entries
+    if primes is None:
+        primes = (default_prime(), SECONDARY_PRIME)
+    first, second = (validate_prime(p) for p in primes)
+    return betti_table(I, first).entries == betti_table(I, second).entries
 
 
 def ek_betti(I: MonomialIdeal) -> tuple[dict[int, int], int]:

@@ -2,7 +2,19 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from polyshift.cli import main
+from util import child_env, ideal
+
+
+
+def cycle_doc(n):
+    """The edge ideal of the n-cycle, [x1*x2, ..., xn*x1]."""
+    return "[" + ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1)) + "]"
+
+
+CYCLE5 = cycle_doc(5)
 
 
 def run_cli(argv, capsys):
@@ -180,6 +192,58 @@ class TestBettiCommand:
         assert report["totals"] == {"0": 3, "1": 2}
         assert report["max_pd"] is False
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{type:lp, alpha:[1,3], beta:[4,5]}",
+            "[x2*x4, x1*x2, x1*x3] n=4",
+            "[x1^2*x3, x1^2*x2, x1*x2*x3]",
+            "[x1, x2, x3, x4]",
+            "[x2, x4] n=4",
+            "[1] n=3",
+            cycle_doc(5),
+            cycle_doc(6),
+            cycle_doc(7),
+        ],
+    )
+    def test_max_pd_comes_from_the_one_table(self, text, tmp_path, capsys, monkeypatch):
+        import polyshift.oracle as oracle_module
+        from polyshift.socle import max_pd
+
+        expected = max_pd(ideal(text))
+        lattices = []
+        real = oracle_module.lcm_lattice
+
+        def counted(*args, **kwargs):
+            lattices.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "lcm_lattice", counted)
+        path = write(tmp_path, "i.txt", text)
+        code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["max_pd"] is expected
+        assert len(lattices) == 1
+
+    @pytest.mark.parametrize("prime", ["2305843009213693951", "4", "1", "abc"])
+    def test_bad_modulus_exit_code(self, prime, tmp_path, capsys):
+        # 2^61 - 1 overflowed int64 and gave the 5-cycle totals {0: 5, 1: 4}
+        path = write(tmp_path, "c5.txt", CYCLE5)
+        code, out, err = run_cli(
+            ["betti", "--input", path, "--prime", prime, "--json"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "prime below 2^31" in err
+
+    def test_largest_modulus(self, tmp_path, capsys):
+        path = write(tmp_path, "c5.txt", CYCLE5)
+        code, out, _ = run_cli(
+            ["betti", "--input", path, "--prime", str(2**31 - 1), "--json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["totals"] == {"0": 5, "1": 5, "2": 1}
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
         code, _, err = run_cli(
@@ -227,6 +291,11 @@ class TestFuzzCommand:
         assert code == 1
         assert "parse error" in err
 
+    def test_zero_count_exit_code(self, capsys):
+        code, _, err = run_cli(["fuzz", "--seed", "1", "--count", "0"], capsys)
+        assert code == 1
+        assert "instance_count must be positive" in err
+
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import polyshift.cli as cli_module
 
@@ -251,6 +320,13 @@ class TestUsageAndParsing:
         assert code == 1
         assert "parse error" in err
 
+    def test_exponent_overflow_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "big.txt", "[x1^99999999999*x2]")
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "exceeds the supported range" in err
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
@@ -274,3 +350,32 @@ class TestUsageAndParsing:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["agreement"] is True
+
+
+class TestEnvironment:
+    def run_child(self, args, tmp_path, **settings):
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=child_env(**settings),
+            cwd=tmp_path,
+        )
+
+    def test_prime_variable_is_read_at_call_time(self, tmp_path):
+        path = write(tmp_path, "c5.txt", CYCLE5)
+        betti = ["-m", "polyshift.cli", "betti", "--input", path, "--json"]
+
+        imported = self.run_child(["-c", "import polyshift"], tmp_path, POLYSHIFT_PRIME="abc")
+        assert imported.returncode == 0, imported.stderr
+
+        for bad in ("abc", "4"):
+            out = self.run_child(betti, tmp_path, POLYSHIFT_PRIME=bad)
+            assert out.returncode == 1
+            assert out.stdout == ""
+            assert f"POLYSHIFT_PRIME must be a prime below 2^31, got {bad!r}" in out.stderr
+            assert "Traceback" not in out.stderr
+
+        good = self.run_child(betti, tmp_path, POLYSHIFT_PRIME="101")
+        assert good.returncode == 0, good.stderr
+        assert json.loads(good.stdout)["prime"] == 101

@@ -48,6 +48,10 @@ class TestCampaign:
         with pytest.raises(ValueError):
             CampaignConfig(seed=1, instance_count=1, conjectures=frozenset({"abc"}))
 
+    def test_bad_prime_rejected(self):
+        with pytest.raises(ValueError):
+            CampaignConfig(seed=1, instance_count=1, prime=4)
+
     def test_rows_are_json_serializable(self):
         config = CampaignConfig(seed=11, instance_count=5)
         sink_lines: list[str] = []

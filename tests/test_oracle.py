@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshift import (
     Monomial,
@@ -21,7 +23,7 @@ from polyshift import (
     upper_koszul,
 )
 from polyshift import _kernels
-from util import M, gens_set, ideal
+from util import M, child_env, gens_set, ideal
 
 
 class TestLcmLattice:
@@ -48,6 +50,52 @@ class TestLcmLattice:
         with pytest.raises(ResourceCapError):
             lcm_lattice(example_ideal, cap=5)
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_equals_subset_lcms_in_descending_lex(self, data):
+        gens = data.draw(small_generator_lists())
+        I = minimal_generators(gens, len(gens[0].exponents))
+        brute = set()
+        for r in range(1, I.num_gens + 1):
+            for subset in itertools.combinations(I.gens, r):
+                brute.add(lcm_many(subset).exponents)
+        assert [m.exponents for m in lcm_lattice(I)] == sorted(brute, reverse=True)
+
+    def test_cap_raises_iff_lattice_exceeds_it(self, example_ideal, trio_ideal):
+        for I in (example_ideal, trio_ideal, ideal("[x1^2*x2] n=2")):
+            size = len(lcm_lattice(I))
+            for cap in range(size + 2):
+                if size > cap:
+                    with pytest.raises(ResourceCapError):
+                        lcm_lattice(I, cap=cap)
+                else:
+                    assert len(lcm_lattice(I, cap=cap)) == size
+
+    def test_squarefree_in_seventy_variables(self):
+        # a mixed-radix key with radix 2 per variable needs 2^72 > 2^63 codes
+        n = 72
+        supports = [range(1, 31), range(25, 56), range(50, 73), (1, 40, 72)]
+        I = minimal_generators([Monomial.from_support(s, n) for s in supports], n)
+        brute = set()
+        for r in range(1, I.num_gens + 1):
+            for subset in itertools.combinations(I.gens, r):
+                brute.add(lcm_many(subset).exponents)
+        assert [m.exponents for m in lcm_lattice(I)] == sorted(brute, reverse=True)
+
+        far = MonomialIdeal(n, [Monomial.from_support(s, n) for s in ((1, 2), (70, 71))])
+        table = betti_table(far)
+        assert table.totals() == {0: 2, 1: 1}
+        assert table.multidegrees(1) == [Monomial.from_support((1, 2, 70, 71), n)]
+
+
+def small_generator_lists():
+    """Strategy: 1 to 6 exponent vectors in 1 to 4 variables, entries 0..3."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 3)] * n).map(Monomial), min_size=1, max_size=6
+        )
+    )
+
 
 def gens_set_of_lattice(I):
     return {str(m) for m in lcm_lattice(I)}
@@ -70,6 +118,28 @@ class TestUpperKoszul:
         frame = upper_koszul(trio_ideal, M("x3*x4", 4))
         assert frame.is_void
         assert reduced_homology_ranks(frame, 32003) == {}
+
+    def test_frame_too_wide_for_face_bitmasks(self):
+        n = 70
+        I = MonomialIdeal(n, [Monomial.from_support(range(1, 64), n)])
+        with pytest.raises(ResourceCapError):
+            upper_koszul(I, I.gens[0])
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_faces_are_direct_membership_tests(self, data):
+        gens = data.draw(small_generator_lists())
+        n = len(gens[0].exponents)
+        I = minimal_generators(gens, n)
+        a = Monomial(data.draw(st.tuples(*[st.integers(0, 4)] * n)))
+        frame = upper_koszul(I, a)
+        assert frame.vertices == a.support
+        expected = []
+        for mask in range(1 << len(a.support)):
+            face = [v for k, v in enumerate(a.support) if mask >> k & 1]
+            if I.contains(a / Monomial.from_support(face, n)):
+                expected.append(mask)
+        assert list(frame.face_masks) == expected
 
 
 class TestBettiTable:
@@ -337,6 +407,27 @@ class TestKernels:
         # rank collapses mod 2
         assert _kernels.rank_mod_p(2 * identity, 2) == 0
 
+    def test_rank_refuses_composite_modulus(self):
+        # the Fermat inverse is wrong mod 4: this once returned rank 2
+        with pytest.raises(ValueError, match="prime below 2"):
+            _kernels.rank_mod_p(np.array([[2, 1], [2, 1]]), 4)
+
+    def test_validate_prime(self):
+        for p in (2, 3, 101, 32003, 2**31 - 1):
+            assert _kernels.validate_prime(p) == p
+        # 2^61 - 1 is prime, but (p - 1)^2 overflows int64
+        for p in (-7, 0, 1, 4, 32001, 2**31, 2**61 - 1):
+            with pytest.raises(ValueError):
+                _kernels.validate_prime(p)
+
+    def test_largest_modulus_keeps_tables_exact(self):
+        cycle = ideal("[x1*x2, x2*x3, x3*x4, x4*x5, x5*x1]")
+        assert betti_table(cycle, 2**31 - 1).totals() == {0: 5, 1: 5, 2: 1}
+        with pytest.raises(ValueError):
+            betti_table(cycle, 2**61 - 1)
+        with pytest.raises(ValueError):
+            cross_prime_agreement(cycle, (32003, 4))
+
     def test_contains_implementations_agree(self):
         rng = np.random.default_rng(5)
         gens = rng.integers(0, 3, size=(7, 4)).astype(np.int64)
@@ -346,12 +437,8 @@ class TestKernels:
         assert np.array_equal(fast, slow)
 
     def test_pure_numpy_env_flag(self, tmp_path):
-        import os
         import subprocess
         import sys
-        from pathlib import Path
-
-        import polyshift
 
         code = (
             "from polyshift import _kernels; import numpy as np;"
@@ -363,21 +450,11 @@ class TestKernels:
             "assert _kernels.rank_mod_p(a, 101) == 3;"
             "print('ok')"
         )
-        # Inherit the environment minus every POLYSHIFT_* setting, so only the
-        # flag under test decides; point the child at the very package this
-        # process imported (a checkout's src/ or site-packages) and run it in
-        # an empty directory so the working directory cannot supply it.
-        env = {k: v for k, v in os.environ.items() if not k.startswith("POLYSHIFT_")}
-        env["POLYSHIFT_PURE_NUMPY"] = "1"
-        package_root = str(Path(polyshift.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(POLYSHIFT_PURE_NUMPY="1"),
             cwd=tmp_path,
         )
         assert out.returncode == 0, out.stderr

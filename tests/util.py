@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
+import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 
 
@@ -13,6 +16,21 @@ def M(text: str, n: int | None = None) -> Monomial:
 
 def ideal(text: str) -> MonomialIdeal:
     return parse_ideal(text).ideal
+
+
+def child_env(**settings: str) -> dict[str, str]:
+    """Environment for a child Python that imports the package this process
+    imported (a checkout's src/ or site-packages): the current environment
+    minus every POLYSHIFT_* setting, so only ``settings`` decide, with the
+    package's parent directory first on PYTHONPATH.  Run the child in an
+    empty directory so the working directory cannot supply the package."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("POLYSHIFT_")}
+    env.update(settings)
+    package_root = str(Path(polyshift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def gens_set(I: MonomialIdeal) -> set[str]:
