@@ -8,7 +8,6 @@ from polyshift.cli import main
 from util import child_env, ideal
 
 
-
 def cycle_doc(n):
     """The edge ideal of the n-cycle, [x1*x2, ..., xn*x1]."""
     return "[" + ", ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1)) + "]"
@@ -204,6 +203,10 @@ class TestBettiCommand:
             cycle_doc(5),
             cycle_doc(6),
             cycle_doc(7),
+        ],
+        ids=[
+            "lp-example", "trio", "degree-condition", "maximal-ideal",
+            "partial-support", "unit", "cycle5", "cycle6", "cycle7",
         ],
     )
     def test_max_pd_comes_from_the_one_table(self, text, tmp_path, capsys, monkeypatch):

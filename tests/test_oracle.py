@@ -55,11 +55,7 @@ class TestLcmLattice:
     def test_equals_subset_lcms_in_descending_lex(self, data):
         gens = data.draw(small_generator_lists())
         I = minimal_generators(gens, len(gens[0].exponents))
-        brute = set()
-        for r in range(1, I.num_gens + 1):
-            for subset in itertools.combinations(I.gens, r):
-                brute.add(lcm_many(subset).exponents)
-        assert [m.exponents for m in lcm_lattice(I)] == sorted(brute, reverse=True)
+        assert [m.exponents for m in lcm_lattice(I)] == subset_lcms(I)
 
     def test_cap_raises_iff_lattice_exceeds_it(self, example_ideal, trio_ideal):
         for I in (example_ideal, trio_ideal, ideal("[x1^2*x2] n=2")):
@@ -76,16 +72,22 @@ class TestLcmLattice:
         n = 72
         supports = [range(1, 31), range(25, 56), range(50, 73), (1, 40, 72)]
         I = minimal_generators([Monomial.from_support(s, n) for s in supports], n)
-        brute = set()
-        for r in range(1, I.num_gens + 1):
-            for subset in itertools.combinations(I.gens, r):
-                brute.add(lcm_many(subset).exponents)
-        assert [m.exponents for m in lcm_lattice(I)] == sorted(brute, reverse=True)
+        assert [m.exponents for m in lcm_lattice(I)] == subset_lcms(I)
 
         far = MonomialIdeal(n, [Monomial.from_support(s, n) for s in ((1, 2), (70, 71))])
         table = betti_table(far)
         assert table.totals() == {0: 2, 1: 1}
         assert table.multidegrees(1) == [Monomial.from_support((1, 2, 70, 71), n)]
+
+
+def subset_lcms(I):
+    """Exponents of the lcms of all nonempty generator subsets, by brute
+    force over the 2^m subsets, in descending-lex order."""
+    brute = set()
+    for r in range(1, I.num_gens + 1):
+        for subset in itertools.combinations(I.gens, r):
+            brute.add(lcm_many(subset).exponents)
+    return sorted(brute, reverse=True)
 
 
 def small_generator_lists():
