@@ -4,11 +4,13 @@ Two kernels live here: dense matrix rank over a prime field, which the
 homology oracle uses for boundary-matrix elimination, and batched
 divisibility tests (does any generator divide each of a batch of monomials),
 which the oracle no longer calls since it builds its frames from facet
-masks.  Neither is the oracle's main cost on large lcm lattices: there the
-lattice closure and the frames take most of the time, and rank over F_p a
-few percent.  Each kernel ships in two equivalent versions; the numba one is
-used when numba imports cleanly, unless the environment variable
-``POLYSHIFT_PURE_NUMPY`` is set to a non-empty value other than ``0``.
+masks.  The oracle takes each frame's homology relative to the star of a
+vertex, so the matrices it hands to :func:`rank_mod_p` are small (at most
+36 rows on cycle edge ideals) and many frames need none; its cost lies in
+the lattice closure and the frames.  Each kernel ships in two equivalent
+versions; the numba one is used when numba imports cleanly, unless the
+environment variable ``POLYSHIFT_PURE_NUMPY`` is set to a non-empty value
+other than ``0``.
 ``benchmarks/bench_kernels.py`` compares the two paths.
 
 Every modulus passes :func:`validate_prime`: the elimination inverts pivots

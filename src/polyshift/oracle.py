@@ -15,6 +15,14 @@ when one such facet is all of a nonempty supp(a); that test runs on the whole
 lattice at once, and only the remaining frames are built and their homology
 taken.  Every array temporary is kept near ``_BLOCK_ROWS`` rows by blocking.
 
+The homology of a frame K is taken relative to the closed star
+st_v K = {F : F + v in K} of its busiest vertex v.  The star is a cone with
+apex v, so its reduced homology vanishes, and the long exact sequence of the
+pair gives H~_k(K) = H_k(K, st_v K) for every k >= -1.  The relative complex
+keeps only the faces F with F + v not in K, so the boundary matrices are
+small (at most 36 rows on the 10- and 11-cycles, against 462 for the full
+complex), and they are assembled by array operations on sorted face masks.
+
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare two primes with :func:`cross_prime_agreement`
 when characteristic effects are a concern.  Every prime must pass
@@ -70,6 +78,12 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, queries)
+    return at, keys[np.minimum(at, len(keys) - 1)] == queries
+
+
 def _block(m: int) -> int:
     """Points per block when each point meets all m generators."""
     return max(1, _BLOCK_ROWS // max(m, 1))
@@ -104,8 +118,8 @@ def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:
             keys = _row_keys(cand)
             order = keys.argsort()
             keys = keys[order]
-            at = np.searchsorted(seen, keys)
-            new = seen[np.minimum(at, len(seen) - 1)] != keys
+            at, found = _locate(seen, keys)
+            new = ~found
             new[1:] &= keys[1:] != keys[:-1]
             if not new.any():
                 continue
@@ -195,39 +209,43 @@ def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[in
 
     Uses the convention that the empty face is a (-1)-cell: the irrelevant
     complex {0} has rank 1 in dimension -1, the void complex has none.
+
+    The ranks are those of the pair (K, st_v K), where v is the vertex in
+    the most faces (the lowest such index) and st_v K = {F : F + v in K}.
+    The star is a cone with apex v, so its reduced homology vanishes and
+    H~_k(K) = H_k(K, st_v K) for every k >= -1.  The relative complex has one
+    cell per face F with F + v not in K, and its boundary is the ordinary one
+    with the star's faces dropped; only those cells are eliminated.  When v
+    lies in no face (only the empty face, or no vertices) the star is empty
+    and every face is a cell.
     """
-    masks = frame.face_masks
-    if not masks:
-        return {}
-    v = len(frame.vertices)
-    by_size: dict[int, list[int]] = {}
-    for m in masks:
-        by_size.setdefault(bin(m).count("1"), []).append(m)
-    for s in by_size:
-        by_size[s].sort()
-    max_size = max(by_size)
-    counts = {s: len(by_size.get(s, ())) for s in range(max_size + 1)}
-    ranks = {0: 0}
-    for s in range(1, max_size + 1):
-        upper = by_size.get(s, [])
-        lower = by_size.get(s - 1, [])
-        if not upper or not lower:
-            ranks[s] = 0
+    p = validate_prime(prime)
+    faces = np.sort(np.array(frame.face_masks, dtype=np.int64))
+    bits = (faces[:, None] >> np.arange(len(frame.vertices))) & 1
+    # with no vertices, bit 0 stands for a vertex in no face
+    apex = 1 << int(bits.sum(axis=0).argmax()) if bits.shape[1] else 1
+    is_cell = ~_locate(faces, faces | apex)[1]
+    cells, bits = faces[is_cell], bits[is_cell]
+    sizes = bits.sum(axis=1)
+    counts = np.bincount(sizes).tolist()
+    ranks = [0] * (len(counts) + 1)
+    for s in range(1, len(counts)):
+        if not (counts[s] and counts[s - 1]):
             continue
-        row_index = {m: i for i, m in enumerate(lower)}
+        upper, lower = cells[sizes == s], cells[sizes == s - 1]
+        up_bits = bits[sizes == s]
+        col, k = np.nonzero(up_bits)
+        # deleting bit k has sign (-1)^(set bits below k); star faces are not found
+        below = (np.cumsum(up_bits, axis=1) - up_bits)[col, k]
+        at, found = _locate(lower, upper[col] & ~np.left_shift(1, k))
         B = np.zeros((len(lower), len(upper)), dtype=np.int64)
-        for ci, m in enumerate(upper):
-            bits = [k for k in range(v) if m >> k & 1]
-            for pos, k in enumerate(bits):
-                fm = m & ~(1 << k)
-                B[row_index[fm], ci] = 1 if pos % 2 == 0 else prime - 1
-        ranks[s] = _kernels.rank_mod_p(B, prime)
-    ranks[max_size + 1] = 0
+        B[at[found], col[found]] = np.where(below[found] & 1, p - 1, 1)
+        ranks[s] = _kernels.rank_mod_p(B, p)
     out: dict[int, int] = {}
-    for s in range(max_size + 1):
-        h = counts[s] - ranks[s] - ranks.get(s + 1, 0)
+    for s, c in enumerate(counts):
+        h = c - ranks[s] - ranks[s + 1]
         if h:
-            out[s - 1] = h  # faces of size s have dimension s - 1
+            out[s - 1] = h  # cells of size s have dimension s - 1
     return out
 
 

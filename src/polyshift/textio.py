@@ -41,10 +41,11 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def error(self, message: str) -> ParseError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        last_nl = self.text.rfind("\n", 0, self.pos)
-        col = self.pos - last_nl
+    def error(self, message: str, pos: Optional[int] = None) -> ParseError:
+        """A ParseError at ``pos``, by default the current position."""
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - self.text.rfind("\n", 0, pos)
         return ParseError(message, line, col)
 
     def skip_ws(self) -> None:
@@ -144,7 +145,11 @@ def parse_monomial(text: str, n: Optional[int] = None) -> Monomial:
     return Monomial(tuple(vec))
 
 
-def _parse_generator_list(sc: _Scanner) -> tuple[list[dict[int, int]], Optional[int]]:
+def _parse_generator_list(
+    sc: _Scanner,
+) -> tuple[list[dict[int, int]], Optional[int], Optional[int]]:
+    """The monomials, the declared n and where ``n=`` starts (None, None
+    when n is not declared)."""
     sc.expect("[")
     monomials: list[dict[int, int]] = []
     if not sc.try_consume("]"):
@@ -152,9 +157,9 @@ def _parse_generator_list(sc: _Scanner) -> tuple[list[dict[int, int]], Optional[
         while sc.try_consume(","):
             monomials.append(_scan_monomial(sc))
         sc.expect("]")
-    declared = None
+    declared = declared_at = None
     if not sc.at_end():
-        sc.skip_ws()
+        declared_at = sc.pos
         if sc.text[sc.pos] in "nN":
             sc.pos += 1
             sc.expect("=")
@@ -163,7 +168,7 @@ def _parse_generator_list(sc: _Scanner) -> tuple[list[dict[int, int]], Optional[
             raise sc.error("expected 'n=<int>' after the generator list")
         if not sc.at_end():
             raise sc.error("trailing input after n=<int>")
-    return monomials, declared
+    return monomials, declared, declared_at
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +365,13 @@ def parse_ideal(text: str) -> IdealSource:
     sc = _Scanner(text)
     ch = sc.peek()
     if ch == "[":
-        monomials, declared = _parse_generator_list(sc)
+        monomials, declared, declared_at = _parse_generator_list(sc)
         width = max((max(m) for m in monomials if m), default=0)
         n = declared if declared is not None else width
         if width > n:
-            raise sc.error(f"variable index {width} exceeds declared n={n}")
+            raise sc.error(
+                f"variable index {width} exceeds declared n={n}", declared_at
+            )
         gens = []
         for exps in monomials:
             vec = [0] * n

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from polyshift import (
     MonomialIdeal,
     NotStronglyStableError,
     ResourceCapError,
+    SimplicialComplexFrame,
     betti_table,
     borel_closure,
     cross_prime_agreement,
@@ -23,7 +26,7 @@ from polyshift import (
     upper_koszul,
 )
 from polyshift import _kernels
-from util import M, child_env, gens_set, ideal
+from util import M, child_env, full_boundary_homology, gens_set, ideal
 
 
 class TestLcmLattice:
@@ -142,6 +145,74 @@ class TestUpperKoszul:
             if I.contains(a / Monomial.from_support(face, n)):
                 expected.append(mask)
         assert list(frame.face_masks) == expected
+
+
+PRIMES = (2, 3, 32003, 2**31 - 1)
+
+
+def frame_on(v, faces):
+    """A frame on vertices 1..v with the given face masks, built directly."""
+    return SimplicialComplexFrame(
+        v, Monomial((1,) * v), tuple(range(1, v + 1)), tuple(faces)
+    )
+
+
+def closure(v, facets):
+    """Every face mask on v vertices contained in one of the facets."""
+    return [m for m in range(1 << v) if any(m & ~f == 0 for f in facets)]
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """Downward-closed face sets on at most 7 vertices, in any order: void
+    (no facets), the irrelevant complex (facet 0), full simplices and cones
+    (one vertex added to every facet) among them."""
+    v = draw(st.integers(0, 7))
+    facets = draw(st.lists(st.integers(0, (1 << v) - 1), max_size=6))
+    if v and draw(st.booleans()):
+        apex = 1 << draw(st.integers(0, v - 1))
+        facets = [f | apex for f in facets]
+    return frame_on(v, draw(st.permutations(closure(v, facets))))
+
+
+class TestReducedHomology:
+    def test_prime_is_checked_first(self):
+        # these frames reach no elimination: both values once gave {-1: 1}
+        I = ideal("[x1*x2, x1*x3, x2*x4]")
+        for frame in (upper_koszul(I, I.gens[0]), frame_on(0, ())):
+            for p in (4, -7):
+                with pytest.raises(ValueError, match="prime below 2"):
+                    reduced_homology_ranks(frame, p)
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @pytest.mark.parametrize(
+        "v, facets, expected",
+        [
+            (0, [], {}),  # void
+            (3, [], {}),  # void, with vertices
+            (0, [0], {-1: 1}),  # irrelevant complex {0}
+            (4, [0], {-1: 1}),  # irrelevant complex, vertices in no face
+            (1, [0b1], {}),  # a point
+            (5, [0b11111], {}),  # full simplex
+            (4, [0b0111, 0b1011, 0b1101, 0b1110], {2: 1}),  # 2-sphere
+            (4, [0b0011, 0b0101, 0b1001], {}),  # cone: a star graph
+            (4, [0b0111, 0b1101], {}),  # two triangles on an edge
+            (4, [0b0011, 0b0110, 0b1100, 0b1001], {1: 1}),  # 4-cycle
+            (4, [0b0001, 0b0010, 0b1100], {0: 2}),  # three components
+        ],
+    )
+    def test_named_complexes(self, v, facets, expected, prime):
+        frame = frame_on(v, closure(v, facets))
+        assert reduced_homology_ranks(frame, prime) == expected
+        assert full_boundary_homology(frame, prime) == expected
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @settings(deadline=None, max_examples=120)
+    @given(frame=simplicial_complexes())
+    def test_equals_full_boundary_reference(self, frame, prime):
+        got = reduced_homology_ranks(frame, prime)
+        assert got == full_boundary_homology(frame, prime)
+        assert list(got) == sorted(got)
 
 
 class TestBettiTable:
@@ -298,6 +369,26 @@ class TestSubsetComplexAgreement:
             flat = {(i, a.exponents): r for (i, a), r in table.entries.items()}
             assert flat == subset_complex_betti(I)
 
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_matches_on_relabelled_cycles(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            perm = rng.sample(range(n), n)
+            gens = [
+                Monomial.from_support((perm[i] + 1, perm[(i + 1) % n] + 1), n)
+                for i in range(n)
+            ]
+            rng.shuffle(gens)
+            I = MonomialIdeal(n, gens)
+            table = betti_table(I)
+            flat = {(i, a.exponents): r for (i, a), r in table.entries.items()}
+            assert flat == subset_complex_betti(I)
+
+    def test_ten_cycle_totals(self):
+        gens = [Monomial.from_support((i + 1, (i + 1) % 10 + 1), 10) for i in range(10)]
+        table = betti_table(MonomialIdeal(10, gens))
+        assert table.totals() == {0: 10, 1: 35, 2: 60, 3: 55, 4: 30, 5: 10, 6: 1}
+
 
 class TestEulerCharacteristic:
     """The alternating sum of ranks at each multidegree must match the
@@ -409,6 +500,23 @@ class TestKernels:
         # rank collapses mod 2
         assert _kernels.rank_mod_p(2 * identity, 2) == 0
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda rows: st.integers(1, 5).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+        )
+    )
+    def test_rank_matches_rational_rank(self, rows):
+        # every minor is below 5^(5/2) * 3^5 < 3.5e4 < 2^31 - 1 (Hadamard),
+        # so no nonzero minor vanishes mod p and the two ranks agree
+        assert _kernels.rank_mod_p(np.array(rows), 2**31 - 1) == rational_rank(rows)
+
     def test_rank_refuses_composite_modulus(self):
         # the Fermat inverse is wrong mod 4: this once returned rank 2
         with pytest.raises(ValueError, match="prime below 2"):
@@ -461,3 +569,19 @@ class TestKernels:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
+
+
+def rational_rank(rows):
+    """Rank over the rationals by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0])):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank

@@ -78,6 +78,16 @@ class TestIdealGrammar:
         with pytest.raises(ParseError):
             parse_ideal("[x3] n=2")
 
+    def test_declared_n_error_points_at_declaration(self):
+        # the position once lay past the end: line 2, column 1
+        for text in ("[x1*x2, x2*x3] n=2\n", "[x1*x2, x2*x3] n=2"):
+            with pytest.raises(ParseError, match="exceeds declared n=2") as info:
+                parse_ideal(text)
+            assert (info.value.line, info.value.column) == (1, 16)
+        with pytest.raises(ParseError) as info:
+            parse_ideal("[x1,\n x3]\n  n=2\n")
+        assert (info.value.line, info.value.column) == (3, 3)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_ideal("[x1] n=2 extra")

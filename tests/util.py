@@ -6,8 +6,11 @@ import itertools
 import os
 from pathlib import Path
 
+import numpy as np
+
 import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
+from polyshift import _kernels
 
 
 def M(text: str, n: int | None = None) -> Monomial:
@@ -31,6 +34,45 @@ def child_env(**settings: str) -> dict[str, str]:
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
     return env
+
+
+def full_boundary_homology(frame, prime: int) -> dict[int, int]:
+    """Reference reduced homology ranks of a frame: every face is a cell and
+    every boundary matrix is eliminated, with no star quotient.  Dimensions
+    follow ``reduced_homology_ranks`` (the empty face is a (-1)-cell)."""
+    masks = frame.face_masks
+    if not masks:
+        return {}
+    v = len(frame.vertices)
+    by_size: dict[int, list[int]] = {}
+    for m in masks:
+        by_size.setdefault(bin(m).count("1"), []).append(m)
+    for s in by_size:
+        by_size[s].sort()
+    max_size = max(by_size)
+    counts = {s: len(by_size.get(s, ())) for s in range(max_size + 1)}
+    ranks = {0: 0}
+    for s in range(1, max_size + 1):
+        upper = by_size.get(s, [])
+        lower = by_size.get(s - 1, [])
+        if not upper or not lower:
+            ranks[s] = 0
+            continue
+        row_index = {m: i for i, m in enumerate(lower)}
+        B = np.zeros((len(lower), len(upper)), dtype=np.int64)
+        for ci, m in enumerate(upper):
+            bits = [k for k in range(v) if m >> k & 1]
+            for pos, k in enumerate(bits):
+                fm = m & ~(1 << k)
+                B[row_index[fm], ci] = 1 if pos % 2 == 0 else prime - 1
+        ranks[s] = _kernels.rank_mod_p(B, prime)
+    ranks[max_size + 1] = 0
+    out: dict[int, int] = {}
+    for s in range(max_size + 1):
+        h = counts[s] - ranks[s] - ranks.get(s + 1, 0)
+        if h:
+            out[s - 1] = h
+    return out
 
 
 def gens_set(I: MonomialIdeal) -> set[str]:
