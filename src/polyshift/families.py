@@ -444,8 +444,19 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
 
     ``exchange`` decides polymatroidality; ``symmetric`` and ``strong`` test
     the stronger variants.  Witnesses: (u, v, i) for exchange, (u, v, j) for
-    symmetric, (u, v, i, j) for strong.  Non-equigenerated input fails with a
-    reason instead of raising, so fuzz pipelines keep going.
+    symmetric, (u, v, i, j) for strong; each is the first failure in the
+    order u, v (both in generator order), i, j.  Non-equigenerated input
+    fails with a reason instead of raising, so fuzz pipelines keep going.
+
+    No generator pair is scanned.  A set of generators is a Python int with
+    bit b standing for ``gens[b]``, and for each coordinate k and exponent t
+    that occurs there, two such bitsets hold the v with v_k < t and the v
+    with v_k > t.  For each u the moves u - e_i + e_j are looked up in the
+    generator set, and the v failing the exchange at (u, i) are those with
+    v_i < u_i that exceed u in no coordinate j of a move u - e_i + e_j in G;
+    the symmetric and strong failures are read off the same bitsets.  The
+    cost is O(m n^2) lookups and operations on m-bit ints, against O(m^2 n)
+    for a scan of the generator pairs.
     """
     if mode not in EXCHANGE_MODES:
         raise ValueError(f"unknown exchange mode {mode!r}")
@@ -453,37 +464,68 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
         raise ZeroIdealError("exchange properties are undefined for the zero ideal")
     if not I.is_equigenerated:
         return ExchangeResult(False, None, "not equigenerated")
-    gset = I.exponent_set
     gens = I.gens
-    n = I.n
-
-    def has_move(ue, i, j):
+    if len(gens) == 1:
+        return ExchangeResult(True)
+    gset = I.exponent_set
+    exps = [g.exponents for g in gens]
+    m = len(exps)
+    everyone = (1 << m) - 1
+    # (k, {t: (v with v_k < t, v with v_k > t)}) for each coordinate k on
+    # which the generators differ; on the others no v is below or above u
+    tables = []
+    for k, column in enumerate(zip(*exps)):
+        if column.count(column[0]) == m:
+            continue
+        at: dict[int, int] = {}
+        bit = 1
+        for t in column:
+            at[t] = at.get(t, 0) | bit
+            bit <<= 1
+        below = 0
+        table = {}
+        for t in sorted(at):
+            table[t] = (below, everyone ^ (below | at[t]))
+            below |= at[t]
+        tables.append((k, table))
+    for u, ue in zip(gens, exps):
+        ups = []  # (i, the v with v_i < u_i), ascending in i
+        downs = []  # (j, the v with v_j > u_j), ascending in j
+        for k, table in tables:
+            lower, higher = table[ue[k]]
+            if lower:
+                ups.append((k, lower))
+            if higher:
+                downs.append((k, higher))
+        failing = []  # (witness key, failing v), keys in ascending order
+        rescued = [0] * len(downs)  # symmetric: v with an up i for each j
         moved = list(ue)
-        moved[i] -= 1
-        moved[j] += 1
-        return tuple(moved) in gset
-
-    for u in gens:
-        ue = u.exponents
-        for v in gens:
-            if u is v:
-                continue
-            ve = v.exponents
-            ups = [i for i in range(n) if ue[i] > ve[i]]
-            downs = [j for j in range(n) if ue[j] < ve[j]]
+        for i, lower in ups:
+            moved[i] -= 1
+            rescue = 0  # exchange: v with a down j for this i
+            for d, (j, higher) in enumerate(downs):
+                if j != i:
+                    moved[j] += 1
+                    if tuple(moved) in gset:
+                        rescue |= higher
+                        rescued[d] |= lower
+                    elif mode == "strong":
+                        failing.append(((i + 1, j + 1), lower & higher))
+                    moved[j] -= 1
+            moved[i] += 1
             if mode == "exchange":
-                for i in ups:
-                    if not any(has_move(ue, i, j) for j in downs):
-                        return ExchangeResult(False, (u, v, i + 1))
-            elif mode == "symmetric":
-                for j in downs:
-                    if not any(has_move(ue, i, j) for i in ups):
-                        return ExchangeResult(False, (u, v, j + 1))
-            else:
-                for i in ups:
-                    for j in downs:
-                        if not has_move(ue, i, j):
-                            return ExchangeResult(False, (u, v, i + 1, j + 1))
+                failing.append(((i + 1,), lower & ~rescue))
+        if mode == "symmetric":
+            failing = [
+                ((j + 1,), higher & ~r) for (j, higher), r in zip(downs, rescued)
+            ]
+        union = 0
+        for _, mask in failing:
+            union |= mask
+        if union:
+            b = (union & -union).bit_length() - 1
+            key = next(key for key, mask in failing if mask >> b & 1)
+            return ExchangeResult(False, (u, gens[b]) + key)
     return ExchangeResult(True)
 
 
@@ -630,8 +672,8 @@ def random_polymatroidal(
             continue
         if ideal.is_zero or ideal.is_unit or ideal.num_gens > budget.gen_max:
             continue
-        result = check_exchange(ideal, "exchange")
-        assert result.holds, f"family realization is not polymatroidal: {spec!r}"
+        if not check_exchange(ideal, "exchange").holds:
+            raise AssertionError(f"family realization is not polymatroidal: {spec!r}")
         return spec, ideal
     raise ResourceCapError(
         f"no polymatroidal instance found for seed {seed} within {max_attempts} attempts"

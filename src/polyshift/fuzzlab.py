@@ -104,10 +104,6 @@ class CampaignSummary:
         }
 
 
-def _ideals_equal(A: MonomialIdeal, B: MonomialIdeal) -> bool:
-    return A == B
-
-
 def check_instance(
     spec: FamilySpec,
     ideal: MonomialIdeal,

@@ -32,7 +32,6 @@ from .monomials import (
     MonomialIdeal,
     VariableOrder,
     lcm_many,
-    unit_exchange,
     x_of,
 )
 
@@ -289,6 +288,11 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     degree condition deg(lcm) = deg(u) + j; that condition holds exactly when
     the j exchange variables are pairwise distinct, which is how the chains
     are enumerated here.
+
+    The earlier neighbours of u_t at distance 1 are found by looking up its
+    n(n-1) single-variable moves u_t - e_l + e_k in a dictionary from
+    exponents to positions in the order, so the cost is O(m n^2) lookups
+    rather than O(m^2 n) for a test of every earlier generator.
     """
     if j < 0:
         raise ValueError("homological index must be nonnegative")
@@ -299,13 +303,25 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     n = I.n
     if j == 0:
         return MonomialIdeal(n, ordered)
+    position = {u.exponents: s for s, u in enumerate(ordered)}
     out: list[Monomial] = []
     for t, ut in enumerate(ordered):
+        if t < j:
+            continue  # each earlier generator adds at most one variable
+        # k + 1 for every earlier u_s = x_k * (u_t / x_l)
         adds: set[int] = set()
-        for s in range(t):
-            ex = unit_exchange(ordered[s], ut)
-            if ex is not None:
-                adds.add(ex[0])
+        moved = list(ut.exponents)
+        for l, e in enumerate(ut.exponents):
+            if not e:
+                continue
+            moved[l] -= 1
+            for k in range(n):
+                if k != l:
+                    moved[k] += 1
+                    if position.get(tuple(moved), t) < t:
+                        adds.add(k + 1)
+                    moved[k] -= 1
+            moved[l] += 1
         if len(adds) < j:
             continue
         for K in itertools.combinations(sorted(adds), j):

@@ -170,6 +170,42 @@ class TestCheckCommand:
         assert report["verdict"] is False
         assert report["status"] == "none"
 
+    @pytest.mark.parametrize(
+        "prop, text, witness",
+        [
+            (
+                "polymatroidal",
+                "[x1^2*x3, x1*x2^2, x2^2*x3, x2*x3^2] n=3",
+                '["x1^2*x3", "x1*x2^2", 1]',
+            ),
+            (
+                "strong-exchange",
+                "[x1*x2*x3, x1*x2*x5, x1*x3*x4, x1*x3*x5, x1*x4*x5, x2*x3*x4, "
+                "x2*x4*x5, x3*x4*x5] n=5",
+                '["x1*x2*x3", "x1*x4*x5", 3, 4]',
+            ),
+            (
+                "matroidal",
+                "[x1*x2*x5, x1*x3*x4, x2*x3*x4, x3*x4*x5] n=5",
+                '["x1*x2*x5", "x1*x3*x4", 2]',
+            ),
+        ],
+        ids=["polymatroidal", "strong-exchange", "matroidal"],
+    )
+    def test_exchange_witness_bytes(self, tmp_path, capsys, prop, text, witness):
+        # the first failing u has several failing (v, i[, j]): the report
+        # names the first in generator order, then the smallest index
+        path = write(tmp_path, "g.txt", text)
+        code, out, _ = run_cli(
+            ["check", "--input", path, "--property", prop, "--json"], capsys
+        )
+        assert code == 0
+        n = text.rsplit("n=", 1)[1]
+        assert out == (
+            f'{{"command": "check", "input": "{text}", "n": {n}, '
+            f'"property": "{prop}", "verdict": false, "witness": {witness}}}\n'
+        )
+
     def test_strongly_stable_witness(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "[x2] n=2")
         code, out, _ = run_cli(

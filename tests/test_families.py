@@ -1,6 +1,10 @@
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshift import (
     BorelSpec,
@@ -21,6 +25,7 @@ from polyshift import (
     is_matroidal,
     is_polymatroidal,
     is_strongly_stable,
+    MonomialIdeal,
     minimal_generators,
     monomial_multiples,
     plp_factor,
@@ -28,7 +33,15 @@ from polyshift import (
     realize,
     veronese_shift,
 )
-from util import M, all_monomials, gens_set, ideal
+from polyshift.families import EXCHANGE_MODES
+from util import (
+    M,
+    all_monomials,
+    child_env,
+    gens_set,
+    ideal,
+    pairwise_exchange_reference,
+)
 
 
 def borel_membership_brute(v: Monomial, u: Monomial) -> bool:
@@ -168,6 +181,71 @@ class TestExchange:
         assert is_polymatroidal(ideal("[x1^2, x1*x2, x2^2]"))
 
 
+def without(I, g):
+    """The ideal generated by G(I) minus the generator g."""
+    return MonomialIdeal(I.n, [h for h in I.gens if h != g])
+
+
+@st.composite
+def exchange_inputs(draw):
+    """Generator sets on which the exchange checks hold or fail: random
+    degree-d monomials, mixed degrees, and polymatroidal draws with at most
+    one generator dropped."""
+    kind = draw(st.sampled_from(["subset", "mixed", "family"]))
+    if kind == "family":
+        seed = draw(st.integers(0, 2**32 - 1))
+        _, I = random_polymatroidal(seed, GenBudget(n_max=4, degree_max=3, gen_max=40))
+        drop = draw(st.integers(-1, I.num_gens - 1))
+        return I if drop < 0 or I.num_gens == 1 else without(I, I.gens[drop])
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    pool = all_monomials(n, d)
+    if kind == "mixed":
+        pool += all_monomials(n, d + 1)
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    return MonomialIdeal(n, picked)
+
+
+def assert_matches_pairwise_reference(I):
+    for mode in EXCHANGE_MODES:
+        result = check_exchange(I, mode)
+        expected = pairwise_exchange_reference(I, mode)
+        assert (result.holds, result.witness, result.reason) == (
+            expected.holds, expected.witness, expected.reason
+        ), mode
+
+
+# the 70 generators of degree 4 in 5 variables minus x1*x5^3: the exchange
+# witness (x1^2*x5^2, x5^4, 1) has v at position 68, past one word
+VERONESE_MINUS_ONE = without(realize(VeroneseSpec((4,) * 5, 4)), M("x1*x5^3", 5))
+
+
+class TestExchangeAgainstPairwiseReference:
+    @settings(deadline=None, max_examples=300)
+    @given(exchange_inputs())
+    def test_matches_reference_in_every_mode(self, I):
+        assert_matches_pairwise_reference(I)
+
+    @pytest.mark.parametrize(
+        "I",
+        [
+            ideal("[x1*x2^2] n=3"),
+            ideal("[x1, x2*x3]"),
+            ideal("[x1^3] n=1"),
+            VERONESE_MINUS_ONE,
+        ],
+        ids=["one-generator", "non-equigenerated", "n=1", "veronese-70-minus-one"],
+    )
+    def test_named_cases(self, I):
+        assert_matches_pairwise_reference(I)
+
+    def test_witness_beyond_one_word(self):
+        result = check_exchange(VERONESE_MINUS_ONE, "exchange")
+        u, v, i = result.witness
+        assert (str(u), str(v), i) == ("x1^2*x5^2", "x5^4", 1)
+        assert VERONESE_MINUS_ONE.gens.index(v) == 68
+
+
 class TestExchangeImplications:
     def test_strong_implies_plain_implies_symmetric(self, fuzz_corpus):
         import random
@@ -257,6 +335,35 @@ class TestRandomPolymatroidal:
     def test_every_draw_is_polymatroidal(self, fuzz_corpus):
         for spec, I in fuzz_corpus[:80]:
             assert check_exchange(I, "exchange").holds
+
+    def test_draw_check_survives_optimize_flag(self, tmp_path):
+        # under python -O a bare assert is stripped; the draw check must
+        # still refuse a realization that is not polymatroidal
+        code = (
+            "import polyshift.families as families\n"
+            "from polyshift import parse_ideal\n"
+            "print('debug', __debug__)\n"
+            "bad = parse_ideal('[x1*x2, x3*x4]').ideal\n"
+            "families.realize = lambda spec: bad\n"
+            "try:\n"
+            "    families.random_polymatroidal(1)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised', exc)\n"
+            "else:\n"
+            "    print('returned')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=child_env(),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        debug, outcome = proc.stdout.splitlines()
+        assert debug == "debug False"
+        assert outcome.startswith("raised family realization is not polymatroidal:")
 
     def test_budget_validation(self):
         with pytest.raises(FamilySpecError):

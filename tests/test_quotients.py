@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyshift import (
     AdmissibleOrderFailure,
     DegreeMismatchError,
+    GenBudget,
     Monomial,
     MonomialIdeal,
     QuotientCertificate,
     ResourceCapError,
     VariableOrder,
+    VeroneseSpec,
     ZeroIdealError,
     certify_lex,
     certify_order,
@@ -16,6 +20,8 @@ from polyshift import (
     homological_shift,
     lcm_many,
     minimal_generators,
+    random_polymatroidal,
+    realize,
     shifts_by_distance,
     taylor_shifts,
     total_betti_from_certificate,
@@ -26,8 +32,10 @@ from util import (
     EXAMPLE_HS4,
     EXAMPLE_SET_TABLE,
     M,
+    all_monomials,
     gens_set,
     ideal,
+    shifts_by_distance_reference,
 )
 
 
@@ -193,6 +201,56 @@ class TestDistanceRoutes:
         for j in range(6):
             assert shifts_by_distance(cert, j) == homological_shift(cert, j)
         assert gens_set(shifts_by_distance(cert, 3)) == EXAMPLE_HS3
+
+
+@st.composite
+def certified_ideals(draw):
+    """Certificates of polymatroidal draws under the lex order, and of
+    random equigenerated ideals under any admissible order found."""
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32 - 1))
+        _, I = random_polymatroidal(seed, GenBudget(n_max=4, degree_max=3, gen_max=40))
+        cert = certify_lex(I)
+    else:
+        n = draw(st.integers(1, 4))
+        pool = all_monomials(n, draw(st.integers(1, 3)))
+        picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7, unique=True))
+        cert = find_admissible_order(MonomialIdeal(n, picked)).certificate
+    assume(isinstance(cert, QuotientCertificate))
+    return cert
+
+
+class TestDistanceAgainstUnitExchangeReference:
+    @settings(deadline=None, max_examples=200)
+    @given(certified_ideals())
+    def test_matches_reference_for_every_j(self, cert):
+        for j in range(cert.projective_dimension + 2):
+            assert shifts_by_distance(cert, j) == shifts_by_distance_reference(cert, j), j
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[x1*x2^2] n=3", "[x1^3] n=1"],
+        ids=["one-generator", "n=1"],
+    )
+    def test_named_cases(self, text):
+        cert = certify_lex(ideal(text))
+        for j in range(cert.projective_dimension + 2):
+            assert shifts_by_distance(cert, j) == shifts_by_distance_reference(cert, j), j
+
+    def test_veronese_past_one_word(self):
+        cert = certify_lex(realize(VeroneseSpec((4,) * 5, 4)))
+        assert cert.ideal.num_gens == 70
+        for j in range(cert.projective_dimension + 2):
+            expected = shifts_by_distance_reference(cert, j)
+            assert shifts_by_distance(cert, j) == expected, j
+            assert expected == homological_shift(cert, j), j
+
+    def test_non_equigenerated_raises_like_reference(self):
+        cert = certify_lex(ideal("[x1, x2*x3]"))
+        assert isinstance(cert, QuotientCertificate)
+        for route in (shifts_by_distance, shifts_by_distance_reference):
+            with pytest.raises(DegreeMismatchError):
+                route(cert, 1)
 
 
 class TestNesting:

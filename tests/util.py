@@ -11,6 +11,9 @@ import numpy as np
 import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 from polyshift import _kernels
+from polyshift.errors import DegreeMismatchError, ZeroIdealError
+from polyshift.families import EXCHANGE_MODES, ExchangeResult
+from polyshift.monomials import unit_exchange, x_of
 
 
 def M(text: str, n: int | None = None) -> Monomial:
@@ -73,6 +76,76 @@ def full_boundary_homology(frame, prime: int) -> dict[int, int]:
         if h:
             out[s - 1] = h
     return out
+
+
+def pairwise_exchange_reference(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
+    """Reference ``check_exchange``: every ordered generator pair (u, v) is
+    scanned, and each candidate move u - e_i + e_j is tested by membership.
+    Witnesses come from the first failing (u, v, i[, j]) in loop order."""
+    if mode not in EXCHANGE_MODES:
+        raise ValueError(f"unknown exchange mode {mode!r}")
+    if I.is_zero:
+        raise ZeroIdealError("exchange properties are undefined for the zero ideal")
+    if not I.is_equigenerated:
+        return ExchangeResult(False, None, "not equigenerated")
+    gset = I.exponent_set
+    gens = I.gens
+    n = I.n
+
+    def has_move(ue, i, j):
+        moved = list(ue)
+        moved[i] -= 1
+        moved[j] += 1
+        return tuple(moved) in gset
+
+    for u in gens:
+        ue = u.exponents
+        for v in gens:
+            if u is v:
+                continue
+            ve = v.exponents
+            ups = [i for i in range(n) if ue[i] > ve[i]]
+            downs = [j for j in range(n) if ue[j] < ve[j]]
+            if mode == "exchange":
+                for i in ups:
+                    if not any(has_move(ue, i, j) for j in downs):
+                        return ExchangeResult(False, (u, v, i + 1))
+            elif mode == "symmetric":
+                for j in downs:
+                    if not any(has_move(ue, i, j) for i in ups):
+                        return ExchangeResult(False, (u, v, j + 1))
+            else:
+                for i in ups:
+                    for j in downs:
+                        if not has_move(ue, i, j):
+                            return ExchangeResult(False, (u, v, i + 1, j + 1))
+    return ExchangeResult(True)
+
+
+def shifts_by_distance_reference(cert, j: int) -> MonomialIdeal:
+    """Reference ``shifts_by_distance``: the exchange variables of u_t are
+    found by testing ``unit_exchange`` against every earlier generator."""
+    if j < 0:
+        raise ValueError("homological index must be nonnegative")
+    I = cert.ideal
+    if not I.is_equigenerated:
+        raise DegreeMismatchError("distance route requires an equigenerated ideal")
+    ordered = cert.ordered_gens
+    n = I.n
+    if j == 0:
+        return MonomialIdeal(n, ordered)
+    out: list[Monomial] = []
+    for t, ut in enumerate(ordered):
+        adds: set[int] = set()
+        for s in range(t):
+            ex = unit_exchange(ordered[s], ut)
+            if ex is not None:
+                adds.add(ex[0])
+        if len(adds) < j:
+            continue
+        for K in itertools.combinations(sorted(adds), j):
+            out.append(ut * x_of(K, n))
+    return MonomialIdeal(n, out)
 
 
 def gens_set(I: MonomialIdeal) -> set[str]:
