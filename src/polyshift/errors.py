@@ -45,10 +45,6 @@ class NotStronglyStableError(PolyshiftError):
     """The ideal is not strongly stable, so the stable-ideal formulas do not apply."""
 
 
-class SearchInconclusiveError(PolyshiftError):
-    """A bounded search ran out of budget before reaching a definitive answer."""
-
-
 class RouteDisagreementError(PolyshiftError):
     """Two independent computation routes produced different answers (internal bug)."""
 

@@ -120,8 +120,7 @@ def check_instance(
         "flags": [],
         "disagreements": [],
     }
-    restricted, _ = restrict_to_support(ideal)
-    J = restricted
+    J, _ = restrict_to_support(ideal)
     cert = certify_lex(J)
     if not isinstance(cert, QuotientCertificate):
         row["disagreements"].append(
@@ -141,6 +140,7 @@ def check_instance(
             row["disagreements"].append({"kind": "distance-route", "j": j})
 
     table = None
+    soc_colon = None
     if "bbh" in config.conjectures:
         verdicts = []
         for j in range(1, pd + 1):
@@ -198,12 +198,13 @@ def check_instance(
             range(1, tspec.n + 1)
         ):
             candidates = spanning_tree_socle(tspec)
-            soc = socle_colon(restricted, linearity_certified=True)
+            if soc_colon is None:
+                soc_colon = socle_colon(J, linearity_certified=True)
             if not candidates.is_zero:
-                contained = all(soc.contains(g) for g in candidates.gens)
+                contained = all(soc_colon.contains(g) for g in candidates.gens)
                 if not contained:
                     row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
-                row["spanning_tree_socle_equal"] = candidates == soc
+                row["spanning_tree_socle_equal"] = candidates == soc_colon
 
     # theorem-level spot checks that double as route validation
     if row.get("matroidal"):

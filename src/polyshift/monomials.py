@@ -158,11 +158,6 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
     return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
 
 
-def gcd(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_ring(u, v)
-    return Monomial(tuple(min(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
 def lcm_many(monomials: Iterable[Monomial]) -> Monomial:
     it = iter(monomials)
     try:
@@ -246,9 +241,6 @@ class VariableOrder:
     def key(self, u: Monomial):
         """Sort key for descending-lexicographic comparison under this order."""
         return tuple(u.exponents[i - 1] for i in self.chain)
-
-    def sort_desc(self, monomials: Iterable[Monomial]) -> list[Monomial]:
-        return sorted(monomials, key=self.key, reverse=True)
 
     def __str__(self) -> str:
         return ">".join(f"x{i}" for i in self.chain)
@@ -482,10 +474,6 @@ def restrict_to_support(I: MonomialIdeal) -> tuple[MonomialIdeal, tuple[int, ...
                 exps[index[old]] = e
         restricted.append(Monomial(tuple(exps)))
     return MonomialIdeal(len(supp), restricted), supp
-
-
-def squarefree_part(u: Monomial) -> Monomial:
-    return Monomial(tuple(1 if e else 0 for e in u.exponents))
 
 
 def x_of(indices: Sequence[int], n: int) -> Monomial:

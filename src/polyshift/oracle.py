@@ -316,10 +316,6 @@ def hs_oracle(
     return table.shift_ideal(j)
 
 
-def oracle_pd(I: MonomialIdeal, prime: Optional[int] = None) -> int:
-    return betti_table(I, prime).pd
-
-
 def cross_prime_agreement(
     I: MonomialIdeal, primes: Optional[tuple[int, int]] = None
 ) -> bool:

@@ -79,6 +79,11 @@ def ideal_intersection(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(A.n, out)
 
 
+def _require_variables(I: MonomialIdeal) -> None:
+    if I.n == 0:
+        raise PreconditionError("the socle is undefined in a ring with no variables")
+
+
 def colon_maximal(I: MonomialIdeal) -> MonomialIdeal:
     """I : (x_1,...,x_n) as the intersection of the single-variable colons."""
     if I.is_zero:
@@ -104,6 +109,7 @@ def socle_colon(
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no socle")
+    _require_variables(I)
     if d is None:
         d = I.generation_degree
     elif I.generation_degree != d:
@@ -131,6 +137,7 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
         raise ValueError(
             "socle_exchange needs a certificate produced by certify_lex"
         )
+    _require_variables(I)
     if I.support != tuple(range(1, I.n + 1)):
         raise SupportError(
             "ideal does not involve every variable; restrict_to_support first"
@@ -147,26 +154,9 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
     return MonomialIdeal(I.n, out)
 
 
-def _certified_socle(I: MonomialIdeal) -> MonomialIdeal:
-    """Best-route socle: exchange formula under a lex certificate when
-    available, else the colon with oracle-certified linearity."""
-    d = I.generation_degree
-    cert = certify_lex(I)
-    if isinstance(cert, QuotientCertificate):
-        if I.support == tuple(range(1, I.n + 1)):
-            return socle_exchange(cert)
-        return socle_colon(I, linearity_certified=True)
-    table = betti_table(I)
-    if not table.is_linear(d):
-        raise LinearityError(
-            "socle is undefined: the ideal has no linear resolution"
-        )
-    return socle_colon(I, linearity_certified=True)
-
-
 def top_shift(I: MonomialIdeal) -> MonomialIdeal:
     """The highest possible shift ideal, x_1...x_n times the socle."""
-    soc = _certified_socle(I)
+    soc = socle_report(I).socle
     if soc.is_zero:
         return MonomialIdeal(I.n)
     return monomial_multiples(soc, x_of(range(1, I.n + 1), I.n))
@@ -204,6 +194,9 @@ class SocleReport:
 
 
 def socle_report(I: MonomialIdeal) -> SocleReport:
+    """Best-route socle: the exchange formula under a lex certificate with
+    full support, else the colon, with linearity certified by the lex
+    certificate or, failing that, the Betti table."""
     d = I.generation_degree
     cert = certify_lex(I)
     full_support = I.support == tuple(range(1, I.n + 1))
@@ -222,7 +215,7 @@ def socle_report(I: MonomialIdeal) -> SocleReport:
             soc = socle_colon(I, linearity_certified=True)
         route = "colon"
     witness = None
-    if not soc.is_zero and I.n >= 1:
+    if not soc.is_zero:
         w = soc.gens[0]
         candidate = w.times_var(I.n)
         if I.is_generator(candidate):
@@ -243,29 +236,8 @@ class IntersectionGraph:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
 
-    def neighbors(self, k: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == k:
-                out.append(b)
-            elif b == k:
-                out.append(a)
-        return sorted(out)
-
     def component_count(self) -> int:
-        parent = list(range(self.num_vertices + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(1, self.num_vertices + 1)})
+        return _component_count(self.num_vertices, self.edges)
 
     @property
     def is_connected(self) -> bool:
@@ -292,8 +264,9 @@ def intersection_graph(spec: TransversalSpec) -> IntersectionGraph:
     return IntersectionGraph(spec.t, tuple(edges))
 
 
-def _is_tree(edges: tuple[tuple[int, int], ...], picked: tuple[int, ...], t: int) -> bool:
-    parent = list(range(t + 1))
+def _component_count(num_vertices: int, edges) -> int:
+    """Connected components of the graph on 1..num_vertices, by union-find."""
+    parent = list(range(num_vertices + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -301,13 +274,13 @@ def _is_tree(edges: tuple[tuple[int, int], ...], picked: tuple[int, ...], t: int
             x = parent[x]
         return x
 
-    for idx in picked:
-        a, b = edges[idx]
+    count = num_vertices
+    for a, b in edges:
         ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
 
 
 def spanning_trees(
@@ -320,7 +293,8 @@ def spanning_trees(
         return
     count = 0
     for picked in itertools.combinations(range(len(graph.edges)), t - 1):
-        if _is_tree(graph.edges, picked, t):
+        # t - 1 edges span the t vertices exactly when they form a tree
+        if _component_count(t, [graph.edges[i] for i in picked]) == 1:
             count += 1
             if count > cap:
                 raise ResourceCapError(
@@ -554,7 +528,7 @@ def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
         raise PreconditionError("power persistence requires a polymatroidal ideal")
     if I.support != tuple(range(1, I.n + 1)):
         raise SupportError("restrict the ideal to its support first")
-    soc = _certified_socle(I)
+    soc = socle_report(I).socle
     if soc.is_zero:
         raise PreconditionError(
             "power persistence requires maximal projective dimension"

@@ -420,7 +420,3 @@ def parse_variable_order(text: str, n: int) -> VariableOrder:
 
 def ideal_to_json(I: MonomialIdeal) -> dict[str, Any]:
     return {"n": I.n, "gens": [str(g) for g in I.gens]}
-
-
-def monomial_to_json(u: Optional[Monomial]) -> Optional[str]:
-    return None if u is None else str(u)

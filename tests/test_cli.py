@@ -138,6 +138,15 @@ class TestSocCommand:
         assert code == 2
         assert "precondition" in err
 
+    def test_unit_ideal_without_variables_is_precondition_error(self, tmp_path, capsys):
+        # this once ended in an IndexError traceback
+        path = write(tmp_path, "unit0.txt", "[1] n=0")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "precondition: the socle is undefined in a ring with no variables" in err
+        assert "Traceback" not in err
+
 
 class TestCheckCommand:
     def test_strong_exchange_witness(self, tmp_path, capsys):

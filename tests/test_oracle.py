@@ -26,7 +26,7 @@ from polyshift import (
     upper_koszul,
 )
 from polyshift import _kernels
-from util import M, child_env, full_boundary_homology, gens_set, ideal
+from util import M, full_boundary_homology, gens_set, ideal
 
 
 class TestLcmLattice:
@@ -481,17 +481,15 @@ class TestEliahouKervaire:
 
 
 class TestKernels:
-    def test_rank_implementations_agree(self):
+    def test_rank_matches_elimination_mod_p(self):
+        # against pure-Python elimination mod p; the products of two factors
+        # of inner size k have rank at most k, so deficient ranks occur
         rng = np.random.default_rng(3)
         for _ in range(25):
-            rows = rng.integers(1, 12)
-            cols = rng.integers(1, 12)
-            a = rng.integers(-5, 6, size=(rows, cols))
+            rows, cols, k = rng.integers(1, 12, size=3)
+            a = rng.integers(-5, 6, size=(rows, k)) @ rng.integers(-5, 6, size=(k, cols))
             for p in (2, 101, 32003):
-                expected = _kernels._rank_mod_p_numpy(
-                    np.array(a, dtype=np.int64) % p, p
-                )
-                assert _kernels.rank_mod_p(a, p) == expected
+                assert _kernels.rank_mod_p(a, p) == elimination_rank(a.tolist(), p)
 
     def test_rank_known_values(self):
         identity = np.eye(4, dtype=np.int64)
@@ -515,7 +513,7 @@ class TestKernels:
     def test_rank_matches_rational_rank(self, rows):
         # every minor is below 5^(5/2) * 3^5 < 3.5e4 < 2^31 - 1 (Hadamard),
         # so no nonzero minor vanishes mod p and the two ranks agree
-        assert _kernels.rank_mod_p(np.array(rows), 2**31 - 1) == rational_rank(rows)
+        assert _kernels.rank_mod_p(np.array(rows), 2**31 - 1) == elimination_rank(rows)
 
     def test_rank_refuses_composite_modulus(self):
         # the Fermat inverse is wrong mod 4: this once returned rank 2
@@ -538,42 +536,23 @@ class TestKernels:
         with pytest.raises(ValueError):
             cross_prime_agreement(cycle, (32003, 4))
 
-    def test_contains_implementations_agree(self):
+    def test_contains_matches_brute_force(self):
+        # against a brute-force loop: some generator row is <= the target
         rng = np.random.default_rng(5)
-        gens = rng.integers(0, 3, size=(7, 4)).astype(np.int64)
-        targets = rng.integers(0, 5, size=(40, 4)).astype(np.int64)
-        fast = _kernels.contains_mask(gens, targets)
-        slow = _kernels._contains_mask_numpy(gens, targets)
-        assert np.array_equal(fast, slow)
-
-    def test_pure_numpy_env_flag(self, tmp_path):
-        import subprocess
-        import sys
-
-        code = (
-            "from polyshift import _kernels; import numpy as np;"
-            "assert _kernels.FORCE_NUMPY;"
-            "assert not _kernels.HAVE_NUMBA;"
-            "assert _kernels._rank_impl is _kernels._rank_mod_p_numpy;"
-            "assert _kernels._contains_impl is _kernels._contains_mask_numpy;"
-            "a = np.eye(3, dtype=np.int64);"
-            "assert _kernels.rank_mod_p(a, 101) == 3;"
-            "print('ok')"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=child_env(POLYSHIFT_PURE_NUMPY="1"),
-            cwd=tmp_path,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
+        targets = rng.integers(0, 5, size=(40, 4))
+        for m in (0, 1, 7):
+            gens = rng.integers(0, 3, size=(m, 4))
+            expected = [any(all(g <= t) for g in gens) for t in targets]
+            assert _kernels.contains_mask(gens, targets).tolist() == expected
 
 
-def rational_rank(rows):
-    """Rank over the rationals by Gaussian elimination on Fractions."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def elimination_rank(rows, p=None):
+    """Rank by Gaussian elimination in pure Python: over the rationals on
+    Fractions, or over F_p with modular inverses when ``p`` is given."""
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+    else:
+        a = [[x % p for x in row] for row in rows]
     rank = 0
     for c in range(len(a[0])):
         pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
@@ -581,7 +560,11 @@ def rational_rank(rows):
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
         for i in range(rank + 1, len(a)):
-            f = a[i][c] / a[rank][c]
-            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+            if p is None:
+                f = a[i][c] / a[rank][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+            else:
+                f = a[i][c] * pow(a[rank][c], -1, p)
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
     return rank

@@ -23,6 +23,7 @@ from polyshift import (
     intersection_graph,
     max_pd,
     minimal_generators,
+    monomial_multiples,
     power_persistence,
     realize,
     socle_colon,
@@ -31,8 +32,18 @@ from polyshift import (
     spanning_tree_socle,
     spanning_trees,
     top_shift,
+    x_of,
 )
 from util import M, gens_set, ideal
+
+
+def full_support(I):
+    return I.support == tuple(range(1, I.n + 1))
+
+
+def small_full_support(corpus):
+    """Corpus ideals with full support that the oracle resolves quickly."""
+    return [I for _, I in corpus if full_support(I) and I.num_gens <= 12 and I.n <= 4]
 
 
 class TestColonMachinery:
@@ -112,6 +123,19 @@ class TestTopShift:
     def test_zero_socle_gives_zero(self, trio_ideal):
         assert top_shift(trio_ideal).is_zero
 
+    def test_is_variables_times_colon_socle_on_corpus(self, fuzz_corpus):
+        # the colon route, whatever route socle_report takes
+        for _, I in fuzz_corpus:
+            soc = socle_colon(I, linearity_certified=True)
+            expected = monomial_multiples(soc, x_of(range(1, I.n + 1), I.n))
+            assert top_shift(I) == expected
+
+    def test_matches_oracle_top_on_small_corpus(self, fuzz_corpus):
+        ideals = small_full_support(fuzz_corpus)
+        assert len(ideals) >= 150
+        for I in ideals:
+            assert top_shift(I) == betti_table(I).shift_ideal(I.n - 1)
+
     def test_matches_oracle_top(self, example_ideal):
         table = betti_table(example_ideal)
         assert top_shift(example_ideal) == table.shift_ideal(4)
@@ -186,6 +210,20 @@ class TestSpanningTreeSocle:
         soc = socle_colon(realize(spec), linearity_certified=True)
         assert all(soc.contains(g) for g in candidates.gens)
         assert candidates == soc
+
+    def test_tree_counts_on_complete_and_cycle_graphs(self):
+        # four sets through x1 overlap pairwise: K4 has 4^2 trees (Cayley);
+        # the 4-cycle of overlaps has 4, each dropping one edge
+        star = TransversalSpec(tuple(frozenset({1, v}) for v in (2, 3, 4, 5)), 5)
+        complete = intersection_graph(star)
+        assert len(complete.edges) == 6
+        assert complete.component_count() == 1
+        assert len(list(spanning_trees(complete))) == 16
+        ring = TransversalSpec(
+            tuple(frozenset({v, v % 4 + 1}) for v in (1, 2, 3, 4)), 4
+        )
+        trees = list(spanning_trees(intersection_graph(ring)))
+        assert sorted(trees) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def test_disconnected_gives_zero(self):
         spec = TransversalSpec((frozenset({1}), frozenset({2})), 2)
@@ -327,6 +365,41 @@ class TestPowerPersistence:
     def test_requires_maximal_pd(self, trio_ideal):
         with pytest.raises(PreconditionError):
             power_persistence(trio_ideal, 2)
+
+    def test_square_against_colon_socle_and_oracle(self, fuzz_corpus):
+        checked = 0
+        for I in small_full_support(fuzz_corpus):
+            soc = socle_colon(I, linearity_certified=True)
+            if soc.is_zero:
+                with pytest.raises(PreconditionError):
+                    power_persistence(I, 2)
+                continue
+            result = power_persistence(I, 2)
+            u = soc.gens[0].times_var(I.n)
+            assert result.witness == (u ** 2).div_var(I.n)
+            assert result.ok == (betti_table(ideal_power(I, 2)).pd == I.n - 1)
+            checked += 1
+        assert checked >= 100
+
+
+class TestNoVariables:
+    """The unit ideal in 0 variables has no socle: refused, not crashed."""
+
+    def test_socle_routes_refuse(self):
+        I = ideal("[1] n=0")
+        with pytest.raises(PreconditionError, match="no variables"):
+            socle_report(I)
+        with pytest.raises(PreconditionError, match="no variables"):
+            socle_colon(I, linearity_certified=True)
+        with pytest.raises(PreconditionError, match="no variables"):
+            socle_exchange(certify_lex(I))
+        with pytest.raises(PreconditionError, match="no variables"):
+            top_shift(I)
+        with pytest.raises(PreconditionError, match="no variables"):
+            power_persistence(I, 2)
+
+    def test_max_pd_still_answers(self):
+        assert max_pd(ideal("[1] n=0"))
 
 
 class TestSocleReport:
