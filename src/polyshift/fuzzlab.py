@@ -86,7 +86,6 @@ def instance_seed(campaign_seed: int, index: int) -> int:
 @dataclass
 class CampaignSummary:
     config: CampaignConfig
-    rows: list[dict] = field(default_factory=list)
     flags: list[dict] = field(default_factory=list)
     disagreements: list[dict] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
@@ -97,7 +96,7 @@ class CampaignSummary:
     def to_json(self) -> dict[str, Any]:
         return {
             "seed": self.config.seed,
-            "instances": len(self.rows),
+            "instances": self.counters.get("instances", 0),
             "flags": self.flags,
             "disagreements": self.disagreements,
             "counters": dict(sorted(self.counters.items())),
@@ -263,7 +262,6 @@ def run_campaign(
         row = check_instance(spec, ideal, config)
         row["index"] = index
         row["seed"] = seed
-        summary.rows.append(row)
         for flag in row["flags"]:
             summary.flags.append({"index": index, "seed": seed, **flag})
         for item in row["disagreements"]:

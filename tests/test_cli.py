@@ -28,6 +28,48 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# Exact `soc --json` stdout for three inputs.  `soc` prints the colon route
+# under routes.colon and checks it against the other routes, so these bytes
+# pin the colon socle.
+SOC_JSON_PINS = {
+    '{type:lp, alpha:[1,3], beta:[4,5]}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": \\"lp\\", '
+        '\\"alpha\\": [1, 3], \\"beta\\": [4, 5], \\"n\\": 5}", "input": "[x1*x3, '
+        'x1*x4, x1*x5, x2*x3, x2*x4, x2*x5, x3^2, x3*x4, x3*x5, x4^2, x4*x5] n=5", '
+        '"intersection_graph": {"components": 1, "connected": true, "edges": [[1, '
+        '2]], "vertices": 2}, "max_pd": true, "n": 5, "route": "exchange-formula", '
+        '"routes": {"closed-form": {"gens": ["x3", "x4"], "n": 5}, '
+        '"colon": {"gens": ["x3", "x4"], "n": 5}, '
+        '"exchange-formula": {"gens": ["x3", "x4"], "n": 5}}, '
+        '"socle": {"gens": ["x3", "x4"], "n": 5}, '
+        '"spanning_tree_equals_socle": true, '
+        '"spanning_tree_socle": {"gens": ["x3", "x4"], "n": 5}, '
+        '"top_shift": {"gens": ["x1*x2*x3^2*x4*x5", "x1*x2*x3*x4^2*x5"], "n": 5}, '
+        '"variable_order": "x1>x2>x3>x4>x5", "witness": "x3*x5"}\n'
+    ),
+    '{type:transversal, sets:[[1,3],[2,4]], n:4}': (
+        '{"agreement": true, "command": "soc", '
+        '"family": "{\\"type\\": \\"transversal\\", \\"sets\\": [[1, 3], [2, 4]], '
+        '\\"n\\": 4}", "input": "[x1*x2, x1*x4, x2*x3, x3*x4] n=4", '
+        '"intersection_graph": {"components": 2, "connected": false, "edges": [], '
+        '"vertices": 2}, "max_pd": false, "n": 4, "route": "exchange-formula", '
+        '"routes": {"closed-form": {"skipped": "no closed-form socle for family '
+        'tag \'transversal\'; use socle_colon"}, '
+        '"colon": {"gens": [], "n": 4}, "exchange-formula": {"gens": [], "n": 4}}, '
+        '"socle": {"gens": [], "n": 4}, "spanning_tree_equals_socle": true, '
+        '"spanning_tree_socle": {"gens": [], "n": 4}, "top_shift": {"gens": [], '
+        '"n": 4}, "variable_order": "x1>x2>x3>x4", "witness": null}\n'
+    ),
+    '[x1, x2, x3]': (
+        '{"agreement": true, "command": "soc", "input": "[x1, x2, x3] n=3", '
+        '"max_pd": true, "n": 3, "route": "exchange-formula", '
+        '"routes": {"colon": {"gens": ["1"], "n": 3}, '
+        '"exchange-formula": {"gens": ["1"], "n": 3}}, "socle": {"gens": ["1"], '
+        '"n": 3}, "top_shift": {"gens": ["x1*x2*x3"], "n": 3}, '
+        '"variable_order": "x1>x2>x3", "witness": "x3"}\n'
+    ),
+}
+
 class TestHsCommand:
     def test_all_routes_agree_on_counterexample(self, tmp_path, capsys):
         path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
@@ -131,6 +173,13 @@ class TestSocCommand:
         assert code == 0
         report = json.loads(out)
         assert report["socle"]["gens"] == ["1"]
+
+    @pytest.mark.parametrize("text", sorted(SOC_JSON_PINS))
+    def test_json_bytes_pinned(self, text, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == SOC_JSON_PINS[text]
 
     def test_non_equigenerated_is_precondition_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.txt", "[x1, x2*x3] n=3")

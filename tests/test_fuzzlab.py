@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,8 +21,9 @@ class TestCampaign:
         from polyshift import random_polymatroidal
 
         config = CampaignConfig(seed=99, instance_count=10, n_max=4, degree_max=3)
-        summary = run_campaign(config)
-        for row in summary.rows[:4]:
+        lines: list[str] = []
+        run_campaign(config, lines.append)
+        for row in map(json.loads, lines[:4]):
             spec, ideal = random_polymatroidal(row["seed"], config.budget)
             again = check_instance(spec, ideal, config)
             for key in ("pd", "num_gens", "spec"):
@@ -40,8 +42,9 @@ class TestCampaign:
         config = CampaignConfig(
             seed=5, instance_count=12, conjectures=frozenset({"bbh"})
         )
-        summary = run_campaign(config)
-        for row in summary.rows:
+        lines: list[str] = []
+        run_campaign(config, lines.append)
+        for row in map(json.loads, lines):
             assert "soc_polymatroidal" not in row
 
     def test_unknown_conjecture_rejected(self):
@@ -63,3 +66,14 @@ class TestCampaign:
     def test_instance_seed_mixing(self):
         seeds = {instance_seed(123, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+    def test_campaign_bytes_pinned(self):
+        # the JSONL of a fixed campaign, byte for byte: every route and
+        # counter a row reports, the socle routes included
+        lines: list[str] = []
+        run_campaign(CampaignConfig(42, 300, prime=32003), lines.append)
+        data = ("\n".join(lines) + "\n").encode()
+        assert len(data) == 98340
+        assert hashlib.sha256(data).hexdigest() == (
+            "f6cacd155bc94f52a841306de24ceef7ee58b9a473bdaa43e4d27e959049b1b9"
+        )

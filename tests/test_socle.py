@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshift import (
     BorelSpec,
+    DegreeMismatchError,
     LPSpec,
     Monomial,
+    MonomialIdeal,
     PLPSpec,
     PowerSpec,
     PreconditionError,
@@ -34,7 +38,7 @@ from polyshift import (
     top_shift,
     x_of,
 )
-from util import M, gens_set, ideal
+from util import M, all_monomials, gens_set, ideal
 
 
 def full_support(I):
@@ -44,6 +48,21 @@ def full_support(I):
 def small_full_support(corpus):
     """Corpus ideals with full support that the oracle resolves quickly."""
     return [I for _, I in corpus if full_support(I) and I.num_gens <= 12 and I.n <= 4]
+
+
+def truncated_colon(I):
+    """Reference socle: the degree-(d-1) generators of the untruncated I : m."""
+    d = I.generation_degree
+    return MonomialIdeal(I.n, [g for g in colon_maximal(I).gens if g.degree == d - 1])
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """Nonempty sets of monomials of one degree, polymatroidal or not."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 4))
+    gens = draw(st.lists(st.sampled_from(all_monomials(n, d)), min_size=1, unique=True))
+    return MonomialIdeal(n, gens)
 
 
 class TestColonMachinery:
@@ -61,6 +80,13 @@ class TestColonMachinery:
         m = ideal("[x1, x2, x3]")
         assert colon_maximal(m).is_unit
 
+    def test_colon_without_variables_is_whole_ring(self):
+        # m = (0) in a ring with no variables, so I : m is the unit ideal;
+        # this once ended in an IndexError from colon_by_variable(I, 1)
+        unit = MonomialIdeal(0, [Monomial(())])
+        assert colon_maximal(unit) == unit
+        assert colon_maximal(MonomialIdeal(0)) == unit
+
 
 class TestSocleColon:
     def test_example(self, example_ideal):
@@ -72,7 +98,9 @@ class TestSocleColon:
     def test_maximal_ideal_socle_is_unit(self):
         for n in range(2, 7):
             m = minimal_generators([Monomial.variable(i, n) for i in range(1, n + 1)])
-            assert socle_colon(m, linearity_certified=True).is_unit
+            soc = socle_colon(m, linearity_certified=True)
+            assert soc.is_unit
+            assert soc == truncated_colon(m)
 
     def test_disconnected_transversal_socle_is_zero(self):
         I = realize(TransversalSpec((frozenset({1, 3}), frozenset({2, 4})), 4))
@@ -81,6 +109,35 @@ class TestSocleColon:
     def test_warns_without_certificate(self, example_ideal):
         with pytest.warns(UserWarning):
             socle_colon(example_ideal)
+
+    @settings(deadline=None, max_examples=300)
+    @given(equigenerated_ideals())
+    def test_matches_untruncated_colon(self, I):
+        assert socle_colon(I, linearity_certified=True) == truncated_colon(I)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[1] n=1", set()),
+            ("[1] n=3", set()),
+            ("[x1*x2, x1^2] n=3", set()),  # x3 is missing
+            ("[x1^3] n=1", {"x1^2"}),
+            ("[x1*x2] n=2", set()),
+            ("[x1*x2, x1*x3, x2*x3]", set()),  # pd 1 < n - 1
+            ("[x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2]", {"x1", "x2", "x3"}),
+        ],
+    )
+    def test_named_cases(self, text, expected):
+        I = ideal(text)
+        soc = socle_colon(I, linearity_certified=True)
+        assert gens_set(soc) == expected
+        assert soc == truncated_colon(I)
+
+    def test_degree_mismatch(self, example_ideal):
+        with pytest.raises(DegreeMismatchError):
+            socle_colon(ideal("[x1, x2*x3] n=3"), linearity_certified=True)
+        with pytest.raises(DegreeMismatchError):
+            socle_colon(example_ideal, 3, linearity_certified=True)
 
 
 class TestSocleExchange:
