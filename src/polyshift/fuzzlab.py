@@ -35,7 +35,13 @@ from .families import (
     random_polymatroidal,
     veronese_shift,
 )
-from .monomials import MonomialIdeal, monomial_multiples, restrict_to_support, x_of
+from .monomials import (
+    MonomialIdeal,
+    monomial_multiples,
+    restrict_to_support,
+    support_filter,
+    x_of,
+)
 from .oracle import betti_table, default_prime, hs_oracle, validate_prime
 from .quotients import (
     QuotientCertificate,
@@ -205,14 +211,28 @@ def check_instance(
                     row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
                 row["spanning_tree_socle_equal"] = candidates == soc_colon
 
-    # theorem-level spot checks that double as route validation
+    # theorem-level spot checks that double as route validation; both
+    # nesting checks read HS_1 of a shift ideal along its own lex certificate
+    inner_first: dict[int, Optional[MonomialIdeal]] = {}
+
+    def first_shift_of(j: int) -> Optional[MonomialIdeal]:
+        """HS_1(HS_j) by the lex certificate, or None when it has none."""
+        if j not in inner_first:
+            inner_cert = certify_lex(shifts[j])
+            inner_first[j] = (
+                homological_shift(inner_cert, 1)
+                if isinstance(inner_cert, QuotientCertificate)
+                else None
+            )
+        return inner_first[j]
+
     if row.get("matroidal"):
         for j in range(1, pd):
-            inner_cert = certify_lex(shifts[j])
-            if not isinstance(inner_cert, QuotientCertificate):
+            first = first_shift_of(j)
+            if first is None:
                 row["disagreements"].append({"kind": "shift-not-certifiable", "j": j})
                 continue
-            if homological_shift(inner_cert, 1) != shifts[j + 1]:
+            if first != shifts[j + 1]:
                 row["disagreements"].append({"kind": "matroidal-nesting", "j": j})
     if isinstance(spec, VeroneseSpec) and J.n == ideal.n:
         for level in range(1, pd + 1):
@@ -221,18 +241,11 @@ def check_instance(
     if ideal.num_gens <= refined_nesting_cap and pd >= 1:
         equalities = []
         for j in range(1, pd + 1):
-            inner_cert = certify_lex(shifts[j])
-            if not isinstance(inner_cert, QuotientCertificate):
+            first = first_shift_of(j)
+            if first is None:
                 equalities.append(None)
                 continue
-            refined = MonomialIdeal(
-                J.n,
-                [
-                    g
-                    for g in homological_shift(inner_cert, 1).gens
-                    if len(g.support) > j + 1
-                ],
-            )
+            refined = support_filter(first, j + 1)
             upper = shifts[j + 1] if j + 1 <= pd else MonomialIdeal(J.n)
             equalities.append(refined == upper)
         row["refined_nesting_equal"] = equalities

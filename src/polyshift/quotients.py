@@ -6,6 +6,16 @@ generated by variables.  A :class:`QuotientCertificate` records such an
 order together with the generating variables of every colon step; from it
 the shift ideals of the minimal resolution are read off combinatorially.
 
+Each colon step is decided by bitsets over the earlier positions, never by
+a scan of generator pairs.  Let A_i be the earlier generators whose i-th
+exponent exceeds that of u_k.  Variable x_i generates the colon exactly
+when some generator of A_i exceeds u_k by one in coordinate i and lies in
+no other A_l, that is, its colon contribution is x_i alone; the step fails
+at the earliest generator outside the union of the A_i of those variables.
+With a table from exponent values to bitsets per coordinate, a step costs
+O(n) big-int operations (times the number of distinct exponents in a
+coordinate), so an order costs O(m n) of them.
+
 Three independent computation routes live here:
 
 * :func:`homological_shift` - the subset formula over the certificate,
@@ -23,6 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 from typing import Optional, Sequence, Union
 
@@ -56,9 +67,41 @@ class QuotientCertificate:
     colon_vars: tuple[tuple[int, ...], ...]
     variable_order: Optional[VariableOrder] = None
 
-    @property
+    @cached_property
     def ordered_gens(self) -> tuple[Monomial, ...]:
         return tuple(self.ideal.gens[i] for i in self.order)
+
+    @cached_property
+    def distance_adds(self) -> tuple[tuple[int, ...], ...]:
+        """For each generator u_t in the order, the sorted 1-based variables
+        x_k such that some earlier generator is x_k * (u_t / x_l): the
+        exchange variables of its earlier neighbours at distance 1.
+
+        They are found by looking up the n(n-1) single-variable moves of u_t
+        in a dictionary from exponents to positions in the order, so the cost
+        is O(m n^2) lookups rather than O(m^2 n) for a test of every earlier
+        generator.
+        """
+        ordered = self.ordered_gens
+        n = self.ideal.n
+        position = {u.exponents: s for s, u in enumerate(ordered)}
+        out = []
+        for t, ut in enumerate(ordered):
+            adds: set[int] = set()
+            moved = list(ut.exponents)
+            for l, e in enumerate(ut.exponents):
+                if not e:
+                    continue
+                moved[l] -= 1
+                for k in range(n):
+                    if k != l:
+                        moved[k] += 1
+                        if position.get(tuple(moved), t) < t:
+                            adds.add(k + 1)
+                        moved[k] -= 1
+                moved[l] += 1
+            out.append(tuple(sorted(adds)))
+        return tuple(out)
 
     @property
     def projective_dimension(self) -> int:
@@ -86,11 +129,55 @@ class AdmissibleOrderFailure:
 CertifyResult = Union[QuotientCertificate, AdmissibleOrderFailure]
 
 
+def _colon_step(columns: list[dict[int, int]], u: tuple[int, ...], prefix: int):
+    """One colon step by bitsets over the earlier positions ``prefix``.
+
+    ``columns[i]`` maps each exponent value to the bitset of the earlier
+    positions with that i-th exponent.  From it come A_i, the earlier
+    generators whose i-th exponent exceeds u_i; those in exactly one A_i
+    contribute a single variable to the colon, and x_i is a colon variable
+    when one of them has i-th exponent u_i + 1.  Returns the 1-based colon
+    variables and the earlier positions they do not cover; the step is
+    admissible when that bitset is empty.
+    """
+    above = []
+    once = twice = 0
+    for col, e in zip(columns, u):
+        a = 0
+        for t, bits in col.items():
+            if t > e:
+                a |= bits
+        above.append(a)
+        twice |= once & a
+        once |= a
+    alone = once & ~twice
+    members = []
+    covered = 0
+    for i, (col, e) in enumerate(zip(columns, u)):
+        if col.get(e + 1, 0) & alone:
+            members.append(i + 1)
+            covered |= above[i]
+    return tuple(members), prefix & ~covered
+
+
+def _flip(columns: list[dict[int, int]], u: tuple[int, ...], bit: int) -> None:
+    """Add the position ``bit`` with exponents ``u`` to the columns of
+    :func:`_colon_step`, or remove it if it is there."""
+    for col, e in zip(columns, u):
+        col[e] = col.get(e, 0) ^ bit
+
+
 def certify_order(I: MonomialIdeal, order: Sequence[int]) -> CertifyResult:
     """Check one candidate order for linear quotients.
 
     ``order`` is a permutation of ``range(I.num_gens)``.  On success the full
-    certificate is returned; on failure, the first offending step.
+    certificate is returned; on failure, the first offending step, with the
+    earliest generator whose colon contribution is not spanned as witness.
+
+    Each step is one :func:`_colon_step` over bitsets of the earlier order
+    positions, kept per coordinate and exponent value and grown as the order
+    is read, so an order costs O(m n) big-int operations and a failing order
+    stops at its first bad step.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no admissible orders")
@@ -98,24 +185,20 @@ def certify_order(I: MonomialIdeal, order: Sequence[int]) -> CertifyResult:
     order = tuple(order)
     if sorted(order) != list(range(m)):
         raise ValueError(f"order must be a permutation of 0..{m - 1}")
-    exps = [I.gens[i].exponents for i in order]
+    gens = I.gens
+    # columns[i][t]: bitset of the positions so far whose i-th exponent is t
+    columns: list[dict[int, int]] = [{} for _ in range(I.n)]
+    _flip(columns, gens[order[0]].exponents, 1)
     colon_vars: list[tuple[int, ...]] = [()]
     for k in range(1, m):
-        uk = exps[k]
-        members: set[int] = set()
-        positives: list[list[int]] = []
-        for j in range(k):
-            uj = exps[j]
-            pos = [i for i in range(len(uk)) if uj[i] > uk[i]]
-            positives.append(pos)
-            if len(pos) == 1 and uj[pos[0]] - uk[pos[0]] == 1:
-                members.add(pos[0] + 1)
-        for j in range(k):
-            if not any(i + 1 in members for i in positives[j]):
-                return AdmissibleOrderFailure(
-                    k + 1, I.gens[order[k]], I.gens[order[j]]
-                )
-        colon_vars.append(tuple(sorted(members)))
+        g = order[k]
+        uk = gens[g].exponents
+        members, uncovered = _colon_step(columns, uk, (1 << k) - 1)
+        if uncovered:
+            j = (uncovered & -uncovered).bit_length() - 1
+            return AdmissibleOrderFailure(k + 1, gens[g], gens[order[j]])
+        colon_vars.append(members)
+        _flip(columns, uk, 1 << k)
     return QuotientCertificate(I, order, tuple(colon_vars))
 
 
@@ -149,20 +232,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _admissible_next(gens, prefix: list[int], candidate: int) -> bool:
-    """Would appending ``candidate`` keep the prefix admissible?"""
-    uk = gens[candidate].exponents
-    members: set[int] = set()
-    positives: list[list[int]] = []
-    for j in prefix:
-        uj = gens[j].exponents
-        pos = [i for i in range(len(uk)) if uj[i] > uk[i]]
-        positives.append(pos)
-        if len(pos) == 1 and uj[pos[0]] - uk[pos[0]] == 1:
-            members.add(pos[0])
-    return all(any(i in members for i in pos) for pos in positives)
-
-
 def find_admissible_order(
     I: MonomialIdeal, node_budget: int = SEARCH_NODE_BUDGET
 ) -> OrderSearch:
@@ -173,6 +242,10 @@ def find_admissible_order(
     prefixes, with dead-prefix memoization.  "none" is returned only when the
     backtracking search finished exhaustively; running out of budget yields
     "inconclusive" instead.
+
+    The backtracking tests each extension by the bitset step of
+    :func:`certify_order`, over bitsets of generator indices that follow the
+    prefix as it grows and shrinks, so a node costs O(n) big-int operations.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no admissible orders")
@@ -183,40 +256,64 @@ def find_admissible_order(
             result = certify_lex(I, VariableOrder(perm))
             if isinstance(result, QuotientCertificate):
                 return OrderSearch("certified", result)
-    gens = I.gens
-    dead: set[frozenset[int]] = set()
+    gens = [g.exponents for g in I.gens]
+    # columns[i][t]: bitset of the generators in the prefix with i-th exponent t
+    columns: list[dict[int, int]] = [{} for _ in range(n)]
+    dead: set[int] = set()
     nodes = 0
 
-    def extend(prefix: list[int], used: frozenset[int]) -> Optional[list[int]]:
+    def extend(prefix: list[int], used: int) -> Optional[list[int]]:
         nonlocal nodes
         if len(prefix) == m:
             return list(prefix)
         if used in dead:
             return None
         for c in range(m):
-            if c in used:
+            if used >> c & 1:
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetExceeded
-            if _admissible_next(gens, prefix, c):
+            _, uncovered = _colon_step(columns, gens[c], used)
+            if not uncovered:
+                _flip(columns, gens[c], 1 << c)
                 prefix.append(c)
-                found = extend(prefix, used | {c})
+                found = extend(prefix, used | 1 << c)
                 if found is not None:
                     return found
                 prefix.pop()
+                _flip(columns, gens[c], 1 << c)
         dead.add(used)
         return None
 
     try:
-        found = extend([], frozenset())
+        found = extend([], 0)
     except _BudgetExceeded:
         return OrderSearch("inconclusive")
     if found is None:
         return OrderSearch("none")
     cert = certify_order(I, found)
-    assert isinstance(cert, QuotientCertificate)
+    if not isinstance(cert, QuotientCertificate):
+        raise AssertionError(f"the search found an order that certify_order refuses: {cert}")
     return OrderSearch("certified", cert)
+
+
+def _shift_generators(
+    gens: Sequence[Monomial], variable_sets: Sequence[tuple[int, ...]], j: int
+) -> list[Monomial]:
+    """The products x_F * u, for each generator u and each j-subset F of its
+    variable set, added on exponent lists; one validated Monomial is built
+    per distinct product."""
+    products: set[tuple[int, ...]] = set()
+    for u, variables in zip(gens, variable_sets):
+        if len(variables) < j:
+            continue
+        for F in itertools.combinations(variables, j):
+            exps = list(u.exponents)
+            for i in F:
+                exps[i - 1] += 1
+            products.add(tuple(exps))
+    return [Monomial(e) for e in products]
 
 
 def homological_shift(cert: QuotientCertificate, j: int) -> MonomialIdeal:
@@ -228,17 +325,14 @@ def homological_shift(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     """
     if j < 0:
         raise ValueError("homological index must be nonnegative")
-    n = cert.ideal.n
-    mons: list[Monomial] = []
-    for u, cols in zip(cert.ordered_gens, cert.colon_vars):
-        if len(cols) < j:
-            continue
-        for F in itertools.combinations(cols, j):
-            mons.append(u * x_of(F, n))
-    result = MonomialIdeal(n, mons)
-    if cert.ideal.is_equigenerated and mons:
-        # equal degrees: minimalization may only deduplicate, never drop
-        assert result.num_gens == len(set(mons))
+    mons = _shift_generators(cert.ordered_gens, cert.colon_vars, j)
+    result = MonomialIdeal(cert.ideal.n, mons)
+    # equal degrees: minimalization may only deduplicate, never drop
+    if cert.ideal.is_equigenerated and result.num_gens != len(mons):
+        raise AssertionError(
+            f"minimalization dropped {len(mons) - result.num_gens} of {len(mons)} "
+            f"distinct products from an equigenerated shift ideal (j = {j})"
+        )
     return result
 
 
@@ -289,44 +383,21 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     the j exchange variables are pairwise distinct, which is how the chains
     are enumerated here.
 
-    The earlier neighbours of u_t at distance 1 are found by looking up its
-    n(n-1) single-variable moves u_t - e_l + e_k in a dictionary from
-    exponents to positions in the order, so the cost is O(m n^2) lookups
-    rather than O(m^2 n) for a test of every earlier generator.
+    The exchange variables of every generator are the certificate's
+    :attr:`QuotientCertificate.distance_adds`, found once per certificate by
+    O(m n^2) move lookups and shared by every j; each call only enumerates
+    the j-subsets of them.
     """
     if j < 0:
         raise ValueError("homological index must be nonnegative")
     I = cert.ideal
     if not I.is_equigenerated:
         raise DegreeMismatchError("distance route requires an equigenerated ideal")
-    ordered = cert.ordered_gens
-    n = I.n
     if j == 0:
-        return MonomialIdeal(n, ordered)
-    position = {u.exponents: s for s, u in enumerate(ordered)}
-    out: list[Monomial] = []
-    for t, ut in enumerate(ordered):
-        if t < j:
-            continue  # each earlier generator adds at most one variable
-        # k + 1 for every earlier u_s = x_k * (u_t / x_l)
-        adds: set[int] = set()
-        moved = list(ut.exponents)
-        for l, e in enumerate(ut.exponents):
-            if not e:
-                continue
-            moved[l] -= 1
-            for k in range(n):
-                if k != l:
-                    moved[k] += 1
-                    if position.get(tuple(moved), t) < t:
-                        adds.add(k + 1)
-                    moved[k] -= 1
-            moved[l] += 1
-        if len(adds) < j:
-            continue
-        for K in itertools.combinations(sorted(adds), j):
-            out.append(ut * x_of(K, n))
-    return MonomialIdeal(n, out)
+        return MonomialIdeal(I.n, cert.ordered_gens)
+    return MonomialIdeal(
+        I.n, _shift_generators(cert.ordered_gens, cert.distance_adds, j)
+    )
 
 
 def taylor_shifts(

@@ -560,7 +560,8 @@ def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
     n = I.n
     w0 = soc.gens[0]
     u = w0.times_var(n)
-    assert I.is_generator(u)
+    if not I.is_generator(u):
+        raise AssertionError(f"socle element {w0} times x{n} is not a generator of the ideal")
     witness = (u ** k).div_var(n)
     power = ideal_power(I, k)
     for i in range(1, n + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -70,7 +71,34 @@ SOC_JSON_PINS = {
     ),
 }
 
+# sha256 of the exact `hs --all --route all --json` stdout for the two README
+# inputs, the 5-cycle (no linear quotients: the search ends in "none" and only
+# the oracle runs) and a mixed-degree ideal (the distance route is skipped).
+# The bytes pin the certificate, the search and the distance route together.
+HS_JSON_PINS = {
+    "{type:lp, alpha:[1,3], beta:[4,5]}":
+        "4fda791c3a3de21afd7f0e90bc5730f802604ef57535fea137bbc18fe475ba24",
+    "[x2*x4, x1*x2, x1*x3]":
+        "f58cd1636b0fdceceb4546d927c64887cd645ee5dcd6d58a649c38709d1f573e",
+    CYCLE5:
+        "34970a45b2dffe00779b6a781adb5a3aa5fdcf87ecdf8c585cc77ffa8dc85133",
+    "[x1^2, x1*x2, x2^3, x2^2*x3] n=3":
+        "cfa48ba4bd5f20246a04105a8fbe6f9f94028ced262a53468ce4822c5adf37fb",
+}
+
+
 class TestHsCommand:
+    @pytest.mark.parametrize(
+        "text", list(HS_JSON_PINS), ids=["lp", "trio", "cycle5", "mixed-degree"]
+    )
+    def test_json_bytes_pinned(self, text, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(
+            ["hs", "--input", path, "--all", "--route", "all", "--json"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HS_JSON_PINS[text]
+
     def test_all_routes_agree_on_counterexample(self, tmp_path, capsys):
         path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
         code, out, _ = run_cli(["hs", "--input", path, "--json"], capsys)

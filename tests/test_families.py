@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +35,9 @@ from polyshift.families import EXCHANGE_MODES
 from util import (
     M,
     all_monomials,
-    child_env,
     gens_set,
     ideal,
+    outcome_under_optimize,
     pairwise_exchange_reference,
 )
 
@@ -339,30 +337,14 @@ class TestRandomPolymatroidal:
     def test_draw_check_survives_optimize_flag(self, tmp_path):
         # under python -O a bare assert is stripped; the draw check must
         # still refuse a realization that is not polymatroidal
-        code = (
+        body = (
             "import polyshift.families as families\n"
             "from polyshift import parse_ideal\n"
-            "print('debug', __debug__)\n"
             "bad = parse_ideal('[x1*x2, x3*x4]').ideal\n"
             "families.realize = lambda spec: bad\n"
-            "try:\n"
-            "    families.random_polymatroidal(1)\n"
-            "except AssertionError as exc:\n"
-            "    print('raised', exc)\n"
-            "else:\n"
-            "    print('returned')\n"
+            "families.random_polymatroidal(1)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            env=child_env(),
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        debug, outcome = proc.stdout.splitlines()
-        assert debug == "debug False"
+        outcome = outcome_under_optimize(body, tmp_path)
         assert outcome.startswith("raised family realization is not polymatroidal:")
 
     def test_budget_validation(self):

@@ -27,14 +27,19 @@ from polyshift import (
     total_betti_from_certificate,
     within_taylor_bound,
 )
+from polyshift.quotients import SEARCH_NODE_BUDGET
 from util import (
     EXAMPLE_HS3,
     EXAMPLE_HS4,
     EXAMPLE_SET_TABLE,
     M,
     all_monomials,
+    certify_order_reference,
+    find_admissible_order_reference,
     gens_set,
+    homological_shift_reference,
     ideal,
+    outcome_under_optimize,
     shifts_by_distance_reference,
 )
 
@@ -201,6 +206,134 @@ class TestDistanceRoutes:
         for j in range(6):
             assert shifts_by_distance(cert, j) == homological_shift(cert, j)
         assert gens_set(shifts_by_distance(cert, 3)) == EXAMPLE_HS3
+
+
+@st.composite
+def mixed_degree_ideals(draw, max_gens=8):
+    """Random ideals in 1-6 variables with exponents up to 3, so degrees mix
+    and the unit ideal can occur."""
+    n = draw(st.integers(1, 6))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=max_gens)
+    )
+    return MonomialIdeal(n, [Monomial(v) for v in vectors])
+
+
+@st.composite
+def ideals_with_orders(draw):
+    """A mixed-degree ideal with the identity order or a shuffled one; most
+    shuffled orders fail, at various steps."""
+    I = draw(mixed_degree_ideals())
+    order = list(range(I.num_gens))
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    return I, order
+
+
+def assert_certify_matches_reference(I, order):
+    result = certify_order(I, order)
+    expected = certify_order_reference(I, order)
+    # a failure must name the same step, generator and witness
+    assert result == expected
+    if isinstance(result, QuotientCertificate):
+        for j in range(result.projective_dimension + 2):
+            assert homological_shift(result, j) == homological_shift_reference(
+                expected, j
+            ), j
+    return result
+
+
+class TestCertifyAgainstPairScanReference:
+    @settings(deadline=None, max_examples=300)
+    @given(ideals_with_orders())
+    def test_matches_reference(self, case):
+        assert_certify_matches_reference(*case)
+
+    @settings(deadline=None, max_examples=150)
+    @given(mixed_degree_ideals(max_gens=7), st.integers(1, 60))
+    def test_search_matches_reference(self, I, budget):
+        for node_budget in (budget, SEARCH_NODE_BUDGET):
+            # the same status and the same certificate
+            assert find_admissible_order(I, node_budget) == (
+                find_admissible_order_reference(I, node_budget)
+            )
+
+    @pytest.mark.parametrize(
+        "text, status",
+        [
+            ("[x1^2*x2^2, x1^2*x3^2, x2*x3]", "certified"),
+            ("[x1*x2, x2*x3, x3*x4, x4*x5, x5*x6, x1*x6*x7] n=7", "none"),
+        ],
+        ids=["admissible", "none"],
+    )
+    def test_search_backtracks_past_failed_lex_orders(self, text, status):
+        # no variable order makes the lex order admissible here, so the
+        # outcome comes from the backtracking search
+        I = ideal(text)
+        search = find_admissible_order(I)
+        assert search.status == status
+        if search.certificate is not None:
+            assert search.certificate.variable_order is None
+        assert search == find_admissible_order_reference(I)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[x1*x2^2] n=3", "[1] n=3", "[1] n=0"],
+        ids=["one-generator", "unit-n3", "unit-n0"],
+    )
+    def test_single_generator_cases(self, text):
+        I = ideal(text)
+        cert = assert_certify_matches_reference(I, [0])
+        assert cert.colon_vars == ((),)
+        assert homological_shift(cert, 0) == I
+        assert homological_shift(cert, 1).is_zero
+        assert find_admissible_order(I) == find_admissible_order_reference(I)
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_non_permutation_order_raises(self, trio_ideal, order):
+        for certify in (certify_order, certify_order_reference):
+            with pytest.raises(ValueError, match="permutation"):
+                certify(trio_ideal, order)
+
+    def test_failure_at_last_step(self):
+        I = ideal("[x1*x2, x2*x3, x3*x4, x4*x5]")
+        order = order_by_strings(I, ["x1*x2", "x2*x3", "x3*x4", "x4*x5"])
+        failure = assert_certify_matches_reference(I, order)
+        assert isinstance(failure, AdmissibleOrderFailure)
+        assert failure.k == I.num_gens
+        assert (str(failure.generator), str(failure.witness)) == ("x4*x5", "x1*x2")
+
+
+class TestChecksSurviveOptimizeFlag:
+    # under python -O a bare assert is stripped; these internal checks must
+    # still raise
+    def test_search_result_is_rechecked(self, tmp_path):
+        body = (
+            "import polyshift.quotients as q\n"
+            "from polyshift import parse_ideal\n"
+            "I = parse_ideal('[x1*x2, x2*x3]').ideal\n"
+            "q.certify_order = lambda I, order: q.AdmissibleOrderFailure(\n"
+            "    1, I.gens[0], I.gens[0])\n"
+            "q.find_admissible_order(I)\n"
+        )
+        outcome = outcome_under_optimize(body, tmp_path)
+        assert outcome.startswith(
+            "raised the search found an order that certify_order refuses:"
+        )
+
+    def test_equigenerated_shift_drops_nothing(self, tmp_path):
+        body = (
+            "import polyshift.monomials as monomials\n"
+            "from polyshift import certify_lex, homological_shift, parse_ideal\n"
+            "cert = certify_lex(parse_ideal('[x2*x4, x1*x2, x1*x3]').ideal)\n"
+            "monomials._minimalize = lambda mons: sorted(set(mons), key=str)[:1]\n"
+            "homological_shift(cert, 1)\n"
+        )
+        outcome = outcome_under_optimize(body, tmp_path)
+        assert outcome == (
+            "raised minimalization dropped 1 of 2 distinct products from an "
+            "equigenerated shift ideal (j = 1)"
+        )
 
 
 @st.composite

@@ -38,7 +38,7 @@ from polyshift import (
     top_shift,
     x_of,
 )
-from util import M, all_monomials, gens_set, ideal
+from util import M, all_monomials, gens_set, ideal, outcome_under_optimize
 
 
 def full_support(I):
@@ -437,6 +437,20 @@ class TestPowerPersistence:
             assert result.ok == (betti_table(ideal_power(I, 2)).pd == I.n - 1)
             checked += 1
         assert checked >= 100
+
+    def test_generator_check_survives_optimize_flag(self, tmp_path):
+        # under python -O a bare assert is stripped; x_n * w for the socle
+        # element w must still be checked to be a generator
+        body = (
+            "from types import SimpleNamespace\n"
+            "import polyshift.socle as socle\n"
+            "from polyshift import parse_ideal\n"
+            "wrong = parse_ideal('[x1] n=2').ideal\n"
+            "socle.socle_report = lambda I: SimpleNamespace(socle=wrong)\n"
+            "socle.power_persistence(parse_ideal('[x1, x2]').ideal, 2)\n"
+        )
+        outcome = outcome_under_optimize(body, tmp_path)
+        assert outcome == "raised socle element x1 times x2 is not a generator of the ideal"
 
 
 class TestNoVariables:

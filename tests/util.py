@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +17,13 @@ from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 from polyshift import _kernels
 from polyshift.errors import DegreeMismatchError, ZeroIdealError
 from polyshift.families import EXCHANGE_MODES, ExchangeResult
-from polyshift.monomials import unit_exchange, x_of
+from polyshift.monomials import VariableOrder, unit_exchange, x_of
+from polyshift.quotients import (
+    SEARCH_NODE_BUDGET,
+    AdmissibleOrderFailure,
+    OrderSearch,
+    QuotientCertificate,
+)
 
 
 def M(text: str, n: int | None = None) -> Monomial:
@@ -37,6 +47,34 @@ def child_env(**settings: str) -> dict[str, str]:
         filter(None, [package_root, env.get("PYTHONPATH")])
     )
     return env
+
+
+def outcome_under_optimize(body: str, cwd) -> str:
+    """Run ``body`` in a child ``python -O``, where bare ``assert`` statements
+    are stripped, and report how it ended: ``"raised <message>"`` for an
+    AssertionError, else ``"returned"``.  Run it in an empty directory (see
+    :func:`child_env`)."""
+    code = (
+        "print('debug', __debug__)\n"
+        "try:\n"
+        + textwrap.indent(body, "    ")
+        + "except AssertionError as exc:\n"
+        "    print('raised', exc)\n"
+        "else:\n"
+        "    print('returned')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=child_env(),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    debug, outcome = proc.stdout.splitlines()
+    assert debug == "debug False"
+    return outcome
 
 
 def full_boundary_homology(frame, prime: int) -> dict[int, int]:
@@ -146,6 +184,130 @@ def shifts_by_distance_reference(cert, j: int) -> MonomialIdeal:
         for K in itertools.combinations(sorted(adds), j):
             out.append(ut * x_of(K, n))
     return MonomialIdeal(n, out)
+
+
+def certify_order_reference(I: MonomialIdeal, order):
+    """Reference ``certify_order``: step k scans every earlier generator u_j,
+    collects the variables where u_j exceeds u_k, and fails at the first u_j
+    none of whose variables is a colon variable."""
+    if I.is_zero:
+        raise ZeroIdealError("the zero ideal has no admissible orders")
+    m = I.num_gens
+    order = tuple(order)
+    if sorted(order) != list(range(m)):
+        raise ValueError(f"order must be a permutation of 0..{m - 1}")
+    exps = [I.gens[i].exponents for i in order]
+    colon_vars: list[tuple[int, ...]] = [()]
+    for k in range(1, m):
+        uk = exps[k]
+        members: set[int] = set()
+        positives: list[list[int]] = []
+        for j in range(k):
+            uj = exps[j]
+            pos = [i for i in range(len(uk)) if uj[i] > uk[i]]
+            positives.append(pos)
+            if len(pos) == 1 and uj[pos[0]] - uk[pos[0]] == 1:
+                members.add(pos[0] + 1)
+        for j in range(k):
+            if not any(i + 1 in members for i in positives[j]):
+                return AdmissibleOrderFailure(
+                    k + 1, I.gens[order[k]], I.gens[order[j]]
+                )
+        colon_vars.append(tuple(sorted(members)))
+    return QuotientCertificate(I, order, tuple(colon_vars))
+
+
+def certify_lex_reference(I: MonomialIdeal, vo=None):
+    """``certify_lex`` over :func:`certify_order_reference`."""
+    if vo is None:
+        vo = VariableOrder.identity(I.n)
+    order = tuple(
+        sorted(range(I.num_gens), key=lambda i: vo.key(I.gens[i]), reverse=True)
+    )
+    result = certify_order_reference(I, order)
+    if isinstance(result, QuotientCertificate):
+        return QuotientCertificate(I, result.order, result.colon_vars, vo)
+    return result
+
+
+def admissible_next_reference(gens, prefix: list[int], candidate: int) -> bool:
+    """Would appending ``candidate`` keep the prefix admissible?  Decided by a
+    scan of every generator in the prefix."""
+    uk = gens[candidate].exponents
+    members: set[int] = set()
+    positives: list[list[int]] = []
+    for j in prefix:
+        uj = gens[j].exponents
+        pos = [i for i in range(len(uk)) if uj[i] > uk[i]]
+        positives.append(pos)
+        if len(pos) == 1 and uj[pos[0]] - uk[pos[0]] == 1:
+            members.add(pos[0])
+    return all(any(i in members for i in pos) for pos in positives)
+
+
+def find_admissible_order_reference(
+    I: MonomialIdeal, node_budget: int = SEARCH_NODE_BUDGET
+) -> OrderSearch:
+    """Reference ``find_admissible_order``: the same lexicographic sweep and
+    backtracking, over :func:`certify_order_reference` and
+    :func:`admissible_next_reference`."""
+    if I.is_zero:
+        raise ZeroIdealError("the zero ideal has no admissible orders")
+    m = I.num_gens
+    n = I.n
+    if n <= 6 and math.factorial(n) * m * m <= 2_000_000:
+        for perm in itertools.permutations(range(1, n + 1)):
+            result = certify_lex_reference(I, VariableOrder(perm))
+            if isinstance(result, QuotientCertificate):
+                return OrderSearch("certified", result)
+    gens = I.gens
+    dead: set[frozenset[int]] = set()
+    nodes = 0
+
+    class BudgetExceeded(Exception):
+        pass
+
+    def extend(prefix: list[int], used: frozenset[int]):
+        nonlocal nodes
+        if len(prefix) == m:
+            return list(prefix)
+        if used in dead:
+            return None
+        for c in range(m):
+            if c in used:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceeded
+            if admissible_next_reference(gens, prefix, c):
+                prefix.append(c)
+                found = extend(prefix, used | {c})
+                if found is not None:
+                    return found
+                prefix.pop()
+        dead.add(used)
+        return None
+
+    try:
+        found = extend([], frozenset())
+    except BudgetExceeded:
+        return OrderSearch("inconclusive")
+    if found is None:
+        return OrderSearch("none")
+    return OrderSearch("certified", certify_order_reference(I, found))
+
+
+def homological_shift_reference(cert, j: int) -> MonomialIdeal:
+    """Reference ``homological_shift``: every product x_F * u is formed by
+    ``Monomial`` multiplication and the list is handed to the constructor."""
+    if j < 0:
+        raise ValueError("homological index must be nonnegative")
+    n = cert.ideal.n
+    mons: list[Monomial] = []
+    for u, cols in zip(cert.ordered_gens, cert.colon_vars):
+        for F in itertools.combinations(cols, j):
+            mons.append(u * x_of(F, n))
+    return MonomialIdeal(n, mons)
 
 
 def gens_set(I: MonomialIdeal) -> set[str]:
