@@ -2,8 +2,9 @@
 
 The homology oracle calls :func:`rank_mod_p` for boundary-matrix
 elimination.  It takes each frame's homology relative to the star of a
-vertex, so the matrices are small (at most 36 rows on cycle edge ideals) and
-many frames need none; its cost lies in the lattice closure and the frames.
+vertex, and only once per distinct face set in a table, so the matrices are
+small (at most 36 rows on cycle edge ideals) and many frames need none; the
+oracle's cost lies mostly in the lcm-lattice closure.
 :func:`contains_mask` (does any generator divide each of a batch of
 monomials) has no caller in the package since the oracle builds its frames
 from facet masks.

@@ -7,8 +7,8 @@ input and seed; wall-clock timings appear only under ``--timings``.
 
 Exit codes: 0 success, 1 usage or parse error (a bad value included: a
 modulus that is not a prime below 2^31, a bad ``POLYSHIFT_PRIME``, an
-out-of-range count or exponent), 2 precondition violation, 3 resource cap
-exceeded, 4 internal cross-route disagreement.
+out-of-range count or exponent, a ``betti --cap`` below 1), 2 precondition
+violation, 3 resource cap exceeded, 4 internal cross-route disagreement.
 """
 
 from __future__ import annotations

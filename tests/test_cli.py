@@ -87,6 +87,19 @@ HS_JSON_PINS = {
 }
 
 
+# sha256 of the exact `betti --json` stdout of the per-frame oracle, before
+# frames were batched and their homology memoized: the 5-cycle, a
+# mixed-degree ideal and a Veronese document (58 generators, 338 entries).
+BETTI_JSON_PINS = {
+    CYCLE5:
+        "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",
+    "[x1^2, x1*x2, x2^3, x2^2*x3] n=3":
+        "8b9a7940af6304dc332a624b8390d2928939e89c9136fb7e67fb767abe2dee90",
+    "{type:veronese, b:[2, 3, 4, 3, 2], d:4}":
+        "eb47911c6bdf5392ef456183e4a1d3629208d1a4f125202a30c981d06072d08f",
+}
+
+
 class TestHsCommand:
     @pytest.mark.parametrize(
         "text", list(HS_JSON_PINS), ids=["lp", "trio", "cycle5", "mixed-degree"]
@@ -304,6 +317,15 @@ class TestCheckCommand:
 
 
 class TestBettiCommand:
+    @pytest.mark.parametrize(
+        "text", list(BETTI_JSON_PINS), ids=["cycle5", "mixed-degree", "veronese"]
+    )
+    def test_json_bytes_pinned(self, text, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(["betti", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == BETTI_JSON_PINS[text]
+
     def test_trio_table(self, tmp_path, capsys):
         path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
         code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
@@ -332,23 +354,25 @@ class TestBettiCommand:
         ],
     )
     def test_max_pd_comes_from_the_one_table(self, text, tmp_path, capsys, monkeypatch):
-        import polyshift.oracle as oracle_module
+        from polyshift.oracle import betti_table
         from polyshift.socle import max_pd
 
         expected = max_pd(ideal(text))
-        lattices = []
-        real = oracle_module.lcm_lattice
+        tables = []
 
         def counted(*args, **kwargs):
-            lattices.append(args[0])
-            return real(*args, **kwargs)
+            tables.append(args[0])
+            return betti_table(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_module, "lcm_lattice", counted)
+        # every module's name for it, so a table built through socle counts too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyshift") and module.__dict__.get("betti_table") is betti_table:
+                monkeypatch.setattr(module, "betti_table", counted)
         path = write(tmp_path, "i.txt", text)
         code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
         assert code == 0
         assert json.loads(out)["max_pd"] is expected
-        assert len(lattices) == 1
+        assert len(tables) == 1
 
     @pytest.mark.parametrize("prime", ["2305843009213693951", "4", "1", "abc"])
     def test_bad_modulus_exit_code(self, prime, tmp_path, capsys):
@@ -368,6 +392,18 @@ class TestBettiCommand:
         )
         assert code == 0
         assert json.loads(out)["totals"] == {"0": 5, "1": 5, "2": 1}
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exit_code(self, cap, tmp_path, capsys):
+        # these once exited 3 with "lcm lattice exceeds the cap of -1 points"
+        path = write(tmp_path, "c5.txt", CYCLE5)
+        code, out, err = run_cli(
+            ["betti", "--input", path, "--cap", cap, "--json"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert f"invalid value: the lcm lattice cap must be at least 1, got {cap}" in err
+        assert "Traceback" not in err
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")

@@ -26,7 +26,13 @@ from polyshift import (
     upper_koszul,
 )
 from polyshift import _kernels
-from util import M, full_boundary_homology, gens_set, ideal
+from util import (
+    M,
+    betti_table_reference,
+    full_boundary_homology,
+    gens_set,
+    ideal,
+)
 
 
 class TestLcmLattice:
@@ -63,8 +69,11 @@ class TestLcmLattice:
     def test_cap_raises_iff_lattice_exceeds_it(self, example_ideal, trio_ideal):
         for I in (example_ideal, trio_ideal, ideal("[x1^2*x2] n=2")):
             size = len(lcm_lattice(I))
-            for cap in range(size + 2):
-                if size > cap:
+            for cap in range(-1, size + 2):
+                if cap < 1:
+                    with pytest.raises(ValueError, match="cap must be at least 1"):
+                        lcm_lattice(I, cap=cap)
+                elif size > cap:
                     with pytest.raises(ResourceCapError):
                         lcm_lattice(I, cap=cap)
                 else:
@@ -286,6 +295,96 @@ class TestBettiTable:
     def test_hs_oracle_edges(self, trio_ideal):
         assert hs_oracle(trio_ideal, 0) == trio_ideal
         assert hs_oracle(trio_ideal, 5).is_zero
+
+
+@st.composite
+def mixed_degree_ideals(draw):
+    """Ideals in 0 to 6 variables with mixed degrees: the generators use only
+    some of the variables (partial supports), and several generators share a
+    support with different exponents (repeated supports).  The zero ideal,
+    the unit ideal and principal ideals are among them."""
+    n = draw(st.integers(0, 6))
+    used = sorted(draw(st.sets(st.integers(0, n - 1) if n else st.nothing())))
+    subsets = st.sets(st.sampled_from(used)) if used else st.just(set())
+    supports = draw(st.lists(subsets, min_size=1, max_size=3))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.sampled_from(supports))
+        exponents = [draw(st.integers(1, 3)) if i in support else 0 for i in range(n)]
+        gens.append(Monomial(tuple(exponents)))
+    return MonomialIdeal(n, gens)
+
+
+def table_items(table):
+    return list(table.entries.items())
+
+
+class TestBettiAgainstPerPointReference:
+    """``betti_table`` batches frames by support size and takes each
+    distinct complex's homology once; the reference builds every point's
+    frame on its own."""
+
+    @pytest.mark.parametrize("prime", (32003, 2))
+    @settings(deadline=None, max_examples=150)
+    @given(I=mixed_degree_ideals())
+    def test_same_entries_in_same_order(self, I, prime):
+        assert table_items(betti_table(I, prime)) == table_items(
+            betti_table_reference(I, prime)
+        )
+
+    @pytest.mark.parametrize("n", (0, 3))
+    def test_unit_ideal(self, n):
+        unit = MonomialIdeal(n, [Monomial.unit(n)])
+        expected = [((0, Monomial.unit(n)), 1)]
+        assert table_items(betti_table(unit)) == expected
+        assert table_items(betti_table_reference(unit)) == expected
+
+    def test_twenty_vertex_frames_in_face_blocks(self):
+        # 2^20 face masks are tested in blocks; the top frame is two disjoint
+        # simplices whose faces lie far apart in that range
+        n = 22
+        principal = MonomialIdeal(n, [Monomial.from_support(range(1, 21), n)])
+        assert table_items(betti_table(principal)) == [((0, principal.gens[0]), 1)]
+        assert table_items(betti_table(principal)) == table_items(
+            betti_table_reference(principal)
+        )
+        two = MonomialIdeal(
+            n, [Monomial.from_support(s, n) for s in (range(1, 13), range(9, 21))]
+        )
+        table = betti_table(two)
+        assert table.entries[(1, Monomial.from_support(range(1, 21), n))] == 1
+        assert table_items(table) == table_items(betti_table_reference(two))
+
+    def test_cap_boundary(self, example_ideal, trio_ideal):
+        for I in (example_ideal, trio_ideal, ideal("[x1^2*x2, x2^3] n=2")):
+            size = len(lcm_lattice(I))
+            for cap in range(-1, size + 2):
+                if cap < 1:
+                    with pytest.raises(ValueError, match="cap must be at least 1"):
+                        betti_table(I, cap=cap)
+                elif size > cap:
+                    with pytest.raises(ResourceCapError):
+                        betti_table(I, cap=cap)
+                else:
+                    assert table_items(betti_table(I, cap=cap)) == table_items(
+                        betti_table_reference(I)
+                    )
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            betti_table(MonomialIdeal(3), cap=0)
+
+    def test_too_wide_frame_refused_before_face_masks(self):
+        import tracemalloc
+
+        n = 63
+        I = MonomialIdeal(n, [Monomial.from_support(range(1, 64), n)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="has 63 vertices"):
+                betti_table(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def subset_complex_betti(I, prime=32003):

@@ -15,9 +15,17 @@ import numpy as np
 import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 from polyshift import _kernels
-from polyshift.errors import DegreeMismatchError, ZeroIdealError
+from polyshift.errors import DegreeMismatchError, ResourceCapError, ZeroIdealError
 from polyshift.families import EXCHANGE_MODES, ExchangeResult
 from polyshift.monomials import VariableOrder, unit_exchange, x_of
+from polyshift.oracle import (
+    LATTICE_CAP,
+    BettiTable,
+    SimplicialComplexFrame,
+    default_prime,
+    lcm_lattice,
+    reduced_homology_ranks,
+)
 from polyshift.quotients import (
     SEARCH_NODE_BUDGET,
     AdmissibleOrderFailure,
@@ -114,6 +122,46 @@ def full_boundary_homology(frame, prime: int) -> dict[int, int]:
         if h:
             out[s - 1] = h
     return out
+
+
+def frame_reference(I: MonomialIdeal, a: Monomial) -> SimplicialComplexFrame:
+    """Reference ``upper_koszul`` for one point: the face masks over supp(a)
+    are tested, 4096 at a time, against the facets {i in supp(a) : g_i < a_i}
+    of the generators g dividing x^a, one point at a time."""
+    gens = np.array([g.exponents for g in I.gens], dtype=np.int64).reshape(I.num_gens, I.n)
+    target = np.array(a.exponents, dtype=np.int64)
+    supp = np.flatnonzero(target)
+    v = len(supp)
+    if v > 62:
+        raise ResourceCapError(
+            f"upper Koszul frame at {a} has {v} vertices; at most 62 are supported"
+        )
+    dividing = gens[(gens <= target).all(axis=1)]
+    facets = (dividing[:, supp] < target[supp]) @ (1 << np.arange(v))
+    masks: list[int] = []
+    for start in range(0, 1 << v, 4096):
+        block = np.arange(start, min(start + 4096, 1 << v))
+        inside = ((block[:, None] & ~facets[None, :]) == 0).any(axis=1)
+        masks.extend(block[inside].tolist())
+    return SimplicialComplexFrame(
+        len(a.exponents), a, tuple((supp + 1).tolist()), tuple(masks)
+    )
+
+
+def betti_table_reference(
+    I: MonomialIdeal, prime: int | None = None, cap: int = LATTICE_CAP
+) -> BettiTable:
+    """Reference ``betti_table``: every lattice point's frame is built on its
+    own and its homology taken, with no full-simplex test, no support groups
+    and no memo.  Entries go in lattice order, indices ascending."""
+    p = default_prime() if prime is None else _kernels.validate_prime(prime)
+    table = BettiTable(I.n, {}, p)
+    if I.is_zero:
+        return table
+    for a in lcm_lattice(I, cap):
+        for dim, rank in reduced_homology_ranks(frame_reference(I, a), p).items():
+            table.entries[(dim + 1, a)] = rank
+    return table
 
 
 def pairwise_exchange_reference(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
