@@ -7,8 +7,9 @@ input and seed; wall-clock timings appear only under ``--timings``.
 
 Exit codes: 0 success, 1 usage or parse error (a bad value included: a
 modulus that is not a prime below 2^31, a bad ``POLYSHIFT_PRIME``, an
-out-of-range count or exponent, a ``betti --cap`` below 1), 2 precondition
-violation, 3 resource cap exceeded, 4 internal cross-route disagreement.
+out-of-range count, fuzz budget or exponent, a ``betti --cap`` below 1),
+2 precondition violation, 3 resource cap exceeded, 4 internal cross-route
+disagreement.
 """
 
 from __future__ import annotations
@@ -21,27 +22,17 @@ from typing import Any, Optional
 
 from .errors import (
     DegreeMismatchError,
-    DimensionMismatchError,
     FamilySpecError,
-    LinearityError,
-    NotStronglyStableError,
     ParseError,
     PolyshiftError,
-    PreconditionError,
     ResourceCapError,
     RouteDisagreementError,
-    SupportError,
     UnsupportedFamilyError,
     ZeroIdealError,
 )
-from .families import check_exchange, is_strongly_stable
+from .families import as_transversal, check_exchange, is_strongly_stable
 from .fuzzlab import CONJECTURE_KEYS, CampaignConfig, run_campaign
-from .monomials import (
-    MonomialIdeal,
-    VariableOrder,
-    monomial_multiples,
-    x_of,
-)
+from .monomials import MonomialIdeal, VariableOrder
 from .oracle import betti_table, validate_prime
 from .quotients import (
     QuotientCertificate,
@@ -51,11 +42,8 @@ from .quotients import (
     shifts_by_distance,
 )
 from .socle import (
-    SocleReport,
     family_socle,
     intersection_graph,
-    socle_colon,
-    socle_exchange,
     socle_report,
     spanning_tree_socle,
 )
@@ -72,18 +60,6 @@ USAGE_EXIT = 1
 PRECONDITION_EXIT = 2
 RESOURCE_EXIT = 3
 DISAGREEMENT_EXIT = 4
-
-_PRECONDITION_ERRORS = (
-    DegreeMismatchError,
-    DimensionMismatchError,
-    FamilySpecError,
-    LinearityError,
-    NotStronglyStableError,
-    PreconditionError,
-    SupportError,
-    UnsupportedFamilyError,
-    ZeroIdealError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,25 +202,16 @@ def cmd_soc(args) -> int:
     if source.spec is not None:
         report["family"] = format_spec(source.spec)
 
-    base: SocleReport = socle_report(I)
+    base = socle_report(I)
     report["socle"] = ideal_to_json(base.socle)
     report["max_pd"] = base.max_pd
     report["route"] = base.route
     report["witness"] = None if base.witness is None else str(base.witness)
-    report["top_shift"] = ideal_to_json(
-        monomial_multiples(base.socle, x_of(range(1, I.n + 1), I.n))
-        if not base.socle.is_zero
-        else MonomialIdeal(I.n)
-    )
+    report["top_shift"] = ideal_to_json(base.top_shift)
 
-    routes: dict[str, Any] = {}
-    colon = socle_colon(I, linearity_certified=True)
-    routes["colon"] = ideal_to_json(colon)
-    cert = certify_lex(I)
-    if isinstance(cert, QuotientCertificate) and I.support == tuple(
-        range(1, I.n + 1)
-    ):
-        routes["exchange-formula"] = ideal_to_json(socle_exchange(cert))
+    routes: dict[str, Any] = {
+        name: ideal_to_json(soc) for name, soc in base.routes.items()
+    }
     if source.spec is not None:
         try:
             routes["closed-form"] = ideal_to_json(family_socle(source.spec))
@@ -255,9 +222,7 @@ def cmd_soc(args) -> int:
     agreement = all(v == values[0] for v in values[1:]) if len(values) > 1 else None
     report["agreement"] = agreement
 
-    from .fuzzlab import _as_transversal
-
-    tspec = _as_transversal(source.spec) if source.spec is not None else None
+    tspec = as_transversal(source.spec) if source.spec is not None else None
     if tspec is not None:
         graph = intersection_graph(tspec)
         candidates = spanning_tree_socle(tspec)
@@ -284,29 +249,22 @@ def cmd_check(args) -> int:
         "n": I.n,
         "property": args.property,
     }
-    if args.property in ("polymatroidal", "strong-exchange"):
-        mode = "exchange" if args.property == "polymatroidal" else "strong"
+    if args.property == "matroidal" and not I.is_squarefree:
+        offender = next(g for g in I.gens if not g.is_squarefree)
+        report["verdict"] = False
+        report["reason"] = "not squarefree"
+        report["witness"] = [str(offender)]
+    elif args.property in ("polymatroidal", "strong-exchange", "matroidal"):
+        mode = "strong" if args.property == "strong-exchange" else "exchange"
         result = check_exchange(I, mode)
         report["verdict"] = bool(result.holds)
         if result.witness:
             report["witness"] = [
                 str(w) if not isinstance(w, int) else w for w in result.witness
             ]
-        if result.reason:
+        # a matroidal report gives a reason only for a non-squarefree input
+        if result.reason and args.property != "matroidal":
             report["reason"] = result.reason
-    elif args.property == "matroidal":
-        if not I.is_squarefree:
-            offender = next(g for g in I.gens if not g.is_squarefree)
-            report["verdict"] = False
-            report["reason"] = "not squarefree"
-            report["witness"] = [str(offender)]
-        else:
-            result = check_exchange(I, "exchange")
-            report["verdict"] = bool(result.holds)
-            if result.witness:
-                report["witness"] = [
-                    str(w) if not isinstance(w, int) else w for w in result.witness
-                ]
     elif args.property == "strongly-stable":
         result = is_strongly_stable(I)
         report["verdict"] = bool(result.holds)
@@ -384,6 +342,10 @@ def cmd_fuzz(args) -> int:
         conjectures=conjectures,
         **budget,
     )
+    try:
+        config.budget  # a bad budget value is a bad CLI value, not a precondition
+    except FamilySpecError as exc:
+        raise ValueError(str(exc)) from None
     handle = None
     sink = None
     if args.output:
@@ -490,11 +452,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RouteDisagreementError as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return DISAGREEMENT_EXIT
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return PRECONDITION_EXIT
     except PolyshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"precondition: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -154,6 +154,11 @@ class TransversalSpec:
     def t(self) -> int:
         return len(self.sets)
 
+    @property
+    def covers_variables(self) -> bool:
+        """Whether the sets together cover all n ambient variables."""
+        return set().union(*self.sets) == set(range(1, self.n + 1))
+
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -204,6 +209,19 @@ FamilySpec = Union[
     PowerSpec,
     ExplicitSpec,
 ]
+
+
+def as_transversal(spec: FamilySpec) -> Optional[TransversalSpec]:
+    """The spec as a product of primes over variable sets, when it is one:
+    a transversal spec itself, or an LP spec with its intervals as sets."""
+    if isinstance(spec, TransversalSpec):
+        return spec
+    if isinstance(spec, LPSpec):
+        sets = tuple(
+            frozenset(range(a, b + 1)) for a, b in zip(spec.alpha, spec.beta)
+        )
+        return TransversalSpec(sets, spec.n)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +580,9 @@ class GenBudget:
 
     def __post_init__(self):
         if self.n_max < 2 or self.degree_max < 1 or self.gen_max < 1:
-            raise FamilySpecError("generation budget must be positive")
+            raise FamilySpecError(
+                "generation budget needs n_max >= 2, degree_max >= 1 and gen_max >= 1"
+            )
 
 
 def _draw_spec(rng: random.Random, budget: GenBudget, n: int, deg: int, depth: int) -> FamilySpec:
@@ -648,19 +668,22 @@ def _draw_spec(rng: random.Random, budget: GenBudget, n: int, deg: int, depth: i
     return PLPSpec((0,) * n, tuple(upper), tuple(alpha), tuple(beta))
 
 
+DRAW_ATTEMPTS = 400
+
+
 def random_polymatroidal(
-    seed: int, budget: GenBudget = GenBudget(), max_attempts: int = 400
+    seed: int, budget: GenBudget = GenBudget()
 ) -> tuple[FamilySpec, MonomialIdeal]:
     """Deterministically draw one random polymatroidal ideal.
 
     Composes the family constructors (with occasional products and powers)
     under the budget, retrying until the realization is a nonzero, non-unit
-    ideal within the generator cap.  The exchange property of the output is
-    asserted, not assumed.
+    ideal within the generator cap, at most DRAW_ATTEMPTS times.  The exchange
+    property of the output is asserted, not assumed.
     """
     rng = random.Random(seed)
     degrees = list(range(1, budget.degree_max + 1))
-    for _ in range(max_attempts):
+    for _ in range(DRAW_ATTEMPTS):
         n = rng.randint(2, budget.n_max)
         deg = rng.choices(degrees, weights=degrees)[0]
         try:
@@ -676,5 +699,5 @@ def random_polymatroidal(
             raise AssertionError(f"family realization is not polymatroidal: {spec!r}")
         return spec, ideal
     raise ResourceCapError(
-        f"no polymatroidal instance found for seed {seed} within {max_attempts} attempts"
+        f"no polymatroidal instance found for seed {seed} within {DRAW_ATTEMPTS} attempts"
     )

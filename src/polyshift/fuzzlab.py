@@ -27,9 +27,8 @@ from typing import Any, Callable, Optional
 from .families import (
     FamilySpec,
     GenBudget,
-    LPSpec,
-    TransversalSpec,
     VeroneseSpec,
+    as_transversal,
     check_exchange,
     is_matroidal,
     random_polymatroidal,
@@ -60,6 +59,9 @@ _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
 
 CONJECTURE_KEYS = ("bbh", "chl", "transversal_socle")
+
+# the refined nesting check runs on instances with at most this many generators
+REFINED_NESTING_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -110,11 +112,7 @@ class CampaignSummary:
 
 
 def check_instance(
-    spec: FamilySpec,
-    ideal: MonomialIdeal,
-    config: CampaignConfig,
-    *,
-    refined_nesting_cap: int = 40,
+    spec: FamilySpec, ideal: MonomialIdeal, config: CampaignConfig
 ) -> dict[str, Any]:
     """All per-instance computations and comparisons; returns the report row."""
     row: dict[str, Any] = {
@@ -170,7 +168,7 @@ def check_instance(
 
     if "chl" in config.conjectures:
         soc_exchange = socle_exchange(cert)
-        soc_colon = socle_colon(J, linearity_certified=True)
+        soc_colon = socle_colon(J)
         if soc_exchange != soc_colon:
             row["disagreements"].append({"kind": "socle-route"})
         row["max_pd"] = not soc_exchange.is_zero
@@ -195,16 +193,12 @@ def check_instance(
                 else:
                     row["disagreements"].append({"kind": "oracle-vs-socle"})
 
-    if "transversal_socle" in config.conjectures and isinstance(
-        spec, (TransversalSpec, LPSpec)
-    ):
-        tspec = _as_transversal(spec)
-        if tspec is not None and set().union(*tspec.sets) == set(
-            range(1, tspec.n + 1)
-        ):
+    if "transversal_socle" in config.conjectures:
+        tspec = as_transversal(spec)
+        if tspec is not None and tspec.covers_variables:
             candidates = spanning_tree_socle(tspec)
             if soc_colon is None:
-                soc_colon = socle_colon(J, linearity_certified=True)
+                soc_colon = socle_colon(J)
             if not candidates.is_zero:
                 contained = all(soc_colon.contains(g) for g in candidates.gens)
                 if not contained:
@@ -238,7 +232,7 @@ def check_instance(
         for level in range(1, pd + 1):
             if veronese_shift(spec, level) != shifts[level]:
                 row["disagreements"].append({"kind": "veronese-closed-form", "j": level})
-    if ideal.num_gens <= refined_nesting_cap and pd >= 1:
+    if ideal.num_gens <= REFINED_NESTING_CAP and pd >= 1:
         equalities = []
         for j in range(1, pd + 1):
             first = first_shift_of(j)
@@ -250,17 +244,6 @@ def check_instance(
             equalities.append(refined == upper)
         row["refined_nesting_equal"] = equalities
     return row
-
-
-def _as_transversal(spec: FamilySpec) -> Optional[TransversalSpec]:
-    if isinstance(spec, TransversalSpec):
-        return spec
-    if isinstance(spec, LPSpec):
-        sets = tuple(
-            frozenset(range(a, b + 1)) for a, b in zip(spec.alpha, spec.beta)
-        )
-        return TransversalSpec(sets, spec.n)
-    return None
 
 
 def run_campaign(

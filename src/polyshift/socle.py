@@ -7,7 +7,8 @@ ideal is x_1...x_n times the socle.  Two general routes are implemented (the
 colon computation and the generator-exchange formula for lex-certified
 ideals) plus closed forms for the constructible families, the intersection
 graph criterion for transversal ideals, and the spanning-tree candidate set
-for their socles.
+for their socles.  ``socle_report`` is the one place that checks linearity
+and runs the general routes that apply.
 
 The colon route truncates by degree.  For I generated in degree d, the
 degree-(d-1) generators of I : x_i are exactly {u / x_i : u in G(I), x_i | u},
@@ -110,12 +111,7 @@ def colon_maximal(I: MonomialIdeal) -> MonomialIdeal:
     return acc
 
 
-def socle_colon(
-    I: MonomialIdeal,
-    d: Optional[int] = None,
-    *,
-    linearity_certified: bool = False,
-) -> MonomialIdeal:
+def socle_colon(I: MonomialIdeal) -> MonomialIdeal:
     """Socle by the defining colon: degree-(d-1) generators of I : m.
 
     Computed by degree truncation, over every variable: the intersection over
@@ -123,21 +119,13 @@ def socle_colon(
     degree-(d-1) generators of the colons I : x_i.  That takes O(m n) tuple
     operations for m generators and stops early once the set is empty.
 
-    Meaningful as *the* socle ideal only when I has a d-linear resolution;
-    pass ``linearity_certified=True`` once that has been established (via a
-    linear-quotients certificate or the Betti table), otherwise a warning is
-    issued and the raw colon computation is returned regardless.
+    The result is the socle ideal only when I has a linear resolution, which
+    is not checked here; ``socle_report`` is the checked entry point.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no socle")
     _require_variables(I)
-    degree = I.generation_degree  # raises unless equigenerated
-    if d is not None and d != degree:
-        raise DegreeMismatchError(f"ideal is generated in degree {degree}, not {d}")
-    if not linearity_certified:
-        warnings.warn(
-            "socle requested without a certified linear resolution", stacklevel=2
-        )
+    I.generation_degree  # raises unless equigenerated
     exps = [g.exponents for g in I.gens]
     soc: Optional[set[tuple[int, ...]]] = None
     for k in range(I.n):
@@ -180,10 +168,7 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
 
 def top_shift(I: MonomialIdeal) -> MonomialIdeal:
     """The highest possible shift ideal, x_1...x_n times the socle."""
-    soc = socle_report(I).socle
-    if soc.is_zero:
-        return MonomialIdeal(I.n)
-    return monomial_multiples(soc, x_of(range(1, I.n + 1), I.n))
+    return socle_report(I).top_shift
 
 
 def max_pd(I: MonomialIdeal) -> bool:
@@ -214,37 +199,42 @@ class SocleReport:
     socle: MonomialIdeal
     max_pd: bool
     witness: Optional[Monomial]  # generator u with u / x_n in the socle
-    route: str  # "colon" | "exchange-formula" | "closed-form"
+    route: str  # "colon" | "exchange-formula"
+    routes: dict[str, MonomialIdeal]  # the socle by every route that ran
+
+    @property
+    def top_shift(self) -> MonomialIdeal:
+        """x_1...x_n times the socle: HS_{n-1}(I) when pd is maximal."""
+        n = self.socle.n
+        return monomial_multiples(self.socle, x_of(range(1, n + 1), n))
 
 
 def socle_report(I: MonomialIdeal) -> SocleReport:
-    """Best-route socle: the exchange formula under a lex certificate with
-    full support, else the colon, with linearity certified by the lex
-    certificate or, failing that, the Betti table."""
+    """The socle by every route that applies, with linearity checked once.
+
+    Linearity is certified by the lex certificate or, failing that, by the
+    Betti table.  The colon route always runs; under a lex certificate with
+    full support the exchange formula runs too and is the reported route.
+    """
+    if I.is_zero:
+        raise ZeroIdealError("the zero ideal has no socle")
     d = I.generation_degree
     cert = certify_lex(I)
-    full_support = I.support == tuple(range(1, I.n + 1))
-    if isinstance(cert, QuotientCertificate) and full_support:
-        soc = socle_exchange(cert)
+    certified = isinstance(cert, QuotientCertificate)
+    if not certified and not betti_table(I).is_linear(d):
+        raise LinearityError("socle is undefined: the ideal has no linear resolution")
+    routes = {"colon": socle_colon(I)}
+    route = "colon"
+    if certified and I.support == tuple(range(1, I.n + 1)):
         route = "exchange-formula"
-    else:
-        if isinstance(cert, QuotientCertificate):
-            soc = socle_colon(I, linearity_certified=True)
-        else:
-            table = betti_table(I)
-            if not table.is_linear(d):
-                raise LinearityError(
-                    "socle is undefined: the ideal has no linear resolution"
-                )
-            soc = socle_colon(I, linearity_certified=True)
-        route = "colon"
+        routes[route] = socle_exchange(cert)
+    soc = routes[route]
     witness = None
     if not soc.is_zero:
-        w = soc.gens[0]
-        candidate = w.times_var(I.n)
+        candidate = soc.gens[0].times_var(I.n)
         if I.is_generator(candidate):
             witness = candidate
-    return SocleReport(soc, not soc.is_zero, witness, route)
+    return SocleReport(soc, not soc.is_zero, witness, route, routes)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +261,7 @@ class IntersectionGraph:
 def intersection_graph(spec: TransversalSpec) -> IntersectionGraph:
     """Build the factor-overlap graph; warns when the sets do not cover all
     ambient variables (the maximality criterion then applies to the cover)."""
-    covered = set()
-    for A in spec.sets:
-        covered.update(A)
-    if covered != set(range(1, spec.n + 1)):
+    if not spec.covers_variables:
         warnings.warn(
             "transversal factors do not cover every variable; "
             "conclusions apply to the restriction",
@@ -307,10 +294,9 @@ def _component_count(num_vertices: int, edges) -> int:
     return count
 
 
-def spanning_trees(
-    graph: IntersectionGraph, cap: int = SPANNING_TREE_CAP
-) -> Iterator[tuple[int, ...]]:
-    """Yield every spanning tree as a tuple of edge indices; capped."""
+def spanning_trees(graph: IntersectionGraph) -> Iterator[tuple[int, ...]]:
+    """Yield every spanning tree as a tuple of edge indices, at most
+    SPANNING_TREE_CAP of them."""
     t = graph.num_vertices
     if t == 1:
         yield ()
@@ -320,16 +306,12 @@ def spanning_trees(
         # t - 1 edges span the t vertices exactly when they form a tree
         if _component_count(t, [graph.edges[i] for i in picked]) == 1:
             count += 1
-            if count > cap:
-                raise ResourceCapError(
-                    f"more than {cap} spanning trees; raise the cap to proceed"
-                )
+            if count > SPANNING_TREE_CAP:
+                raise ResourceCapError(f"more than {SPANNING_TREE_CAP} spanning trees")
             yield picked
 
 
-def spanning_tree_socle(
-    spec: TransversalSpec, cap: int = SPANNING_TREE_CAP
-) -> MonomialIdeal:
+def spanning_tree_socle(spec: TransversalSpec) -> MonomialIdeal:
     """Candidate socle of a transversal ideal from its spanning trees.
 
     For each spanning tree of the intersection graph, every product of one
@@ -346,7 +328,7 @@ def spanning_tree_socle(
         return MonomialIdeal(n, [Monomial.unit(n)])
     out = []
     seen: set[tuple[int, ...]] = set()
-    for tree in spanning_trees(graph, cap):
+    for tree in spanning_trees(graph):
         overlaps = []
         for idx in tree:
             a, b = graph.edges[idx]
@@ -454,14 +436,10 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
 def family_max_pd(spec: FamilySpec) -> bool:
     """Closed-form test for maximal projective dimension relative to all n
     ambient variables (equivalently: the ambient socle is nonzero)."""
-    if isinstance(spec, PowerSpec):
-        return _family_max_pd_scaled(spec.base, spec.exponent)
-    return _family_max_pd_scaled(spec, 1)
-
-
-def _family_max_pd_scaled(spec: FamilySpec, k: int) -> bool:
-    if isinstance(spec, PowerSpec):
-        return _family_max_pd_scaled(spec.base, k * spec.exponent)
+    k = 1  # a power scales the Veronese and PLP parameters of its base
+    while isinstance(spec, PowerSpec):
+        k *= spec.exponent
+        spec = spec.base
     if isinstance(spec, VeroneseSpec):
         b = tuple(x * k for x in spec.bounds)
         d = spec.degree * k
@@ -488,14 +466,7 @@ def _family_max_pd_scaled(spec: FamilySpec, k: int) -> bool:
             )
         )
     if isinstance(spec, TransversalSpec):
-        covered = set()
-        for A in spec.sets:
-            covered.update(A)
-        if covered != set(range(1, spec.n + 1)):
-            return False
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return intersection_graph(spec).is_connected
+        return spec.covers_variables and intersection_graph(spec).is_connected
     if isinstance(spec, BorelSpec):
         closure = borel_closure(spec.generators, spec.n)
         return any(g.max_var == spec.n for g in closure.gens)

@@ -144,14 +144,14 @@ def test_criterion_4_socle_closed_forms(example_ideal):
     assert realize(lp) == example_ideal
     soc = family_socle(lp)
     assert gens_set(soc) == {"x3", "x4"}
-    assert soc == socle_colon(example_ideal, linearity_certified=True)
+    assert soc == socle_colon(example_ideal)
     top = monomial_multiples(soc, x_of(range(1, 6), 5))
     assert gens_set(top) == EXAMPLE_HS4
     assert top == betti_table(example_ideal).shift_ideal(4)
 
     for n in range(2, 7):
         m = minimal_generators([Monomial.variable(i, n) for i in range(1, n + 1)])
-        soc_m = socle_colon(m, linearity_certified=True)
+        soc_m = socle_colon(m)
         assert soc_m.is_unit
         cert = certify_lex(m)
         assert socle_exchange(cert) == soc_m
@@ -165,7 +165,7 @@ def test_criterion_4_socle_closed_forms(example_ideal):
     assert realize(plp) == example_ideal
     closed = family_socle(plp)
     assert gens_set(closed) == {"x3", "x4"}
-    assert closed == socle_colon(realize(plp), linearity_certified=True)
+    assert closed == socle_colon(realize(plp))
     _report(4, "socle closed forms agree with the colon route on every case")
 
 
@@ -294,7 +294,7 @@ def test_criterion_6_theorem_level_properties(fuzz_corpus):
         )
         candidates = spanning_tree_socle(tspec)
         product_form = family_socle(spec)
-        direct = socle_colon(realize(spec), linearity_certified=True)
+        direct = socle_colon(realize(spec))
         assert candidates == product_form == direct, spec
 
     # maximality persists under powers, checked through cubes
@@ -352,7 +352,7 @@ def test_criterion_8a_top_shift_exponent_record(example_ideal):
     assert computed != cubed
     cert = certify_lex(example_ideal)
     assert homological_shift(cert, 4) == squared
-    soc = socle_colon(example_ideal, linearity_certified=True)
+    soc = socle_colon(example_ideal)
     assert monomial_multiples(soc, x_of(range(1, 6), 5)) == squared
     _report(8, "top-shift record: the squared-x3 listing is the computed value")
 

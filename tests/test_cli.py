@@ -228,6 +228,53 @@ class TestSocCommand:
         assert code == 2
         assert "precondition" in err
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # no full support: only the colon route runs
+            (
+                "[x2*x4, x1*x2, x1*x3] n=5",
+                '{"agreement": null, "command": "soc", "input": "[x1*x2, x1*x3, '
+                'x2*x4] n=5", "max_pd": false, "n": 5, "route": "colon", '
+                '"routes": {"colon": {"gens": [], "n": 5}}, "socle": {"gens": [], '
+                '"n": 5}, "top_shift": {"gens": [], "n": 5}, '
+                '"variable_order": "x1>x2>x3>x4>x5", "witness": null}\n',
+            ),
+            # full support and linear quotients, but not in lex order, so
+            # linearity comes from the Betti table
+            (
+                "[x1*x3, x2^2, x2*x3, x3^2] n=3",
+                '{"agreement": null, "command": "soc", "input": "[x1*x3, x2^2, '
+                'x2*x3, x3^2] n=3", "max_pd": true, "n": 3, "route": "colon", '
+                '"routes": {"colon": {"gens": ["x3"], "n": 3}}, "socle": {"gens": '
+                '["x3"], "n": 3}, "top_shift": {"gens": ["x1*x2*x3^2"], "n": 3}, '
+                '"variable_order": "x1>x2>x3", "witness": "x3^2"}\n',
+            ),
+        ],
+        ids=["partial-support", "betti-linearity"],
+    )
+    def test_colon_route_bytes_pinned(self, text, expected, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+    def test_nonlinear_ideal_is_precondition_error(self, tmp_path, capsys):
+        # the 5-cycle has no linear quotients and a nonlinear Betti table
+        path = write(tmp_path, "c5.txt", CYCLE5)
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "precondition: socle is undefined: the ideal has no linear resolution\n"
+        )
+
+    def test_zero_ideal_is_refused(self, tmp_path, capsys):
+        # this was once refused as "not equigenerated (degrees [])"
+        path = write(tmp_path, "zero.txt", "[] n=3")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "precondition: the zero ideal has no socle\n"
+
     def test_unit_ideal_without_variables_is_precondition_error(self, tmp_path, capsys):
         # this once ended in an IndexError traceback
         path = write(tmp_path, "unit0.txt", "[1] n=0")
@@ -304,6 +351,33 @@ class TestCheckCommand:
             f'{{"command": "check", "input": "{text}", "n": {n}, '
             f'"property": "{prop}", "verdict": false, "witness": {witness}}}\n'
         )
+
+    @pytest.mark.parametrize(
+        "prop, text, expected",
+        [
+            (
+                "matroidal",
+                "[x1^2, x2*x3] n=3",
+                '"property": "matroidal", "reason": "not squarefree", '
+                '"verdict": false, "witness": ["x1^2"]}',
+            ),
+            ("matroidal", "[x1, x2*x3] n=3", '"property": "matroidal", "verdict": false}'),
+            (
+                "polymatroidal",
+                "[x1, x2*x3] n=3",
+                '"property": "polymatroidal", "reason": "not equigenerated", '
+                '"verdict": false}',
+            ),
+        ],
+        ids=["not-squarefree", "matroidal-mixed-degree", "polymatroidal-mixed-degree"],
+    )
+    def test_reason_bytes(self, tmp_path, capsys, prop, text, expected):
+        path = write(tmp_path, "g.txt", text)
+        code, out, _ = run_cli(
+            ["check", "--input", path, "--property", prop, "--json"], capsys
+        )
+        assert code == 0
+        assert out == f'{{"command": "check", "input": "{text}", "n": 3, {expected}\n'
 
     def test_strongly_stable_witness(self, tmp_path, capsys):
         path = write(tmp_path, "s.txt", "[x2] n=2")
@@ -456,6 +530,17 @@ class TestFuzzCommand:
         code, _, err = run_cli(["fuzz", "--seed", "1", "--count", "0"], capsys)
         assert code == 1
         assert "instance_count must be positive" in err
+
+    @pytest.mark.parametrize("budget", ["n_max=1", "degree_max=0", "gen_max=0"])
+    def test_budget_below_minimum_exit_code(self, budget, capsys):
+        code, out, err = run_cli(
+            ["fuzz", "--seed", "1", "--count", "1", "--budget", budget], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "invalid value: generation budget needs n_max >= 2, "
+            "degree_max >= 1 and gen_max >= 1\n"
+        )
 
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import polyshift.cli as cli_module

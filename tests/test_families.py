@@ -296,6 +296,22 @@ class TestLPWindowTranslation:
             assert windowed == I, spec
 
 
+class TestAsTransversal:
+    def test_lp_intervals_become_sets(self):
+        from polyshift.families import as_transversal
+
+        spec = LPSpec((1, 3), (4, 5), 5)
+        tspec = as_transversal(spec)
+        assert tspec.sets == (frozenset({1, 2, 3, 4}), frozenset({3, 4, 5}))
+        assert realize(tspec) == realize(spec)
+        assert as_transversal(tspec) is tspec
+        assert as_transversal(VeroneseSpec((1, 1), 1)) is None
+
+    def test_covers_variables(self):
+        assert TransversalSpec((frozenset({1, 3}), frozenset({2})), 3).covers_variables
+        assert not TransversalSpec((frozenset({1, 3}),), 3).covers_variables
+
+
 class TestRealizeFixpoint:
     def test_realizations_are_canonical(self, fuzz_corpus):
         for spec, I in fuzz_corpus[:100]:

@@ -11,6 +11,7 @@ from polyshift import (
     PLPSpec,
     PowerSpec,
     PreconditionError,
+    ResourceCapError,
     SupportError,
     TransversalSpec,
     UnsupportedFamilyError,
@@ -90,30 +91,23 @@ class TestColonMachinery:
 
 class TestSocleColon:
     def test_example(self, example_ideal):
-        assert gens_set(socle_colon(example_ideal, linearity_certified=True)) == {
-            "x3",
-            "x4",
-        }
+        assert gens_set(socle_colon(example_ideal)) == {"x3", "x4"}
 
     def test_maximal_ideal_socle_is_unit(self):
         for n in range(2, 7):
             m = minimal_generators([Monomial.variable(i, n) for i in range(1, n + 1)])
-            soc = socle_colon(m, linearity_certified=True)
+            soc = socle_colon(m)
             assert soc.is_unit
             assert soc == truncated_colon(m)
 
     def test_disconnected_transversal_socle_is_zero(self):
         I = realize(TransversalSpec((frozenset({1, 3}), frozenset({2, 4})), 4))
-        assert socle_colon(I, linearity_certified=True).is_zero
-
-    def test_warns_without_certificate(self, example_ideal):
-        with pytest.warns(UserWarning):
-            socle_colon(example_ideal)
+        assert socle_colon(I).is_zero
 
     @settings(deadline=None, max_examples=300)
     @given(equigenerated_ideals())
     def test_matches_untruncated_colon(self, I):
-        assert socle_colon(I, linearity_certified=True) == truncated_colon(I)
+        assert socle_colon(I) == truncated_colon(I)
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -129,15 +123,13 @@ class TestSocleColon:
     )
     def test_named_cases(self, text, expected):
         I = ideal(text)
-        soc = socle_colon(I, linearity_certified=True)
+        soc = socle_colon(I)
         assert gens_set(soc) == expected
         assert soc == truncated_colon(I)
 
-    def test_degree_mismatch(self, example_ideal):
+    def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            socle_colon(ideal("[x1, x2*x3] n=3"), linearity_certified=True)
-        with pytest.raises(DegreeMismatchError):
-            socle_colon(example_ideal, 3, linearity_certified=True)
+            socle_colon(ideal("[x1, x2*x3] n=3"))
 
 
 class TestSocleExchange:
@@ -151,7 +143,7 @@ class TestSocleExchange:
         soc = socle_exchange(cert)
         assert gens_set(soc) == {"x1", "x2"}
         assert soc == borel_closure([M("x2", 3)])
-        assert soc == socle_colon(I, linearity_certified=True)
+        assert soc == socle_colon(I)
 
     def test_low_projective_dimension_gives_zero(self, trio_ideal):
         cert = certify_lex(trio_ideal)
@@ -183,7 +175,7 @@ class TestTopShift:
     def test_is_variables_times_colon_socle_on_corpus(self, fuzz_corpus):
         # the colon route, whatever route socle_report takes
         for _, I in fuzz_corpus:
-            soc = socle_colon(I, linearity_certified=True)
+            soc = socle_colon(I)
             expected = monomial_multiples(soc, x_of(range(1, I.n + 1), I.n))
             assert top_shift(I) == expected
 
@@ -251,7 +243,7 @@ class TestSpanningTreeSocle:
         )
         candidates = spanning_tree_socle(spec)
         assert gens_set(candidates) == {"x3", "x4"}
-        assert candidates == socle_colon(example_ideal, linearity_certified=True)
+        assert candidates == socle_colon(example_ideal)
 
     def test_single_factor_gives_unit(self):
         spec = TransversalSpec((frozenset({1, 2, 3}),), 3)
@@ -264,7 +256,7 @@ class TestSpanningTreeSocle:
         graph = intersection_graph(spec)
         assert len(list(spanning_trees(graph))) == 3
         candidates = spanning_tree_socle(spec)
-        soc = socle_colon(realize(spec), linearity_certified=True)
+        soc = socle_colon(realize(spec))
         assert all(soc.contains(g) for g in candidates.gens)
         assert candidates == soc
 
@@ -286,6 +278,18 @@ class TestSpanningTreeSocle:
         spec = TransversalSpec((frozenset({1}), frozenset({2})), 2)
         assert spanning_tree_socle(spec).is_zero
 
+    def test_tree_cap(self, monkeypatch):
+        import polyshift.socle as socle
+
+        star = TransversalSpec(tuple(frozenset({1, v}) for v in (2, 3, 4, 5)), 5)
+        monkeypatch.setattr(socle, "SPANNING_TREE_CAP", 15)
+        with pytest.raises(ResourceCapError, match="more than 15 spanning trees"):
+            list(spanning_trees(intersection_graph(star)))
+        with pytest.raises(ResourceCapError):
+            spanning_tree_socle(star)
+        monkeypatch.setattr(socle, "SPANNING_TREE_CAP", 16)
+        assert len(list(spanning_trees(intersection_graph(star)))) == 16
+
 
 class TestFamilySocle:
     def test_lp_closed_form(self, example_ideal):
@@ -301,7 +305,7 @@ class TestFamilySocle:
         )
         soc = family_socle(spec)
         assert gens_set(soc) == {"x3", "x4"}
-        assert soc == socle_colon(realize(spec), linearity_certified=True)
+        assert soc == socle_colon(realize(spec))
 
     def test_borel_without_last_variable_is_zero(self):
         spec = BorelSpec((M("x2^2", 4),), 4)
@@ -316,16 +320,14 @@ class TestFamilySocle:
             u = M(name, 3)
             spec = PowerSpec(BorelSpec((u,), 3), k)
             closed = family_socle(spec)
-            direct = socle_colon(
-                ideal_power(borel_closure([u]), k), linearity_certified=True
-            )
+            direct = socle_colon(ideal_power(borel_closure([u]), k))
             assert closed == direct
             assert closed == borel_closure([(u ** k).div_var(3)])
 
     def test_veronese_closed_form(self):
         spec = VeroneseSpec((2, 1, 2), 3)
         closed = family_socle(spec)
-        direct = socle_colon(realize(spec), linearity_certified=True)
+        direct = socle_colon(realize(spec))
         assert closed == direct
 
     def test_unsupported_family_points_to_colon(self):
@@ -391,7 +393,7 @@ class TestFamilySocleOnCorpus:
                 closed = family_socle(spec)
             except UnsupportedFamilyError:
                 continue
-            direct = socle_colon(I, linearity_certified=True)
+            direct = socle_colon(I)
             assert closed == direct, spec
             checked += 1
         assert checked >= 150
@@ -426,7 +428,7 @@ class TestPowerPersistence:
     def test_square_against_colon_socle_and_oracle(self, fuzz_corpus):
         checked = 0
         for I in small_full_support(fuzz_corpus):
-            soc = socle_colon(I, linearity_certified=True)
+            soc = socle_colon(I)
             if soc.is_zero:
                 with pytest.raises(PreconditionError):
                     power_persistence(I, 2)
@@ -461,7 +463,7 @@ class TestNoVariables:
         with pytest.raises(PreconditionError, match="no variables"):
             socle_report(I)
         with pytest.raises(PreconditionError, match="no variables"):
-            socle_colon(I, linearity_certified=True)
+            socle_colon(I)
         with pytest.raises(PreconditionError, match="no variables"):
             socle_exchange(certify_lex(I))
         with pytest.raises(PreconditionError, match="no variables"):
@@ -480,3 +482,6 @@ class TestSocleReport:
         assert report.route == "exchange-formula"
         assert gens_set(report.socle) == {"x3", "x4"}
         assert report.witness is not None and str(report.witness) == "x3*x5"
+        assert set(report.routes) == {"colon", "exchange-formula"}
+        assert all(soc == report.socle for soc in report.routes.values())
+        assert report.top_shift == top_shift(example_ideal)
