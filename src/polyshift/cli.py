@@ -33,7 +33,7 @@ from .errors import (
 from .families import as_transversal, check_exchange, is_strongly_stable
 from .fuzzlab import CONJECTURE_KEYS, CampaignConfig, run_campaign
 from .monomials import MonomialIdeal, VariableOrder
-from .oracle import betti_table, validate_prime
+from .oracle import LATTICE_CAP, betti_table, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -159,11 +159,7 @@ def cmd_hs(args) -> int:
             shifts = {j: shifts_by_distance(cert, j) for j in levels}
             timings["distance"] = time.perf_counter() - start
             routes[route] = {"status": "ok", "shifts": _shift_map(shifts)}
-        else:
-            if table is None:
-                start = time.perf_counter()
-                table = betti_table(I)
-                timings["oracle"] = time.perf_counter() - start
+        else:  # the table was built above whenever the oracle is wanted
             shifts = {j: table.shift_ideal(j) for j in levels}
             routes[route] = {"status": "ok", "shifts": _shift_map(shifts)}
 
@@ -262,8 +258,7 @@ def cmd_check(args) -> int:
             report["witness"] = [
                 str(w) if not isinstance(w, int) else w for w in result.witness
             ]
-        # a matroidal report gives a reason only for a non-squarefree input
-        if result.reason and args.property != "matroidal":
+        if result.reason:
             report["reason"] = result.reason
     elif args.property == "strongly-stable":
         result = is_strongly_stable(I)
@@ -286,11 +281,7 @@ def cmd_check(args) -> int:
 def cmd_betti(args) -> int:
     source = _load_source(args)
     I = source.ideal
-    table = (
-        betti_table(I, args.prime)
-        if args.cap is None
-        else betti_table(I, args.prime, cap=args.cap)
-    )
+    table = betti_table(I, args.prime, cap=args.cap)
     entries = [
         {"i": i, "multidegree": str(a), "rank": r}
         for (i, a), r in sorted(
@@ -413,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     bet = sub.add_parser("betti", help="multigraded Betti table via the homology oracle")
     common(bet)
     bet.add_argument("--prime", type=_prime, default=None)
-    bet.add_argument("--cap", type=int, default=None, help="lcm-lattice size cap")
+    bet.add_argument("--cap", type=int, default=LATTICE_CAP, help="lcm-lattice size cap")
 
     fz = sub.add_parser("fuzz", help="run a conjecture-fuzzing campaign")
     fz.add_argument("--seed", type=int, required=True)

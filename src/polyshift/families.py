@@ -7,6 +7,10 @@ windows), LP ideals (products of interval primes), transversal ideals
 (products of arbitrary monomial primes), and products / powers / explicit
 generator lists.  Every realized family is polymatroidal, which the random
 generator asserts on each draw.
+
+A Veronese type is the PLP type whose windows ``plp_windows`` reads off its
+bounds, and an LP ideal the transversal ideal ``as_transversal`` reads off its
+intervals; ``realize`` and the socle closed forms go through those two views.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ class PLPSpec:
 
     def __post_init__(self):
         n = len(self.upper)
-        if not (len(self.lower) == len(self.alpha) == len(self.beta) == n):
-            raise FamilySpecError("plp vectors must share one length")
+        if n == 0 or not (len(self.lower) == len(self.alpha) == len(self.beta) == n):
+            raise FamilySpecError("plp vectors must be nonempty and share one length")
         if any(a < 0 for a in self.lower) or any(
             lo > hi for lo, hi in zip(self.lower, self.upper)
         ):
@@ -224,41 +228,30 @@ def as_transversal(spec: FamilySpec) -> Optional[TransversalSpec]:
     return None
 
 
+def plp_windows(
+    spec: FamilySpec,
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """The spec's PLP parameters (lower, upper, alpha, beta), when it has
+    them: a PLP spec's own, or the tight windows of a Veronese type (b, d),
+    which are (0 | b, alpha, d) with alpha_i = max(0, d - b_{i+1} - ... - b_n).
+
+    Plain tuples, not a PLPSpec, so no spec validation can fail here."""
+    if isinstance(spec, PLPSpec):
+        return spec.lower, spec.upper, spec.alpha, spec.beta
+    if isinstance(spec, VeroneseSpec):
+        d = spec.degree
+        alpha = []
+        rest = sum(spec.bounds)
+        for b in spec.bounds:
+            rest -= b
+            alpha.append(max(0, d - rest))
+        return (0,) * spec.n, spec.bounds, tuple(alpha), (d,) * spec.n
+    return None
+
+
 # ---------------------------------------------------------------------------
 # realization
 # ---------------------------------------------------------------------------
-
-
-def bounded_degree_monomials(
-    bounds: Iterable[int], degree: int, n: int
-) -> list[Monomial]:
-    """All exponent vectors summing to ``degree`` with c_i <= bounds[i].
-
-    Negative bounds make the coordinate infeasible, so the list is empty.
-    """
-    bounds = list(bounds)
-    if any(b < 0 for b in bounds) or degree < 0:
-        return []
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-    out: list[Monomial] = []
-    prefix: list[int] = []
-
-    def rec(i: int, remaining: int):
-        if i == n:
-            if remaining == 0:
-                out.append(Monomial(tuple(prefix)))
-            return
-        hi = min(bounds[i], remaining)
-        lo = max(0, remaining - suffix[i + 1])
-        for c in range(hi, lo - 1, -1):
-            prefix.append(c)
-            rec(i + 1, remaining - c)
-            prefix.pop()
-
-    rec(0, degree)
-    return out
 
 
 def windowed_monomials(
@@ -305,31 +298,25 @@ def prime_ideal(indices: Iterable[int], n: int) -> MonomialIdeal:
 
 def realize(spec: FamilySpec) -> MonomialIdeal:
     """Minimal generating set of the ideal a family spec describes."""
-    if isinstance(spec, VeroneseSpec):
-        if sum(min(b, spec.degree) for b in spec.bounds) < spec.degree:
-            warnings.warn(
-                "veronese bounds cannot reach the requested degree; the ideal is zero",
-                stacklevel=2,
-            )
-        return MonomialIdeal(
-            spec.n, bounded_degree_monomials(spec.bounds, spec.degree, spec.n)
+    if isinstance(spec, VeroneseSpec) and (
+        sum(min(b, spec.degree) for b in spec.bounds) < spec.degree
+    ):
+        warnings.warn(
+            "veronese bounds cannot reach the requested degree; the ideal is zero",
+            stacklevel=2,
         )
-    if isinstance(spec, BorelSpec):
-        return borel_closure(spec.generators, spec.n)
-    if isinstance(spec, PLPSpec):
-        return MonomialIdeal(
-            spec.n, windowed_monomials(spec.lower, spec.upper, spec.alpha, spec.beta)
-        )
-    if isinstance(spec, LPSpec):
-        result = prime_ideal(range(spec.alpha[0], spec.beta[0] + 1), spec.n)
-        for a, b in zip(spec.alpha[1:], spec.beta[1:]):
-            result = ideal_product(result, prime_ideal(range(a, b + 1), spec.n))
-        return result
-    if isinstance(spec, TransversalSpec):
-        result = prime_ideal(spec.sets[0], spec.n)
-        for A in spec.sets[1:]:
+        return MonomialIdeal(spec.n)
+    windows = plp_windows(spec)
+    if windows is not None:
+        return MonomialIdeal(spec.n, windowed_monomials(*windows))
+    tspec = as_transversal(spec)
+    if tspec is not None:
+        result = prime_ideal(tspec.sets[0], spec.n)
+        for A in tspec.sets[1:]:
             result = ideal_product(result, prime_ideal(A, spec.n))
         return result
+    if isinstance(spec, BorelSpec):
+        return borel_closure(spec.generators, spec.n)
     if isinstance(spec, ProductSpec):
         result = realize(spec.factors[0])
         for f in spec.factors[1:]:

@@ -10,6 +10,15 @@ graph criterion for transversal ideals, and the spanning-tree candidate set
 for their socles.  ``socle_report`` is the one place that checks linearity
 and runs the general routes that apply.
 
+The closed forms go one per family.  A Veronese type is a PLP type with the
+windows ``plp_windows`` reads off its bounds, so one formula, the shifted
+type (upper - 1 | alpha - e_n, beta - 1), gives the socle of both; an LP
+ideal is the transversal product of its intervals.  ``family_max_pd`` takes
+maximal projective dimension from the intersection graph for transversal
+(and LP) bases, from the stable closure for borel bases, and otherwise reads
+it off the closed-form socle: it is maximal exactly when the socle is
+nonzero.
+
 The colon route truncates by degree.  For I generated in degree d, the
 degree-(d-1) generators of I : x_i are exactly {u / x_i : u in G(I), x_i | u},
 and the degree-(d-1) part of an intersection of ideals generated in degree at
@@ -40,16 +49,14 @@ from .families import (
     BorelSpec,
     FamilySpec,
     LPSpec,
-    PLPSpec,
     PowerSpec,
     TransversalSpec,
-    VeroneseSpec,
+    as_transversal,
     borel_closure,
     check_exchange,
+    plp_windows,
     prime_ideal,
-    realize,
     windowed_monomials,
-    bounded_degree_monomials,
 )
 from .monomials import (
     Monomial,
@@ -62,7 +69,7 @@ from .monomials import (
     x_of,
 )
 from .oracle import betti_table
-from .quotients import QuotientCertificate, certify_lex
+from .quotients import QuotientCertificate, certify_lex, find_admissible_order
 
 SPANNING_TREE_CAP = 10_000
 
@@ -89,8 +96,8 @@ def ideal_intersection(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(A.n, out)
 
 
-def _require_variables(I: MonomialIdeal) -> None:
-    if I.n == 0:
+def _require_variables(n: int) -> None:
+    if n == 0:
         raise PreconditionError("the socle is undefined in a ring with no variables")
 
 
@@ -124,7 +131,7 @@ def socle_colon(I: MonomialIdeal) -> MonomialIdeal:
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no socle")
-    _require_variables(I)
+    _require_variables(I.n)
     I.generation_degree  # raises unless equigenerated
     exps = [g.exponents for g in I.gens]
     soc: Optional[set[tuple[int, ...]]] = None
@@ -149,7 +156,7 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
         raise ValueError(
             "socle_exchange needs a certificate produced by certify_lex"
         )
-    _require_variables(I)
+    _require_variables(I.n)
     if I.support != tuple(range(1, I.n + 1)):
         raise SupportError(
             "ideal does not involve every variable; restrict_to_support first"
@@ -212,16 +219,21 @@ class SocleReport:
 def socle_report(I: MonomialIdeal) -> SocleReport:
     """The socle by every route that applies, with linearity checked once.
 
-    Linearity is certified by the lex certificate or, failing that, by the
-    Betti table.  The colon route always runs; under a lex certificate with
-    full support the exchange formula runs too and is the reported route.
+    Linearity is certified by the lex certificate, else by linear quotients
+    under any order, and only failing both by the Betti table.  The colon
+    route always runs; under a lex certificate with full support the
+    exchange formula runs too and is the reported route.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no socle")
     d = I.generation_degree
     cert = certify_lex(I)
     certified = isinstance(cert, QuotientCertificate)
-    if not certified and not betti_table(I).is_linear(d):
+    if (
+        not certified
+        and find_admissible_order(I).status != "certified"
+        and not betti_table(I).is_linear(d)
+    ):
         raise LinearityError("socle is undefined: the ideal has no linear resolution")
     routes = {"colon": socle_colon(I)}
     route = "colon"
@@ -349,52 +361,34 @@ def spanning_tree_socle(spec: TransversalSpec) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-def _shift_vector(v: tuple[int, ...], delta: int) -> tuple[int, ...]:
-    return tuple(x + delta for x in v)
-
-
-def _plp_socle_type(
-    upper: tuple[int, ...], alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Shifted parameters (upper-1 | alpha - e_n, beta-1) of the socle."""
-    n = len(upper)
-    alpha_star = list(alpha)
-    alpha_star[n - 1] -= 1
-    return (
-        _shift_vector(upper, -1),
-        tuple(alpha_star),
-        _shift_vector(beta, -1),
-    )
-
-
 def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
     """Closed-form socle for the families that have one.
 
-    Supported: veronese, basic PLP, LP, (equigenerated) borel, and powers of
-    those.  Anything else raises UnsupportedFamilyError, pointing to the
-    direct colon route.  Families without maximal projective dimension
-    realize to the zero ideal here, matching the colon.
+    Supported: veronese and basic PLP (one formula over their PLP windows),
+    LP, (equigenerated) borel, and powers of those.  Anything else raises
+    UnsupportedFamilyError, pointing to the direct colon route.  Families
+    without maximal projective dimension realize to the zero ideal here,
+    matching the colon.
     """
     if isinstance(spec, PowerSpec):
         return family_socle(spec.base, k=k * spec.exponent)
-    if isinstance(spec, VeroneseSpec):
-        n = spec.n
-        b = tuple(x * k for x in spec.bounds)
-        d = spec.degree * k
-        return MonomialIdeal(
-            n, bounded_degree_monomials(_shift_vector(b, -1), d - 1, n)
-        )
-    if isinstance(spec, PLPSpec):
-        if not spec.is_basic:
+    _require_variables(spec.n)
+    windows = plp_windows(spec)
+    if windows is not None:
+        lower, upper, alpha, beta = windows
+        if any(lower):
             raise UnsupportedFamilyError(
                 "closed-form socle covers basic PLP types only; use socle_colon"
             )
-        upper = tuple(x * k for x in spec.upper)
-        alpha = tuple(x * k for x in spec.alpha)
-        beta = tuple(x * k for x in spec.beta)
-        u1, a1, b1 = _plp_socle_type(upper, alpha, beta)
+        # the socle type (upper - 1 | alpha - e_n, beta - 1) of the k-th power
         return MonomialIdeal(
-            spec.n, windowed_monomials((0,) * spec.n, u1, a1, b1)
+            spec.n,
+            windowed_monomials(
+                lower,
+                [k * x - 1 for x in upper],
+                [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1],
+                [k * x - 1 for x in beta],
+            ),
         )
     if isinstance(spec, LPSpec):
         if k != 1:
@@ -403,11 +397,11 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
             )
         if not family_max_pd(spec):
             return MonomialIdeal(spec.n)
+        # consecutive intervals overlap in p_[alpha_{i+1}, beta_i]
+        sets = as_transversal(spec).sets
         result = MonomialIdeal(spec.n, [Monomial.unit(spec.n)])
-        for i in range(spec.t - 1):
-            result = ideal_product(
-                result, prime_ideal(range(spec.alpha[i + 1], spec.beta[i] + 1), spec.n)
-            )
+        for A, B in zip(sets, sets[1:]):
+            result = ideal_product(result, prime_ideal(A & B, spec.n))
         return result
     if isinstance(spec, BorelSpec):
         closure = borel_closure(spec.generators, spec.n)
@@ -420,10 +414,10 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
                 raise UnsupportedFamilyError(
                     "power socles are closed-form only for a single stable generator"
                 )
-            u = spec.generators[0]
+            u = spec.generators[0] ** k
             if u.max_var != spec.n:
                 return MonomialIdeal(spec.n)
-            return borel_closure([(u ** k).div_var(spec.n)], spec.n)
+            return borel_closure([u.div_var(spec.n)], spec.n)
         tops = [g for g in spec.generators if g.max_var == spec.n]
         if not tops:
             return MonomialIdeal(spec.n)
@@ -435,63 +429,21 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
 
 def family_max_pd(spec: FamilySpec) -> bool:
     """Closed-form test for maximal projective dimension relative to all n
-    ambient variables (equivalently: the ambient socle is nonzero)."""
-    k = 1  # a power scales the Veronese and PLP parameters of its base
-    while isinstance(spec, PowerSpec):
-        k *= spec.exponent
-        spec = spec.base
-    if isinstance(spec, VeroneseSpec):
-        b = tuple(x * k for x in spec.bounds)
-        d = spec.degree * k
-        return bool(bounded_degree_monomials(_shift_vector(b, -1), d - 1, spec.n))
-    if isinstance(spec, PLPSpec):
-        if not spec.is_basic:
-            raise UnsupportedFamilyError(
-                "closed-form maximality covers basic PLP types only"
-            )
-        upper = tuple(x * k for x in spec.upper)
-        alpha = tuple(x * k for x in spec.alpha)
-        beta = tuple(x * k for x in spec.beta)
-        # a zero bound freezes its variable out of every generator, which
-        # already rules out full ambient support
-        if any(b < 1 for b in upper):
-            return False
-        return _plp_inequalities_hold(upper, alpha, beta)
-    if isinstance(spec, LPSpec):
-        return (
-            spec.alpha[0] == 1
-            and spec.beta[-1] == spec.n
-            and all(
-                spec.alpha[i + 1] <= spec.beta[i] for i in range(spec.t - 1)
-            )
-        )
-    if isinstance(spec, TransversalSpec):
-        return spec.covers_variables and intersection_graph(spec).is_connected
-    if isinstance(spec, BorelSpec):
-        closure = borel_closure(spec.generators, spec.n)
-        return any(g.max_var == spec.n for g in closure.gens)
-    raise UnsupportedFamilyError(
-        f"no closed-form maximality test for family tag {spec.tag!r}; use max_pd"
-    )
+    ambient variables, that is for a nonzero ambient socle.
 
-
-def _plp_inequalities_hold(
-    upper: tuple[int, ...], alpha: tuple[int, ...], beta: tuple[int, ...]
-) -> bool:
-    """Explicit maximality inequalities for a basic PLP type:
-    beta_i + upper_{i+1} + ... + upper_j >= alpha_j + (j + 1 - i) for all
-    1 <= i <= j < n, and >= alpha_n + (n - i) at j = n."""
-    n = len(upper)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            lhs = beta[i - 1] + sum(upper[i:j])
-            if j < n:
-                needed = alpha[j - 1] + (j + 1 - i)
-            else:
-                needed = alpha[n - 1] + (n - i)
-            if lhs < needed:
-                return False
-    return True
+    A power keeps the answer of a transversal (LP included) or borel base:
+    the intersection graph of a transversal base decides it, and so does
+    whether the stable closure of a borel base reaches x_n.  Every other
+    spec has it read off its closed-form socle.
+    """
+    base = spec.base if isinstance(spec, PowerSpec) and spec.exponent else spec
+    tspec = as_transversal(base)
+    if tspec is not None:
+        return tspec.covers_variables and intersection_graph(tspec).is_connected
+    if isinstance(base, BorelSpec):
+        closure = borel_closure(base.generators, base.n)
+        return any(g.max_var == base.n for g in closure.gens)
+    return not family_socle(spec).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,13 @@ def _intlist(doc: Any, field: str, sc: _Scanner) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _int(doc: Any, field: str, sc: _Scanner, default: Optional[int] = None) -> int:
+    value = doc.get(field, default)
+    if not isinstance(value, int):
+        raise sc.error(f"field {field!r} must be an integer")
+    return value
+
+
 def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
     """Build a family spec from a parsed document."""
     sc = sc or _Scanner("")
@@ -237,7 +244,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         raise sc.error("family document must be an object with a 'type' field")
     tag = doc["type"]
     if tag == "veronese":
-        return VeroneseSpec(_intlist(doc, "b", sc), int(doc["d"]))
+        return VeroneseSpec(_intlist(doc, "b", sc), _int(doc, "d", sc))
     if tag == "borel":
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
@@ -248,7 +255,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
             m = parse_monomial(str(g))
             parsed.append(m)
             widths.append(m.n)
-        n = int(doc.get("n", max(widths)))
+        n = _int(doc, "n", sc, max(widths))
         gens = tuple(
             Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed
         )
@@ -263,14 +270,16 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
     if tag == "lp":
         alpha = _intlist(doc, "alpha", sc)
         beta = _intlist(doc, "beta", sc)
-        n = int(doc.get("n", max(beta) if beta else 0))
+        n = _int(doc, "n", sc, max(beta, default=0))
         return LPSpec(alpha, beta, n)
     if tag == "transversal":
         raw = doc.get("sets")
-        if not isinstance(raw, list) or not raw:
-            raise sc.error("transversal document needs a nonempty 'sets' list")
-        sets = tuple(frozenset(int(i) for i in A) for A in raw)
-        n = int(doc.get("n", max(max(A) for A in sets)))
+        if not isinstance(raw, list) or not raw or not all(
+            isinstance(A, list) and all(isinstance(i, int) for i in A) for A in raw
+        ):
+            raise sc.error("transversal document needs a nonempty 'sets' list of integer lists")
+        sets = tuple(frozenset(A) for A in raw)
+        n = _int(doc, "n", sc, max((i for A in sets for i in A), default=0))
         return TransversalSpec(sets, n)
     if tag == "product":
         factors = doc.get("factors")
@@ -278,13 +287,16 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
             raise sc.error("product document needs at least two factors")
         return ProductSpec(tuple(spec_from_doc(f, sc) for f in factors))
     if tag == "power":
-        return PowerSpec(spec_from_doc(doc["base"], sc), int(doc["k"]))
+        base = doc.get("base")
+        if not isinstance(base, dict):
+            raise sc.error("power document needs a 'base' object")
+        return PowerSpec(spec_from_doc(base, sc), _int(doc, "k", sc))
     if tag == "explicit":
         raw = doc.get("gens")
         if not isinstance(raw, list):
             raise sc.error("explicit document needs a 'gens' list")
         parsed = [parse_monomial(str(g)) for g in raw]
-        n = int(doc.get("n", max((m.n for m in parsed), default=0)))
+        n = _int(doc, "n", sc, max((m.n for m in parsed), default=0))
         gens = [Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed]
         return ExplicitSpec(MonomialIdeal(n, gens))
     raise sc.error(f"unknown family type {tag!r}")

@@ -241,7 +241,7 @@ class TestSocCommand:
                 '"variable_order": "x1>x2>x3>x4>x5", "witness": null}\n',
             ),
             # full support and linear quotients, but not in lex order, so
-            # linearity comes from the Betti table
+            # linearity comes from the order search
             (
                 "[x1*x3, x2^2, x2*x3, x3^2] n=3",
                 '{"agreement": null, "command": "soc", "input": "[x1*x3, x2^2, '
@@ -258,6 +258,28 @@ class TestSocCommand:
         code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
         assert (code, err) == (0, "")
         assert out == expected
+
+    @pytest.mark.parametrize(
+        "text, tables_built",
+        [("[x1*x3, x2^2, x2*x3, x3^2] n=3", 0), (CYCLE5, 1)],
+        ids=["order-search-certifies", "cycle5"],
+    )
+    def test_table_only_when_no_order_certifies(
+        self, text, tables_built, tmp_path, capsys, monkeypatch
+    ):
+        import polyshift.socle as socle_module
+
+        tables = []
+
+        def counted(*args, **kwargs):
+            tables.append(args[0])
+            return betti_table(*args, **kwargs)
+
+        betti_table = socle_module.betti_table
+        monkeypatch.setattr(socle_module, "betti_table", counted)
+        path = write(tmp_path, "in.txt", text)
+        run_cli(["soc", "--input", path, "--json"], capsys)
+        assert len(tables) == tables_built
 
     def test_nonlinear_ideal_is_precondition_error(self, tmp_path, capsys):
         # the 5-cycle has no linear quotients and a nonlinear Betti table
@@ -361,7 +383,12 @@ class TestCheckCommand:
                 '"property": "matroidal", "reason": "not squarefree", '
                 '"verdict": false, "witness": ["x1^2"]}',
             ),
-            ("matroidal", "[x1, x2*x3] n=3", '"property": "matroidal", "verdict": false}'),
+            (
+                "matroidal",
+                "[x1, x2*x3] n=3",
+                '"property": "matroidal", "reason": "not equigenerated", '
+                '"verdict": false}',
+            ),
             (
                 "polymatroidal",
                 "[x1, x2*x3] n=3",
@@ -572,6 +599,45 @@ class TestUsageAndParsing:
         assert code == 1
         assert out == ""
         assert "exceeds the supported range" in err
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("{type:veronese, b:[1,1]}", 1, "parse error: field 'd' must be an integer"),
+            ("{type:veronese, b:[1,1], d:[1]}", 1, "parse error: field 'd' must be an integer"),
+            (
+                "{type:power, base:{type:veronese, b:[1,1], d:1}}",
+                1,
+                "parse error: field 'k' must be an integer",
+            ),
+            ("{type:power, k:2}", 1, "parse error: power document needs a 'base' object"),
+            ("{type:power, base:5, k:2}", 1, "parse error: power document needs a 'base' object"),
+            (
+                "{type:transversal, sets:[5]}",
+                1,
+                "parse error: transversal document needs a nonempty 'sets' list",
+            ),
+            ("{type:explicit, gens:[x1], n:[2]}", 1, "parse error: field 'n' must be an integer"),
+            (
+                "{type:plp, a:[], b:[], alpha:[], beta:[]}",
+                2,
+                "precondition: plp vectors must be nonempty and share one length",
+            ),
+        ],
+        ids=[
+            "veronese-no-d", "veronese-list-d", "power-no-k", "power-no-base",
+            "power-scalar-base", "transversal-scalar-set", "explicit-list-n",
+            "plp-empty",
+        ],
+    )
+    def test_malformed_family_document(self, text, code, message, tmp_path, capsys):
+        # all but power-scalar-base once ended in a KeyError, TypeError or
+        # IndexError traceback
+        path = write(tmp_path, "doc.txt", text)
+        got, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

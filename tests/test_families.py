@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +33,11 @@ from polyshift import (
     realize,
     veronese_shift,
 )
-from polyshift.families import EXCHANGE_MODES
+from polyshift.families import EXCHANGE_MODES, plp_windows
 from util import (
     M,
     all_monomials,
+    bounded_degree_reference,
     gens_set,
     ideal,
     outcome_under_optimize,
@@ -294,6 +297,41 @@ class TestLPWindowTranslation:
                 n, windowed_monomials((0,) * n, (t,) * n, lower, upper)
             )
             assert windowed == I, spec
+
+
+class TestPlpWindows:
+    def test_plp_spec_gives_its_own_parameters(self):
+        spec = PLPSpec((0, 1), (2, 2), (0, 3), (2, 3))
+        assert plp_windows(spec) == ((0, 1), (2, 2), (0, 3), (2, 3))
+
+    def test_veronese_windows_follow_from_the_bounds(self):
+        # alpha_i = max(0, d - b_{i+1} - ... - b_n), beta_i = d
+        windows = plp_windows(VeroneseSpec((2, 1, 2), 4))
+        assert windows == ((0, 0, 0), (2, 1, 2), (1, 2, 4), (4, 4, 4))
+        assert plp_windows(VeroneseSpec((3, 3), 2))[2] == (0, 2)
+
+    def test_other_families_have_none(self):
+        assert plp_windows(LPSpec((1, 3), (4, 5), 5)) is None
+        assert plp_windows(TransversalSpec((frozenset({1, 2}),), 2)) is None
+        assert plp_windows(PowerSpec(VeroneseSpec((1, 1), 1), 2)) is None
+
+    def test_veronese_realization_matches_reference_grid(self):
+        for n in range(5):
+            for bounds in itertools.product(range(4), repeat=n):
+                for d in range(7):
+                    spec = VeroneseSpec(bounds, d)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        got = realize(spec)
+                    reference = bounded_degree_reference(bounds, d, n)
+                    assert got == MonomialIdeal(n, reference), spec
+                    assert got.gens == tuple(reference), spec
+
+    def test_no_variables(self):
+        with pytest.warns(UserWarning, match="cannot reach the requested degree"):
+            assert realize(VeroneseSpec((), 1)).is_zero
+        assert realize(VeroneseSpec((), 0)).is_unit
+        assert ideal("{type:veronese, b:[], d:0}") == MonomialIdeal(0, [Monomial(())])
 
 
 class TestAsTransversal:

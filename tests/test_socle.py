@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,14 @@ from polyshift import (
     top_shift,
     x_of,
 )
-from util import M, all_monomials, gens_set, ideal, outcome_under_optimize
+from util import (
+    M,
+    all_monomials,
+    bounded_degree_reference,
+    gens_set,
+    ideal,
+    outcome_under_optimize,
+)
 
 
 def full_support(I):
@@ -330,6 +339,28 @@ class TestFamilySocle:
         direct = socle_colon(realize(spec))
         assert closed == direct
 
+    def test_veronese_socle_matches_reference_grid(self):
+        # the PLP formula on the Veronese windows against the enumerator of
+        # the shifted type (k b - 1, k d - 1), whose bounds and degree go
+        # negative at b_i = 0 and d = 0
+        for n in range(1, 5):
+            for bounds in itertools.product(range(4), repeat=n):
+                for d in range(7):
+                    base = VeroneseSpec(bounds, d)
+                    for k in (1, 2, 3):
+                        spec = base if k == 1 else PowerSpec(base, k)
+                        reference = bounded_degree_reference(
+                            [k * b - 1 for b in bounds], k * d - 1, n
+                        )
+                        got = family_socle(spec)
+                        assert got == MonomialIdeal(n, reference), spec
+                        assert got.gens == tuple(reference), spec
+
+    def test_no_variables_is_a_precondition_error(self):
+        for d in (0, 1):
+            with pytest.raises(PreconditionError, match="no variables"):
+                family_socle(VeroneseSpec((), d))
+
     def test_unsupported_family_points_to_colon(self):
         spec = TransversalSpec((frozenset({1, 2}), frozenset({2, 3})), 3)
         with pytest.raises(UnsupportedFamilyError):
@@ -358,7 +389,25 @@ class TestFamilyMaxPd:
         assert betti_table(I).pd == 2  # the four-cycle: short of the maximum 3
         assert not has_ambient_max_pd(I)
 
-    def test_agreement_with_oracle_on_small_zoo(self):
+    def test_loose_plp_windows_are_not_maximal(self):
+        # beta_1 = 2 is looser than the bound 1 allows; an inequality test
+        # that assumed tight windows called this maximal
+        spec = PLPSpec((0, 0), (1, 1), (0, 2), (2, 2))
+        assert realize(spec) == ideal("[x1*x2]")
+        assert family_socle(spec).is_zero
+        assert not family_max_pd(spec)
+        assert not has_ambient_max_pd(realize(spec))
+
+    def test_zeroth_power_is_not_read_off_the_base(self):
+        # I^0 is the unit ideal, which has no ambient maximal pd
+        lp = LPSpec((1,), (2,), 2)
+        assert family_max_pd(lp)
+        assert not has_ambient_max_pd(realize(PowerSpec(lp, 0)))
+        with pytest.raises(UnsupportedFamilyError):
+            family_max_pd(PowerSpec(lp, 0))
+        assert not family_max_pd(PowerSpec(BorelSpec((M("x1*x2", 2),), 2), 0))
+
+    def test_agreement_with_oracle_on_small_zoo(self, fuzz_corpus):
         zoo = [
             VeroneseSpec((1, 1, 1), 2),
             VeroneseSpec((2, 2), 2),
@@ -372,12 +421,20 @@ class TestFamilyMaxPd:
             TransversalSpec((frozenset({1, 2}), frozenset({2, 3})), 3),
             PowerSpec(LPSpec((1, 2), (2, 3), 3), 2),
             PowerSpec(VeroneseSpec((1, 1, 1), 2), 3),
-        ]
+            PLPSpec((0, 0), (1, 1), (0, 2), (2, 2)),
+        ] + [spec for spec, _ in fuzz_corpus]
+        checked = 0
         for spec in zoo:
             I = realize(spec)
             if I.is_zero:
                 continue
-            assert family_max_pd(spec) == has_ambient_max_pd(I), spec
+            try:
+                closed = family_max_pd(spec)
+            except UnsupportedFamilyError:
+                continue
+            assert closed == has_ambient_max_pd(I), spec
+            checked += 1
+        assert checked >= 400
 
 
 class TestFamilySocleOnCorpus:

@@ -373,6 +373,35 @@ def all_monomials(n: int, degree: int) -> list[Monomial]:
     return out
 
 
+def bounded_degree_reference(bounds, degree: int, n: int) -> list[Monomial]:
+    """All exponent vectors summing to ``degree`` with c_i <= bounds[i]; empty
+    for a negative bound or degree.  The enumerator Veronese types had before
+    they went through their PLP windows, kept as the reference for them."""
+    bounds = list(bounds)
+    if any(b < 0 for b in bounds) or degree < 0:
+        return []
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + bounds[i]
+    out: list[Monomial] = []
+    prefix: list[int] = []
+
+    def rec(i: int, remaining: int):
+        if i == n:
+            if remaining == 0:
+                out.append(Monomial(tuple(prefix)))
+            return
+        hi = min(bounds[i], remaining)
+        lo = max(0, remaining - suffix[i + 1])
+        for c in range(hi, lo - 1, -1):
+            prefix.append(c)
+            rec(i + 1, remaining - c)
+            prefix.pop()
+
+    rec(0, degree)
+    return out
+
+
 # The running 5-variable example: the product of the primes on {1,2,3,4} and
 # {3,4,5}, whose 11 generators, colon-variable table and shift ideals are all
 # known in closed form.
