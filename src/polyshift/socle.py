@@ -220,9 +220,12 @@ def socle_report(I: MonomialIdeal) -> SocleReport:
     """The socle by every route that applies, with linearity checked once.
 
     Linearity is certified by the lex certificate, else by linear quotients
-    under any order, and only failing both by the Betti table.  The colon
-    route always runs; under a lex certificate with full support the
-    exchange formula runs too and is the reported route.
+    under any order, and only failing both by the Betti table.  The order
+    search gets m^2 nodes for m generators, room for a search with little
+    backtracking, so an input without linear quotients pays little for it
+    before the table.  The colon route always runs; under a lex certificate
+    with full support the exchange formula runs too and is the reported
+    route.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no socle")
@@ -231,7 +234,7 @@ def socle_report(I: MonomialIdeal) -> SocleReport:
     certified = isinstance(cert, QuotientCertificate)
     if (
         not certified
-        and find_admissible_order(I).status != "certified"
+        and find_admissible_order(I, I.num_gens**2).status != "certified"
         and not betti_table(I).is_linear(d)
     ):
         raise LinearityError("socle is undefined: the ideal has no linear resolution")
@@ -365,7 +368,8 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
     """Closed-form socle for the families that have one.
 
     Supported: veronese and basic PLP (one formula over their PLP windows),
-    LP, (equigenerated) borel, and powers of those.  Anything else raises
+    LP, (equigenerated) borel, and powers of those.  A zeroth power of any
+    spec is the unit ideal, whose socle is zero.  Anything else raises
     UnsupportedFamilyError, pointing to the direct colon route.  Families
     without maximal projective dimension realize to the zero ideal here,
     matching the colon.
@@ -373,6 +377,9 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
     if isinstance(spec, PowerSpec):
         return family_socle(spec.base, k=k * spec.exponent)
     _require_variables(spec.n)
+    if k == 0:
+        # the unit ideal is generated in degree 0 and has no degree -1 part
+        return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is not None:
         lower, upper, alpha, beta = windows
@@ -431,18 +438,23 @@ def family_max_pd(spec: FamilySpec) -> bool:
     """Closed-form test for maximal projective dimension relative to all n
     ambient variables, that is for a nonzero ambient socle.
 
-    A power keeps the answer of a transversal (LP included) or borel base:
-    the intersection graph of a transversal base decides it, and so does
-    whether the stable closure of a borel base reaches x_n.  Every other
-    spec has it read off its closed-form socle.
+    A positive power keeps the answer of a transversal (LP included) or
+    borel base: the intersection graph of a transversal base decides it, and
+    so does whether the stable closure of a borel base reaches x_n.  Every
+    other spec, a zeroth power included, has it read off its closed-form
+    socle.
     """
-    base = spec.base if isinstance(spec, PowerSpec) and spec.exponent else spec
-    tspec = as_transversal(base)
-    if tspec is not None:
-        return tspec.covers_variables and intersection_graph(tspec).is_connected
-    if isinstance(base, BorelSpec):
-        closure = borel_closure(base.generators, base.n)
-        return any(g.max_var == base.n for g in closure.gens)
+    k, base = 1, spec
+    while isinstance(base, PowerSpec):
+        k *= base.exponent
+        base = base.base
+    if k:
+        tspec = as_transversal(base)
+        if tspec is not None:
+            return tspec.covers_variables and intersection_graph(tspec).is_connected
+        if isinstance(base, BorelSpec):
+            closure = borel_closure(base.generators, base.n)
+            return any(g.max_var == base.n for g in closure.gens)
     return not family_socle(spec).is_zero
 
 

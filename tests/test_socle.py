@@ -399,21 +399,33 @@ class TestFamilyMaxPd:
         assert not has_ambient_max_pd(realize(spec))
 
     def test_zeroth_power_is_not_read_off_the_base(self):
-        # I^0 is the unit ideal, which has no ambient maximal pd
+        # I^0 is the unit ideal, which has no ambient maximal pd, whatever
+        # the base and however deep the zero exponent sits
         lp = LPSpec((1,), (2,), 2)
         assert family_max_pd(lp)
-        assert not has_ambient_max_pd(realize(PowerSpec(lp, 0)))
-        with pytest.raises(UnsupportedFamilyError):
-            family_max_pd(PowerSpec(lp, 0))
-        assert not family_max_pd(PowerSpec(BorelSpec((M("x1*x2", 2),), 2), 0))
+        bases = [
+            lp,
+            TransversalSpec((frozenset({1, 2}), frozenset({2})), 2),
+            BorelSpec((M("x1*x2", 2),), 2),
+            BorelSpec((M("x1*x2", 2), M("x2^2", 2)), 2),
+            VeroneseSpec((1, 1), 2),
+        ]
+        for base in bases:
+            for spec in (PowerSpec(base, 0), PowerSpec(PowerSpec(base, 0), 3)):
+                assert realize(spec) == ideal("[1] n=2"), spec
+                assert family_socle(spec).is_zero, spec
+                assert not family_max_pd(spec), spec
+                assert not has_ambient_max_pd(realize(spec)), spec
 
     def test_agreement_with_oracle_on_small_zoo(self, fuzz_corpus):
+        mixed_borel = BorelSpec((M("x1*x3", 3), M("x2^2", 3)), 3)
         zoo = [
             VeroneseSpec((1, 1, 1), 2),
             VeroneseSpec((2, 2), 2),
             VeroneseSpec((1, 2, 2), 3),
             BorelSpec((M("x2*x3", 3),), 3),
             BorelSpec((M("x2^2", 3),), 3),
+            mixed_borel,
             LPSpec((1, 2), (2, 3), 3),
             LPSpec((1, 1, 2), (2, 3, 3), 3),
             PLPSpec((0, 0), (2, 2), (0, 2), (1, 2)),
@@ -422,9 +434,21 @@ class TestFamilyMaxPd:
             PowerSpec(LPSpec((1, 2), (2, 3), 3), 2),
             PowerSpec(VeroneseSpec((1, 1, 1), 2), 3),
             PLPSpec((0, 0), (1, 1), (0, 2), (2, 2)),
-        ] + [spec for spec, _ in fuzz_corpus]
-        checked = 0
+            # nested powers are read off the innermost base
+            PowerSpec(PowerSpec(LPSpec((1, 2), (2, 3), 3), 2), 3),
+            PowerSpec(PowerSpec(LPSpec((1, 3), (2, 4), 4), 2), 2),
+            PowerSpec(PowerSpec(mixed_borel, 2), 2),
+            PowerSpec(PowerSpec(VeroneseSpec((1, 1, 1), 2), 2), 2),
+            PowerSpec(PowerSpec(PLPSpec((0, 0), (1, 1), (0, 2), (2, 2)), 2), 2),
+            PowerSpec(LPSpec((1, 2), (2, 3), 3), 0),
+        ]
         for spec in zoo:
+            I = realize(spec)
+            assert not I.is_zero, spec
+            assert family_max_pd(spec) == has_ambient_max_pd(I), spec
+        # the corpus adds every spec the closed forms support
+        checked = 0
+        for spec, _ in fuzz_corpus:
             I = realize(spec)
             if I.is_zero:
                 continue
