@@ -3,8 +3,9 @@
 The homology oracle calls :func:`rank_mod_p` for boundary-matrix
 elimination.  It takes each frame's homology relative to the star of a
 vertex, and only once per distinct face set in a table, so the matrices are
-small (at most 36 rows on cycle edge ideals) and many frames need none; the
-oracle's cost lies mostly in the lcm-lattice closure.
+small (at most 36 rows on cycle edge ideals) and many frames need none.  On
+Veronese-type tables the oracle's time goes mostly to the lcm-lattice
+closure; on the 10- and 11-cycles about a third of it goes to these ranks.
 :func:`contains_mask` (does any generator divide each of a batch of
 monomials) has no caller in the package since the oracle builds its frames
 from facet masks.

@@ -227,6 +227,7 @@ def cmd_soc(args) -> int:
             "edges": [list(e) for e in graph.edges],
             "connected": graph.is_connected,
             "components": graph.component_count(),
+            "covers_variables": tspec.covers_variables,
         }
         report["spanning_tree_socle"] = ideal_to_json(candidates)
         report["spanning_tree_equals_socle"] = candidates == base.socle

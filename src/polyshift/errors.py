@@ -30,7 +30,7 @@ class PreconditionError(PolyshiftError):
 
 
 class ResourceCapError(PolyshiftError):
-    """A configured enumeration cap (subsets, lattice points, trees) was exceeded."""
+    """A configured cap (subsets, lattice points, trees, product pairs) was exceeded."""
 
 
 class FamilySpecError(PolyshiftError):

@@ -16,7 +16,6 @@ intervals; ``realize`` and the socle closed forms go through those two views.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -300,11 +299,7 @@ def realize(spec: FamilySpec) -> MonomialIdeal:
     """Minimal generating set of the ideal a family spec describes."""
     if isinstance(spec, VeroneseSpec) and (
         sum(min(b, spec.degree) for b in spec.bounds) < spec.degree
-    ):
-        warnings.warn(
-            "veronese bounds cannot reach the requested degree; the ideal is zero",
-            stacklevel=2,
-        )
+    ):  # the zero ideal; with no variables the windows would give the unit
         return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is not None:
@@ -548,10 +543,7 @@ def veronese_shift(spec: VeroneseSpec, level: int) -> MonomialIdeal:
     if level < 0:
         raise ValueError("shift level must be nonnegative")
     raised = VeroneseSpec(spec.bounds, spec.degree + level)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        realized = realize(raised)
-    return support_filter(realized, level)
+    return support_filter(realize(raised), level)
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +667,8 @@ def random_polymatroidal(
         deg = rng.choices(degrees, weights=degrees)[0]
         try:
             spec = _draw_spec(rng, budget, n, deg, 0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ideal = realize(spec)
-        except FamilySpecError:
+            ideal = realize(spec)
+        except (FamilySpecError, ResourceCapError):
             continue
         if ideal.is_zero or ideal.is_unit or ideal.num_gens > budget.gen_max:
             continue

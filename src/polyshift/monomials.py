@@ -18,10 +18,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     DegreeMismatchError,
     DimensionMismatchError,
+    ResourceCapError,
     ZeroIdealError,
 )
 
 _EXPONENT_LIMIT = 2**31
+# generator pairs one ideal product may form
+PRODUCT_CAP = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,10 +234,6 @@ class VariableOrder:
         return len(self.chain)
 
     @property
-    def greatest(self) -> int:
-        return self.chain[0]
-
-    @property
     def least(self) -> int:
         return self.chain[-1]
 
@@ -399,9 +398,16 @@ def minimal_generators(
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, minimalized.  The product with the unit ideal is the
-    identity; any product with the zero ideal is zero."""
+    identity; any product with the zero ideal is zero.  Raises
+    ResourceCapError, before forming any, when there are more than
+    PRODUCT_CAP generator pairs."""
     if I.n != J.n:
         raise DimensionMismatchError(f"ambient mismatch: {I.n} vs {J.n}")
+    if I.num_gens * J.num_gens > PRODUCT_CAP:
+        raise ResourceCapError(
+            f"ideal product of {I.num_gens} by {J.num_gens} generators exceeds "
+            f"the cap of {PRODUCT_CAP} pairs"
+        )
     if I.is_zero or J.is_zero:
         return MonomialIdeal(I.n)
     products = []

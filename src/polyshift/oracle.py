@@ -7,18 +7,20 @@ Betti number at a multidegree is a reduced homology rank of the upper Koszul
 complex there, computed over a prime field by boundary-matrix elimination.
 
 Both steps work on int64 arrays; a Monomial is made only for a table entry.
-The lattice is the closure of the (m, n) generator matrix under pairwise lcm
-(row-wise maximum).  The upper Koszul complex K^a(I) = {F subset of supp(a)
-: x^a / x_F in I} is generated by facets: x^a / x_F lies in I exactly when F
-is contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
+The lattice is built one generator row at a time: that of g_1..g_k is that
+of g_1..g_{k-1}, plus g_k, plus the row-wise maximum of g_k with each of its
+points, sorted and deduplicated, so no lattice array exceeds 2 * cap + 1
+rows.  The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
+in I} is generated by facets: x^a / x_F lies in I exactly when F is
+contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
 is a full simplex, hence contractible, when one such facet is all of a
 nonempty supp(a); that test runs on the whole lattice at once.  The other
 points are grouped by the number v of their support variables: one array
-operation gives a group's facets, and its 2^v face masks are tested in blocks
-of points and faces, every temporary near ``_BLOCK_ROWS`` rows.  The homology
-depends only on the face set, and a table's frames hold few distinct ones
-(319 in 9171 frames on 23 Veronese-type tables), so it is taken once per
-distinct face set.
+operation gives a group's facets, and its 2^v face masks are tested in
+blocks of points and faces, every frame temporary near ``_BLOCK_ROWS``
+rows.  The homology depends only on the face set, and a table's frames hold
+few distinct ones (319 in 9171 frames on 23 Veronese-type tables), so it is
+taken once per distinct face set.
 
 The homology of a frame K is taken relative to the closed star
 st_v K = {F : F + v in K} of its busiest vertex v.  The star is a cone with
@@ -77,12 +79,6 @@ def _gen_matrix(I: MonomialIdeal) -> np.ndarray:
     )
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One void scalar per row holding the row's bytes: exact for every n."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def _locate(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each query sits in the sorted ``keys``, and whether it is there."""
     at = np.searchsorted(keys, queries)
@@ -98,47 +94,28 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     """The lcm lattice of the generator rows as an int64 (points, n) array,
     sorted descending-lexicographically.
 
-    Closing the generator set under pairwise lcm reaches every subset lcm,
-    so no 2^m enumeration is needed.  Each round meets a block of the newest
-    points with every generator, drops the rows already seen, and keeps the
-    rest as the next frontier.  Raises ValueError when ``cap`` is below 1 and
-    ResourceCapError exactly when the lattice has more than ``cap`` points.
+    The lattice of g_1..g_k is that of g_1..g_{k-1}, plus g_k, plus
+    lcm(a, g_k) for each of its points a: every subset lcm holding g_k is
+    lcm(lcm(S'), g_k).  So the points are built one generator at a time,
+    never more than 2 * cap + 1 rows at once.  Raises ValueError when
+    ``cap`` is below 1 and ResourceCapError exactly when the lattice has
+    more than ``cap`` points.
     """
     if cap < 1:
         raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
-    m, n = gens.shape
-    if m > cap:
-        raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
-    if n == 0:  # zero-width rows have no columns to sort on; at most the unit
+    if gens.shape[1] == 0:  # no columns to sort on; at most the unit
         return gens[:1]
-    seen = np.sort(_row_keys(gens))
-    frontier = gens
-    step = _block(m)
-    while len(frontier):
-        fresh = []
-        for start in range(0, len(frontier), step):
-            block = frontier[start : start + step]
-            cand = np.maximum(block[:, None, :], gens[None, :, :])
-            # lcm(x, g) = x whenever g divides x: drop those before sorting
-            cand = cand[(cand != block[:, None, :]).any(axis=2)]
-            # np.unique would import numpy.ma, 1.5 MB of resident memory
-            keys = _row_keys(cand)
-            order = keys.argsort()
-            keys = keys[order]
-            at, found = _locate(seen, keys)
-            new = ~found
-            new[1:] &= keys[1:] != keys[:-1]
-            if not new.any():
-                continue
-            seen = np.insert(seen, at[new], keys[new])
-            if len(seen) > cap:
-                raise ResourceCapError(
-                    f"lcm lattice exceeds the cap of {cap} points"
-                )
-            fresh.append(cand[order[new]])
-        frontier = np.concatenate(fresh) if fresh else frontier[:0]
-    points = seen.view(np.int64).reshape(-1, n)
-    return points[np.lexsort(points.T[::-1])[::-1]]
+    points = gens[:0]
+    for g in gens:
+        joins = np.maximum(points, g)
+        # lcm(a, g) = a whenever g divides a: those are points already
+        joins = joins[(joins != points).any(axis=1)]
+        points = np.concatenate([points, joins, g[None]])
+        points = points[np.lexsort(-points.T[::-1])]
+        points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
+        if len(points) > cap:
+            raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
+    return points
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:
@@ -174,8 +151,9 @@ def _face_rows(gens: np.ndarray, points: np.ndarray, v: int) -> Iterator[np.ndar
     a packed bit row: bit F is set when the face F lies in the facet
     {i in supp(a) : g_i < a_i} of a generator g dividing x^a.  Face masks
     give the k-th support variable of each point bit k.  A block holds at
-    most ``_BLOCK_ROWS`` * n (point, face, generator) triples, the lattice's
-    element budget, or one point and ``_BLOCK_ROWS`` faces."""
+    most ``_BLOCK_ROWS`` * n (point, face, generator) triples, as many
+    elements as a ``_full_simplex`` block, or one point and ``_BLOCK_ROWS``
+    faces."""
     size = 1 << v
     face_step = min(size, _BLOCK_ROWS)
     point_step = max(1, _BLOCK_ROWS * gens.shape[1] // (face_step * max(len(gens), 1)))
@@ -303,9 +281,6 @@ class BettiTable:
         if not self.entries:
             return -1
         return max(i for i, _ in self.entries)
-
-    def total(self, i: int) -> int:
-        return sum(r for (k, _), r in self.entries.items() if k == i)
 
     def totals(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -32,7 +32,6 @@ general route and is the reference the tests hold it to.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -274,14 +273,9 @@ class IntersectionGraph:
 
 
 def intersection_graph(spec: TransversalSpec) -> IntersectionGraph:
-    """Build the factor-overlap graph; warns when the sets do not cover all
-    ambient variables (the maximality criterion then applies to the cover)."""
-    if not spec.covers_variables:
-        warnings.warn(
-            "transversal factors do not cover every variable; "
-            "conclusions apply to the restriction",
-            stacklevel=2,
-        )
+    """Build the factor-overlap graph.  When the sets do not cover all
+    ambient variables (``spec.covers_variables`` is false) it describes only
+    the restriction to the ones they cover."""
     edges = []
     for k in range(1, spec.t + 1):
         for l in range(k + 1, spec.t + 1):

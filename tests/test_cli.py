@@ -37,8 +37,9 @@ SOC_JSON_PINS = {
         '{"agreement": true, "command": "soc", "family": "{\\"type\\": \\"lp\\", '
         '\\"alpha\\": [1, 3], \\"beta\\": [4, 5], \\"n\\": 5}", "input": "[x1*x3, '
         'x1*x4, x1*x5, x2*x3, x2*x4, x2*x5, x3^2, x3*x4, x3*x5, x4^2, x4*x5] n=5", '
-        '"intersection_graph": {"components": 1, "connected": true, "edges": [[1, '
-        '2]], "vertices": 2}, "max_pd": true, "n": 5, "route": "exchange-formula", '
+        '"intersection_graph": {"components": 1, "connected": true, '
+        '"covers_variables": true, "edges": [[1, 2]], "vertices": 2}, '
+        '"max_pd": true, "n": 5, "route": "exchange-formula", '
         '"routes": {"closed-form": {"gens": ["x3", "x4"], "n": 5}, '
         '"colon": {"gens": ["x3", "x4"], "n": 5}, '
         '"exchange-formula": {"gens": ["x3", "x4"], "n": 5}}, '
@@ -52,8 +53,9 @@ SOC_JSON_PINS = {
         '{"agreement": true, "command": "soc", '
         '"family": "{\\"type\\": \\"transversal\\", \\"sets\\": [[1, 3], [2, 4]], '
         '\\"n\\": 4}", "input": "[x1*x2, x1*x4, x2*x3, x3*x4] n=4", '
-        '"intersection_graph": {"components": 2, "connected": false, "edges": [], '
-        '"vertices": 2}, "max_pd": false, "n": 4, "route": "exchange-formula", '
+        '"intersection_graph": {"components": 2, "connected": false, '
+        '"covers_variables": true, "edges": [], "vertices": 2}, '
+        '"max_pd": false, "n": 4, "route": "exchange-formula", '
         '"routes": {"closed-form": {"skipped": "no closed-form socle for family '
         'tag \'transversal\'; use socle_colon"}, '
         '"colon": {"gens": [], "n": 4}, "exchange-formula": {"gens": [], "n": 4}}, '
@@ -207,6 +209,24 @@ class TestSocCommand:
         assert report["socle"]["gens"] == []
         assert report["max_pd"] is False
         assert report["intersection_graph"]["components"] == 2
+
+    def test_partial_cover_is_reported_without_warnings(self, tmp_path, capsys):
+        # the uncovered variable once gave a UserWarning on stderr, twice
+        path = write(tmp_path, "t.txt", "{type:transversal, sets:[[1,2]], n:3}")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["intersection_graph"]["covers_variables"] is False
+
+    def test_power_past_the_product_cap_is_refused(self, tmp_path, capsys):
+        # this once ran past 20 s forming the 2002 x 2002 pairs of the square
+        path = write(
+            tmp_path, "pow.txt",
+            "{type:power, base:{type:veronese, b:[9,9,9,9,9,9], d:9}, k:99}",
+        )
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap: ")
+        assert "1000000 pairs" in err
 
     def test_maximal_ideal(self, tmp_path, capsys):
         path = write(tmp_path, "m.txt", "[x1, x2, x3]")
@@ -659,8 +679,10 @@ class TestUsageAndParsing:
             [sys.executable, "-m", "polyshift.cli", "hs", "--input", path, "--json"],
             capture_output=True,
             text=True,
+            env=child_env(),
+            cwd=tmp_path,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["agreement"] is True
 
 

@@ -33,6 +33,7 @@ from polyshift import (
     realize,
     veronese_shift,
 )
+from polyshift import monomials
 from polyshift.families import EXCHANGE_MODES, plp_windows
 from util import (
     M,
@@ -78,8 +79,9 @@ class TestRealize:
         assert I.num_gens == math.comb(3 + 3 - 1, 3)
         assert gens_set(I) == {str(m) for m in all_monomials(3, 3)}
 
-    def test_infeasible_veronese_warns_and_is_zero(self):
-        with pytest.warns(UserWarning):
+    def test_infeasible_veronese_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert realize(VeroneseSpec((1, 0), 3)).is_zero
 
     def test_product_and_power_specs(self, example_ideal):
@@ -320,16 +322,13 @@ class TestPlpWindows:
             for bounds in itertools.product(range(4), repeat=n):
                 for d in range(7):
                     spec = VeroneseSpec(bounds, d)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        got = realize(spec)
+                    got = realize(spec)
                     reference = bounded_degree_reference(bounds, d, n)
                     assert got == MonomialIdeal(n, reference), spec
                     assert got.gens == tuple(reference), spec
 
     def test_no_variables(self):
-        with pytest.warns(UserWarning, match="cannot reach the requested degree"):
-            assert realize(VeroneseSpec((), 1)).is_zero
+        assert realize(VeroneseSpec((), 1)).is_zero
         assert realize(VeroneseSpec((), 0)).is_unit
         assert ideal("{type:veronese, b:[], d:0}") == MonomialIdeal(0, [Monomial(())])
 
@@ -400,6 +399,13 @@ class TestRandomPolymatroidal:
         )
         outcome = outcome_under_optimize(body, tmp_path)
         assert outcome.startswith("raised family realization is not polymatroidal:")
+
+    def test_draw_past_the_product_cap_is_rejected(self, monkeypatch):
+        # with no product allowed, every draw that needs one is retried
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 0)
+        for seed in range(20):
+            spec, I = random_polymatroidal(seed)
+            assert not isinstance(spec, (ProductSpec, PowerSpec)), spec
 
     def test_budget_validation(self):
         with pytest.raises(FamilySpecError):

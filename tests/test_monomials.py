@@ -9,6 +9,7 @@ from polyshift import (
     DimensionMismatchError,
     Monomial,
     MonomialIdeal,
+    ResourceCapError,
     VariableOrder,
     ZeroIdealError,
     bounding_multidegree,
@@ -21,6 +22,7 @@ from polyshift import (
     support_filter,
     unit_exchange,
 )
+from polyshift import monomials
 from util import M, all_monomials, gens_set, ideal
 
 def equal_degree_pairs():
@@ -180,6 +182,16 @@ class TestIdealProduct:
             ideal_power(trio_ideal, 1), ideal_power(trio_ideal, 2)
         )
         assert ideal_power(trio_ideal, 0).is_unit
+
+    def test_pair_cap(self, monkeypatch):
+        p = minimal_generators([M("x1", 2), M("x2", 2)])
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 4)
+        assert ideal_product(p, p).num_gens == 3
+        assert ideal_power(p, 2).num_gens == 3
+        with pytest.raises(ResourceCapError, match="cap of 4 pairs"):
+            ideal_product(ideal_power(p, 2), p)
+        with pytest.raises(ResourceCapError):
+            ideal_power(p, 3)
 
     def test_commutative_and_associative(self, example_ideal, trio_ideal):
         A = minimal_generators([M("x1*x2", 3), M("x3", 3)])

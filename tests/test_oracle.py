@@ -26,12 +26,14 @@ from polyshift import (
     upper_koszul,
 )
 from polyshift import _kernels
+from polyshift.oracle import LATTICE_CAP, _gen_matrix, _lattice
 from util import (
     M,
     betti_table_reference,
     full_boundary_homology,
     gens_set,
     ideal,
+    lattice_reference,
 )
 
 
@@ -90,6 +92,65 @@ class TestLcmLattice:
         table = betti_table(far)
         assert table.totals() == {0: 2, 1: 1}
         assert table.multidegrees(1) == [Monomial.from_support((1, 2, 70, 71), n)]
+
+
+class TestLatticeClosure:
+    """The one-generator-at-a-time closure against the frontier closure it
+    replaced: the same rows in the same order, and the same cap outcomes."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.data())
+    def test_mixed_degree_equals_reference(self, data):
+        n = data.draw(st.integers(1, 8))
+        assert_lattice_matches_reference(data.draw(distinct_rows(n, 4)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_squarefree_wide_equals_reference(self, data):
+        n = data.draw(st.integers(20, 72))
+        assert_lattice_matches_reference(data.draw(distinct_rows(n, 1)))
+
+    @pytest.mark.parametrize(
+        "I",
+        [MonomialIdeal(3), ideal("[1] n=0"), ideal("[1] n=3")],
+        ids=["zero-ideal", "unit-n0", "unit-n3"],
+    )
+    def test_named_cases(self, I):
+        gens = _gen_matrix(I)
+        assert_lattice_matches_reference(gens)
+        assert _lattice(gens, 1).tolist() == gens.tolist()
+
+
+def distinct_rows(n, top):
+    """Strategy: 1 to 12 distinct int64 rows of n entries in 0..top."""
+    rows = st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=12, unique=True)
+    return rows.map(lambda r: np.array(r, dtype=np.int64))
+
+
+def assert_lattice_matches_reference(gens):
+    """``_lattice`` equals ``lattice_reference`` as an array, and at caps 0,
+    1, size - 1, size and size + 1 both return the same array or raise the
+    same error."""
+    expected = lattice_reference(gens, LATTICE_CAP)
+    got = _lattice(gens, LATTICE_CAP)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    size = len(expected)
+    for cap in sorted({0, 1, size - 1, size, size + 1}):
+        want = lattice_outcome(lattice_reference, gens, cap)
+        have = lattice_outcome(_lattice, gens, cap)
+        if isinstance(want, type):
+            assert have is want, cap
+        else:
+            assert np.array_equal(have, want), cap
+
+
+def lattice_outcome(closure, gens, cap):
+    """The closure's array, or the class of the error it raised."""
+    try:
+        return closure(gens, cap)
+    except (ValueError, ResourceCapError) as exc:
+        return type(exc)
 
 
 def subset_lcms(I):

@@ -239,10 +239,11 @@ class TestIntersectionGraph:
         spec = TransversalSpec((frozenset({1, 2}),), 2)
         assert intersection_graph(spec).is_connected
 
-    def test_warns_on_partial_cover(self):
+    def test_partial_cover_is_a_spec_fact(self):
         spec = TransversalSpec((frozenset({1, 2}),), 3)
-        with pytest.warns(UserWarning):
-            intersection_graph(spec)
+        assert not spec.covers_variables
+        assert intersection_graph(spec).is_connected
+
 
 
 class TestSpanningTreeSocle:

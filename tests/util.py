@@ -22,6 +22,8 @@ from polyshift.oracle import (
     LATTICE_CAP,
     BettiTable,
     SimplicialComplexFrame,
+    _block,
+    _locate,
     default_prime,
     lcm_lattice,
     reduced_homology_ranks,
@@ -83,6 +85,53 @@ def outcome_under_optimize(body: str, cwd) -> str:
     debug, outcome = proc.stdout.splitlines()
     assert debug == "debug False"
     return outcome
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per row holding the row's bytes: exact for every n."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def lattice_reference(gens: np.ndarray, cap: int) -> np.ndarray:
+    """Reference ``_lattice``: a frontier of the newest points meets every
+    generator in blocks, and the rows not yet seen are merged by void-key
+    ``searchsorted`` into a sorted array, then put in descending-lex order.
+    Raises ValueError for a cap below 1 and ResourceCapError when there are
+    more than ``cap`` points (or more than ``cap`` generator rows)."""
+    if cap < 1:
+        raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
+    m, n = gens.shape
+    if m > cap:
+        raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
+    if n == 0:
+        return gens[:1]
+    seen = np.sort(_row_keys(gens))
+    frontier = gens
+    step = _block(m)
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), step):
+            block = frontier[start : start + step]
+            cand = np.maximum(block[:, None, :], gens[None, :, :])
+            cand = cand[(cand != block[:, None, :]).any(axis=2)]
+            keys = _row_keys(cand)
+            order = keys.argsort()
+            keys = keys[order]
+            at, found = _locate(seen, keys)
+            new = ~found
+            new[1:] &= keys[1:] != keys[:-1]
+            if not new.any():
+                continue
+            seen = np.insert(seen, at[new], keys[new])
+            if len(seen) > cap:
+                raise ResourceCapError(
+                    f"lcm lattice exceeds the cap of {cap} points"
+                )
+            fresh.append(cand[order[new]])
+        frontier = np.concatenate(fresh) if fresh else frontier[:0]
+    points = seen.view(np.int64).reshape(-1, n)
+    return points[np.lexsort(points.T[::-1])[::-1]]
 
 
 def full_boundary_homology(frame, prime: int) -> dict[int, int]:
