@@ -423,11 +423,22 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th power by repeated product; the 0th power is the unit ideal."""
+    """k-th power by repeated product; the 0th power is the unit ideal.
+    Raises ResourceCapError, before forming any more, when the products of
+    all the steps together would form more than PRODUCT_CAP generator
+    pairs."""
     if k < 0:
         raise ValueError("negative ideal powers are undefined")
-    result = MonomialIdeal(I.n, [Monomial.unit(I.n)])
-    for _ in range(k):
+    if k == 0:
+        return MonomialIdeal(I.n, [Monomial.unit(I.n)])
+    result, pairs = I, 0
+    for _ in range(k - 1):
+        pairs += result.num_gens * I.num_gens
+        if pairs > PRODUCT_CAP:
+            raise ResourceCapError(
+                f"ideal power {k} of {I.num_gens} generators exceeds the cap "
+                f"of {PRODUCT_CAP} pairs"
+            )
         result = ideal_product(result, I)
     return result
 

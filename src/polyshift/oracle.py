@@ -10,7 +10,15 @@ Both steps work on int64 arrays; a Monomial is made only for a table entry.
 The lattice is built one generator row at a time: that of g_1..g_k is that
 of g_1..g_{k-1}, plus g_k, plus the row-wise maximum of g_k with each of its
 points, sorted and deduplicated, so no lattice array exceeds 2 * cap + 1
-rows.  The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
+rows.  The closure runs on rank-compressed words: coordinate i of a lattice
+point is 0 or some generator's i-th exponent, so it is kept as its rank
+among those k_i values, in a field of max(1, bit_length(k_i - 1)) bits.
+The fields are packed into int64 words of at most 63 bits, variable 1
+highest and none across two words, so the words order the points as their
+exponents do, and each step sorts W words instead of n exponent columns
+(one word on the Veronese tables in five variables, two for 70 squarefree
+variables).  The points are read back into exponents once, at the end.
+The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
 in I} is generated by facets: x^a / x_F lies in I exactly when F is
 contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
 is a full simplex, hence contractible, when one such facet is all of a
@@ -56,6 +64,8 @@ LATTICE_CAP = 50_000
 _BLOCK_ROWS = 4096
 # face bitmasks are int64, so a frame has at most 62 vertices
 _MAX_FRAME_VERTICES = 62
+# bits per packed lattice word: the sign bit of an int64 stays clear
+_WORD_BITS = 63
 
 
 def default_prime() -> int:
@@ -97,25 +107,68 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     The lattice of g_1..g_k is that of g_1..g_{k-1}, plus g_k, plus
     lcm(a, g_k) for each of its points a: every subset lcm holding g_k is
     lcm(lcm(S'), g_k).  So the points are built one generator at a time,
-    never more than 2 * cap + 1 rows at once.  Raises ValueError when
+    never more than 2 * cap + 1 rows at once.
+
+    The closure runs on rank-compressed words.  Every coordinate i of a
+    point is 0 or some generator's i-th exponent, so it is stored as its
+    rank among the k_i sorted distinct values of {0} and the generators'
+    column i, in a field of max(1, bit_length(k_i - 1)) bits.  The fields
+    are packed into int64 words of at most 63 bits, variable 1 highest in
+    word 0 and no field across two words, so the order of the word tuples
+    is the lex order of the rows, and the row-wise maximum is the
+    field-wise maximum of the ranks.  Each step takes that maximum with
+    g_k's ranks, keeps the points it changed, sorts ascending with
+    ``np.lexsort`` over the words and drops adjacent duplicates; at the end
+    the order is reversed and each field read back through its column's
+    value table.  Raises ValueError when
     ``cap`` is below 1 and ResourceCapError exactly when the lattice has
     more than ``cap`` points.
     """
     if cap < 1:
         raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
-    if gens.shape[1] == 0:  # no columns to sort on; at most the unit
+    n = gens.shape[1]
+    if n == 0:  # no columns to sort on; at most the unit
         return gens[:1]
-    points = gens[:0]
-    for g in gens:
-        joins = np.maximum(points, g)
+    rows = np.arange(n)[:, None]
+    column = np.concatenate([np.zeros((n, 1), np.int64), gens.T], axis=1)
+    # the stable sort is the one np.lexsort runs; the default quicksort
+    # maps about 0.25 MB more of numpy into a process that has not used it
+    order = column.argsort(axis=1, kind="stable")
+    values = column[rows, order]  # 0 and column i of gens, sorted, in row i
+    sorted_rank = np.zeros_like(values)
+    np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=sorted_rank[:, 1:])
+    rank = np.empty_like(values)
+    rank[rows, order] = sorted_rank
+    table = np.zeros_like(values)  # table[i, r]: the value of rank r in column i
+    table[rows, sorted_rank] = values
+    widths = [max(1, top.bit_length()) for top in sorted_rank[:, -1].tolist()]
+    word, shift, first, used = [], [], [0], 0
+    for i, width in enumerate(widths):
+        if used + width > _WORD_BITS:
+            first.append(i)  # column i opens a word
+            used = 0
+        used += width
+        word.append(len(first) - 1)
+        shift.append(_WORD_BITS - used)
+    word, shift = np.array(word), np.array(shift)
+    mask = (1 << np.array(widths)) - 1
+    ranks = rank[:, 1:].T
+    packed = np.add.reduceat(ranks << shift, first, axis=1)  # fields are disjoint
+    points = packed[:0]
+    for g, r in zip(packed, ranks):
+        have = (points[:, word] >> shift) & mask
+        lift = (np.maximum(have, r) - have) << shift
         # lcm(a, g) = a whenever g divides a: those are points already
-        joins = joins[(joins != points).any(axis=1)]
+        grown = lift.any(axis=1)
+        joins = points[grown] + np.add.reduceat(lift[grown], first, axis=1)
         points = np.concatenate([points, joins, g[None]])
-        points = points[np.lexsort(-points.T[::-1])]
-        points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
+        points = points[np.lexsort(points.T[::-1])]
+        fresh = np.ones(len(points), dtype=np.bool_)
+        fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
+        points = points[fresh]
         if len(points) > cap:
             raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
-    return points
+    return table[np.arange(n), (points[::-1, word] >> shift) & mask]
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:

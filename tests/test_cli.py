@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ def cycle_doc(n):
 
 
 CYCLE5 = cycle_doc(5)
+WIDE_CYCLE5 = "[x1*x15, x15*x29^2147483647, x29*x43, x43*x57, x57*x1] n=70"
 
 
 def run_cli(argv, capsys):
@@ -92,6 +94,9 @@ HS_JSON_PINS = {
 # sha256 of the exact `betti --json` stdout of the per-frame oracle, before
 # frames were batched and their homology memoized: the 5-cycle, a
 # mixed-degree ideal and a Veronese document (58 generators, 338 entries).
+# The fourth, taken before the lattice was packed into words, spreads a
+# 5-cycle over 70 variables with one exponent at 2^31 - 1: its 70 rank
+# fields need two words.
 BETTI_JSON_PINS = {
     CYCLE5:
         "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",
@@ -99,6 +104,8 @@ BETTI_JSON_PINS = {
         "8b9a7940af6304dc332a624b8390d2928939e89c9136fb7e67fb767abe2dee90",
     "{type:veronese, b:[2, 3, 4, 3, 2], d:4}":
         "eb47911c6bdf5392ef456183e4a1d3629208d1a4f125202a30c981d06072d08f",
+    WIDE_CYCLE5:
+        "405bca76a31d37ddabdf1ab05af5a884d843dfd7d8bb80a5f4ae8a793e0fa526",
 }
 
 
@@ -226,6 +233,20 @@ class TestSocCommand:
         code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("resource cap: ")
+        assert "1000000 pairs" in err
+
+    def test_long_power_past_the_product_cap_is_refused(self, tmp_path, capsys):
+        # each square of this power stays under the cap, but the 20000 steps
+        # together form about 4 * 10^8 pairs; this once ran past 8 s unrefused
+        path = write(
+            tmp_path, "pow.txt",
+            "{type:power, base:{type:veronese, b:[9,9], d:1}, k:20000}",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 20
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap: ideal power 20000 of 2 generators")
         assert "1000000 pairs" in err
 
     def test_maximal_ideal(self, tmp_path, capsys):
@@ -439,7 +460,9 @@ class TestCheckCommand:
 
 class TestBettiCommand:
     @pytest.mark.parametrize(
-        "text", list(BETTI_JSON_PINS), ids=["cycle5", "mixed-degree", "veronese"]
+        "text",
+        list(BETTI_JSON_PINS),
+        ids=["cycle5", "mixed-degree", "veronese", "wide-cycle5"],
     )
     def test_json_bytes_pinned(self, text, tmp_path, capsys):
         path = write(tmp_path, "in.txt", text)

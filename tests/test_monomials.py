@@ -193,6 +193,28 @@ class TestIdealProduct:
         with pytest.raises(ResourceCapError):
             ideal_power(p, 3)
 
+    def test_power_cap_counts_every_step(self, monkeypatch):
+        # p^s has s + 1 generators, so p^3 forms 2*2 + 3*2 = 10 pairs and p^4 18
+        p = minimal_generators([M("x1", 2), M("x2", 2)])
+        products = []
+
+        def counted(left, right):
+            products.append(left.num_gens * right.num_gens)
+            return ideal_product(left, right)
+
+        monkeypatch.setattr(monomials, "ideal_product", counted)
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 10)
+        assert ideal_power(p, 3).num_gens == 4
+        assert products == [4, 6]
+        products.clear()
+        with pytest.raises(ResourceCapError, match="ideal power 4 of 2 generators"):
+            ideal_power(p, 4)
+        assert products == [4, 6]  # refused before the third product
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 9)
+        with pytest.raises(ResourceCapError, match="cap of 9 pairs"):
+            ideal_power(p, 3)
+        assert ideal_power(p, 1) == p and ideal_power(p, 0).is_unit
+
     def test_commutative_and_associative(self, example_ideal, trio_ideal):
         A = minimal_generators([M("x1*x2", 3), M("x3", 3)])
         B = minimal_generators([M("x2^2", 3), M("x1*x3", 3)])

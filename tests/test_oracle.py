@@ -110,6 +110,55 @@ class TestLatticeClosure:
         n = data.draw(st.integers(20, 72))
         assert_lattice_matches_reference(data.draw(distinct_rows(n, 1)))
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_huge_exponents_equal_reference(self, data):
+        # tiny, near-limit and arbitrary exponents share columns, so ranks
+        # stand for values that differ by up to 2^31 - 1
+        n = data.draw(st.integers(1, 6))
+        value = st.one_of(
+            st.integers(0, 3),
+            st.integers(EXPONENT_TOP - 3, EXPONENT_TOP),
+            st.integers(0, EXPONENT_TOP),
+        )
+        assert_lattice_matches_reference(data.draw(rows_from([value] * n)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_zero_and_single_value_columns_equal_reference(self, data):
+        n = data.draw(st.integers(1, 10))
+        column = st.one_of(
+            st.just(st.just(0)),
+            st.integers(1, EXPONENT_TOP).map(st.just),
+            st.just(st.integers(0, 4)),
+        )
+        columns = data.draw(st.lists(column, min_size=n, max_size=n))
+        assert_lattice_matches_reference(data.draw(rows_from(columns)))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_multiword_equals_reference(self, data):
+        # more than 63 bits of fields, so they fill a word and spill into
+        # the next; with fields of at most 4 bits the first ends in its
+        # last 4 bits
+        n = data.draw(st.integers(16, 40))
+        pool = st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True)
+        columns = [st.sampled_from(v) for v in data.draw(st.lists(pool, min_size=n, max_size=n))]
+        gens = data.draw(rows_from(columns, min_size=8).filter(needs_two_words))
+        assert_lattice_matches_reference(gens)
+
+    @pytest.mark.parametrize(
+        "widths",
+        [[3] * 21 + [1], [3] * 20 + [2, 3], [1] * 62 + [2], [4] + [1] * 64],
+        ids=["ends-at-63", "ends-at-62", "ends-at-62-ones", "ones-past-63"],
+    )
+    def test_fields_at_the_word_boundary(self, widths):
+        # column i of row j is j mod 2^w_i: 2^w_i values, so a w_i-bit field
+        rows = [[j % (1 << w) for w in widths] for j in range(1 << max(widths))]
+        gens = np.array(rows, dtype=np.int64)
+        assert_lattice_matches_reference(gens)
+        assert_lattice_matches_reference(gens * EXPONENT_TOP // gens.max())
+
     @pytest.mark.parametrize(
         "I",
         [MonomialIdeal(3), ideal("[1] n=0"), ideal("[1] n=3")],
@@ -121,10 +170,25 @@ class TestLatticeClosure:
         assert _lattice(gens, 1).tolist() == gens.tolist()
 
 
+EXPONENT_TOP = 2**31 - 1
+
+
 def distinct_rows(n, top):
     """Strategy: 1 to 12 distinct int64 rows of n entries in 0..top."""
-    rows = st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=12, unique=True)
+    return rows_from([st.integers(0, top)] * n)
+
+
+def rows_from(columns, min_size=1):
+    """Strategy: min_size to 12 distinct int64 rows, entry i from columns[i]."""
+    rows = st.lists(st.tuples(*columns), min_size=min_size, max_size=12, unique=True)
     return rows.map(lambda r: np.array(r, dtype=np.int64))
+
+
+def needs_two_words(gens):
+    """Whether the columns' rank fields, max(1, bit_length(k - 1)) bits for
+    the k distinct values of 0 and the column, hold more than 63 bits."""
+    widths = [max(1, (len(set(c) | {0}) - 1).bit_length()) for c in gens.T.tolist()]
+    return sum(widths) > 63
 
 
 def assert_lattice_matches_reference(gens):
