@@ -4,12 +4,12 @@ The homology oracle calls :func:`rank_mod_p` for boundary-matrix
 elimination.  It takes each frame's homology relative to the star of a
 vertex, and only once per distinct face set in a table, so the matrices are
 small (at most 36 rows on cycle edge ideals) and many frames need none.
-In-process on one vCPU of a shared 2-core Xeon VM, the 23 Veronese-type
-tables of the betti-veronese benchmark (seed 1) take 0.16 s: 0.07 s in the
-lcm-lattice closure, 0.05 s in the frames' face sets, 0.015 s in the
-full-simplex test and well under 0.01 s in homology, with no call here.
-The 10- and 11-cycle tables take 0.036 s, 0.028 s of it in homology and
-0.012 s of that in these ranks.
+In-process on one vCPU of a shared 2-core Xeon VM (fastest of five runs),
+the 23 Veronese-type tables of the betti-veronese benchmark (seed 1) take
+0.22 s: 0.10 s in the lcm-lattice closure, 0.07 s in the frames' face
+sets, 0.02 s in the full-simplex test and under 0.01 s in homology, with
+no call here.  The 10- and 11-cycle tables take 0.05 s, 0.04 s of it in
+homology and 0.016 s of that in these ranks.
 :func:`contains_mask` (does any generator divide each of a batch of
 monomials) has no caller in the package since the oracle builds its frames
 from facet masks.

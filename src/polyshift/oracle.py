@@ -10,14 +10,15 @@ Both steps work on int64 arrays; a Monomial is made only for a table entry.
 The lattice is built one generator row at a time: that of g_1..g_k is that
 of g_1..g_{k-1}, plus g_k, plus the row-wise maximum of g_k with each of its
 points, sorted and deduplicated, so no lattice array exceeds 2 * cap + 1
-rows.  The closure runs on rank-compressed words: coordinate i of a lattice
-point is 0 or some generator's i-th exponent, so it is kept as its rank
-among those k_i values, in a field of max(1, bit_length(k_i - 1)) bits.
-The fields are packed into int64 words of at most 63 bits, variable 1
-highest and none across two words, so the words order the points as their
-exponents do, and each step sorts W words instead of n exponent columns
-(one word on the Veronese tables in five variables, two for 70 squarefree
-variables).  The points are read back into exponents once, at the end.
+rows.  The closure runs on packed words: coordinate i of a lattice point
+is at most the largest i-th exponent of a generator, so it takes a field of
+that exponent's bit length (at least 1, at most 31).  The fields are packed
+into int64 words of at most 63 bits, variable 1 highest and none across two
+words, so the words order the points as their exponents do, and each step
+sorts W words instead of n exponent columns (one word on the Veronese
+tables in five variables and on the 10- and 11-cycles, two for 70
+squarefree variables).  The points are read back into exponents once, at
+the end.
 The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
 in I} is generated by facets: x^a / x_F lies in I exactly when F is
 contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
@@ -109,39 +110,24 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     lcm(lcm(S'), g_k).  So the points are built one generator at a time,
     never more than 2 * cap + 1 rows at once.
 
-    The closure runs on rank-compressed words.  Every coordinate i of a
-    point is 0 or some generator's i-th exponent, so it is stored as its
-    rank among the k_i sorted distinct values of {0} and the generators'
-    column i, in a field of max(1, bit_length(k_i - 1)) bits.  The fields
-    are packed into int64 words of at most 63 bits, variable 1 highest in
-    word 0 and no field across two words, so the order of the word tuples
-    is the lex order of the rows, and the row-wise maximum is the
-    field-wise maximum of the ranks.  Each step takes that maximum with
-    g_k's ranks, keeps the points it changed, sorts ascending with
-    ``np.lexsort`` over the words and drops adjacent duplicates; at the end
-    the order is reversed and each field read back through its column's
-    value table.  Raises ValueError when
-    ``cap`` is below 1 and ResourceCapError exactly when the lattice has
-    more than ``cap`` points.
+    The closure runs on packed words.  Coordinate i of a point is at most
+    the largest i-th exponent e_i of a generator, so it fits in a field of
+    max(1, bit_length(e_i)) bits, at most 31 for exponents below 2^31.
+    The fields are packed into int64 words of at most 63 bits,
+    variable 1 highest in word 0 and no field across two words, so the
+    order of the word tuples is the lex order of the rows.  Each step
+    takes the field-wise maximum with g_k, keeps the points it changed,
+    sorts ascending with ``np.lexsort`` over the words and drops adjacent
+    duplicates; at the end the order is reversed and the fields read back
+    as exponents.  Raises ValueError when ``cap`` is below 1 and
+    ResourceCapError exactly when the lattice has more than ``cap`` points.
     """
     if cap < 1:
         raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
     n = gens.shape[1]
     if n == 0:  # no columns to sort on; at most the unit
         return gens[:1]
-    rows = np.arange(n)[:, None]
-    column = np.concatenate([np.zeros((n, 1), np.int64), gens.T], axis=1)
-    # the stable sort is the one np.lexsort runs; the default quicksort
-    # maps about 0.25 MB more of numpy into a process that has not used it
-    order = column.argsort(axis=1, kind="stable")
-    values = column[rows, order]  # 0 and column i of gens, sorted, in row i
-    sorted_rank = np.zeros_like(values)
-    np.cumsum(values[:, 1:] != values[:, :-1], axis=1, out=sorted_rank[:, 1:])
-    rank = np.empty_like(values)
-    rank[rows, order] = sorted_rank
-    table = np.zeros_like(values)  # table[i, r]: the value of rank r in column i
-    table[rows, sorted_rank] = values
-    widths = [max(1, top.bit_length()) for top in sorted_rank[:, -1].tolist()]
+    widths = [max(1, top.bit_length()) for top in gens.max(axis=0, initial=0).tolist()]
     word, shift, first, used = [], [], [0], 0
     for i, width in enumerate(widths):
         if used + width > _WORD_BITS:
@@ -152,12 +138,11 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
         shift.append(_WORD_BITS - used)
     word, shift = np.array(word), np.array(shift)
     mask = (1 << np.array(widths)) - 1
-    ranks = rank[:, 1:].T
-    packed = np.add.reduceat(ranks << shift, first, axis=1)  # fields are disjoint
+    packed = np.add.reduceat(gens << shift, first, axis=1)  # fields are disjoint
     points = packed[:0]
-    for g, r in zip(packed, ranks):
+    for g, e in zip(packed, gens):
         have = (points[:, word] >> shift) & mask
-        lift = (np.maximum(have, r) - have) << shift
+        lift = (np.maximum(have, e) - have) << shift
         # lcm(a, g) = a whenever g divides a: those are points already
         grown = lift.any(axis=1)
         joins = points[grown] + np.add.reduceat(lift[grown], first, axis=1)
@@ -168,7 +153,7 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
         points = points[fresh]
         if len(points) > cap:
             raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
-    return table[np.arange(n), (points[::-1, word] >> shift) & mask]
+    return (points[::-1, word] >> shift) & mask
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:

@@ -95,8 +95,8 @@ HS_JSON_PINS = {
 # frames were batched and their homology memoized: the 5-cycle, a
 # mixed-degree ideal and a Veronese document (58 generators, 338 entries).
 # The fourth, taken before the lattice was packed into words, spreads a
-# 5-cycle over 70 variables with one exponent at 2^31 - 1: its 70 rank
-# fields need two words.
+# 5-cycle over 70 variables with one exponent at 2^31 - 1: its 70 fields,
+# one of 31 bits, need two words.
 BETTI_JSON_PINS = {
     CYCLE5:
         "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",

@@ -113,8 +113,8 @@ class TestLatticeClosure:
     @settings(deadline=None, max_examples=40)
     @given(st.data())
     def test_huge_exponents_equal_reference(self, data):
-        # tiny, near-limit and arbitrary exponents share columns, so ranks
-        # stand for values that differ by up to 2^31 - 1
+        # tiny, near-limit and arbitrary exponents share columns, so fields
+        # of up to 31 bits sit two to a word
         n = data.draw(st.integers(1, 6))
         value = st.one_of(
             st.integers(0, 3),
@@ -139,8 +139,8 @@ class TestLatticeClosure:
     @given(st.data())
     def test_multiword_equals_reference(self, data):
         # more than 63 bits of fields, so they fill a word and spill into
-        # the next; with fields of at most 4 bits the first ends in its
-        # last 4 bits
+        # the next; with fields of at most 6 bits the first ends in its
+        # last 6 bits
         n = data.draw(st.integers(16, 40))
         pool = st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True)
         columns = [st.sampled_from(v) for v in data.draw(st.lists(pool, min_size=n, max_size=n))]
@@ -153,7 +153,8 @@ class TestLatticeClosure:
         ids=["ends-at-63", "ends-at-62", "ends-at-62-ones", "ones-past-63"],
     )
     def test_fields_at_the_word_boundary(self, widths):
-        # column i of row j is j mod 2^w_i: 2^w_i values, so a w_i-bit field
+        # column i of row j is j mod 2^w_i, at most 2^w_i - 1: a w_i-bit
+        # field; scaled to the exponent limit, the fields take 30-31 bits
         rows = [[j % (1 << w) for w in widths] for j in range(1 << max(widths))]
         gens = np.array(rows, dtype=np.int64)
         assert_lattice_matches_reference(gens)
@@ -185,9 +186,9 @@ def rows_from(columns, min_size=1):
 
 
 def needs_two_words(gens):
-    """Whether the columns' rank fields, max(1, bit_length(k - 1)) bits for
-    the k distinct values of 0 and the column, hold more than 63 bits."""
-    widths = [max(1, (len(set(c) | {0}) - 1).bit_length()) for c in gens.T.tolist()]
+    """Whether the columns' fields, max(1, bit_length(e)) bits for the
+    largest entry e of the column, hold more than 63 bits."""
+    widths = [max(1, max(c).bit_length()) for c in gens.T.tolist()]
     return sum(widths) > 63
 
 
