@@ -21,8 +21,10 @@ from typing import Iterable, Optional, Union
 
 from .errors import FamilySpecError, ResourceCapError, ZeroIdealError
 from .monomials import (
+    GENERATOR_CAP,
     Monomial,
     MonomialIdeal,
+    coordinate_bitsets,
     ideal_power,
     ideal_product,
     support_filter,
@@ -262,7 +264,8 @@ def windowed_monomials(
     """Exponent vectors with lower <= c <= upper and prefix sums inside the
     [alpha_i, beta_i] windows.  Tolerates infeasible (negative / crossing)
     parameters by returning the empty list, which the socle closed forms rely
-    on."""
+    on.  Raises ResourceCapError once it forms more than GENERATOR_CAP
+    vectors."""
     lower = list(lower)
     upper = list(upper)
     alpha = list(alpha)
@@ -277,6 +280,10 @@ def windowed_monomials(
 
     def rec(i: int, total: int):
         if i == n:
+            if len(out) == GENERATOR_CAP:
+                raise ResourceCapError(
+                    f"windowed realization exceeds the cap of {GENERATOR_CAP} generators"
+                )
             out.append(Monomial(tuple(prefix)))
             return
         lo = max(lower[i], alpha[i] - total)
@@ -363,7 +370,9 @@ def borel_closure(gens: Iterable[Monomial], n: Optional[int] = None) -> Monomial
     """Smallest strongly stable ideal containing the generators.
 
     Closure under the moves x_j * (u / x_i) for j < i, i in supp(u), followed
-    by minimalization.
+    by minimalization.  Raises ResourceCapError once the closure forms more
+    than GENERATOR_CAP distinct monomials; a monomial counts when it is
+    queued, so the queue never holds more than that.
     """
     gens = list(gens)
     if not gens:
@@ -371,17 +380,26 @@ def borel_closure(gens: Iterable[Monomial], n: Optional[int] = None) -> Monomial
     if n is None:
         n = gens[0].n
     seen: set[tuple[int, ...]] = set()
-    queue = list(gens)
+    queue: list[Monomial] = []
+
+    def push(u: Monomial) -> None:
+        if u.exponents not in seen:
+            if len(seen) == GENERATOR_CAP:
+                raise ResourceCapError(
+                    f"borel closure exceeds the cap of {GENERATOR_CAP} generators"
+                )
+            seen.add(u.exponents)
+            queue.append(u)
+
+    for u in gens:
+        push(u)
     collected: list[Monomial] = []
     while queue:
         u = queue.pop()
-        if u.exponents in seen:
-            continue
-        seen.add(u.exponents)
         collected.append(u)
         for i in u.support:
             for j in range(1, i):
-                queue.append(u.exchange(j, i))
+                push(u.exchange(j, i))
     return MonomialIdeal(n, collected)
 
 
@@ -469,30 +487,14 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
         return ExchangeResult(True)
     gset = I.exponent_set
     exps = [g.exponents for g in gens]
-    m = len(exps)
-    everyone = (1 << m) - 1
-    # (k, {t: (v with v_k < t, v with v_k > t)}) for each coordinate k on
-    # which the generators differ; on the others no v is below or above u
-    tables = []
-    for k, column in enumerate(zip(*exps)):
-        if column.count(column[0]) == m:
-            continue
-        at: dict[int, int] = {}
-        bit = 1
-        for t in column:
-            at[t] = at.get(t, 0) | bit
-            bit <<= 1
-        below = 0
-        table = {}
-        for t in sorted(at):
-            table[t] = (below, everyone ^ (below | at[t]))
-            below |= at[t]
-        tables.append((k, table))
+    # the coordinates on which the generators differ; on the others no v is
+    # below or above u
+    tables = [(k, t) for k, t in enumerate(coordinate_bitsets(exps)) if len(t) > 1]
     for u, ue in zip(gens, exps):
         ups = []  # (i, the v with v_i < u_i), ascending in i
         downs = []  # (j, the v with v_j > u_j), ascending in j
         for k, table in tables:
-            lower, higher = table[ue[k]]
+            lower, _, higher = table[ue[k]]
             if lower:
                 ups.append((k, lower))
             if higher:

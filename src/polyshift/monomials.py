@@ -25,6 +25,8 @@ from .errors import (
 _EXPONENT_LIMIT = 2**31
 # generator pairs one ideal product may form
 PRODUCT_CAP = 1_000_000
+# distinct generators one family realization may form
+GENERATOR_CAP = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,10 +94,6 @@ class Monomial:
     @property
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        _check_same_ring(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_same_ring(self, other)
@@ -209,6 +207,25 @@ def unit_exchange(u: Monomial, v: Monomial) -> Optional[tuple[int, int]]:
     if k and l:
         return (k, l)
     return None
+
+
+def coordinate_bitsets(rows: Sequence[tuple[int, ...]]) -> list[dict]:
+    """Per coordinate, a map from each value t that occurs there to three
+    bitsets over the rows, row r being bit r: (the rows below t, the rows at
+    t, the rows above t).  The three partition the rows."""
+    everyone = (1 << len(rows)) - 1
+    tables = []
+    for column in zip(*rows):
+        at: dict[int, int] = {}
+        for r, t in enumerate(column):
+            at[t] = at.get(t, 0) | 1 << r
+        below = 0
+        table = {}
+        for t in sorted(at):
+            table[t] = (below, at[t], everyone ^ below ^ at[t])
+            below |= at[t]
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True, slots=True)

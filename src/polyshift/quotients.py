@@ -12,9 +12,11 @@ exponent exceeds that of u_k.  Variable x_i generates the colon exactly
 when some generator of A_i exceeds u_k by one in coordinate i and lies in
 no other A_l, that is, its colon contribution is x_i alone; the step fails
 at the earliest generator outside the union of the A_i of those variables.
-With a table from exponent values to bitsets per coordinate, a step costs
-O(n) big-int operations (times the number of distinct exponents in a
-coordinate), so an order costs O(m n) of them.
+The rows above and at each exponent value come from one table per order
+or search, :func:`~polyshift.monomials.coordinate_bitsets`, masked by the
+earlier positions.  The table takes O(m n) dictionary updates and a sort
+of each coordinate's distinct values; a step then costs O(n) lookups and
+big-int operations, so an order costs O(m n) of them.
 
 Three independent computation routes live here:
 
@@ -42,6 +44,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
+    coordinate_bitsets,
     lcm_many,
     x_of,
 )
@@ -129,42 +132,32 @@ class AdmissibleOrderFailure:
 CertifyResult = Union[QuotientCertificate, AdmissibleOrderFailure]
 
 
-def _colon_step(columns: list[dict[int, int]], u: tuple[int, ...], prefix: int):
+def _colon_step(table: list[dict], u: tuple[int, ...], prefix: int):
     """One colon step by bitsets over the earlier positions ``prefix``.
 
-    ``columns[i]`` maps each exponent value to the bitset of the earlier
-    positions with that i-th exponent.  From it come A_i, the earlier
-    generators whose i-th exponent exceeds u_i; those in exactly one A_i
+    ``table`` is :func:`~polyshift.monomials.coordinate_bitsets` of rows that
+    include ``u``.  A_i, the earlier generators whose i-th exponent exceeds
+    u_i, is the rows above u_i masked by ``prefix``; those in exactly one A_i
     contribute a single variable to the colon, and x_i is a colon variable
-    when one of them has i-th exponent u_i + 1.  Returns the 1-based colon
-    variables and the earlier positions they do not cover; the step is
-    admissible when that bitset is empty.
+    when one of them is at u_i + 1.  Returns the 1-based colon variables and
+    the earlier positions they do not cover; the step is admissible when
+    that bitset is empty.
     """
     above = []
     once = twice = 0
-    for col, e in zip(columns, u):
-        a = 0
-        for t, bits in col.items():
-            if t > e:
-                a |= bits
+    for col, e in zip(table, u):
+        a = col[e][2] & prefix
         above.append(a)
         twice |= once & a
         once |= a
     alone = once & ~twice
     members = []
     covered = 0
-    for i, (col, e) in enumerate(zip(columns, u)):
-        if col.get(e + 1, 0) & alone:
+    for i, (col, e) in enumerate(zip(table, u)):
+        if col.get(e + 1, (0, 0, 0))[1] & alone:
             members.append(i + 1)
             covered |= above[i]
     return tuple(members), prefix & ~covered
-
-
-def _flip(columns: list[dict[int, int]], u: tuple[int, ...], bit: int) -> None:
-    """Add the position ``bit`` with exponents ``u`` to the columns of
-    :func:`_colon_step`, or remove it if it is there."""
-    for col, e in zip(columns, u):
-        col[e] = col.get(e, 0) ^ bit
 
 
 def certify_order(I: MonomialIdeal, order: Sequence[int]) -> CertifyResult:
@@ -174,10 +167,10 @@ def certify_order(I: MonomialIdeal, order: Sequence[int]) -> CertifyResult:
     certificate is returned; on failure, the first offending step, with the
     earliest generator whose colon contribution is not spanned as witness.
 
-    Each step is one :func:`_colon_step` over bitsets of the earlier order
-    positions, kept per coordinate and exponent value and grown as the order
-    is read, so an order costs O(m n) big-int operations and a failing order
-    stops at its first bad step.
+    The table of :func:`~polyshift.monomials.coordinate_bitsets` is built
+    once over the generators in order position, and step k is one
+    :func:`_colon_step` masked to the k earlier positions, so an order costs
+    O(m n) big-int operations and the steps stop at the first bad one.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no admissible orders")
@@ -186,19 +179,15 @@ def certify_order(I: MonomialIdeal, order: Sequence[int]) -> CertifyResult:
     if sorted(order) != list(range(m)):
         raise ValueError(f"order must be a permutation of 0..{m - 1}")
     gens = I.gens
-    # columns[i][t]: bitset of the positions so far whose i-th exponent is t
-    columns: list[dict[int, int]] = [{} for _ in range(I.n)]
-    _flip(columns, gens[order[0]].exponents, 1)
+    rows = [gens[g].exponents for g in order]
+    table = coordinate_bitsets(rows)
     colon_vars: list[tuple[int, ...]] = [()]
     for k in range(1, m):
-        g = order[k]
-        uk = gens[g].exponents
-        members, uncovered = _colon_step(columns, uk, (1 << k) - 1)
+        members, uncovered = _colon_step(table, rows[k], (1 << k) - 1)
         if uncovered:
             j = (uncovered & -uncovered).bit_length() - 1
-            return AdmissibleOrderFailure(k + 1, gens[g], gens[order[j]])
+            return AdmissibleOrderFailure(k + 1, gens[order[k]], gens[order[j]])
         colon_vars.append(members)
-        _flip(columns, uk, 1 << k)
     return QuotientCertificate(I, order, tuple(colon_vars))
 
 
@@ -244,8 +233,8 @@ def find_admissible_order(
     "inconclusive" instead.
 
     The backtracking tests each extension by the bitset step of
-    :func:`certify_order`, over bitsets of generator indices that follow the
-    prefix as it grows and shrinks, so a node costs O(n) big-int operations.
+    :func:`certify_order`, over one table of the generators masked by the
+    generators in the prefix, so a node costs O(n) big-int operations.
     """
     if I.is_zero:
         raise ZeroIdealError("the zero ideal has no admissible orders")
@@ -257,8 +246,7 @@ def find_admissible_order(
             if isinstance(result, QuotientCertificate):
                 return OrderSearch("certified", result)
     gens = [g.exponents for g in I.gens]
-    # columns[i][t]: bitset of the generators in the prefix with i-th exponent t
-    columns: list[dict[int, int]] = [{} for _ in range(n)]
+    table = coordinate_bitsets(gens)
     dead: set[int] = set()
     nodes = 0
 
@@ -274,15 +262,13 @@ def find_admissible_order(
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetExceeded
-            _, uncovered = _colon_step(columns, gens[c], used)
+            _, uncovered = _colon_step(table, gens[c], used)
             if not uncovered:
-                _flip(columns, gens[c], 1 << c)
                 prefix.append(c)
                 found = extend(prefix, used | 1 << c)
                 if found is not None:
                     return found
                 prefix.pop()
-                _flip(columns, gens[c], 1 << c)
         dead.add(used)
         return None
 

@@ -176,8 +176,14 @@ def _parse_generator_list(
 # ---------------------------------------------------------------------------
 
 
-def _scan_value(sc: _Scanner) -> Any:
+# objects and lists nest at most this deep in a family document
+NESTING_LIMIT = 100
+
+
+def _scan_value(sc: _Scanner, depth: int = 0) -> Any:
     ch = sc.peek()
+    if (ch == "{" or ch == "[") and depth == NESTING_LIMIT:
+        raise sc.error(f"family document nests deeper than {NESTING_LIMIT} levels")
     if ch == "{":
         sc.pos += 1
         obj: dict[str, Any] = {}
@@ -190,7 +196,7 @@ def _scan_value(sc: _Scanner) -> Any:
             else:
                 key = sc.word()
             sc.expect(":")
-            obj[key] = _scan_value(sc)
+            obj[key] = _scan_value(sc, depth + 1)
             if sc.try_consume("}"):
                 return obj
             sc.expect(",")
@@ -200,7 +206,7 @@ def _scan_value(sc: _Scanner) -> Any:
         if sc.try_consume("]"):
             return items
         while True:
-            items.append(_scan_value(sc))
+            items.append(_scan_value(sc, depth + 1))
             if sc.try_consume("]"):
                 return items
             sc.expect(",")

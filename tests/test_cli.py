@@ -109,6 +109,75 @@ BETTI_JSON_PINS = {
 }
 
 
+# sha256 of the exact `check --property P --json` stdout for every property,
+# taken before the colon steps and exchange checks shared one bitset table:
+# the README LP example, the trio counterexample, the 5-cycle (the search
+# ends in "none"), a mixed-degree ideal, and an ideal no lex order certifies
+# whose admissible order the search finds only after backtracking.
+CHECK_JSON_PINS = {
+    "{type:lp, alpha:[1,3], beta:[4,5]}": {
+        "polymatroidal":
+            "73608e941b24032eb45a01a29b6d1bdf96b1551a3690a715f74ee20ca264d0e2",
+        "strong-exchange":
+            "6fc0aa7258d2892c5342802c63ba37b05c49a11240ce7e968911b8524a577af2",
+        "matroidal":
+            "87f46ea673e878fb6f4026ebbe716481a1269a375b7b239269f4329389cb20cb",
+        "strongly-stable":
+            "5092705349dd3a405d1899e91a44843de8111134e3daa7c9ff2b6a9b91622b96",
+        "linear-quotients":
+            "fc50c6b6bc502cc03566a20f3893874dffa446f564930fdd9a8bbf647aeee3f2",
+    },
+    "[x2*x4, x1*x2, x1*x3]": {
+        "polymatroidal":
+            "822879f12f4575f131e92dbfafaa617449fbb69af0bb4375432b70ce9e24bb91",
+        "strong-exchange":
+            "7cabef83761759eecaabb723e93c1c3c85cfad06d9eb0831c5bb48ecf2411a87",
+        "matroidal":
+            "28c2558ed2b41a8db35493d9ccfdb547411e2e523636148284393560095fdf73",
+        "strongly-stable":
+            "09a32af5663d1c5753f6df51d88c2bb1ee29019be26f578ff45cce9427d231ce",
+        "linear-quotients":
+            "8f159fd0f096f5e42388766b0f2da7914f13618f422c13bbac1bac5d23fb5898",
+    },
+    CYCLE5: {
+        "polymatroidal":
+            "2f8c0003c294c0e1d216cb4562ffdb59eb7140e957cb2ba8702fd90c81d94ad1",
+        "strong-exchange":
+            "727efd79e212174c27bece3146dde3b8d912a64f051c292737ac79d578e62665",
+        "matroidal":
+            "fab8b527fc9c7de7761c6af767d4e2c9ee7ed47c13f9cd41dd9e61da2c9271e9",
+        "strongly-stable":
+            "f938021a61d38ac961f466b592da8a711bc5addb8f0cbdb7391b489c22e36abb",
+        "linear-quotients":
+            "6095777108790eab1079dd763c8197b27e78a96dc2c17154b61c456f2430dd52",
+    },
+    "[x1^2, x1*x2, x2^3, x2^2*x3] n=3": {
+        "polymatroidal":
+            "df351ef51af5b9c59c6ef22765012897a11439efc7228bfa054ec529a65472b9",
+        "strong-exchange":
+            "e5576296d84f57d58747799418bf4b7fb9943b16f149cbf1e24b5af9996ede58",
+        "matroidal":
+            "81dba8c78687e0a8369a1bfcb66e4670b4c73c6ac4ee63a38fbf538faa7096ea",
+        "strongly-stable":
+            "b6dbc312ebde298a1e28108685b92b19eee23ee7dd9c31bc629e5d88f5d5aa14",
+        "linear-quotients":
+            "b750e4c4367263d776cd29c19bce947785b9d6e66af6b3c24832be6d19ad0339",
+    },
+    "[x1^2*x2^2, x1^2*x3^2, x2*x3]": {
+        "polymatroidal":
+            "970321cf5378d586f24d40bb5dede163995d6f692f0bfa4b1b6017b777d26c89",
+        "strong-exchange":
+            "2fd02299ebff99c1ba96026ae708fc214ce6548bd0a28bedab94682695c70801",
+        "matroidal":
+            "819a3af215283d4f9bc71249445508a2892a0154a110a415875e1b44c742f059",
+        "strongly-stable":
+            "224152a4ffa5537e33e2df27771ee2e98be5064c4cbf85e26aac0aebd0ece444",
+        "linear-quotients":
+            "e985c50450b8bb8eb52a63275f6cdb49628fcc2920284dbc6e53e7e405e4665e",
+    },
+}
+
+
 class TestHsCommand:
     @pytest.mark.parametrize(
         "text", list(HS_JSON_PINS), ids=["lp", "trio", "cycle5", "mixed-degree"]
@@ -249,6 +318,31 @@ class TestSocCommand:
         assert err.startswith("resource cap: ideal power 20000 of 2 generators")
         assert "1000000 pairs" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{type:borel, gens:[x9^40], n:9}", "borel closure"),
+            (
+                "{type:veronese, b:[40,40,40,40,40,40,40,40,40], d:40}",
+                "windowed realization",
+            ),
+        ],
+        ids=["borel", "veronese"],
+    )
+    def test_realization_past_the_generator_cap_is_refused(
+        self, text, message, tmp_path, capsys
+    ):
+        # each realization has C(48, 8), about 3.8 * 10^8, generators; both
+        # once ran past 10 s unrefused
+        path = write(tmp_path, "big.txt", text)
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 20
+        assert (code, out) == (3, "")
+        assert err == (
+            f"resource cap: {message} exceeds the cap of 100000 generators\n"
+        )
+
     def test_maximal_ideal(self, tmp_path, capsys):
         path = write(tmp_path, "m.txt", "[x1, x2, x3]")
         code, out, _ = run_cli(["soc", "--input", path, "--json"], capsys)
@@ -349,6 +443,20 @@ class TestSocCommand:
 
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("prop", list(CHECK_JSON_PINS[CYCLE5]))
+    @pytest.mark.parametrize(
+        "text",
+        list(CHECK_JSON_PINS),
+        ids=["lp", "trio", "cycle5", "mixed-degree", "backtracking"],
+    )
+    def test_json_bytes_pinned(self, text, prop, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(
+            ["check", "--input", path, "--property", prop, "--json"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_JSON_PINS[text][prop]
+
     def test_strong_exchange_witness(self, tmp_path, capsys):
         path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
         code, out, _ = run_cli(
@@ -680,6 +788,23 @@ class TestUsageAndParsing:
         got, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
         assert (got, out) == (code, "")
         assert err.startswith(message)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["soc", "hs"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{type:power, base:" * 999 + "{type:veronese, b:[1,1], d:1}" + ", k:1}" * 999,
+            "{type:lp, alpha:" + "[" * 1000 + "]" * 1000 + ", beta:[1]}",
+        ],
+        ids=["objects", "lists"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, command, text, tmp_path, capsys):
+        # 1000 levels once ended in a RecursionError traceback
+        path = write(tmp_path, "deep.txt", text)
+        code, out, err = run_cli([command, "--input", path, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error: family document nests deeper than 100 levels")
         assert "Traceback" not in err
 
     def test_unknown_command_is_usage_error(self, capsys):

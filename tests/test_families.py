@@ -15,6 +15,7 @@ from polyshift import (
     PLPSpec,
     PowerSpec,
     ProductSpec,
+    ResourceCapError,
     TransversalSpec,
     VeroneseSpec,
     ZeroIdealError,
@@ -33,7 +34,7 @@ from polyshift import (
     realize,
     veronese_shift,
 )
-from polyshift import monomials
+from polyshift import families, monomials
 from polyshift.families import EXCHANGE_MODES, plp_windows
 from util import (
     M,
@@ -102,6 +103,24 @@ class TestRealize:
         monomial, basic = plp_factor(spec)
         assert basic.is_basic
         assert monomial_multiples(realize(basic), monomial) == realize(spec)
+
+    @pytest.mark.parametrize(
+        "spec, formed",
+        [
+            (VeroneseSpec((2, 2, 2), 3), 7),
+            (BorelSpec((M("x3^2", 3),), 3), 6),
+            # x1, x2^2, x1*x2 and x1^2 are formed; minimalization keeps two
+            (BorelSpec((M("x1", 3), M("x2^2", 3)), 3), 4),
+        ],
+        ids=["veronese", "borel", "borel-non-minimal"],
+    )
+    def test_generator_cap_boundary(self, spec, formed, monkeypatch):
+        expected = realize(spec)
+        monkeypatch.setattr(families, "GENERATOR_CAP", formed)
+        assert realize(spec) == expected
+        monkeypatch.setattr(families, "GENERATOR_CAP", formed - 1)
+        with pytest.raises(ResourceCapError, match=f"cap of {formed - 1} generators"):
+            realize(spec)
 
 
 class TestBorel:

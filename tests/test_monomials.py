@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,32 @@ class TestUnitExchange:
                         assert u == v.exchange(k, l)
                     else:
                         assert ex is None
+
+
+class TestCoordinateBitsets:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=70
+            )
+        )
+    )
+    def test_partitions_the_rows_by_value(self, rows):
+        # 70 rows spill the bitsets past one 64-bit word
+        tables = monomials.coordinate_bitsets(rows)
+        assert len(tables) == len(rows[0])
+        everyone = (1 << len(rows)) - 1
+        for k, table in enumerate(tables):
+            column = [row[k] for row in rows]
+            assert set(table) == set(column)
+            for t, (below, at, above) in table.items():
+                assert (below, at, above) == tuple(
+                    sum(1 << r for r, v in enumerate(column) if relation(v, t))
+                    for relation in (operator.lt, operator.eq, operator.gt)
+                )
+                assert below | at | above == everyone
+                assert not (below & at or below & above or at & above)
 
 
 class TestMinimalGenerators:

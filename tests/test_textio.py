@@ -21,6 +21,7 @@ from polyshift import (
     spec_from_doc,
     spec_to_doc,
 )
+from polyshift.textio import NESTING_LIMIT
 from util import M, gens_set
 
 
@@ -141,6 +142,23 @@ class TestFamilyDocuments:
     def test_bad_field_type(self):
         with pytest.raises(ParseError):
             parse_ideal("{type:lp, alpha:[1, x], beta:[2, 3]}")
+
+    def test_nesting_limit_boundary(self):
+        # powers of powers around a Veronese document whose bound list is
+        # the innermost level: `levels` objects and lists in all
+        def nested(levels):
+            powers = levels - 2
+            return (
+                "{type:power, base:" * powers
+                + "{type:veronese, b:[1,1], d:1}"
+                + ", k:1}" * powers
+            )
+
+        assert parse_ideal(nested(NESTING_LIMIT)).ideal.num_gens == 2
+        with pytest.raises(ParseError, match=f"deeper than {NESTING_LIMIT} levels"):
+            parse_ideal(nested(NESTING_LIMIT + 1))
+        with pytest.raises(ParseError, match=f"deeper than {NESTING_LIMIT} levels"):
+            parse_ideal("{type:lp, alpha:" + "[" * NESTING_LIMIT + "]" * NESTING_LIMIT + "}")
 
 
 class TestVariableOrder:
