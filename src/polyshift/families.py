@@ -8,13 +8,15 @@ windows), LP ideals (products of interval primes), transversal ideals
 generator lists.  Every realized family is polymatroidal, which the random
 generator asserts on each draw.
 
-A Veronese type is the PLP type whose windows ``plp_windows`` reads off its
-bounds, and an LP ideal the transversal ideal ``as_transversal`` reads off its
-intervals; ``realize`` and the socle closed forms go through those two views.
+Veronese, PLP and Borel specs are the union of the prefix-sum windows
+``plp_windows`` reads off them (a Borel spec has one per generator), and an
+LP ideal the transversal ideal ``as_transversal`` reads off its intervals;
+``realize`` and the socle closed forms go through those two views.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
@@ -229,16 +231,25 @@ def as_transversal(spec: FamilySpec) -> Optional[TransversalSpec]:
     return None
 
 
-def plp_windows(
-    spec: FamilySpec,
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """The spec's PLP parameters (lower, upper, alpha, beta), when it has
-    them: a PLP spec's own, or the tight windows of a Veronese type (b, d),
-    which are (0 | b, alpha, d) with alpha_i = max(0, d - b_{i+1} - ... - b_n).
+Window = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    Plain tuples, not a PLPSpec, so no spec validation can fail here."""
+
+def _borel_window(u: Monomial) -> Window:
+    """B(u) is every monomial of degree d = deg u whose prefix sums dominate
+    those of u: the window (0 | d, prefix sums of u, d)."""
+    d, n = u.degree, u.n
+    return (0,) * n, (d,) * n, tuple(itertools.accumulate(u.exponents)), (d,) * n
+
+
+def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
+    """The windows (lower, upper, alpha, beta) whose monomials generate the
+    spec's ideal, when it has them: [own] for a PLP spec, [tight] for a
+    Veronese type (b, d), which is (0 | b, alpha, d) with alpha_i =
+    max(0, d - b_{i+1} - ... - b_n), and one per generator of a Borel spec.
+
+    Plain tuples, not PLPSpecs, so no spec validation can fail here."""
     if isinstance(spec, PLPSpec):
-        return spec.lower, spec.upper, spec.alpha, spec.beta
+        return [(spec.lower, spec.upper, spec.alpha, spec.beta)]
     if isinstance(spec, VeroneseSpec):
         d = spec.degree
         alpha = []
@@ -246,7 +257,9 @@ def plp_windows(
         for b in spec.bounds:
             rest -= b
             alpha.append(max(0, d - rest))
-        return (0,) * spec.n, spec.bounds, tuple(alpha), (d,) * spec.n
+        return [((0,) * spec.n, spec.bounds, tuple(alpha), (d,) * spec.n)]
+    if isinstance(spec, BorelSpec):
+        return [_borel_window(u) for u in spec.generators]
     return None
 
 
@@ -265,7 +278,12 @@ def windowed_monomials(
     [alpha_i, beta_i] windows.  Tolerates infeasible (negative / crossing)
     parameters by returning the empty list, which the socle closed forms rely
     on.  Raises ResourceCapError once it forms more than GENERATOR_CAP
-    vectors."""
+    vectors.
+
+    A backward pass first finds, after each coordinate, the interval of
+    prefix sums from which the later coordinates can still be completed; each
+    coordinate then ranges only over the values that land in the next
+    interval, so no branch dies and the cost follows the output."""
     lower = list(lower)
     upper = list(upper)
     alpha = list(alpha)
@@ -274,6 +292,19 @@ def windowed_monomials(
     if n == 0:
         return [Monomial(())]
     if alpha[-1] != beta[-1]:
+        return []
+    # reach[i]: the prefix sums after i coordinates that can be completed
+    reach = [(alpha[-1], beta[-1])]
+    for i in range(n - 1, -1, -1):
+        lo, hi = reach[-1]
+        lo, hi = lo - upper[i], hi - lower[i]
+        if i:
+            lo, hi = max(lo, alpha[i - 1]), min(hi, beta[i - 1])
+        if lower[i] > upper[i] or lo > hi:
+            return []
+        reach.append((lo, hi))
+    reach.reverse()
+    if not reach[0][0] <= 0 <= reach[0][1]:
         return []
     out: list[Monomial] = []
     prefix: list[int] = []
@@ -286,15 +317,28 @@ def windowed_monomials(
                 )
             out.append(Monomial(tuple(prefix)))
             return
-        lo = max(lower[i], alpha[i] - total)
-        hi = min(upper[i], beta[i] - total)
-        for c in range(hi, lo - 1, -1):
+        lo, hi = reach[i + 1]
+        for c in range(min(upper[i], hi - total), max(lower[i], lo - total) - 1, -1):
             prefix.append(c)
             rec(i + 1, total + c)
             prefix.pop()
 
     rec(0, 0)
     return out
+
+
+def _realize_windows(n: int, windows: Iterable[Window]) -> MonomialIdeal:
+    """The ideal generated by the monomials of all the windows.  Raises
+    ResourceCapError once the windows together form more than GENERATOR_CAP
+    distinct monomials."""
+    formed: set[Monomial] = set()
+    for window in windows:
+        formed.update(windowed_monomials(*window))
+        if len(formed) > GENERATOR_CAP:
+            raise ResourceCapError(
+                f"windowed realization exceeds the cap of {GENERATOR_CAP} generators"
+            )
+    return MonomialIdeal(n, formed)
 
 
 def prime_ideal(indices: Iterable[int], n: int) -> MonomialIdeal:
@@ -310,15 +354,13 @@ def realize(spec: FamilySpec) -> MonomialIdeal:
         return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is not None:
-        return MonomialIdeal(spec.n, windowed_monomials(*windows))
+        return _realize_windows(spec.n, windows)
     tspec = as_transversal(spec)
     if tspec is not None:
         result = prime_ideal(tspec.sets[0], spec.n)
         for A in tspec.sets[1:]:
             result = ideal_product(result, prime_ideal(A, spec.n))
         return result
-    if isinstance(spec, BorelSpec):
-        return borel_closure(spec.generators, spec.n)
     if isinstance(spec, ProductSpec):
         result = realize(spec.factors[0])
         for f in spec.factors[1:]:
@@ -367,40 +409,17 @@ def plp_factor(spec: PLPSpec) -> tuple[Monomial, PLPSpec]:
 
 
 def borel_closure(gens: Iterable[Monomial], n: Optional[int] = None) -> MonomialIdeal:
-    """Smallest strongly stable ideal containing the generators.
-
-    Closure under the moves x_j * (u / x_i) for j < i, i in supp(u), followed
-    by minimalization.  Raises ResourceCapError once the closure forms more
-    than GENERATOR_CAP distinct monomials; a monomial counts when it is
-    queued, so the queue never holds more than that.
+    """Smallest strongly stable ideal containing the generators: the sum of
+    the principal Borel ideals B(u), each realized from its window.  Raises
+    ResourceCapError once the windows form more than GENERATOR_CAP distinct
+    monomials.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("borel closure of an empty set is undefined")
     if n is None:
         n = gens[0].n
-    seen: set[tuple[int, ...]] = set()
-    queue: list[Monomial] = []
-
-    def push(u: Monomial) -> None:
-        if u.exponents not in seen:
-            if len(seen) == GENERATOR_CAP:
-                raise ResourceCapError(
-                    f"borel closure exceeds the cap of {GENERATOR_CAP} generators"
-                )
-            seen.add(u.exponents)
-            queue.append(u)
-
-    for u in gens:
-        push(u)
-    collected: list[Monomial] = []
-    while queue:
-        u = queue.pop()
-        collected.append(u)
-        for i in u.support:
-            for j in range(1, i):
-                push(u.exchange(j, i))
-    return MonomialIdeal(n, collected)
+    return _realize_windows(n, [_borel_window(u) for u in gens])
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,11 @@ from .families import (
     veronese_shift,
 )
 from .monomials import (
+    Monomial,
     MonomialIdeal,
     monomial_multiples,
     restrict_to_support,
     support_filter,
-    x_of,
 )
 from .oracle import betti_table, default_prime, hs_oracle, validate_prime
 from .quotients import (
@@ -180,7 +180,7 @@ def check_instance(
                     table = betti_table(J, config.prime)
                 top_oracle = hs_oracle(J, J.n - 1, table)
                 top_formula = monomial_multiples(
-                    soc_exchange, x_of(range(1, J.n + 1), J.n)
+                    soc_exchange, Monomial.from_support(range(1, J.n + 1), J.n)
                 )
                 if top_oracle == top_formula:
                     row["flags"].append(

@@ -508,8 +508,3 @@ def restrict_to_support(I: MonomialIdeal) -> tuple[MonomialIdeal, tuple[int, ...
                 exps[index[old]] = e
         restricted.append(Monomial(tuple(exps)))
     return MonomialIdeal(len(supp), restricted), supp
-
-
-def x_of(indices: Sequence[int], n: int) -> Monomial:
-    """Product of the variables with the given (distinct, 1-based) indices."""
-    return Monomial.from_support(indices, n)

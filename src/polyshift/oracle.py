@@ -12,7 +12,7 @@ of g_1..g_{k-1}, plus g_k, plus the row-wise maximum of g_k with each of its
 points, sorted and deduplicated, so no lattice array exceeds 2 * cap + 1
 rows.  The closure runs on packed words: coordinate i of a lattice point
 is at most the largest i-th exponent of a generator, so it takes a field of
-that exponent's bit length (at least 1, at most 31).  The fields are packed
+that exponent's bit length (at least 1, at most 32).  The fields are packed
 into int64 words of at most 63 bits, variable 1 highest and none across two
 words, so the words order the points as their exponents do, and each step
 sorts W words instead of n exponent columns (one word on the Veronese
@@ -112,7 +112,7 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
 
     The closure runs on packed words.  Coordinate i of a point is at most
     the largest i-th exponent e_i of a generator, so it fits in a field of
-    max(1, bit_length(e_i)) bits, at most 31 for exponents below 2^31.
+    max(1, bit_length(e_i)) bits, at most 32 for exponents up to 2^31.
     The fields are packed into int64 words of at most 63 bits,
     variable 1 highest in word 0 and no field across two words, so the
     order of the word tuples is the lex order of the rows.  Each step

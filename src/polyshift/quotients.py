@@ -46,7 +46,6 @@ from .monomials import (
     VariableOrder,
     coordinate_bitsets,
     lcm_many,
-    x_of,
 )
 
 TAYLOR_GEN_CAP_LOW_INDEX = 25   # subset enumeration cap for j <= 2
@@ -328,7 +327,7 @@ def shift_multiset(cert: QuotientCertificate, j: int) -> Counter:
     n = cert.ideal.n
     for u, cols in zip(cert.ordered_gens, cert.colon_vars):
         for F in itertools.combinations(cols, j):
-            counts[u * x_of(F, n)] += 1
+            counts[u * Monomial.from_support(F, n)] += 1
     return counts
 
 

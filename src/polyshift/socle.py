@@ -10,14 +10,14 @@ graph criterion for transversal ideals, and the spanning-tree candidate set
 for their socles.  ``socle_report`` is the one place that checks linearity
 and runs the general routes that apply.
 
-The closed forms go one per family.  A Veronese type is a PLP type with the
-windows ``plp_windows`` reads off its bounds, so one formula, the shifted
-type (upper - 1 | alpha - e_n, beta - 1), gives the socle of both; an LP
-ideal is the transversal product of its intervals.  ``family_max_pd`` takes
-maximal projective dimension from the intersection graph for transversal
-(and LP) bases, from the stable closure for borel bases, and otherwise reads
-it off the closed-form socle: it is maximal exactly when the socle is
-nonzero.
+The closed forms go one per family.  Veronese, basic PLP and Borel specs
+are unions of the windows ``plp_windows`` reads off them, so one formula,
+the shifted type (upper - 1 | alpha - e_n, beta - 1) of each window of the
+generation degree, gives the socle of all three; an LP ideal is the
+transversal product of its intervals.  ``family_max_pd`` takes maximal
+projective dimension from the intersection graph for transversal (and LP)
+bases, from the stable closure for borel bases, and otherwise reads it off
+the closed-form socle: it is maximal exactly when the socle is nonzero.
 
 The colon route truncates by degree.  For I generated in degree d, the
 degree-(d-1) generators of I : x_i are exactly {u / x_i : u in G(I), x_i | u},
@@ -50,12 +50,12 @@ from .families import (
     LPSpec,
     PowerSpec,
     TransversalSpec,
+    _realize_windows,
     as_transversal,
     borel_closure,
     check_exchange,
     plp_windows,
     prime_ideal,
-    windowed_monomials,
 )
 from .monomials import (
     Monomial,
@@ -65,7 +65,6 @@ from .monomials import (
     lcm,
     monomial_multiples,
     restrict_to_support,
-    x_of,
 )
 from .oracle import betti_table
 from .quotients import QuotientCertificate, certify_lex, find_admissible_order
@@ -212,7 +211,7 @@ class SocleReport:
     def top_shift(self) -> MonomialIdeal:
         """x_1...x_n times the socle: HS_{n-1}(I) when pd is maximal."""
         n = self.socle.n
-        return monomial_multiples(self.socle, x_of(range(1, n + 1), n))
+        return monomial_multiples(self.socle, Monomial.from_support(range(1, n + 1), n))
 
 
 def socle_report(I: MonomialIdeal) -> SocleReport:
@@ -358,39 +357,56 @@ def spanning_tree_socle(spec: TransversalSpec) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
+def _unwrap_power(spec: FamilySpec) -> tuple[int, FamilySpec]:
+    """The total exponent k and the innermost base of nested powers."""
+    k = 1
+    while isinstance(spec, PowerSpec):
+        k *= spec.exponent
+        spec = spec.base
+    return k, spec
+
+
+def family_socle(spec: FamilySpec) -> MonomialIdeal:
     """Closed-form socle for the families that have one.
 
-    Supported: veronese and basic PLP (one formula over their PLP windows),
-    LP, (equigenerated) borel, and powers of those.  A zeroth power of any
-    spec is the unit ideal, whose socle is zero.  Anything else raises
+    Supported: veronese, basic PLP and borel (one formula over their
+    windows), LP, and powers of those.  A zeroth power of any spec is the
+    unit ideal, whose socle is zero.  Anything else raises
     UnsupportedFamilyError, pointing to the direct colon route.  Families
     without maximal projective dimension realize to the zero ideal here,
     matching the colon.
     """
-    if isinstance(spec, PowerSpec):
-        return family_socle(spec.base, k=k * spec.exponent)
+    k, spec = _unwrap_power(spec)
     _require_variables(spec.n)
     if k == 0:
         # the unit ideal is generated in degree 0 and has no degree -1 part
         return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is not None:
-        lower, upper, alpha, beta = windows
-        if any(lower):
+        if any(any(lower) for lower, _, _, _ in windows):
             raise UnsupportedFamilyError(
                 "closed-form socle covers basic PLP types only; use socle_colon"
             )
+        if len(windows) > 1:
+            closure = _realize_windows(spec.n, windows)
+            if not closure.is_equigenerated:
+                raise DegreeMismatchError(
+                    "socle of a non-equigenerated stable ideal is undefined"
+                )
+            if k != 1:
+                raise UnsupportedFamilyError(
+                    "power socles are closed-form only for a single stable generator"
+                )
+            # a window of higher degree only adds non-minimal monomials
+            d = closure.generation_degree
+            windows = [w for w in windows if w[2][-1] == d]
         # the socle type (upper - 1 | alpha - e_n, beta - 1) of the k-th power
-        return MonomialIdeal(
-            spec.n,
-            windowed_monomials(
-                lower,
-                [k * x - 1 for x in upper],
-                [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1],
-                [k * x - 1 for x in beta],
-            ),
-        )
+        shifted = [
+            (lower, [k * x - 1 for x in upper],
+             [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1], [k * x - 1 for x in beta])
+            for lower, upper, alpha, beta in windows
+        ]
+        return _realize_windows(spec.n, shifted)
     if isinstance(spec, LPSpec):
         if k != 1:
             raise UnsupportedFamilyError(
@@ -404,25 +420,6 @@ def family_socle(spec: FamilySpec, k: int = 1) -> MonomialIdeal:
         for A, B in zip(sets, sets[1:]):
             result = ideal_product(result, prime_ideal(A & B, spec.n))
         return result
-    if isinstance(spec, BorelSpec):
-        closure = borel_closure(spec.generators, spec.n)
-        if not closure.is_equigenerated:
-            raise DegreeMismatchError(
-                "socle of a non-equigenerated stable ideal is undefined"
-            )
-        if k != 1:
-            if len(spec.generators) != 1:
-                raise UnsupportedFamilyError(
-                    "power socles are closed-form only for a single stable generator"
-                )
-            u = spec.generators[0] ** k
-            if u.max_var != spec.n:
-                return MonomialIdeal(spec.n)
-            return borel_closure([u.div_var(spec.n)], spec.n)
-        tops = [g for g in spec.generators if g.max_var == spec.n]
-        if not tops:
-            return MonomialIdeal(spec.n)
-        return borel_closure([g.div_var(spec.n) for g in tops], spec.n)
     raise UnsupportedFamilyError(
         f"no closed-form socle for family tag {spec.tag!r}; use socle_colon"
     )
@@ -438,10 +435,7 @@ def family_max_pd(spec: FamilySpec) -> bool:
     other spec, a zeroth power included, has it read off its closed-form
     socle.
     """
-    k, base = 1, spec
-    while isinstance(base, PowerSpec):
-        k *= base.exponent
-        base = base.base
+    k, base = _unwrap_power(spec)
     if k:
         tspec = as_transversal(base)
         if tspec is not None:
@@ -481,16 +475,17 @@ def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
         raise PreconditionError("power persistence requires a polymatroidal ideal")
     if I.support != tuple(range(1, I.n + 1)):
         raise SupportError("restrict the ideal to its support first")
-    soc = socle_report(I).socle
-    if soc.is_zero:
+    report = socle_report(I)
+    if report.socle.is_zero:
         raise PreconditionError(
             "power persistence requires maximal projective dimension"
         )
     n = I.n
-    w0 = soc.gens[0]
-    u = w0.times_var(n)
-    if not I.is_generator(u):
-        raise AssertionError(f"socle element {w0} times x{n} is not a generator of the ideal")
+    u = report.witness
+    if u is None:
+        raise AssertionError(
+            f"socle element {report.socle.gens[0]} times x{n} is not a generator of the ideal"
+        )
     witness = (u ** k).div_var(n)
     power = ideal_power(I, k)
     for i in range(1, n + 1):

@@ -43,7 +43,6 @@ from polyshift import (
     support_filter,
     total_betti_from_certificate,
     veronese_shift,
-    x_of,
 )
 from util import (
     EXAMPLE_GENS,
@@ -145,7 +144,7 @@ def test_criterion_4_socle_closed_forms(example_ideal):
     soc = family_socle(lp)
     assert gens_set(soc) == {"x3", "x4"}
     assert soc == socle_colon(example_ideal)
-    top = monomial_multiples(soc, x_of(range(1, 6), 5))
+    top = monomial_multiples(soc, Monomial.from_support(range(1, 6), 5))
     assert gens_set(top) == EXAMPLE_HS4
     assert top == betti_table(example_ideal).shift_ideal(4)
 
@@ -155,7 +154,7 @@ def test_criterion_4_socle_closed_forms(example_ideal):
         assert soc_m.is_unit
         cert = certify_lex(m)
         assert socle_exchange(cert) == soc_m
-        top_m = monomial_multiples(soc_m, x_of(range(1, n + 1), n))
+        top_m = monomial_multiples(soc_m, Monomial.from_support(range(1, n + 1), n))
         assert [g.exponents for g in top_m.gens] == [(1,) * n]
         assert betti_table(m).shift_ideal(n - 1) == top_m
 
@@ -353,7 +352,7 @@ def test_criterion_8a_top_shift_exponent_record(example_ideal):
     cert = certify_lex(example_ideal)
     assert homological_shift(cert, 4) == squared
     soc = socle_colon(example_ideal)
-    assert monomial_multiples(soc, x_of(range(1, 6), 5)) == squared
+    assert monomial_multiples(soc, Monomial.from_support(range(1, 6), 5)) == squared
     _report(8, "top-shift record: the squared-x3 listing is the computed value")
 
 

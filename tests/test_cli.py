@@ -31,9 +31,12 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-# Exact `soc --json` stdout for three inputs.  `soc` prints the colon route
-# under routes.colon and checks it against the other routes, so these bytes
-# pin the colon socle.
+# Exact `soc --json` stdout.  `soc` prints the colon route under routes.colon
+# and checks it against the other routes, so these bytes pin the colon socle.
+# The entries after the first three cover the windowed families (Borel,
+# Veronese and PLP types, and powers), taken before Borel ideals were read
+# as prefix-sum windows; the multi-generator Borel power and the non-basic
+# PLP type pin the skipped closed form.
 SOC_JSON_PINS = {
     '{type:lp, alpha:[1,3], beta:[4,5]}': (
         '{"agreement": true, "command": "soc", "family": "{\\"type\\": \\"lp\\", '
@@ -72,6 +75,87 @@ SOC_JSON_PINS = {
         '"exchange-formula": {"gens": ["1"], "n": 3}}, "socle": {"gens": ["1"], '
         '"n": 3}, "top_shift": {"gens": ["x1*x2*x3"], "n": 3}, '
         '"variable_order": "x1>x2>x3", "witness": "x3"}\n'
+    ),
+    '{type:borel, gens:[x2*x3], n:3}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"borel\\", \\"gens\\": [\\"x2*x3\\"], \\"n\\": 3}", "input": '
+        '"[x1^2, x1*x2, x1*x3, x2^2, x2*x3] n=3", "max_pd": true, "n": 3, '
+        '"route": "exchange-formula", "routes": {"closed-form": {"gens": '
+        '["x1", "x2"], "n": 3}, "colon": {"gens": ["x1", "x2"], "n": 3}, '
+        '"exchange-formula": {"gens": ["x1", "x2"], "n": 3}}, "socle": '
+        '{"gens": ["x1", "x2"], "n": 3}, "top_shift": {"gens": '
+        '["x1^2*x2*x3", "x1*x2^2*x3"], "n": 3}, "variable_order": '
+        '"x1>x2>x3", "witness": "x1*x3"}\n'
+    ),
+    '{type:borel, gens:[x1*x3, x2^2], n:3}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"borel\\", \\"gens\\": [\\"x1*x3\\", \\"x2^2\\"], \\"n\\": 3}", '
+        '"input": "[x1^2, x1*x2, x1*x3, x2^2] n=3", "max_pd": true, "n": 3, '
+        '"route": "exchange-formula", "routes": {"closed-form": {"gens": '
+        '["x1"], "n": 3}, "colon": {"gens": ["x1"], "n": 3}, '
+        '"exchange-formula": {"gens": ["x1"], "n": 3}}, "socle": {"gens": '
+        '["x1"], "n": 3}, "top_shift": {"gens": ["x1^2*x2*x3"], "n": 3}, '
+        '"variable_order": "x1>x2>x3", "witness": "x1*x3"}\n'
+    ),
+    '{type:power, base:{type:borel, gens:[x1*x2], n:2}, k:2}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"power\\", \\"base\\": {\\"type\\": \\"borel\\", \\"gens\\": '
+        '[\\"x1*x2\\"], \\"n\\": 2}, \\"k\\": 2}", "input": "[x1^4, x1^3*x2, '
+        'x1^2*x2^2] n=2", "max_pd": true, "n": 2, "route": '
+        '"exchange-formula", "routes": {"closed-form": {"gens": ["x1^3", '
+        '"x1^2*x2"], "n": 2}, "colon": {"gens": ["x1^3", "x1^2*x2"], "n": '
+        '2}, "exchange-formula": {"gens": ["x1^3", "x1^2*x2"], "n": 2}}, '
+        '"socle": {"gens": ["x1^3", "x1^2*x2"], "n": 2}, "top_shift": '
+        '{"gens": ["x1^4*x2", "x1^3*x2^2"], "n": 2}, "variable_order": '
+        '"x1>x2", "witness": "x1^3*x2"}\n'
+    ),
+    '{type:power, base:{type:borel, gens:[x1*x3, x2^2], n:3}, k:2}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"power\\", \\"base\\": {\\"type\\": \\"borel\\", \\"gens\\": '
+        '[\\"x1*x3\\", \\"x2^2\\"], \\"n\\": 3}, \\"k\\": 2}", "input": '
+        '"[x1^4, x1^3*x2, x1^3*x3, x1^2*x2^2, x1^2*x2*x3, x1^2*x3^2, '
+        'x1*x2^3, x1*x2^2*x3, x2^4] n=3", "max_pd": true, "n": 3, "route": '
+        '"exchange-formula", "routes": {"closed-form": {"skipped": "power '
+        'socles are closed-form only for a single stable generator"}, '
+        '"colon": {"gens": ["x1^3", "x1^2*x2", "x1^2*x3", "x1*x2^2"], "n": '
+        '3}, "exchange-formula": {"gens": ["x1^3", "x1^2*x2", "x1^2*x3", '
+        '"x1*x2^2"], "n": 3}}, "socle": {"gens": ["x1^3", "x1^2*x2", '
+        '"x1^2*x3", "x1*x2^2"], "n": 3}, "top_shift": {"gens": '
+        '["x1^4*x2*x3", "x1^3*x2^2*x3", "x1^3*x2*x3^2", "x1^2*x2^3*x3"], '
+        '"n": 3}, "variable_order": "x1>x2>x3", "witness": "x1^3*x3"}\n'
+    ),
+    '{type:veronese, b:[1,2,1], d:2}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"veronese\\", \\"b\\": [1, 2, 1], \\"d\\": 2}", "input": "[x1*x2, '
+        'x1*x3, x2^2, x2*x3] n=3", "max_pd": true, "n": 3, "route": '
+        '"exchange-formula", "routes": {"closed-form": {"gens": ["x2"], "n": '
+        '3}, "colon": {"gens": ["x2"], "n": 3}, "exchange-formula": {"gens": '
+        '["x2"], "n": 3}}, "socle": {"gens": ["x2"], "n": 3}, "top_shift": '
+        '{"gens": ["x1*x2^2*x3"], "n": 3}, "variable_order": "x1>x2>x3", '
+        '"witness": "x2*x3"}\n'
+    ),
+    '{type:plp, a:[0,0,0], b:[2,1,2], alpha:[0,1,3], beta:[2,2,3]}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"plp\\", \\"a\\": [0, 0, 0], \\"b\\": [2, 1, 2], \\"alpha\\": [0, '
+        '1, 3], \\"beta\\": [2, 2, 3]}", "input": "[x1^2*x3, x1*x2*x3, '
+        'x1*x3^2, x2*x3^2] n=3", "max_pd": true, "n": 3, "route": '
+        '"exchange-formula", "routes": {"closed-form": {"gens": ["x1*x3"], '
+        '"n": 3}, "colon": {"gens": ["x1*x3"], "n": 3}, "exchange-formula": '
+        '{"gens": ["x1*x3"], "n": 3}}, "socle": {"gens": ["x1*x3"], "n": 3}, '
+        '"top_shift": {"gens": ["x1^2*x2*x3^2"], "n": 3}, "variable_order": '
+        '"x1>x2>x3", "witness": "x1*x3^2"}\n'
+    ),
+    '{type:plp, a:[1,0,0], b:[2,1,2], alpha:[1,1,3], beta:[2,2,3]}': (
+        '{"agreement": true, "command": "soc", "family": "{\\"type\\": '
+        '\\"plp\\", \\"a\\": [1, 0, 0], \\"b\\": [2, 1, 2], \\"alpha\\": [1, '
+        '1, 3], \\"beta\\": [2, 2, 3]}", "input": "[x1^2*x3, x1*x2*x3, '
+        'x1*x3^2] n=3", "max_pd": true, "n": 3, "route": "exchange-formula", '
+        '"routes": {"closed-form": {"skipped": "closed-form socle covers '
+        'basic PLP types only; use socle_colon"}, "colon": {"gens": '
+        '["x1*x3"], "n": 3}, "exchange-formula": {"gens": ["x1*x3"], "n": '
+        '3}}, "socle": {"gens": ["x1*x3"], "n": 3}, "top_shift": {"gens": '
+        '["x1^2*x2*x3^2"], "n": 3}, "variable_order": "x1>x2>x3", "witness": '
+        '"x1*x3^2"}\n'
     ),
 }
 
@@ -319,18 +403,15 @@ class TestSocCommand:
         assert "1000000 pairs" in err
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text",
         [
-            ("{type:borel, gens:[x9^40], n:9}", "borel closure"),
-            (
-                "{type:veronese, b:[40,40,40,40,40,40,40,40,40], d:40}",
-                "windowed realization",
-            ),
+            "{type:borel, gens:[x9^40], n:9}",
+            "{type:veronese, b:[40,40,40,40,40,40,40,40,40], d:40}",
         ],
         ids=["borel", "veronese"],
     )
     def test_realization_past_the_generator_cap_is_refused(
-        self, text, message, tmp_path, capsys
+        self, text, tmp_path, capsys
     ):
         # each realization has C(48, 8), about 3.8 * 10^8, generators; both
         # once ran past 10 s unrefused
@@ -340,8 +421,32 @@ class TestSocCommand:
         assert time.perf_counter() - start < 20
         assert (code, out) == (3, "")
         assert err == (
-            f"resource cap: {message} exceeds the cap of 100000 generators\n"
+            "resource cap: windowed realization exceeds the cap of 100000 generators\n"
         )
+
+    def test_infeasible_plp_windows_end_quickly(self, tmp_path, capsys):
+        # the windows admit no monomial; the enumeration once visited every
+        # one of the 41^8 prefixes and ran past 10 s
+        text = (
+            "{type:plp, a:[0,0,0,0,0,0,0,0,0], b:[40,40,40,40,40,40,40,40,0], "
+            "alpha:[0,0,0,0,0,0,0,0,40], beta:[39,39,39,39,39,39,39,39,40]}"
+        )
+        path = write(tmp_path, "plp.txt", text)
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err == "precondition: the zero ideal has no socle\n"
+
+    def test_redundant_borel_generator_keeps_routes_agreeing(self, tmp_path, capsys):
+        # x1*x2 lies in the closure of x1; its closed form once read off
+        # (x1) as the socle and the command exited 4
+        path = write(tmp_path, "borel.txt", "{type:borel, gens:[x1, x1*x2], n:2}")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["agreement"] is True
+        assert report["routes"]["closed-form"] == {"gens": [], "n": 2}
 
     def test_maximal_ideal(self, tmp_path, capsys):
         path = write(tmp_path, "m.txt", "[x1, x2, x3]")

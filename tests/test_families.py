@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 
 import pytest
@@ -35,16 +36,38 @@ from polyshift import (
     veronese_shift,
 )
 from polyshift import families, monomials
-from polyshift.families import EXCHANGE_MODES, plp_windows
+from polyshift.families import EXCHANGE_MODES, plp_windows, windowed_monomials
 from util import (
     M,
     all_monomials,
+    borel_closure_reference,
+    borel_generator_lists,
     bounded_degree_reference,
     gens_set,
     ideal,
     outcome_under_optimize,
     pairwise_exchange_reference,
+    windowed_reference,
 )
+
+
+@st.composite
+def window_params(draw):
+    """(lower, upper, alpha, beta) on boxes of up to four coordinates, around
+    a vector c of the box: each upper bound and window end is moved off c or
+    its prefix sums by -1..2, so the box and the windows may cross, and the
+    last window is sometimes left open (alpha_n < beta_n)."""
+    n = draw(st.integers(1, 4))
+    shifts = st.lists(st.sampled_from([-1, 0, 1, 2, 2]), min_size=n, max_size=n)
+    c = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    lower = [max(0, x - e) for x, e in zip(c, draw(shifts))]
+    upper = [x + e for x, e in zip(c, draw(shifts))]
+    sums = list(itertools.accumulate(c))
+    alpha = [s - e for s, e in zip(sums, draw(shifts))]
+    beta = [s + e for s, e in zip(sums, draw(shifts))]
+    if draw(st.integers(0, 3)):
+        alpha[-1] = beta[-1] = sums[-1] + draw(st.integers(-1, 1))
+    return lower, upper, alpha, beta
 
 
 def borel_membership_brute(v: Monomial, u: Monomial) -> bool:
@@ -153,6 +176,13 @@ class TestBorel:
     def test_borel_generators_recovered(self):
         closure = borel_closure([M("x2*x3", 3)])
         assert [str(g) for g in borel_generators(closure)] == ["x2*x3"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(borel_generator_lists())
+    def test_closure_matches_move_closure_reference(self, drawn):
+        gens, n = drawn
+        assert borel_closure(gens) == borel_closure_reference(gens, n)
+        assert realize(BorelSpec(tuple(gens), n)) == borel_closure_reference(gens, n)
 
 
 class TestStronglyStable:
@@ -320,16 +350,54 @@ class TestLPWindowTranslation:
             assert windowed == I, spec
 
 
+class TestWindowedMonomials:
+    @settings(max_examples=400, deadline=None)
+    @given(window_params())
+    def test_matches_brute_force_on_small_boxes(self, params):
+        assert windowed_monomials(*params) == windowed_reference(*params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # eight free coordinates of bound 40, a last one fixed at 0, and
+            # prefix sums below 40 until they close at 40
+            ((0,) * 9, (40,) * 8 + (0,), (0,) * 8 + (40,), (39,) * 8 + (40,)),
+            # seven free coordinates before an empty box 1 <= c_8 <= 0
+            (
+                (0,) * 7 + (1, 0),
+                (40,) * 7 + (0, 40),
+                (0,) * 8 + (40,),
+                (40,) * 9,
+            ),
+        ],
+        ids=["windows", "box"],
+    )
+    def test_infeasible_windows_end_without_enumeration(self, params):
+        # no vector fits, and the enumeration must not visit the tens of
+        # millions of prefixes before the dead coordinate to find that out
+        start = time.perf_counter()
+        assert windowed_monomials(*params) == []
+        assert time.perf_counter() - start < 1
+
+
 class TestPlpWindows:
     def test_plp_spec_gives_its_own_parameters(self):
         spec = PLPSpec((0, 1), (2, 2), (0, 3), (2, 3))
-        assert plp_windows(spec) == ((0, 1), (2, 2), (0, 3), (2, 3))
+        assert plp_windows(spec) == [((0, 1), (2, 2), (0, 3), (2, 3))]
 
     def test_veronese_windows_follow_from_the_bounds(self):
         # alpha_i = max(0, d - b_{i+1} - ... - b_n), beta_i = d
         windows = plp_windows(VeroneseSpec((2, 1, 2), 4))
-        assert windows == ((0, 0, 0), (2, 1, 2), (1, 2, 4), (4, 4, 4))
-        assert plp_windows(VeroneseSpec((3, 3), 2))[2] == (0, 2)
+        assert windows == [((0, 0, 0), (2, 1, 2), (1, 2, 4), (4, 4, 4))]
+        assert plp_windows(VeroneseSpec((3, 3), 2))[0][2] == (0, 2)
+
+    def test_borel_windows_are_prefix_sums_of_each_generator(self):
+        # B(u) is every degree-d monomial whose prefix sums dominate u's
+        spec = BorelSpec((M("x2*x3", 3), M("x1*x3^2", 3)), 3)
+        assert plp_windows(spec) == [
+            ((0, 0, 0), (2, 2, 2), (0, 1, 2), (2, 2, 2)),
+            ((0, 0, 0), (3, 3, 3), (1, 1, 3), (3, 3, 3)),
+        ]
 
     def test_other_families_have_none(self):
         assert plp_windows(LPSpec((1, 3), (4, 5), 5)) is None

@@ -39,11 +39,11 @@ from polyshift import (
     spanning_tree_socle,
     spanning_trees,
     top_shift,
-    x_of,
 )
 from util import (
     M,
     all_monomials,
+    borel_generator_lists,
     bounded_degree_reference,
     gens_set,
     ideal,
@@ -185,7 +185,7 @@ class TestTopShift:
         # the colon route, whatever route socle_report takes
         for _, I in fuzz_corpus:
             soc = socle_colon(I)
-            expected = monomial_multiples(soc, x_of(range(1, I.n + 1), I.n))
+            expected = monomial_multiples(soc, Monomial.from_support(range(1, I.n + 1), I.n))
             assert top_shift(I) == expected
 
     def test_matches_oracle_top_on_small_corpus(self, fuzz_corpus):
@@ -333,6 +333,29 @@ class TestFamilySocle:
             direct = socle_colon(ideal_power(borel_closure([u]), k))
             assert closed == direct
             assert closed == borel_closure([(u ** k).div_var(3)])
+
+    def test_borel_redundant_generator_of_higher_degree_adds_nothing(self):
+        # the closure of x1 and x1*x2 is (x1), whose socle is zero; the
+        # redundant x1*x2 involves x2 but must not contribute x1
+        spec = BorelSpec((M("x1", 2), M("x1*x2", 2)), 2)
+        assert family_socle(spec).is_zero
+        assert socle_colon(realize(spec)).is_zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(borel_generator_lists(), st.integers(0, 2))
+    def test_borel_and_powers_match_colon(self, drawn, k):
+        gens, n = drawn
+        base = BorelSpec(tuple(gens), n)
+        spec = base if k == 1 else PowerSpec(base, k)
+        try:
+            closed = family_socle(spec)
+        except DegreeMismatchError:
+            assert not realize(base).is_equigenerated
+            return
+        except UnsupportedFamilyError:
+            assert k > 1 and len(gens) > 1
+            return
+        assert closed == socle_colon(realize(spec))
 
     def test_veronese_closed_form(self):
         spec = VeroneseSpec((2, 1, 2), 3)
@@ -530,7 +553,7 @@ class TestPowerPersistence:
             "import polyshift.socle as socle\n"
             "from polyshift import parse_ideal\n"
             "wrong = parse_ideal('[x1] n=2').ideal\n"
-            "socle.socle_report = lambda I: SimpleNamespace(socle=wrong)\n"
+            "socle.socle_report = lambda I: SimpleNamespace(socle=wrong, witness=None)\n"
             "socle.power_persistence(parse_ideal('[x1, x2]').ideal, 2)\n"
         )
         outcome = outcome_under_optimize(body, tmp_path)

@@ -11,13 +11,14 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 from polyshift import _kernels
 from polyshift.errors import DegreeMismatchError, ResourceCapError, ZeroIdealError
 from polyshift.families import EXCHANGE_MODES, ExchangeResult
-from polyshift.monomials import VariableOrder, unit_exchange, x_of
+from polyshift.monomials import VariableOrder, unit_exchange
 from polyshift.oracle import (
     LATTICE_CAP,
     BettiTable,
@@ -279,7 +280,7 @@ def shifts_by_distance_reference(cert, j: int) -> MonomialIdeal:
         if len(adds) < j:
             continue
         for K in itertools.combinations(sorted(adds), j):
-            out.append(ut * x_of(K, n))
+            out.append(ut * Monomial.from_support(K, n))
     return MonomialIdeal(n, out)
 
 
@@ -403,7 +404,7 @@ def homological_shift_reference(cert, j: int) -> MonomialIdeal:
     mons: list[Monomial] = []
     for u, cols in zip(cert.ordered_gens, cert.colon_vars):
         for F in itertools.combinations(cols, j):
-            mons.append(u * x_of(F, n))
+            mons.append(u * Monomial.from_support(F, n))
     return MonomialIdeal(n, mons)
 
 
@@ -449,6 +450,57 @@ def bounded_degree_reference(bounds, degree: int, n: int) -> list[Monomial]:
 
     rec(0, degree)
     return out
+
+
+def windowed_reference(lower, upper, alpha, beta) -> list[Monomial]:
+    """Every vector of the box lower <= c <= upper whose i-th prefix sum lies
+    in [alpha_i, beta_i], in descending lex order; empty unless the last
+    window closes at one degree (alpha_n = beta_n).  Brute force over the
+    box, for small boxes with nonnegative lower bounds."""
+    if alpha[-1] != beta[-1]:
+        return []
+    out = []
+    ranges = [range(hi, lo - 1, -1) for lo, hi in zip(lower, upper)]
+    for c in itertools.product(*ranges):
+        sums = itertools.accumulate(c)
+        if all(a <= s <= b for a, s, b in zip(alpha, sums, beta)):
+            out.append(Monomial(c))
+    return out
+
+
+def borel_closure_reference(gens, n: int) -> MonomialIdeal:
+    """Smallest strongly stable ideal containing the generators, by a
+    breadth-first closure under the moves x_j * (u / x_i), j < i."""
+    seen = {u.exponents for u in gens}
+    queue = list(gens)
+    collected = []
+    while queue:
+        u = queue.pop()
+        collected.append(u)
+        for i in u.support:
+            for j in range(1, i):
+                v = u.exchange(j, i)
+                if v.exponents not in seen:
+                    seen.add(v.exponents)
+                    queue.append(v)
+    return MonomialIdeal(n, collected)
+
+
+@st.composite
+def borel_generator_lists(draw):
+    """Generator lists in up to four variables, mixed in degree and with
+    redundant members: a multiple or a stability move of a drawn generator."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * n).map(Monomial)
+    gens = draw(st.lists(exps, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.sampled_from(gens))
+        i = draw(st.integers(1, n))
+        if draw(st.booleans()):
+            gens.append(u.times_var(i))
+        elif u.exponents[i - 1] and i > 1:
+            gens.append(u.exchange(draw(st.integers(1, i - 1)), i))
+    return draw(st.permutations(gens)), n
 
 
 # The running 5-variable example: the product of the primes on {1,2,3,4} and
