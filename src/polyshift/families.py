@@ -17,7 +17,9 @@ LP ideal the transversal ideal ``as_transversal`` reads off its intervals;
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -278,67 +280,97 @@ def windowed_monomials(
     [alpha_i, beta_i] windows.  Tolerates infeasible (negative / crossing)
     parameters by returning the empty list, which the socle closed forms rely
     on.  Raises ResourceCapError once it forms more than GENERATOR_CAP
-    vectors.
+    vectors."""
+    out: dict[tuple[int, ...], None] = {}
+    _windows_into(out, lower, upper, [alpha], beta)
+    return [Monomial(c) for c in out]
 
-    A backward pass first finds, after each coordinate, the interval of
-    prefix sums from which the later coordinates can still be completed; each
-    coordinate then ranges only over the values that land in the next
-    interval, so no branch dies and the cost follows the output."""
-    lower = list(lower)
-    upper = list(upper)
-    alpha = list(alpha)
-    beta = list(beta)
+
+def _windows_into(out: dict, lower, upper, alphas, beta) -> None:
+    """Add to out, as keys, the exponent vectors of the union of the windows
+    (lower, upper, alpha, beta) over alpha in alphas, each formed once.
+    Raises ResourceCapError before out would pass GENERATOR_CAP keys.
+
+    A backward pass finds, for each window and after each coordinate, the
+    interval of prefix sums from which the later coordinates can still be
+    completed; the upper ends do not depend on alpha, so the windows share
+    them.  The search carries the bitset of windows whose intervals the
+    prefix has stayed in, and a coordinate ranges down from the shared upper
+    end until that bitset empties.  So no branch dies, each vector is
+    reached once however much the windows overlap, and a step costs a
+    comparison, or a bisection and a bitset AND where it passes below the
+    start of a window's interval."""
+    lower, upper = list(lower), list(upper)
     n = len(upper)
-    if n == 0:
-        return [Monomial(())]
-    if alpha[-1] != beta[-1]:
-        return []
-    # reach[i]: the prefix sums after i coordinates that can be completed
-    reach = [(alpha[-1], beta[-1])]
+    if any(map(operator.gt, lower, upper)):
+        return
+    # the sequences gain a 0th entry 0: the empty prefix sums to 0
+    beta = (0, *beta)
+    his = [beta[-1]]  # his[i]: the largest completable prefix sum after i coordinates
     for i in range(n - 1, -1, -1):
-        lo, hi = reach[-1]
-        lo, hi = lo - upper[i], hi - lower[i]
-        if i:
-            lo, hi = max(lo, alpha[i - 1]), min(hi, beta[i - 1])
-        if lower[i] > upper[i] or lo > hi:
-            return []
-        reach.append((lo, hi))
-    reach.reverse()
-    if not reach[0][0] <= 0 <= reach[0][1]:
-        return []
-    out: list[Monomial] = []
+        his.append(min(his[-1] - lower[i], beta[i]))
+    his.reverse()
+    rows = []  # per window, the smallest completable prefix sum after each coordinate
+    for alpha in dict.fromkeys((0, *a) for a in alphas):
+        if alpha[-1] != beta[-1]:
+            continue
+        los = [alpha[-1]]
+        for i in range(n - 1, -1, -1):
+            los.append(max(los[-1] - upper[i], alpha[i]))
+        los.reverse()
+        if all(map(operator.le, los, his)):
+            rows.append(los)
+    # reach[i]: the windows' smallest sums after i coordinates, ascending, and
+    # the running bitsets of the windows up to each
+    if len(rows) == 1:  # one window, the common case: nothing to sort
+        reach = [([lo], [1]) for lo in rows[0]]
+    else:
+        reach = []
+        for col in zip(*rows):
+            order = sorted(range(len(col)), key=col.__getitem__)
+            masks = itertools.accumulate([1 << w for w in order], operator.or_)
+            reach.append(([col[w] for w in order], list(masks)))
     prefix: list[int] = []
 
-    def rec(i: int, total: int):
+    def rec(i: int, total: int, alive: int):
         if i == n:
-            if len(out) == GENERATOR_CAP:
-                raise ResourceCapError(
-                    f"windowed realization exceeds the cap of {GENERATOR_CAP} generators"
-                )
-            out.append(Monomial(tuple(prefix)))
+            c = tuple(prefix)
+            if c not in out:
+                if len(out) == GENERATOR_CAP:
+                    raise ResourceCapError(
+                        f"windowed realization exceeds the cap of {GENERATOR_CAP} generators"
+                    )
+                out[c] = None
             return
-        lo, hi = reach[i + 1]
-        for c in range(min(upper[i], hi - total), max(lower[i], lo - total) - 1, -1):
+        lows, masks = reach[i + 1]
+        top, bottom = min(upper[i], his[i + 1] - total), max(lower[i], lows[0] - total)
+        k, still = len(lows) - 1, alive
+        for c in range(top, bottom - 1, -1):
+            if total + c < lows[k]:  # c passed below a window's start
+                k = bisect_right(lows, total + c) - 1
+                still = alive & masks[k]
+            if not still:
+                break
             prefix.append(c)
-            rec(i + 1, total + c)
+            rec(i + 1, total + c, still)
             prefix.pop()
 
-    rec(0, 0)
-    return out
+    if rows:
+        rec(0, 0, (1 << len(rows)) - 1)
 
 
 def _realize_windows(n: int, windows: Iterable[Window]) -> MonomialIdeal:
-    """The ideal generated by the monomials of all the windows.  Raises
-    ResourceCapError once the windows together form more than GENERATOR_CAP
+    """The ideal generated by the monomials of all the windows, each formed
+    once: the windows that share lower, upper and beta are searched together.
+    Raises ResourceCapError once they would form more than GENERATOR_CAP
     distinct monomials."""
-    formed: set[Monomial] = set()
-    for window in windows:
-        formed.update(windowed_monomials(*window))
-        if len(formed) > GENERATOR_CAP:
-            raise ResourceCapError(
-                f"windowed realization exceeds the cap of {GENERATOR_CAP} generators"
-            )
-    return MonomialIdeal(n, formed)
+    groups: dict[tuple, list] = {}
+    for lower, upper, alpha, beta in windows:
+        groups.setdefault((tuple(lower), tuple(upper), tuple(beta)), []).append(alpha)
+    formed: dict[tuple[int, ...], None] = {}
+    for (lower, upper, beta), alphas in groups.items():
+        _windows_into(formed, lower, upper, alphas, beta)
+    return MonomialIdeal(n, map(Monomial, formed))
 
 
 def prime_ideal(indices: Iterable[int], n: int) -> MonomialIdeal:

@@ -51,6 +51,16 @@ from util import (
 )
 
 
+class LookupCounter(dict):
+    """A dict that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
 @st.composite
 def window_params(draw):
     """(lower, upper, alpha, beta) on boxes of up to four coordinates, around
@@ -134,8 +144,10 @@ class TestRealize:
             (BorelSpec((M("x3^2", 3),), 3), 6),
             # x1, x2^2, x1*x2 and x1^2 are formed; minimalization keeps two
             (BorelSpec((M("x1", 3), M("x2^2", 3)), 3), 4),
+            # B(x1*x3) and B(x2^2) share x1^2 and x1*x2, which count once
+            (BorelSpec((M("x1*x3", 3), M("x2^2", 3), M("x2^2", 3)), 3), 4),
         ],
-        ids=["veronese", "borel", "borel-non-minimal"],
+        ids=["veronese", "borel", "borel-non-minimal", "borel-overlapping"],
     )
     def test_generator_cap_boundary(self, spec, formed, monkeypatch):
         expected = realize(spec)
@@ -183,6 +195,65 @@ class TestBorel:
         gens, n = drawn
         assert borel_closure(gens) == borel_closure_reference(gens, n)
         assert realize(BorelSpec(tuple(gens), n)) == borel_closure_reference(gens, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(borel_generator_lists())
+    def test_windows_of_one_degree_form_each_monomial_once(self, drawn):
+        # the windows are searched together, so every vector the search
+        # reaches is new, however much the windows overlap
+        gens, n = drawn
+        windows = plp_windows(BorelSpec(tuple(gens), n))
+        for d in {u.degree for u in gens}:
+            alphas = [alpha for _, _, alpha, _ in windows if alpha[-1] == d]
+            out = LookupCounter()
+            families._windows_into(out, (0,) * n, (d,) * n, alphas, (d,) * n)
+            assert out.lookups == len(out)
+            assert set(out) == {
+                m.exponents
+                for _, upper, alpha, beta in windows
+                if alpha[-1] == d
+                for m in windowed_monomials((0,) * n, upper, alpha, beta)
+            }
+
+    def test_nested_generators_end_quickly(self):
+        # the 45 generators x_i*x_j*x9^8 all lie in B(x9^10), one of them;
+        # listing each window in full took 10.6 s and the move closure 3.1 s
+        gens = []
+        for i, j in itertools.combinations_with_replacement(range(9), 2):
+            exps = [0] * 8 + [8]
+            exps[i] += 1
+            exps[j] += 1
+            gens.append(Monomial(tuple(exps)))
+        start = time.perf_counter()
+        closure = borel_closure(gens)
+        assert time.perf_counter() - start < 3
+        assert closure.num_gens == math.comb(18, 8)
+
+    def test_repeated_generators_end_quickly(self):
+        # 300 copies of x9^11 form all C(19, 8) = 75582 monomials of degree 11;
+        # listing each copy's window in full took about 0.3 s a copy
+        spec = BorelSpec((Monomial((0,) * 8 + (11,)),) * 300, 9)
+        start = time.perf_counter()
+        closure = realize(spec)
+        assert time.perf_counter() - start < 5
+        assert closure.num_gens == math.comb(19, 8)
+
+    def test_antichain_of_generators_ends_quickly(self):
+        # 400 degree-9 generators of one prefix-sum rank, none in another's
+        # B(u): listing each window in full took 6.8 s, the move closure 0.6 s
+        def rank(exps):
+            return sum(itertools.accumulate(exps))
+
+        degree_nine = [
+            tuple(b - a - 1 for a, b in zip((-1, *cut), (*cut, 17)))
+            for cut in itertools.combinations(range(17), 8)
+        ]
+        middle = (min(map(rank, degree_nine)) + max(map(rank, degree_nine))) // 2
+        gens = [Monomial(e) for e in degree_nine if rank(e) == middle][:400]
+        start = time.perf_counter()
+        closure = borel_closure(gens)
+        assert time.perf_counter() - start < 2
+        assert closure == borel_closure_reference(gens, 9)
 
 
 class TestStronglyStable:
