@@ -20,17 +20,13 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     VariableOrder,
-    bounding_multidegree,
     distance,
     ideal_power,
     ideal_product,
-    lcm,
-    lcm_many,
     minimal_generators,
     monomial_multiples,
     restrict_to_support,
     support_filter,
-    unit_exchange,
 )
 from .quotients import (
     AdmissibleOrderFailure,
@@ -43,9 +39,7 @@ from .quotients import (
     homological_shift,
     shift_multiset,
     shifts_by_distance,
-    taylor_shifts,
     total_betti_from_certificate,
-    within_taylor_bound,
 )
 from .families import (
     BorelSpec,
@@ -65,7 +59,6 @@ from .families import (
     is_matroidal,
     is_polymatroidal,
     is_strongly_stable,
-    plp_factor,
     prime_ideal,
     random_polymatroidal,
     realize,
@@ -75,31 +68,23 @@ from .oracle import (
     BettiTable,
     SimplicialComplexFrame,
     betti_table,
-    cross_prime_agreement,
     ek_betti,
-    hs_oracle,
     lcm_lattice,
     reduced_homology_ranks,
     upper_koszul,
 )
 from .socle import (
     IntersectionGraph,
-    PersistenceCheck,
     SocleReport,
-    colon_maximal,
     family_max_pd,
     family_socle,
-    has_ambient_max_pd,
-    ideal_intersection,
     intersection_graph,
     max_pd,
-    power_persistence,
     socle_colon,
     socle_exchange,
     socle_report,
     spanning_tree_socle,
     spanning_trees,
-    top_shift,
 )
 from .fuzzlab import CampaignConfig, CampaignSummary, check_instance, run_campaign
 from .textio import (

@@ -28,6 +28,7 @@ from .monomials import (
     GENERATOR_CAP,
     Monomial,
     MonomialIdeal,
+    check_variable_count,
     coordinate_bitsets,
     ideal_power,
     ideal_product,
@@ -270,22 +271,6 @@ def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
 # ---------------------------------------------------------------------------
 
 
-def windowed_monomials(
-    lower: Iterable[int],
-    upper: Iterable[int],
-    alpha: Iterable[int],
-    beta: Iterable[int],
-) -> list[Monomial]:
-    """Exponent vectors with lower <= c <= upper and prefix sums inside the
-    [alpha_i, beta_i] windows.  Tolerates infeasible (negative / crossing)
-    parameters by returning the empty list, which the socle closed forms rely
-    on.  Raises ResourceCapError once it forms more than GENERATOR_CAP
-    vectors."""
-    out: dict[tuple[int, ...], None] = {}
-    _windows_into(out, lower, upper, [alpha], beta)
-    return [Monomial(c) for c in out]
-
-
 def _windows_into(out: dict, lower, upper, alphas, beta) -> None:
     """Add to out, as keys, the exponent vectors of the union of the windows
     (lower, upper, alpha, beta) over alpha in alphas, each formed once.
@@ -362,8 +347,10 @@ def _windows_into(out: dict, lower, upper, alphas, beta) -> None:
 def _realize_windows(n: int, windows: Iterable[Window]) -> MonomialIdeal:
     """The ideal generated by the monomials of all the windows, each formed
     once: the windows that share lower, upper and beta are searched together.
-    Raises ResourceCapError once they would form more than GENERATOR_CAP
-    distinct monomials."""
+    An infeasible window (an upper bound below its lower bound, or prefix
+    sums no vector can meet) adds nothing, which the socle closed forms rely
+    on.  Raises ResourceCapError once the windows would form more than
+    GENERATOR_CAP distinct monomials."""
     groups: dict[tuple, list] = {}
     for lower, upper, alpha, beta in windows:
         groups.setdefault((tuple(lower), tuple(upper), tuple(beta)), []).append(alpha)
@@ -403,36 +390,6 @@ def realize(spec: FamilySpec) -> MonomialIdeal:
     if isinstance(spec, ExplicitSpec):
         return spec.ideal
     raise FamilySpecError(f"unknown family spec {spec!r}")
-
-
-def plp_factor(spec: PLPSpec) -> tuple[Monomial, PLPSpec]:
-    """Split a PLP spec into its monomial part and a basic PLP spec.
-
-    The realized ideal equals the monomial times the basic realization.
-    """
-    a = spec.lower
-    prefix_a = []
-    total = 0
-    for v in a:
-        total += v
-        prefix_a.append(total)
-    alpha_star = tuple(
-        max(x - p, 0) for x, p in zip(spec.alpha, prefix_a)
-    )
-    beta_star = tuple(y - p for y, p in zip(spec.beta, prefix_a))
-    upper_star = tuple(u - lo for u, lo in zip(spec.upper, a))
-    # re-monotonize: prefix sums are nondecreasing, so tightening the windows
-    # from the left (alpha) and right (beta) does not change the solution set
-    alpha_fixed = list(alpha_star)
-    for i in range(1, len(alpha_fixed)):
-        alpha_fixed[i] = max(alpha_fixed[i], alpha_fixed[i - 1])
-    beta_fixed = list(beta_star)
-    for i in range(len(beta_fixed) - 2, -1, -1):
-        beta_fixed[i] = min(beta_fixed[i], beta_fixed[i + 1])
-    basic = PLPSpec(
-        (0,) * spec.n, upper_star, tuple(alpha_fixed), tuple(beta_fixed)
-    )
-    return Monomial(a), basic
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +452,7 @@ def borel_generators(I: MonomialIdeal) -> tuple[Monomial, ...]:
 # ---------------------------------------------------------------------------
 
 
-EXCHANGE_MODES = ("exchange", "symmetric", "strong")
+EXCHANGE_MODES = ("exchange", "strong")
 
 
 @dataclass(frozen=True)
@@ -511,11 +468,11 @@ class ExchangeResult:
 def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
     """Decide the exchange property of the generator set.
 
-    ``exchange`` decides polymatroidality; ``symmetric`` and ``strong`` test
-    the stronger variants.  Witnesses: (u, v, i) for exchange, (u, v, j) for
-    symmetric, (u, v, i, j) for strong; each is the first failure in the
-    order u, v (both in generator order), i, j.  Non-equigenerated input
-    fails with a reason instead of raising, so fuzz pipelines keep going.
+    ``exchange`` decides polymatroidality; ``strong`` tests the stronger
+    variant.  Witnesses: (u, v, i) for exchange, (u, v, i, j) for strong;
+    each is the first failure in the order u, v (both in generator order),
+    i, j.  Non-equigenerated input fails with a reason instead of raising,
+    so fuzz pipelines keep going.
 
     No generator pair is scanned.  A set of generators is a Python int with
     bit b standing for ``gens[b]``, and for each coordinate k and exponent t
@@ -523,7 +480,7 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
     with v_k > t.  For each u the moves u - e_i + e_j are looked up in the
     generator set, and the v failing the exchange at (u, i) are those with
     v_i < u_i that exceed u in no coordinate j of a move u - e_i + e_j in G;
-    the symmetric and strong failures are read off the same bitsets.  The
+    the strong failures are read off the same bitsets.  The
     cost is O(m n^2) lookups and operations on m-bit ints, against O(m^2 n)
     for a scan of the generator pairs.
     """
@@ -551,27 +508,21 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
             if higher:
                 downs.append((k, higher))
         failing = []  # (witness key, failing v), keys in ascending order
-        rescued = [0] * len(downs)  # symmetric: v with an up i for each j
         moved = list(ue)
         for i, lower in ups:
             moved[i] -= 1
             rescue = 0  # exchange: v with a down j for this i
-            for d, (j, higher) in enumerate(downs):
+            for j, higher in downs:
                 if j != i:
                     moved[j] += 1
                     if tuple(moved) in gset:
                         rescue |= higher
-                        rescued[d] |= lower
                     elif mode == "strong":
                         failing.append(((i + 1, j + 1), lower & higher))
                     moved[j] -= 1
             moved[i] += 1
             if mode == "exchange":
                 failing.append(((i + 1,), lower & ~rescue))
-        if mode == "symmetric":
-            failing = [
-                ((j + 1,), higher & ~r) for (j, higher), r in zip(downs, rescued)
-            ]
         union = 0
         for _, mask in failing:
             union |= mask
@@ -615,6 +566,7 @@ class GenBudget:
             raise FamilySpecError(
                 "generation budget needs n_max >= 2, degree_max >= 1 and gen_max >= 1"
             )
+        check_variable_count(self.n_max)
 
 
 def _draw_spec(rng: random.Random, budget: GenBudget, n: int, deg: int, depth: int) -> FamilySpec:

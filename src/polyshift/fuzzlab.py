@@ -41,7 +41,7 @@ from .monomials import (
     restrict_to_support,
     support_filter,
 )
-from .oracle import betti_table, default_prime, hs_oracle, validate_prime
+from .oracle import betti_table, default_prime, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -152,7 +152,7 @@ def check_instance(
             if not result.holds:
                 if table is None:
                     table = betti_table(J, config.prime)
-                oracle_ideal = hs_oracle(J, j, table)
+                oracle_ideal = table.shift_ideal(j)
                 if oracle_ideal == shifts[j]:
                     row["flags"].append(
                         {
@@ -178,7 +178,7 @@ def check_instance(
             if not result.holds:
                 if table is None:
                     table = betti_table(J, config.prime)
-                top_oracle = hs_oracle(J, J.n - 1, table)
+                top_oracle = table.shift_ideal(J.n - 1)
                 top_formula = monomial_multiples(
                     soc_exchange, Monomial.from_support(range(1, J.n + 1), J.n)
                 )

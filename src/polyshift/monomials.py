@@ -19,7 +19,6 @@ from .errors import (
     DegreeMismatchError,
     DimensionMismatchError,
     ResourceCapError,
-    ZeroIdealError,
 )
 
 _EXPONENT_LIMIT = 2**31
@@ -27,6 +26,9 @@ _EXPONENT_LIMIT = 2**31
 PRODUCT_CAP = 1_000_000
 # distinct generators one family realization may form
 GENERATOR_CAP = 100_000
+# variables an input may declare or imply; the window search of a family
+# realization recurses once per variable
+VARIABLE_CAP = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,23 +155,6 @@ def _check_same_ring(u: Monomial, v: Monomial) -> None:
         )
 
 
-def lcm(u: Monomial, v: Monomial) -> Monomial:
-    """Least common multiple: the componentwise maximum of the exponents."""
-    _check_same_ring(u, v)
-    return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
-def lcm_many(monomials: Iterable[Monomial]) -> Monomial:
-    it = iter(monomials)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("lcm of an empty collection is undefined") from None
-    for m in it:
-        acc = lcm(acc, m)
-    return acc
-
-
 def distance(u: Monomial, v: Monomial) -> int:
     """Half the l1-distance between the exponent vectors of two equal-degree
     monomials.  One unit of distance is one single-variable exchange."""
@@ -182,31 +167,12 @@ def distance(u: Monomial, v: Monomial) -> int:
     return total // 2
 
 
-def unit_exchange(u: Monomial, v: Monomial) -> Optional[tuple[int, int]]:
-    """If u = x_k * (v / x_l) for a single exchange, return (k, l); else None.
-
-    Equivalent to ``distance(u, v) == 1`` with the witnessing pair made
-    explicit.  Raises on unequal total degrees, like :func:`distance`.
-    """
-    _check_same_ring(u, v)
-    if u.degree != v.degree:
-        raise DegreeMismatchError(
-            f"unit_exchange is defined only for equal degrees ({u.degree} vs {v.degree})"
-        )
-    k = l = 0
-    for i, (a, b) in enumerate(zip(u.exponents, v.exponents)):
-        d = a - b
-        if d == 0:
-            continue
-        if d == 1 and k == 0:
-            k = i + 1
-        elif d == -1 and l == 0:
-            l = i + 1
-        else:
-            return None
-    if k and l:
-        return (k, l)
-    return None
+def check_variable_count(n: int) -> int:
+    """``n`` when it is at most VARIABLE_CAP; ResourceCapError otherwise, so
+    an input is refused before anything n long is built."""
+    if n > VARIABLE_CAP:
+        raise ResourceCapError(f"{n} variables exceed the cap of {VARIABLE_CAP}")
+    return n
 
 
 def coordinate_bitsets(rows: Sequence[tuple[int, ...]]) -> list[dict]:
@@ -465,19 +431,6 @@ def support_filter(J: MonomialIdeal, level: int) -> MonomialIdeal:
     variables in their support."""
     kept = [g for g in J.gens if len(g.support) > level]
     return MonomialIdeal(J.n, kept)
-
-
-def bounding_multidegree(I: MonomialIdeal) -> Monomial:
-    """Componentwise maximum of the generator exponents.  Every multidegree
-    in the minimal resolution is bounded by this vector."""
-    if I.is_zero:
-        raise ZeroIdealError("the zero ideal has no bounding multidegree")
-    exps = [0] * I.n
-    for g in I.gens:
-        for i, e in enumerate(g.exponents):
-            if e > exps[i]:
-                exps[i] = e
-    return Monomial(tuple(exps))
 
 
 def monomial_multiples(I: MonomialIdeal, factor: Monomial) -> MonomialIdeal:

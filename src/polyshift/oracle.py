@@ -40,8 +40,8 @@ small (at most 36 rows on the 10- and 11-cycles, against 462 for the full
 complex), and they are assembled by array operations on sorted face masks.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
-at call time), and compare two primes with :func:`cross_prime_agreement`
-when characteristic effects are a concern.  Every prime must pass
+at call time), and compare the table with ``betti --prime`` over a second
+prime when characteristic effects are a concern.  Every prime must pass
 :func:`validate_prime`.
 """
 
@@ -59,7 +59,6 @@ from .errors import NotStronglyStableError, ResourceCapError
 from .monomials import Monomial, MonomialIdeal
 from .families import is_strongly_stable
 
-SECONDARY_PRIME = 101
 LATTICE_CAP = 50_000
 # (point, generator) pairs per array block; blocks hold one point at least
 _BLOCK_ROWS = 4096
@@ -371,29 +370,6 @@ def betti_table(
             for dim, rank in ranks.items():
                 table.entries[(dim + 1, a)] = rank
     return table
-
-
-def hs_oracle(
-    I: MonomialIdeal, j: int, table: Optional[BettiTable] = None
-) -> MonomialIdeal:
-    """The j-th homological shift ideal straight from the Betti table."""
-    if table is None:
-        table = betti_table(I)
-    return table.shift_ideal(j)
-
-
-def cross_prime_agreement(
-    I: MonomialIdeal, primes: Optional[tuple[int, int]] = None
-) -> bool:
-    """Whether the Betti tables over two primes coincide entry by entry.
-
-    The primes default to (the homology prime, 101).  Disagreement flags
-    characteristic sensitivity; it is data, not an error.
-    """
-    if primes is None:
-        primes = (default_prime(), SECONDARY_PRIME)
-    first, second = (validate_prime(p) for p in primes)
-    return betti_table(I, first).entries == betti_table(I, second).entries
 
 
 def ek_betti(I: MonomialIdeal) -> tuple[dict[int, int], int]:

@@ -18,13 +18,11 @@ earlier positions.  The table takes O(m n) dictionary updates and a sort
 of each coordinate's distinct values; a step then costs O(n) lookups and
 big-int operations, so an order costs O(m n) of them.
 
-Three independent computation routes live here:
+Two independent computation routes live here:
 
 * :func:`homological_shift` - the subset formula over the certificate,
 * :func:`shifts_by_distance` / :func:`first_shift_by_distance` - via the
-  exchange-distance characterization (equigenerated ideals only),
-* :func:`taylor_shifts` - the subset-lcm upper bound that contains every
-  true shift.
+  exchange-distance characterization (equigenerated ideals only).
 
 Cross-checking the routes against each other (and against the homology
 oracle) is the backbone of the test suite and the fuzzing lab.
@@ -39,17 +37,9 @@ from functools import cached_property
 from math import comb, factorial
 from typing import Optional, Sequence, Union
 
-from .errors import DegreeMismatchError, ResourceCapError, ZeroIdealError
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    VariableOrder,
-    coordinate_bitsets,
-    lcm_many,
-)
+from .errors import DegreeMismatchError, ZeroIdealError
+from .monomials import Monomial, MonomialIdeal, VariableOrder, coordinate_bitsets
 
-TAYLOR_GEN_CAP_LOW_INDEX = 25   # subset enumeration cap for j <= 2
-TAYLOR_GEN_CAP_HIGH_INDEX = 18  # cap for j >= 3
 SEARCH_NODE_BUDGET = 200_000
 
 
@@ -383,41 +373,3 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     return MonomialIdeal(
         I.n, _shift_generators(cert.ordered_gens, cert.distance_adds, j)
     )
-
-
-def taylor_shifts(
-    I: MonomialIdeal, j: int, max_gens: Optional[int] = None
-) -> MonomialIdeal:
-    """Upper bound for HS_j: lcms of all (j+1)-subsets of the generators.
-
-    Subset enumeration is capped (25 generators for j <= 2, 18 beyond, unless
-    ``max_gens`` overrides); exceeding the cap raises ResourceCapError.
-    """
-    if j < 0:
-        raise ValueError("homological index must be nonnegative")
-    cap = max_gens
-    if cap is None:
-        cap = TAYLOR_GEN_CAP_LOW_INDEX if j <= 2 else TAYLOR_GEN_CAP_HIGH_INDEX
-    if I.num_gens > cap:
-        raise ResourceCapError(
-            f"{I.num_gens} generators exceed the subset enumeration cap of {cap}"
-        )
-    if j + 1 > I.num_gens:
-        return MonomialIdeal(I.n)
-    seen: set[tuple[int, ...]] = set()
-    out: list[Monomial] = []
-    for subset in itertools.combinations(I.gens, j + 1):
-        exps = lcm_many(subset).exponents
-        if exps not in seen:
-            seen.add(exps)
-            out.append(Monomial(exps))
-    return MonomialIdeal(I.n, out)
-
-
-def within_taylor_bound(I: MonomialIdeal, j: int, w: Monomial) -> bool:
-    """Whether w lies in the ideal of (j+1)-subset lcms of G(I).
-
-    Any j+1 generators dividing w have an lcm dividing w, so membership is
-    exactly ``divisor_count >= j + 1``; no subsets need enumerating.
-    """
-    return I.divisor_count(w) >= j + 1

@@ -25,8 +25,8 @@ and the degree-(d-1) part of an intersection of ideals generated in degree at
 least d-1 is the intersection of their degree-(d-1) parts (lcm(g, h) has
 degree d-1 only when g = h).  So the socle is the set intersection over all i
 of {u / x_i : x_i | u}: O(m n) tuple operations for m generators, with no lcm
-and no minimalization.  The untruncated colon ``colon_maximal`` stays as the
-general route and is the reference the tests hold it to.
+and no minimalization.  The tests hold it to the untruncated colon, the
+intersection of the ideals I : x_i, kept in ``tests/util.py``.
 """
 
 from __future__ import annotations
@@ -53,16 +53,13 @@ from .families import (
     _realize_windows,
     as_transversal,
     borel_closure,
-    check_exchange,
     plp_windows,
     prime_ideal,
 )
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    ideal_power,
     ideal_product,
-    lcm,
     monomial_multiples,
     restrict_to_support,
 )
@@ -77,43 +74,9 @@ SPANNING_TREE_CAP = 10_000
 # ---------------------------------------------------------------------------
 
 
-def colon_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
-    """I : x_i, by decrementing the exponent of x_i where possible."""
-    gens = []
-    for g in I.gens:
-        gens.append(g.div_var(i) if g.deg(i) > 0 else g)
-    return MonomialIdeal(I.n, gens)
-
-
-def ideal_intersection(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
-    """Intersection of monomial ideals: pairwise lcms, minimalized."""
-    out = []
-    for g in A.gens:
-        for h in B.gens:
-            out.append(lcm(g, h))
-    return MonomialIdeal(A.n, out)
-
-
 def _require_variables(n: int) -> None:
     if n == 0:
         raise PreconditionError("the socle is undefined in a ring with no variables")
-
-
-def colon_maximal(I: MonomialIdeal) -> MonomialIdeal:
-    """I : (x_1,...,x_n) as the intersection of the single-variable colons.
-
-    The general, untruncated route, in every degree and for any ideal; the
-    tests hold ``socle_colon`` to its degree-(d-1) generators.  With no
-    variables the maximal ideal is (0), so the colon is the whole ring.
-    """
-    if I.n == 0:
-        return MonomialIdeal(0, [Monomial(())])
-    if I.is_zero:
-        return MonomialIdeal(I.n)
-    acc = colon_by_variable(I, 1)
-    for i in range(2, I.n + 1):
-        acc = ideal_intersection(acc, colon_by_variable(I, i))
-    return acc
 
 
 def socle_colon(I: MonomialIdeal) -> MonomialIdeal:
@@ -171,11 +134,6 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
     return MonomialIdeal(I.n, out)
 
 
-def top_shift(I: MonomialIdeal) -> MonomialIdeal:
-    """The highest possible shift ideal, x_1...x_n times the socle."""
-    return socle_report(I).top_shift
-
-
 def max_pd(I: MonomialIdeal) -> bool:
     """Whether the projective dimension is maximal relative to the support:
     pd(I) = |supp(I)| - 1.  The ideal is restricted to its support first."""
@@ -189,12 +147,6 @@ def max_pd(I: MonomialIdeal) -> bool:
         if isinstance(cert, QuotientCertificate):
             return not socle_exchange(cert).is_zero
     return betti_table(J).pd == J.n - 1
-
-
-def has_ambient_max_pd(I: MonomialIdeal) -> bool:
-    """Maximal projective dimension relative to all n ambient variables:
-    full support plus support-relative maximality."""
-    return I.support == tuple(range(1, I.n + 1)) and max_pd(I)
 
 
 @dataclass(frozen=True)
@@ -444,51 +396,3 @@ def family_max_pd(spec: FamilySpec) -> bool:
             closure = borel_closure(base.generators, base.n)
             return any(g.max_var == base.n for g in closure.gens)
     return not family_socle(spec).is_zero
-
-
-# ---------------------------------------------------------------------------
-# persistence of maximality under powers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PersistenceCheck:
-    ok: bool
-    k: int
-    witness: Optional[Monomial] = None  # element of the socle of the power
-    failed_variable: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
-    """Verify that the k-th power keeps maximal projective dimension.
-
-    Preconditions: I is polymatroidal with full support and maximal
-    projective dimension.  The witness is u^k / x_n for a generator u with
-    u / x_n in the socle; each variable multiple is checked against G(I^k).
-    """
-    if k < 1:
-        raise ValueError("power exponent must be at least 1")
-    if not check_exchange(I, "exchange").holds:
-        raise PreconditionError("power persistence requires a polymatroidal ideal")
-    if I.support != tuple(range(1, I.n + 1)):
-        raise SupportError("restrict the ideal to its support first")
-    report = socle_report(I)
-    if report.socle.is_zero:
-        raise PreconditionError(
-            "power persistence requires maximal projective dimension"
-        )
-    n = I.n
-    u = report.witness
-    if u is None:
-        raise AssertionError(
-            f"socle element {report.socle.gens[0]} times x{n} is not a generator of the ideal"
-        )
-    witness = (u ** k).div_var(n)
-    power = ideal_power(I, k)
-    for i in range(1, n + 1):
-        if not power.is_generator(witness.times_var(i)):
-            return PersistenceCheck(False, k, witness, i)
-    return PersistenceCheck(True, k, witness)

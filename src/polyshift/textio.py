@@ -28,7 +28,7 @@ from .families import (
     VeroneseSpec,
     realize,
 )
-from .monomials import Monomial, MonomialIdeal, VariableOrder
+from .monomials import Monomial, MonomialIdeal, VariableOrder, check_variable_count
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def parse_monomial(text: str, n: Optional[int] = None) -> Monomial:
         n = width
     elif width > n:
         raise sc.error(f"variable index {width} exceeds n={n}")
-    vec = [0] * n
+    vec = [0] * check_variable_count(n)
     for i, e in exps.items():
         vec[i - 1] = e
     return Monomial(tuple(vec))
@@ -250,7 +250,9 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         raise sc.error("family document must be an object with a 'type' field")
     tag = doc["type"]
     if tag == "veronese":
-        return VeroneseSpec(_intlist(doc, "b", sc), _int(doc, "d", sc))
+        bounds = _intlist(doc, "b", sc)
+        check_variable_count(len(bounds))
+        return VeroneseSpec(bounds, _int(doc, "d", sc))
     if tag == "borel":
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
@@ -262,21 +264,20 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
             parsed.append(m)
             widths.append(m.n)
         n = _int(doc, "n", sc, max(widths))
+        check_variable_count(n)
         gens = tuple(
             Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed
         )
         return BorelSpec(gens, n)
     if tag == "plp":
-        return PLPSpec(
-            _intlist(doc, "a", sc),
-            _intlist(doc, "b", sc),
-            _intlist(doc, "alpha", sc),
-            _intlist(doc, "beta", sc),
-        )
+        vectors = [_intlist(doc, key, sc) for key in ("a", "b", "alpha", "beta")]
+        check_variable_count(max(map(len, vectors)))
+        return PLPSpec(*vectors)
     if tag == "lp":
         alpha = _intlist(doc, "alpha", sc)
         beta = _intlist(doc, "beta", sc)
         n = _int(doc, "n", sc, max(beta, default=0))
+        check_variable_count(n)
         return LPSpec(alpha, beta, n)
     if tag == "transversal":
         raw = doc.get("sets")
@@ -286,6 +287,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
             raise sc.error("transversal document needs a nonempty 'sets' list of integer lists")
         sets = tuple(frozenset(A) for A in raw)
         n = _int(doc, "n", sc, max((i for A in sets for i in A), default=0))
+        check_variable_count(n)
         return TransversalSpec(sets, n)
     if tag == "product":
         factors = doc.get("factors")
@@ -303,6 +305,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
             raise sc.error("explicit document needs a 'gens' list")
         parsed = [parse_monomial(str(g)) for g in raw]
         n = _int(doc, "n", sc, max((m.n for m in parsed), default=0))
+        check_variable_count(n)
         gens = [Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed]
         return ExplicitSpec(MonomialIdeal(n, gens))
     raise sc.error(f"unknown family type {tag!r}")
@@ -390,6 +393,7 @@ def parse_ideal(text: str) -> IdealSource:
             raise sc.error(
                 f"variable index {width} exceeds declared n={n}", declared_at
             )
+        check_variable_count(n)
         gens = []
         for exps in monomials:
             vec = [0] * n

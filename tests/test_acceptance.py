@@ -25,13 +25,11 @@ from polyshift import (
     ek_betti,
     family_socle,
     first_shift_by_distance,
-    has_ambient_max_pd,
     homological_shift,
     intersection_graph,
-    lcm_many,
+    max_pd,
     minimal_generators,
     monomial_multiples,
-    power_persistence,
     realize,
     restrict_to_support,
     run_campaign,
@@ -54,8 +52,11 @@ from util import (
     EXAMPLE_HS4,
     EXAMPLE_SET_TABLE,
     M,
+    full_support,
     gens_set,
     ideal,
+    lcm_many,
+    power_persistence,
 )
 
 
@@ -268,7 +269,7 @@ def test_criterion_6_theorem_level_properties(fuzz_corpus):
         spec = TransversalSpec(tuple(frozenset(s) for s in sets), n)
         I = realize(spec)
         connected = intersection_graph(spec).is_connected
-        assert has_ambient_max_pd(I) == connected, spec
+        assert (full_support(I) and max_pd(I)) == connected, spec
 
     # LP socles: the unique spanning-tree candidate set is the interval product
     lp_checked = 0

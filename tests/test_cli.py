@@ -771,6 +771,66 @@ class TestBettiCommand:
         assert "resource cap" in err
 
 
+def veronese_doc(n):
+    """The degree-1 Veronese type on n variables, bounds all 1."""
+    return "{type:veronese, b:[" + ",".join(["1"] * n) + "], d:1}"
+
+
+class TestVariableCap:
+    """Every variable count an input declares or implies is held to 500
+    before anything that long is built: past it the command exits 3."""
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [
+            # a MemoryError traceback from parse_ideal; n=100000000 took 21 s
+            # to fail under a 4 GB address-space limit
+            ("[x1] n=10000000000000", 10000000000000),
+            # the same count implied by the largest variable index
+            ("[x100000000]", 100000000),
+            # still running at 60 s
+            ("{type:lp, alpha:[1], beta:[1], n:30000000}", 30000000),
+            # a RecursionError from the window search, one level per variable
+            (veronese_doc(1200), 1200),
+            ("{type:plp, a:[0], b:[1], alpha:[1], beta:[1,1" + ",1" * 500 + "]}", 502),
+            ("{type:borel, gens:[x100000000]}", 100000000),
+            ("{type:borel, gens:[x1], n:501}", 501),
+            ("{type:transversal, sets:[[1], [600]]}", 600),
+            ("{type:explicit, gens:[x1], n:501}", 501),
+        ],
+        ids=[
+            "declared-n", "largest-index", "lp-n", "veronese-bounds", "plp-vectors",
+            "borel-index", "borel-n", "transversal-index", "explicit-n",
+        ],
+    )
+    def test_refused_at_once(self, text, count, tmp_path, capsys):
+        path = write(tmp_path, "wide.txt", text)
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"resource cap: {count} variables exceed the cap of 500\n"
+
+    @pytest.mark.parametrize("n_max", [100000, 1000000000])
+    def test_fuzz_budget_refused_at_once(self, n_max, capsys):
+        # n_max=100000 once ended in a RecursionError, 10^9 in a MemoryError
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["fuzz", "--seed", "1", "--count", "1", "--budget", f"n_max={n_max}"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == f"resource cap: {n_max} variables exceed the cap of 500\n"
+
+    def test_veronese_at_the_cap_passes(self, tmp_path, capsys):
+        path = write(tmp_path, "v500.txt", veronese_doc(500))
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["n"] == 500 and report["agreement"] is True
+
+
 class TestFuzzCommand:
     def test_small_campaign_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.jsonl"

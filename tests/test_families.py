@@ -30,13 +30,12 @@ from polyshift import (
     MonomialIdeal,
     minimal_generators,
     monomial_multiples,
-    plp_factor,
     random_polymatroidal,
     realize,
     veronese_shift,
 )
 from polyshift import families, monomials
-from polyshift.families import EXCHANGE_MODES, plp_windows, windowed_monomials
+from polyshift.families import EXCHANGE_MODES, _realize_windows, plp_windows
 from util import (
     M,
     all_monomials,
@@ -47,6 +46,7 @@ from util import (
     ideal,
     outcome_under_optimize,
     pairwise_exchange_reference,
+    plp_factor,
     windowed_reference,
 )
 
@@ -210,9 +210,9 @@ class TestBorel:
             assert out.lookups == len(out)
             assert set(out) == {
                 m.exponents
-                for _, upper, alpha, beta in windows
+                for lower, upper, alpha, beta in windows
                 if alpha[-1] == d
-                for m in windowed_monomials((0,) * n, upper, alpha, beta)
+                for m in _realize_windows(n, [(lower, upper, alpha, beta)]).gens
             }
 
     def test_nested_generators_end_quickly(self):
@@ -289,9 +289,11 @@ class TestExchange:
             I = realize(VeroneseSpec(bounds, d))
             assert check_exchange(I, "strong").holds
 
-    def test_exchange_implies_symmetric(self, fuzz_corpus):
-        for spec, I in fuzz_corpus[:120]:
-            assert check_exchange(I, "symmetric").holds
+    def test_modes_are_the_check_properties(self):
+        # polymatroidal and matroidal run "exchange", strong-exchange "strong"
+        assert EXCHANGE_MODES == ("exchange", "strong")
+        with pytest.raises(ValueError, match="unknown exchange mode 'symmetric'"):
+            check_exchange(ideal("[x1, x2]"), "symmetric")
 
     def test_non_equigenerated_fails_with_reason(self):
         result = check_exchange(ideal("[x1, x2*x3]"), "exchange")
@@ -370,12 +372,12 @@ class TestExchangeAgainstPairwiseReference:
 
 
 class TestExchangeImplications:
-    def test_strong_implies_plain_implies_symmetric(self, fuzz_corpus):
+    def test_strong_implies_plain(self, fuzz_corpus):
         import random
 
         rng = random.Random(4242)
         pool = [I for _, I in fuzz_corpus[:60]]
-        # arbitrary equigenerated ideals too, where all three can fail
+        # arbitrary equigenerated ideals too, where both can fail
         from util import all_monomials
 
         for _ in range(60):
@@ -387,17 +389,12 @@ class TestExchangeImplications:
         for I in pool:
             strong = check_exchange(I, "strong").holds
             plain = check_exchange(I, "exchange").holds
-            symmetric = check_exchange(I, "symmetric").holds
             assert not strong or plain
-            assert not plain or symmetric
 
 
 class TestLPWindowTranslation:
     def test_interval_products_match_windowed_form(self):
         import random
-
-        from polyshift.families import windowed_monomials
-        from polyshift import MonomialIdeal
 
         rng = random.Random(77)
         for _ in range(40):
@@ -415,9 +412,7 @@ class TestLPWindowTranslation:
             # and at most #(intervals starting by j) variables are used
             lower = tuple(sum(1 for b in beta if b <= j) for j in range(1, n + 1))
             upper = tuple(sum(1 for a in alpha if a <= j) for j in range(1, n + 1))
-            windowed = MonomialIdeal(
-                n, windowed_monomials((0,) * n, (t,) * n, lower, upper)
-            )
+            windowed = _realize_windows(n, [((0,) * n, (t,) * n, lower, upper)])
             assert windowed == I, spec
 
 
@@ -425,7 +420,8 @@ class TestWindowedMonomials:
     @settings(max_examples=400, deadline=None)
     @given(window_params())
     def test_matches_brute_force_on_small_boxes(self, params):
-        assert windowed_monomials(*params) == windowed_reference(*params)
+        n = len(params[1])
+        assert list(_realize_windows(n, [params]).gens) == windowed_reference(*params)
 
     @pytest.mark.parametrize(
         "params",
@@ -447,7 +443,7 @@ class TestWindowedMonomials:
         # no vector fits, and the enumeration must not visit the tens of
         # millions of prefixes before the dead coordinate to find that out
         start = time.perf_counter()
-        assert windowed_monomials(*params) == []
+        assert _realize_windows(len(params[1]), [params]).is_zero
         assert time.perf_counter() - start < 1
 
 

@@ -12,19 +12,15 @@ from polyshift import (
     MonomialIdeal,
     ResourceCapError,
     VariableOrder,
-    ZeroIdealError,
-    bounding_multidegree,
     distance,
     ideal_power,
     ideal_product,
-    lcm,
     minimal_generators,
     restrict_to_support,
     support_filter,
-    unit_exchange,
 )
 from polyshift import monomials
-from util import M, all_monomials, gens_set, ideal
+from util import M, all_monomials, gens_set, ideal, lcm, unit_exchange
 
 def equal_degree_pairs():
     return st.integers(min_value=2, max_value=4).flatmap(
@@ -273,29 +269,6 @@ class TestSupportFilter:
         for g in filtered.gens:
             assert len(g.support) > 1
             assert any(g == h for h in example_ideal.gens)
-
-
-class TestBoundingMultidegree:
-    def test_example(self, example_ideal):
-        assert bounding_multidegree(example_ideal).exponents == (1, 1, 2, 2, 1)
-
-    def test_principal(self):
-        assert bounding_multidegree(ideal("[x1] n=3")).exponents == (1, 0, 0)
-
-    def test_matches_brute_force_on_veronese(self):
-        from polyshift import VeroneseSpec, realize
-
-        for bounds, d in [((2, 1, 3), 3), ((1, 1, 1), 2), ((4, 0, 2), 3)]:
-            I = realize(VeroneseSpec(bounds, d))
-            expected = tuple(
-                max(g.deg(i) for g in I.gens) for i in range(1, I.n + 1)
-            )
-            assert bounding_multidegree(I).exponents == expected
-            assert expected == tuple(min(b, d) for b in bounds)
-
-    def test_zero_ideal_raises(self):
-        with pytest.raises(ZeroIdealError):
-            bounding_multidegree(MonomialIdeal(2))
 
 
 class TestCanonicalForm:

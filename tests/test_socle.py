@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,38 +22,35 @@ from polyshift import (
     betti_table,
     borel_closure,
     certify_lex,
-    colon_maximal,
     family_max_pd,
     family_socle,
-    has_ambient_max_pd,
-    ideal_intersection,
     ideal_power,
     intersection_graph,
     max_pd,
     minimal_generators,
     monomial_multiples,
-    power_persistence,
     realize,
     socle_colon,
     socle_exchange,
     socle_report,
     spanning_tree_socle,
     spanning_trees,
-    top_shift,
 )
 from util import (
     M,
     all_monomials,
     borel_generator_lists,
     bounded_degree_reference,
+    colon_maximal,
+    full_support,
     gens_set,
     ideal,
+    ideal_intersection,
     outcome_under_optimize,
+    power_persistence,
 )
 
-
-def full_support(I):
-    return I.support == tuple(range(1, I.n + 1))
+TESTS = Path(__file__).resolve().parent
 
 
 def small_full_support(corpus):
@@ -167,7 +165,7 @@ class TestSocleExchange:
 
 class TestTopShift:
     def test_example(self, example_ideal):
-        assert gens_set(top_shift(example_ideal)) == {
+        assert gens_set(socle_report(example_ideal).top_shift) == {
             "x1*x2*x3^2*x4*x5",
             "x1*x2*x3*x4^2*x5",
         }
@@ -176,33 +174,33 @@ class TestTopShift:
         for n in range(2, 7):
             m = minimal_generators([Monomial.variable(i, n) for i in range(1, n + 1)])
             expected = Monomial((1,) * n)
-            assert [g for g in top_shift(m).gens] == [expected]
+            assert [g for g in socle_report(m).top_shift.gens] == [expected]
 
     def test_zero_socle_gives_zero(self, trio_ideal):
-        assert top_shift(trio_ideal).is_zero
+        assert socle_report(trio_ideal).top_shift.is_zero
 
     def test_is_variables_times_colon_socle_on_corpus(self, fuzz_corpus):
         # the colon route, whatever route socle_report takes
         for _, I in fuzz_corpus:
             soc = socle_colon(I)
             expected = monomial_multiples(soc, Monomial.from_support(range(1, I.n + 1), I.n))
-            assert top_shift(I) == expected
+            assert socle_report(I).top_shift == expected
 
     def test_matches_oracle_top_on_small_corpus(self, fuzz_corpus):
         ideals = small_full_support(fuzz_corpus)
         assert len(ideals) >= 150
         for I in ideals:
-            assert top_shift(I) == betti_table(I).shift_ideal(I.n - 1)
+            assert socle_report(I).top_shift == betti_table(I).shift_ideal(I.n - 1)
 
     def test_matches_oracle_top(self, example_ideal):
         table = betti_table(example_ideal)
-        assert top_shift(example_ideal) == table.shift_ideal(4)
+        assert socle_report(example_ideal).top_shift == table.shift_ideal(4)
 
 
 class TestMaxPd:
     def test_example_has_maximal_pd(self, example_ideal):
         assert max_pd(example_ideal)
-        assert has_ambient_max_pd(example_ideal)
+        assert full_support(example_ideal)
 
     def test_two_disjoint_quadrics(self):
         I = ideal("[x1*x2, x3*x4]")
@@ -216,7 +214,7 @@ class TestMaxPd:
     def test_restricts_before_deciding(self):
         embedded = ideal("[x2, x5] n=6")
         assert max_pd(embedded)
-        assert not has_ambient_max_pd(embedded)
+        assert not full_support(embedded)
 
 
 class TestIntersectionGraph:
@@ -403,15 +401,16 @@ class TestFamilyMaxPd:
 
     def test_lp_gap_is_not_maximal(self):
         spec = LPSpec((1, 3), (2, 5), 5)  # alpha_2 = 3 > beta_1 = 2
+        I = realize(spec)
         assert not family_max_pd(spec)
-        assert not has_ambient_max_pd(realize(spec))
+        assert not (full_support(I) and max_pd(I))
 
     def test_disconnected_transversal(self):
         spec = TransversalSpec((frozenset({1, 3}), frozenset({2, 4})), 4)
         assert not family_max_pd(spec)
         I = realize(spec)
         assert betti_table(I).pd == 2  # the four-cycle: short of the maximum 3
-        assert not has_ambient_max_pd(I)
+        assert not (full_support(I) and max_pd(I))
 
     def test_loose_plp_windows_are_not_maximal(self):
         # beta_1 = 2 is looser than the bound 1 allows; an inequality test
@@ -420,7 +419,7 @@ class TestFamilyMaxPd:
         assert realize(spec) == ideal("[x1*x2]")
         assert family_socle(spec).is_zero
         assert not family_max_pd(spec)
-        assert not has_ambient_max_pd(realize(spec))
+        assert not max_pd(realize(spec))
 
     def test_zeroth_power_is_not_read_off_the_base(self):
         # I^0 is the unit ideal, which has no ambient maximal pd, whatever
@@ -439,7 +438,7 @@ class TestFamilyMaxPd:
                 assert realize(spec) == ideal("[1] n=2"), spec
                 assert family_socle(spec).is_zero, spec
                 assert not family_max_pd(spec), spec
-                assert not has_ambient_max_pd(realize(spec)), spec
+                assert not full_support(realize(spec)), spec
 
     def test_agreement_with_oracle_on_small_zoo(self, fuzz_corpus):
         mixed_borel = BorelSpec((M("x1*x3", 3), M("x2^2", 3)), 3)
@@ -469,7 +468,7 @@ class TestFamilyMaxPd:
         for spec in zoo:
             I = realize(spec)
             assert not I.is_zero, spec
-            assert family_max_pd(spec) == has_ambient_max_pd(I), spec
+            assert family_max_pd(spec) == (full_support(I) and max_pd(I)), spec
         # the corpus adds every spec the closed forms support
         checked = 0
         for spec, _ in fuzz_corpus:
@@ -480,7 +479,7 @@ class TestFamilyMaxPd:
                 closed = family_max_pd(spec)
             except UnsupportedFamilyError:
                 continue
-            assert closed == has_ambient_max_pd(I), spec
+            assert closed == (full_support(I) and max_pd(I)), spec
             checked += 1
         assert checked >= 400
 
@@ -549,12 +548,14 @@ class TestPowerPersistence:
         # under python -O a bare assert is stripped; x_n * w for the socle
         # element w must still be checked to be a generator
         body = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(TESTS)!r})\n"
             "from types import SimpleNamespace\n"
-            "import polyshift.socle as socle\n"
+            "import util\n"
             "from polyshift import parse_ideal\n"
             "wrong = parse_ideal('[x1] n=2').ideal\n"
-            "socle.socle_report = lambda I: SimpleNamespace(socle=wrong, witness=None)\n"
-            "socle.power_persistence(parse_ideal('[x1, x2]').ideal, 2)\n"
+            "util.socle_report = lambda I: SimpleNamespace(socle=wrong, witness=None)\n"
+            "util.power_persistence(parse_ideal('[x1, x2]').ideal, 2)\n"
         )
         outcome = outcome_under_optimize(body, tmp_path)
         assert outcome == "raised socle element x1 times x2 is not a generator of the ideal"
@@ -572,8 +573,6 @@ class TestNoVariables:
         with pytest.raises(PreconditionError, match="no variables"):
             socle_exchange(certify_lex(I))
         with pytest.raises(PreconditionError, match="no variables"):
-            top_shift(I)
-        with pytest.raises(PreconditionError, match="no variables"):
             power_persistence(I, 2)
 
     def test_max_pd_still_answers(self):
@@ -589,4 +588,4 @@ class TestSocleReport:
         assert report.witness is not None and str(report.witness) == "x3*x5"
         assert set(report.routes) == {"colon", "exchange-formula"}
         assert all(soc == report.socle for soc in report.routes.values())
-        assert report.top_shift == top_shift(example_ideal)
+        assert gens_set(report.top_shift) == {"x1*x2*x3^2*x4*x5", "x1*x2*x3*x4^2*x5"}

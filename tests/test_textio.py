@@ -7,6 +7,7 @@ from polyshift import (
     Monomial,
     ParseError,
     PLPSpec,
+    ResourceCapError,
     PowerSpec,
     ProductSpec,
     TransversalSpec,
@@ -47,6 +48,14 @@ class TestMonomialGrammar:
     def test_index_out_of_range(self):
         with pytest.raises(ParseError):
             parse_monomial("x5", 3)
+
+
+    def test_variable_count_cap(self):
+        assert parse_monomial("x1", 500).n == 500
+        with pytest.raises(ResourceCapError, match="501 variables exceed the cap of 500"):
+            parse_monomial("x1", 501)
+        with pytest.raises(ResourceCapError, match="501 variables"):
+            parse_monomial("x501")
 
 
 class TestIdealGrammar:

@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Optional
 
 import numpy as np
 from hypothesis import strategies as st
@@ -16,9 +18,15 @@ from hypothesis import strategies as st
 import polyshift
 from polyshift import Monomial, MonomialIdeal, parse_ideal, parse_monomial
 from polyshift import _kernels
-from polyshift.errors import DegreeMismatchError, ResourceCapError, ZeroIdealError
-from polyshift.families import EXCHANGE_MODES, ExchangeResult
-from polyshift.monomials import VariableOrder, unit_exchange
+from polyshift.errors import (
+    DegreeMismatchError,
+    PreconditionError,
+    ResourceCapError,
+    SupportError,
+    ZeroIdealError,
+)
+from polyshift.families import EXCHANGE_MODES, ExchangeResult, PLPSpec, check_exchange
+from polyshift.monomials import VariableOrder, _check_same_ring, ideal_power
 from polyshift.oracle import (
     LATTICE_CAP,
     BettiTable,
@@ -35,10 +43,192 @@ from polyshift.quotients import (
     OrderSearch,
     QuotientCertificate,
 )
+from polyshift.socle import socle_report
 
 
 def M(text: str, n: int | None = None) -> Monomial:
     return parse_monomial(text, n)
+
+
+# ---------------------------------------------------------------------------
+# references the tests hold the package's routes to
+# ---------------------------------------------------------------------------
+
+
+def lcm(u: Monomial, v: Monomial) -> Monomial:
+    """Least common multiple: the componentwise maximum of the exponents."""
+    _check_same_ring(u, v)
+    return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
+
+
+def lcm_many(monomials: Iterable[Monomial]) -> Monomial:
+    it = iter(monomials)
+    try:
+        acc = next(it)
+    except StopIteration:
+        raise ValueError("lcm of an empty collection is undefined") from None
+    for m in it:
+        acc = lcm(acc, m)
+    return acc
+
+
+def unit_exchange(u: Monomial, v: Monomial) -> Optional[tuple[int, int]]:
+    """If u = x_k * (v / x_l) for a single exchange, return (k, l); else None.
+
+    Equivalent to ``distance(u, v) == 1`` with the witnessing pair made
+    explicit.  Raises on unequal total degrees, like ``distance``.
+    """
+    _check_same_ring(u, v)
+    if u.degree != v.degree:
+        raise DegreeMismatchError(
+            f"unit_exchange is defined only for equal degrees ({u.degree} vs {v.degree})"
+        )
+    k = l = 0
+    for i, (a, b) in enumerate(zip(u.exponents, v.exponents)):
+        d = a - b
+        if d == 0:
+            continue
+        if d == 1 and k == 0:
+            k = i + 1
+        elif d == -1 and l == 0:
+            l = i + 1
+        else:
+            return None
+    if k and l:
+        return (k, l)
+    return None
+
+
+def colon_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
+    """I : x_i, by decrementing the exponent of x_i where possible."""
+    gens = []
+    for g in I.gens:
+        gens.append(g.div_var(i) if g.deg(i) > 0 else g)
+    return MonomialIdeal(I.n, gens)
+
+
+def ideal_intersection(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
+    """Intersection of monomial ideals: pairwise lcms, minimalized."""
+    out = []
+    for g in A.gens:
+        for h in B.gens:
+            out.append(lcm(g, h))
+    return MonomialIdeal(A.n, out)
+
+
+def colon_maximal(I: MonomialIdeal) -> MonomialIdeal:
+    """I : (x_1,...,x_n) as the intersection of the single-variable colons.
+
+    The general, untruncated colon, in every degree and for any ideal; the
+    tests hold ``socle_colon`` to its degree-(d-1) generators.  With no
+    variables the maximal ideal is (0), so the colon is the whole ring.
+    """
+    if I.n == 0:
+        return MonomialIdeal(0, [Monomial(())])
+    if I.is_zero:
+        return MonomialIdeal(I.n)
+    acc = colon_by_variable(I, 1)
+    for i in range(2, I.n + 1):
+        acc = ideal_intersection(acc, colon_by_variable(I, i))
+    return acc
+
+
+TAYLOR_GEN_CAP_LOW_INDEX = 25   # subset enumeration cap for j <= 2
+TAYLOR_GEN_CAP_HIGH_INDEX = 18  # cap for j >= 3
+
+
+def taylor_shifts(
+    I: MonomialIdeal, j: int, max_gens: Optional[int] = None
+) -> MonomialIdeal:
+    """Upper bound for HS_j: lcms of all (j+1)-subsets of the generators.
+
+    Subset enumeration is capped (25 generators for j <= 2, 18 beyond, unless
+    ``max_gens`` overrides); exceeding the cap raises ResourceCapError.
+    """
+    if j < 0:
+        raise ValueError("homological index must be nonnegative")
+    cap = max_gens
+    if cap is None:
+        cap = TAYLOR_GEN_CAP_LOW_INDEX if j <= 2 else TAYLOR_GEN_CAP_HIGH_INDEX
+    if I.num_gens > cap:
+        raise ResourceCapError(
+            f"{I.num_gens} generators exceed the subset enumeration cap of {cap}"
+        )
+    if j + 1 > I.num_gens:
+        return MonomialIdeal(I.n)
+    seen: set[tuple[int, ...]] = set()
+    out: list[Monomial] = []
+    for subset in itertools.combinations(I.gens, j + 1):
+        exps = lcm_many(subset).exponents
+        if exps not in seen:
+            seen.add(exps)
+            out.append(Monomial(exps))
+    return MonomialIdeal(I.n, out)
+
+
+@dataclass(frozen=True)
+class PersistenceCheck:
+    ok: bool
+    k: int
+    witness: Optional[Monomial] = None  # element of the socle of the power
+    failed_variable: Optional[int] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
+    """Verify that the k-th power keeps maximal projective dimension.
+
+    Preconditions: I is polymatroidal with full support and maximal
+    projective dimension.  The witness is u^k / x_n for a generator u with
+    u / x_n in the socle; each variable multiple is checked against G(I^k).
+    """
+    if k < 1:
+        raise ValueError("power exponent must be at least 1")
+    if not check_exchange(I, "exchange").holds:
+        raise PreconditionError("power persistence requires a polymatroidal ideal")
+    if not full_support(I):
+        raise SupportError("restrict the ideal to its support first")
+    report = socle_report(I)
+    if report.socle.is_zero:
+        raise PreconditionError(
+            "power persistence requires maximal projective dimension"
+        )
+    n = I.n
+    u = report.witness
+    if u is None:
+        raise AssertionError(
+            f"socle element {report.socle.gens[0]} times x{n} is not a generator of the ideal"
+        )
+    witness = (u ** k).div_var(n)
+    power = ideal_power(I, k)
+    for i in range(1, n + 1):
+        if not power.is_generator(witness.times_var(i)):
+            return PersistenceCheck(False, k, witness, i)
+    return PersistenceCheck(True, k, witness)
+
+
+def plp_factor(spec: PLPSpec) -> tuple[Monomial, PLPSpec]:
+    """Split a PLP spec into its monomial part and a basic PLP spec.
+
+    The realized ideal equals the monomial times the basic realization.
+    """
+    a = spec.lower
+    prefix_a = list(itertools.accumulate(a))
+    alpha_star = tuple(max(x - p, 0) for x, p in zip(spec.alpha, prefix_a))
+    beta_star = tuple(y - p for y, p in zip(spec.beta, prefix_a))
+    upper_star = tuple(u - lo for u, lo in zip(spec.upper, a))
+    # re-monotonize: prefix sums are nondecreasing, so tightening the windows
+    # from the left (alpha) and right (beta) does not change the solution set
+    alpha_fixed = list(alpha_star)
+    for i in range(1, len(alpha_fixed)):
+        alpha_fixed[i] = max(alpha_fixed[i], alpha_fixed[i - 1])
+    beta_fixed = list(beta_star)
+    for i in range(len(beta_fixed) - 2, -1, -1):
+        beta_fixed[i] = min(beta_fixed[i], beta_fixed[i + 1])
+    basic = PLPSpec((0,) * spec.n, upper_star, tuple(alpha_fixed), tuple(beta_fixed))
+    return Monomial(a), basic
 
 
 def ideal(text: str) -> MonomialIdeal:
@@ -246,10 +436,6 @@ def pairwise_exchange_reference(I: MonomialIdeal, mode: str = "exchange") -> Exc
                 for i in ups:
                     if not any(has_move(ue, i, j) for j in downs):
                         return ExchangeResult(False, (u, v, i + 1))
-            elif mode == "symmetric":
-                for j in downs:
-                    if not any(has_move(ue, i, j) for i in ups):
-                        return ExchangeResult(False, (u, v, j + 1))
             else:
                 for i in ups:
                     for j in downs:
@@ -410,6 +596,11 @@ def homological_shift_reference(cert, j: int) -> MonomialIdeal:
 
 def gens_set(I: MonomialIdeal) -> set[str]:
     return {str(g) for g in I.gens}
+
+
+def full_support(I: MonomialIdeal) -> bool:
+    """Whether the generators involve all n ambient variables."""
+    return I.support == tuple(range(1, I.n + 1))
 
 
 def all_monomials(n: int, degree: int) -> list[Monomial]:
