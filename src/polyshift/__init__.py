@@ -53,7 +53,6 @@ from .families import (
     ProductSpec,
     TransversalSpec,
     VeroneseSpec,
-    borel_closure,
     borel_generators,
     check_exchange,
     is_matroidal,
@@ -76,7 +75,6 @@ from .oracle import (
 from .socle import (
     IntersectionGraph,
     SocleReport,
-    family_max_pd,
     family_socle,
     intersection_graph,
     max_pd,

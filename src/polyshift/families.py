@@ -8,10 +8,11 @@ windows), LP ideals (products of interval primes), transversal ideals
 generator lists.  Every realized family is polymatroidal, which the random
 generator asserts on each draw.
 
-Veronese, PLP and Borel specs are the union of the prefix-sum windows
-``plp_windows`` reads off them (a Borel spec has one per generator), and an
-LP ideal the transversal ideal ``as_transversal`` reads off its intervals;
-``realize`` and the socle closed forms go through those two views.
+Veronese, PLP, Borel and LP specs are the union of the prefix-sum windows
+``plp_windows`` reads off them (a Borel spec has one per generator), and
+``realize`` and the socle closed form go through that view.  An LP spec also
+reads as the transversal ideal of its intervals (``as_transversal``), which
+the intersection graph and the spanning trees take.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class PLPSpec:
     @property
     def degree(self) -> int:
         return self.alpha[-1]
-
-    @property
-    def is_basic(self) -> bool:
-        return all(a == 0 for a in self.lower)
 
 
 @dataclass(frozen=True)
@@ -250,6 +247,12 @@ def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
     Veronese type (b, d), which is (0 | b, alpha, d) with alpha_i =
     max(0, d - b_{i+1} - ... - b_n), and one per generator of a Borel spec.
 
+    An LP spec with t intervals is (0 | t, alpha', beta') with alpha'_k =
+    #{i : beta_i <= k} and beta'_k = #{i : alpha_i <= k}.  These bounds are
+    necessary: a factor with beta_i <= k must use a variable <= k, and one
+    with alpha_i > k cannot.  They are sufficient because the endpoints are
+    nondecreasing: give the sorted variables of c to the intervals in order.
+
     Plain tuples, not PLPSpecs, so no spec validation can fail here."""
     if isinstance(spec, PLPSpec):
         return [(spec.lower, spec.upper, spec.alpha, spec.beta)]
@@ -263,6 +266,11 @@ def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
         return [((0,) * spec.n, spec.bounds, tuple(alpha), (d,) * spec.n)]
     if isinstance(spec, BorelSpec):
         return [_borel_window(u) for u in spec.generators]
+    if isinstance(spec, LPSpec):
+        ks = range(1, spec.n + 1)
+        alpha = tuple(bisect_right(spec.beta, k) for k in ks)
+        beta = tuple(bisect_right(spec.alpha, k) for k in ks)
+        return [((0,) * spec.n, (spec.t,) * spec.n, alpha, beta)]
     return None
 
 
@@ -374,10 +382,9 @@ def realize(spec: FamilySpec) -> MonomialIdeal:
     windows = plp_windows(spec)
     if windows is not None:
         return _realize_windows(spec.n, windows)
-    tspec = as_transversal(spec)
-    if tspec is not None:
-        result = prime_ideal(tspec.sets[0], spec.n)
-        for A in tspec.sets[1:]:
+    if isinstance(spec, TransversalSpec):
+        result = prime_ideal(spec.sets[0], spec.n)
+        for A in spec.sets[1:]:
             result = ideal_product(result, prime_ideal(A, spec.n))
         return result
     if isinstance(spec, ProductSpec):
@@ -397,20 +404,6 @@ def realize(spec: FamilySpec) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-def borel_closure(gens: Iterable[Monomial], n: Optional[int] = None) -> MonomialIdeal:
-    """Smallest strongly stable ideal containing the generators: the sum of
-    the principal Borel ideals B(u), each realized from its window.  Raises
-    ResourceCapError once the windows form more than GENERATOR_CAP distinct
-    monomials.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("borel closure of an empty set is undefined")
-    if n is None:
-        n = gens[0].n
-    return _realize_windows(n, [_borel_window(u) for u in gens])
-
-
 @dataclass(frozen=True)
 class StabilityResult:
     holds: bool
@@ -421,14 +414,25 @@ class StabilityResult:
 
 
 def is_strongly_stable(I: MonomialIdeal) -> StabilityResult:
-    """Whether every move x_j(u/x_i), j < i, lands back in the ideal."""
+    """Whether every move x_j(u/x_i), j < i, lands back in the ideal.
+
+    Each move is formed as an exponent tuple and looked up among the
+    generators; only a move that is not a generator is tested for
+    membership, which in an equigenerated ideal happens at most once."""
     if I.is_zero:
         raise ZeroIdealError("stability is undefined for the zero ideal")
+    gset = I.exponent_set
     for u in I.gens:
+        moved = list(u.exponents)
         for i in u.support:
+            moved[i - 1] -= 1
             for j in range(1, i):
-                if not I.contains(u.exchange(j, i)):
+                moved[j - 1] += 1
+                move = tuple(moved)
+                moved[j - 1] -= 1
+                if move not in gset and not I.contains(Monomial(move)):
                     return StabilityResult(False, (u, i, j))
+            moved[i - 1] += 1
     return StabilityResult(True)
 
 

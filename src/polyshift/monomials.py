@@ -308,15 +308,6 @@ class MonomialIdeal:
                 return True
         return False
 
-    def divisor_count(self, u: Monomial) -> int:
-        """Number of minimal generators dividing u."""
-        ue = u.exponents
-        count = 0
-        for g in self.gens:
-            if all(a <= b for a, b in zip(g.exponents, ue)):
-                count += 1
-        return count
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other) -> bool:

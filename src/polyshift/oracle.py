@@ -225,10 +225,6 @@ class SimplicialComplexFrame:
     vertices: tuple[int, ...]
     face_masks: tuple[int, ...]
 
-    @property
-    def is_void(self) -> bool:
-        return not self.face_masks
-
     def faces(self) -> list[tuple[int, ...]]:
         """Faces as sorted variable-index tuples (the empty face included)."""
         out = []
@@ -324,13 +320,6 @@ class BettiTable:
         for (i, _), r in self.entries.items():
             out[i] = out.get(i, 0) + r
         return dict(sorted(out.items()))
-
-    def multidegrees(self, i: int) -> list[Monomial]:
-        return sorted(
-            (a for (k, a) in self.entries if k == i),
-            key=lambda m: m.exponents,
-            reverse=True,
-        )
 
     def shift_ideal(self, j: int) -> MonomialIdeal:
         return MonomialIdeal(self.n, [a for (i, a) in self.entries if i == j])

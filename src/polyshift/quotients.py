@@ -100,9 +100,6 @@ class QuotientCertificate:
         """Length of the minimal resolution: the largest colon set size."""
         return max(len(s) for s in self.colon_vars)
 
-    def colon_table(self) -> dict[Monomial, tuple[int, ...]]:
-        return dict(zip(self.ordered_gens, self.colon_vars))
-
 
 @dataclass(frozen=True)
 class AdmissibleOrderFailure:

@@ -10,14 +10,11 @@ graph criterion for transversal ideals, and the spanning-tree candidate set
 for their socles.  ``socle_report`` is the one place that checks linearity
 and runs the general routes that apply.
 
-The closed forms go one per family.  Veronese, basic PLP and Borel specs
-are unions of the windows ``plp_windows`` reads off them, so one formula,
-the shifted type (upper - 1 | alpha - e_n, beta - 1) of each window of the
-generation degree, gives the socle of all three; an LP ideal is the
-transversal product of its intervals.  ``family_max_pd`` takes maximal
-projective dimension from the intersection graph for transversal (and LP)
-bases, from the stable closure for borel bases, and otherwise reads it off
-the closed-form socle: it is maximal exactly when the socle is nonzero.
+The closed form is one formula.  Veronese, basic PLP, Borel and LP specs
+are unions of the windows ``plp_windows`` reads off them, and the shifted
+type (k upper - 1 | k alpha - e_n, k beta - 1) of each window of the
+generation degree gives the socle of the k-th power of any of them (of a
+Borel spec with one generator when k > 1).
 
 The colon route truncates by degree.  For I generated in degree d, the
 degree-(d-1) generators of I : x_i are exactly {u / x_i : u in G(I), x_i | u},
@@ -45,21 +42,15 @@ from .errors import (
     ZeroIdealError,
 )
 from .families import (
-    BorelSpec,
     FamilySpec,
-    LPSpec,
     PowerSpec,
     TransversalSpec,
     _realize_windows,
-    as_transversal,
-    borel_closure,
     plp_windows,
-    prime_ideal,
 )
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    ideal_product,
     monomial_multiples,
     restrict_to_support,
 )
@@ -321,8 +312,8 @@ def _unwrap_power(spec: FamilySpec) -> tuple[int, FamilySpec]:
 def family_socle(spec: FamilySpec) -> MonomialIdeal:
     """Closed-form socle for the families that have one.
 
-    Supported: veronese, basic PLP and borel (one formula over their
-    windows), LP, and powers of those.  A zeroth power of any spec is the
+    Supported: veronese, basic PLP, borel and LP (one formula over their
+    windows), and powers of those.  A zeroth power of any spec is the
     unit ideal, whose socle is zero.  Anything else raises
     UnsupportedFamilyError, pointing to the direct colon route.  Families
     without maximal projective dimension realize to the zero ideal here,
@@ -334,65 +325,31 @@ def family_socle(spec: FamilySpec) -> MonomialIdeal:
         # the unit ideal is generated in degree 0 and has no degree -1 part
         return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
-    if windows is not None:
-        if any(any(lower) for lower, _, _, _ in windows):
-            raise UnsupportedFamilyError(
-                "closed-form socle covers basic PLP types only; use socle_colon"
+    if windows is None:
+        raise UnsupportedFamilyError(
+            f"no closed-form socle for family tag {spec.tag!r}; use socle_colon"
+        )
+    if any(any(lower) for lower, _, _, _ in windows):
+        raise UnsupportedFamilyError(
+            "closed-form socle covers basic PLP types only; use socle_colon"
+        )
+    if len(windows) > 1:
+        closure = _realize_windows(spec.n, windows)
+        if not closure.is_equigenerated:
+            raise DegreeMismatchError(
+                "socle of a non-equigenerated stable ideal is undefined"
             )
-        if len(windows) > 1:
-            closure = _realize_windows(spec.n, windows)
-            if not closure.is_equigenerated:
-                raise DegreeMismatchError(
-                    "socle of a non-equigenerated stable ideal is undefined"
-                )
-            if k != 1:
-                raise UnsupportedFamilyError(
-                    "power socles are closed-form only for a single stable generator"
-                )
-            # a window of higher degree only adds non-minimal monomials
-            d = closure.generation_degree
-            windows = [w for w in windows if w[2][-1] == d]
-        # the socle type (upper - 1 | alpha - e_n, beta - 1) of the k-th power
-        shifted = [
-            (lower, [k * x - 1 for x in upper],
-             [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1], [k * x - 1 for x in beta])
-            for lower, upper, alpha, beta in windows
-        ]
-        return _realize_windows(spec.n, shifted)
-    if isinstance(spec, LPSpec):
         if k != 1:
             raise UnsupportedFamilyError(
-                "socles of LP powers are not implemented; use socle_colon"
+                "power socles are closed-form only for a single stable generator"
             )
-        if not family_max_pd(spec):
-            return MonomialIdeal(spec.n)
-        # consecutive intervals overlap in p_[alpha_{i+1}, beta_i]
-        sets = as_transversal(spec).sets
-        result = MonomialIdeal(spec.n, [Monomial.unit(spec.n)])
-        for A, B in zip(sets, sets[1:]):
-            result = ideal_product(result, prime_ideal(A & B, spec.n))
-        return result
-    raise UnsupportedFamilyError(
-        f"no closed-form socle for family tag {spec.tag!r}; use socle_colon"
-    )
-
-
-def family_max_pd(spec: FamilySpec) -> bool:
-    """Closed-form test for maximal projective dimension relative to all n
-    ambient variables, that is for a nonzero ambient socle.
-
-    A positive power keeps the answer of a transversal (LP included) or
-    borel base: the intersection graph of a transversal base decides it, and
-    so does whether the stable closure of a borel base reaches x_n.  Every
-    other spec, a zeroth power included, has it read off its closed-form
-    socle.
-    """
-    k, base = _unwrap_power(spec)
-    if k:
-        tspec = as_transversal(base)
-        if tspec is not None:
-            return tspec.covers_variables and intersection_graph(tspec).is_connected
-        if isinstance(base, BorelSpec):
-            closure = borel_closure(base.generators, base.n)
-            return any(g.max_var == base.n for g in closure.gens)
-    return not family_socle(spec).is_zero
+        # a window of higher degree only adds non-minimal monomials
+        d = closure.generation_degree
+        windows = [w for w in windows if w[2][-1] == d]
+    # the socle type (upper - 1 | alpha - e_n, beta - 1) of the k-th power
+    shifted = [
+        (lower, [k * x - 1 for x in upper],
+         [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1], [k * x - 1 for x in beta])
+        for lower, upper, alpha, beta in windows
+    ]
+    return _realize_windows(spec.n, shifted)

@@ -373,10 +373,6 @@ class IdealSource:
     spec: Optional[FamilySpec] = None
 
     @property
-    def kind(self) -> str:
-        return "family" if self.spec is not None else "explicit"
-
-    @property
     def n(self) -> int:
         return self.ideal.n
 

@@ -336,6 +336,60 @@ class TestHsCommand:
         assert code == 0
         assert json.loads(out)["variable_order"] == "x2>x1>x3>x4"
 
+    def test_note_when_lex_order_fails(self, tmp_path, capsys):
+        # lex fails here and the order search certifies another order
+        path = write(tmp_path, "nolex.txt", "[x1*x3, x2*x4, x3*x4]")
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["agreement"] is True and report["pd"] == 1
+        entry = report["routes"]["certificate"]
+        assert entry["status"] == "ok"
+        assert entry["note"] == (
+            "lex order under the given variable order failed; "
+            "found another admissible order"
+        )
+        assert entry["shifts"]["1"] == ["x1*x3*x4", "x2*x3*x4"]
+
+    @pytest.mark.parametrize(
+        "text, ran",
+        [
+            ("{type:lp, alpha:[1,3], beta:[4,5]}", ["certificate", "distance", "oracle"]),
+            (CYCLE5, ["oracle"]),
+            ("[x1^2, x1*x2, x2^3, x2^2*x3] n=3", ["certificate", "oracle"]),
+        ],
+        ids=["lp", "cycle5", "mixed-degree"],
+    )
+    def test_timings_name_the_routes_that_ran(self, text, ran, tmp_path, capsys):
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(
+            ["hs", "--input", path, "--all", "--route", "all", "--json", "--timings"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        timings = report.pop("timings")
+        assert sorted(timings) == ran
+        assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+        # without the timings the report keeps its pinned bytes
+        rest = json.dumps(report, sort_keys=True) + "\n"
+        assert hashlib.sha256(rest.encode()).hexdigest() == HS_JSON_PINS[text]
+
+    def test_disagreement_exit_code(self, monkeypatch, tmp_path, capsys):
+        import polyshift.cli as cli_module
+        from polyshift import MonomialIdeal
+
+        monkeypatch.setattr(
+            cli_module, "shifts_by_distance", lambda cert, j: MonomialIdeal(cert.ideal.n)
+        )
+        path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert code == 4
+        report = json.loads(out)
+        assert report["agreement"] is False
+        assert report["routes"]["distance"]["shifts"]["0"] == []
+        assert err == "internal disagreement: shift routes disagree; see report\n"
+
     def test_byte_reproducible(self, tmp_path, capsys):
         path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
         _, first, _ = run_cli(["hs", "--input", path, "--json"], capsys)
@@ -407,14 +461,17 @@ class TestSocCommand:
         [
             "{type:borel, gens:[x9^40], n:9}",
             "{type:veronese, b:[40,40,40,40,40,40,40,40,40], d:40}",
+            "{type:lp, alpha:[1,1,1,1,1,1], beta:[20,20,20,20,20,20]}",
         ],
-        ids=["borel", "veronese"],
+        ids=["borel", "veronese", "lp"],
     )
     def test_realization_past_the_generator_cap_is_refused(
         self, text, tmp_path, capsys
     ):
-        # each realization has C(48, 8), about 3.8 * 10^8, generators; both
-        # once ran past 10 s unrefused
+        # the Borel and Veronese realizations have C(48, 8), about 3.8 * 10^8,
+        # generators and once ran past 10 s unrefused; the LP one has
+        # C(25, 6) = 177100, which its interval products formed before the
+        # socle routes ran past 600 s
         path = write(tmp_path, "big.txt", text)
         start = time.perf_counter()
         code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
@@ -437,6 +494,35 @@ class TestSocCommand:
         assert time.perf_counter() - start < 10
         assert (code, out) == (2, "")
         assert err == "precondition: the zero ideal has no socle\n"
+
+    def test_lp_power_has_a_closed_form(self, tmp_path, capsys):
+        # the closed form was once skipped for LP powers
+        path = write(
+            tmp_path, "lp2.txt",
+            "{type:power, base:{type:lp, alpha:[1,3], beta:[4,5]}, k:2}",
+        )
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["agreement"] is True
+        closed = report["routes"]["closed-form"]
+        assert closed == report["routes"]["colon"] == report["socle"]
+        assert len(closed["gens"]) == 17 and closed["gens"][0] == "x1*x3^2"
+
+    def test_disagreement_exit_code(self, monkeypatch, tmp_path, capsys):
+        import polyshift.cli as cli_module
+        from polyshift import MonomialIdeal
+
+        monkeypatch.setattr(
+            cli_module, "family_socle", lambda spec: MonomialIdeal(spec.n)
+        )
+        path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert code == 4
+        report = json.loads(out)
+        assert report["agreement"] is False
+        assert report["routes"]["closed-form"] == {"gens": [], "n": 5}
+        assert err == "internal disagreement: socle routes disagree; see report\n"
 
     def test_redundant_borel_generator_keeps_routes_agreeing(self, tmp_path, capsys):
         # x1*x2 lies in the closure of x1; its closed form once read off
@@ -669,6 +755,20 @@ class TestCheckCommand:
         report = json.loads(out)
         assert report["verdict"] is False
         assert report["witness"] == ["x2", 2, 1]
+
+    def test_strongly_stable_at_the_variable_cap(self, tmp_path, capsys):
+        # (x1, ..., x500) has 124750 moves; testing each by a scan of the
+        # generators was still running at 60 s
+        text = "[" + ", ".join(f"x{i}" for i in range(1, 501)) + "]"
+        path = write(tmp_path, "m500.txt", text)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["check", "--input", path, "--property", "strongly-stable", "--json"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] is True
 
 
 class TestBettiCommand:

@@ -1,10 +1,12 @@
 """The package ships only routes something runs.  Every name ``polyshift``
-exports needs a caller in the package's own modules or in perfbench/, or a
-line on the allowlist below that says why it stays.  References that only
-the tests compare against live in tests/util.py."""
+exports, and every public method or property of an exported class, needs a
+caller in the package's own modules or in perfbench/, or a line on the
+allowlists below that says why it stays.  References that only the tests
+compare against live in tests/util.py."""
 
 import ast
 import inspect
+import types
 from pathlib import Path
 
 import polyshift
@@ -20,6 +22,11 @@ ALLOWED = {
     "shift_multiset": "ROADMAP item 4: the certificate's Betti table",
     "ek_betti": "ROADMAP item 4: a closed-form route of betti for strongly stable ideals",
     "borel_generators": "ROADMAP item 3: the census reads case (iv) coverage off it",
+}
+
+ALLOWED_MEMBERS = {
+    "SimplicialComplexFrame.faces": "ROADMAP item 7: the frame the tracer hooks, "
+    "kept with it until the tracer reads counters",
 }
 
 
@@ -103,3 +110,54 @@ def test_perfbench_names_are_seen():
         "lcm_lattice", "upper_koszul", "reduced_homology_ranks", "max_pd",
         "total_betti_from_certificate", "contains_mask", "HAVE_NUMBA",
     } <= _used_in_perfbench()
+
+
+def _attributes_read(node) -> set[str]:
+    """Attribute names read under the node; a function's own body does not
+    count as a caller of a method with its name."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found.add(child.attr)
+        inner = _attributes_read(child)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner.discard(child.name)
+        found |= inner
+    return found
+
+
+def _members_used() -> set[str]:
+    """Member names read as attributes in the package's modules or in
+    perfbench/."""
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        used |= _attributes_read(ast.parse(path.read_text()))
+    return used
+
+
+def exported_members() -> set[str]:
+    """``Class.member`` for each public method or property that an exported
+    class defines itself."""
+    out = set()
+    for name in exported():
+        cls = getattr(polyshift, name)
+        if not inspect.isclass(cls):
+            continue
+        for member, value in vars(cls).items():
+            if not member.startswith("_") and isinstance(
+                value, (property, classmethod, staticmethod, types.FunctionType)
+            ):
+                out.add(f"{name}.{member}")
+    return out
+
+
+def test_every_public_member_has_a_caller_or_a_reason():
+    used = _members_used()
+    unused = {m for m in exported_members() if m.partition(".")[2] not in used}
+    assert sorted(unused - set(ALLOWED_MEMBERS)) == []
+
+
+def test_member_allowlist_holds_only_members_without_a_caller():
+    used = _members_used()
+    assert set(ALLOWED_MEMBERS) <= exported_members()
+    assert sorted(m for m in ALLOWED_MEMBERS if m.partition(".")[2] in used) == []

@@ -20,7 +20,6 @@ from polyshift import (
     TransversalSpec,
     VeroneseSpec,
     ZeroIdealError,
-    borel_closure,
     borel_generators,
     check_exchange,
     ideal_power,
@@ -39,11 +38,14 @@ from polyshift.families import EXCHANGE_MODES, _realize_windows, plp_windows
 from util import (
     M,
     all_monomials,
+    borel_closure,
     borel_closure_reference,
     borel_generator_lists,
     bounded_degree_reference,
     gens_set,
     ideal,
+    is_strongly_stable_reference,
+    lp_specs,
     outcome_under_optimize,
     pairwise_exchange_reference,
     plp_factor,
@@ -134,7 +136,7 @@ class TestRealize:
     def test_plp_factorization(self):
         spec = PLPSpec((1, 0, 1), (2, 2, 2), (1, 2, 4), (2, 3, 4))
         monomial, basic = plp_factor(spec)
-        assert basic.is_basic
+        assert not any(basic.lower)
         assert monomial_multiples(realize(basic), monomial) == realize(spec)
 
     @pytest.mark.parametrize(
@@ -146,8 +148,10 @@ class TestRealize:
             (BorelSpec((M("x1", 3), M("x2^2", 3)), 3), 4),
             # B(x1*x3) and B(x2^2) share x1^2 and x1*x2, which count once
             (BorelSpec((M("x1*x3", 3), M("x2^2", 3), M("x2^2", 3)), 3), 4),
+            # p_[1,2] p_[2,3]: x1*x2, x1*x3, x2^2 and x2*x3
+            (LPSpec((1, 2), (2, 3), 3), 4),
         ],
-        ids=["veronese", "borel", "borel-non-minimal", "borel-overlapping"],
+        ids=["veronese", "borel", "borel-non-minimal", "borel-overlapping", "lp"],
     )
     def test_generator_cap_boundary(self, spec, formed, monkeypatch):
         expected = realize(spec)
@@ -272,6 +276,25 @@ class TestStronglyStable:
 
         with pytest.raises(ZeroIdealError):
             is_strongly_stable(MonomialIdeal(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_membership_scan(self, data):
+        # mixed-degree lists, and stable closures with a generator dropped
+        # or a generator's multiple added
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(1, 4))
+            exps = st.tuples(*[st.integers(0, 2)] * n).map(Monomial)
+            I = MonomialIdeal(n, data.draw(st.lists(exps, min_size=1, max_size=6)))
+        else:
+            gens, n = data.draw(borel_generator_lists())
+            gens = list(borel_closure(gens, n).gens)
+            if len(gens) > 1 and data.draw(st.booleans()):
+                gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+            if data.draw(st.booleans()):
+                gens.append(data.draw(st.sampled_from(gens)).times_var(n))
+            I = MonomialIdeal(n, gens)
+        assert is_strongly_stable(I) == is_strongly_stable_reference(I)
 
 
 class TestExchange:
@@ -466,8 +489,17 @@ class TestPlpWindows:
             ((0, 0, 0), (3, 3, 3), (1, 1, 3), (3, 3, 3)),
         ]
 
+    def test_lp_window_counts_interval_endpoints(self):
+        # alpha'_k = #{i : beta_i <= k}, beta'_k = #{i : alpha_i <= k}; the
+        # unused x1 and x6 of the second spec get beta'_1 = 0, alpha'_5 = t
+        assert plp_windows(LPSpec((1, 3), (4, 5), 5)) == [
+            ((0, 0, 0, 0, 0), (2, 2, 2, 2, 2), (0, 0, 0, 1, 2), (1, 1, 2, 2, 2))
+        ]
+        assert plp_windows(LPSpec((2, 2), (3, 5), 6)) == [
+            ((0,) * 6, (2,) * 6, (0, 0, 1, 1, 2, 2), (0, 2, 2, 2, 2, 2))
+        ]
+
     def test_other_families_have_none(self):
-        assert plp_windows(LPSpec((1, 3), (4, 5), 5)) is None
         assert plp_windows(TransversalSpec((frozenset({1, 2}),), 2)) is None
         assert plp_windows(PowerSpec(VeroneseSpec((1, 1), 1), 2)) is None
 
@@ -488,6 +520,15 @@ class TestPlpWindows:
 
 
 class TestAsTransversal:
+    @settings(max_examples=200, deadline=None)
+    @given(lp_specs())
+    def test_lp_window_matches_interval_product(self, spec):
+        from polyshift.families import as_transversal
+
+        windowed = realize(spec)
+        assert windowed.gens == realize(as_transversal(spec)).gens
+
+
     def test_lp_intervals_become_sets(self):
         from polyshift.families import as_transversal
 

@@ -3,7 +3,16 @@ import json
 
 import pytest
 
-from polyshift import CampaignConfig, check_instance, run_campaign
+from polyshift import (
+    BettiTable,
+    CampaignConfig,
+    ExchangeResult,
+    LPSpec,
+    check_instance,
+    realize,
+    run_campaign,
+)
+from polyshift import fuzzlab
 from polyshift.fuzzlab import instance_seed
 
 
@@ -77,3 +86,61 @@ class TestCampaign:
         assert hashlib.sha256(data).hexdigest() == (
             "f6cacd155bc94f52a841306de24ceef7ee58b9a473bdaa43e4d27e959049b1b9"
         )
+
+
+class TestOracleFallbacks:
+    """The oracle runs in a campaign only when an exchange check fails; a
+    patched check makes it run, and a patched table makes it disagree."""
+
+    SPEC = LPSpec((1, 3), (4, 5), 5)
+
+    @pytest.fixture
+    def failing_exchange(self, monkeypatch):
+        def fail(I, mode="exchange"):
+            return ExchangeResult(False, (I.gens[0], I.gens[-1], 1))
+
+        monkeypatch.setattr(fuzzlab, "check_exchange", fail)
+
+    def test_flags_when_the_oracle_reproduces(self, failing_exchange):
+        row = check_instance(self.SPEC, realize(self.SPEC), CampaignConfig(1, 1))
+        assert row["disagreements"] == []
+        assert row["hs_polymatroidal"] == [False] * 4
+        assert row["soc_polymatroidal"] is False
+        bbh = [flag for flag in row["flags"] if flag["conjecture"] == "bbh"]
+        assert [flag["j"] for flag in bbh] == [1, 2, 3, 4]
+        assert bbh[0] == {
+            "conjecture": "bbh",
+            "j": 1,
+            "ideal": [
+                "x1*x2*x3", "x1*x2*x4", "x1*x2*x5", "x1*x3^2", "x1*x3*x4",
+                "x1*x3*x5", "x1*x4^2", "x1*x4*x5", "x2*x3^2", "x2*x3*x4",
+                "x2*x3*x5", "x2*x4^2", "x2*x4*x5", "x3^2*x4", "x3^2*x5",
+                "x3*x4^2", "x3*x4*x5", "x4^2*x5",
+            ],
+            "witness": ["x1*x2*x3", "x4^2*x5"],
+        }
+        assert row["flags"][-1] == {
+            "conjecture": "chl",
+            "socle": ["x3", "x4"],
+            "witness": ["x3", "x4"],
+        }
+        assert len(row["flags"]) == 5
+
+    def test_disagreements_when_the_oracle_differs(self, failing_exchange, monkeypatch):
+        real = fuzzlab.betti_table
+
+        def perturbed(I, prime=None):
+            # drop the first entry of every homological index
+            table = real(I, prime)
+            first = {}
+            for key in table.entries:
+                first.setdefault(key[0], key)
+            kept = {k: r for k, r in table.entries.items() if k not in first.values()}
+            return BettiTable(table.n, kept, table.prime)
+
+        monkeypatch.setattr(fuzzlab, "betti_table", perturbed)
+        row = check_instance(self.SPEC, realize(self.SPEC), CampaignConfig(1, 1))
+        assert row["flags"] == []
+        assert row["disagreements"] == [
+            {"kind": "oracle-vs-certificate", "j": j} for j in (1, 2, 3, 4)
+        ] + [{"kind": "oracle-vs-socle"}]

@@ -15,7 +15,6 @@ from polyshift import (
     ResourceCapError,
     SimplicialComplexFrame,
     betti_table,
-    borel_closure,
     ek_betti,
     lcm_lattice,
     minimal_generators,
@@ -27,6 +26,7 @@ from polyshift.oracle import LATTICE_CAP, _gen_matrix, _lattice
 from util import (
     M,
     betti_table_reference,
+    borel_closure,
     full_boundary_homology,
     gens_set,
     ideal,
@@ -89,7 +89,7 @@ class TestLcmLattice:
         far = MonomialIdeal(n, [Monomial.from_support(s, n) for s in ((1, 2), (70, 71))])
         table = betti_table(far)
         assert table.totals() == {0: 2, 1: 1}
-        assert table.multidegrees(1) == [Monomial.from_support((1, 2, 70, 71), n)]
+        assert table.shift_ideal(1).gens == (Monomial.from_support((1, 2, 70, 71), n),)
 
 
 class TestLatticeClosure:
@@ -254,7 +254,7 @@ class TestUpperKoszul:
 
     def test_nonmember_gives_void_complex(self, trio_ideal):
         frame = upper_koszul(trio_ideal, M("x3*x4", 4))
-        assert frame.is_void
+        assert frame.face_masks == ()  # the void complex
         assert reduced_homology_ranks(frame, 32003) == {}
 
     def test_frame_too_wide_for_face_bitmasks(self):

@@ -20,9 +20,7 @@ from polyshift import (
     UnsupportedFamilyError,
     VeroneseSpec,
     betti_table,
-    borel_closure,
     certify_lex,
-    family_max_pd,
     family_socle,
     ideal_power,
     intersection_graph,
@@ -39,13 +37,16 @@ from polyshift import (
 from util import (
     M,
     all_monomials,
+    borel_closure,
     borel_generator_lists,
     bounded_degree_reference,
     colon_maximal,
+    family_max_pd,
     full_support,
     gens_set,
     ideal,
     ideal_intersection,
+    lp_specs,
     outcome_under_optimize,
     power_persistence,
 )
@@ -354,6 +355,15 @@ class TestFamilySocle:
             assert k > 1 and len(gens) > 1
             return
         assert closed == socle_colon(realize(spec))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp_specs(n_max=6, t_max=3), st.integers(0, 3), st.integers(1, 2))
+    def test_lp_and_powers_match_colon(self, base, k, outer):
+        # outer = 2 nests the power in a square: (I^k)^2
+        spec = base if k == 1 else PowerSpec(base, k)
+        if outer == 2:
+            spec = PowerSpec(spec, 2)
+        assert family_socle(spec) == socle_colon(realize(spec))
 
     def test_veronese_closed_form(self):
         spec = VeroneseSpec((2, 1, 2), 3)

@@ -62,7 +62,7 @@ class TestIdealGrammar:
     def test_counterexample_list(self, trio_ideal):
         src = parse_ideal("[x2*x4, x1*x2, x1*x3] n=4")
         assert src.ideal == trio_ideal
-        assert src.kind == "explicit"
+        assert src.spec is None
 
     def test_n_defaults_to_max_index(self):
         src = parse_ideal("[x2*x4, x1*x2, x1*x3]")
@@ -106,7 +106,6 @@ class TestIdealGrammar:
 class TestFamilyDocuments:
     def test_unquoted_lp_document(self, example_ideal):
         src = parse_ideal("{type:lp, alpha:[1,3], beta:[4,5]}")
-        assert src.kind == "family"
         assert src.spec == LPSpec((1, 3), (4, 5), 5)
         assert src.ideal == example_ideal
 

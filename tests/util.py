@@ -25,7 +25,19 @@ from polyshift.errors import (
     SupportError,
     ZeroIdealError,
 )
-from polyshift.families import EXCHANGE_MODES, ExchangeResult, PLPSpec, check_exchange
+from polyshift.families import (
+    EXCHANGE_MODES,
+    BorelSpec,
+    ExchangeResult,
+    FamilySpec,
+    LPSpec,
+    PLPSpec,
+    StabilityResult,
+    _borel_window,
+    _realize_windows,
+    as_transversal,
+    check_exchange,
+)
 from polyshift.monomials import VariableOrder, _check_same_ring, ideal_power
 from polyshift.oracle import (
     LATTICE_CAP,
@@ -43,7 +55,7 @@ from polyshift.quotients import (
     OrderSearch,
     QuotientCertificate,
 )
-from polyshift.socle import socle_report
+from polyshift.socle import _unwrap_power, family_socle, intersection_graph, socle_report
 
 
 def M(text: str, n: int | None = None) -> Monomial:
@@ -675,6 +687,67 @@ def borel_closure_reference(gens, n: int) -> MonomialIdeal:
                     seen.add(v.exponents)
                     queue.append(v)
     return MonomialIdeal(n, collected)
+
+
+def borel_closure(gens: Iterable[Monomial], n: Optional[int] = None) -> MonomialIdeal:
+    """Smallest strongly stable ideal containing the generators: the sum of
+    the principal Borel ideals B(u), each realized from its window.  Raises
+    ResourceCapError once the windows form more than GENERATOR_CAP distinct
+    monomials.
+    """
+    gens = list(gens)
+    if not gens:
+        raise ValueError("borel closure of an empty set is undefined")
+    if n is None:
+        n = gens[0].n
+    return _realize_windows(n, [_borel_window(u) for u in gens])
+
+
+def family_max_pd(spec: FamilySpec) -> bool:
+    """Closed-form test for maximal projective dimension relative to all n
+    ambient variables, that is for a nonzero ambient socle.
+
+    A positive power keeps the answer of a transversal (LP included) or
+    borel base: the intersection graph of a transversal base decides it, and
+    so does whether the stable closure of a borel base reaches x_n.  Every
+    other spec, a zeroth power included, has it read off its closed-form
+    socle.
+    """
+    k, base = _unwrap_power(spec)
+    if k:
+        tspec = as_transversal(base)
+        if tspec is not None:
+            return tspec.covers_variables and intersection_graph(tspec).is_connected
+        if isinstance(base, BorelSpec):
+            closure = borel_closure(base.generators, base.n)
+            return any(g.max_var == base.n for g in closure.gens)
+    return not family_socle(spec).is_zero
+
+
+def is_strongly_stable_reference(I: MonomialIdeal) -> StabilityResult:
+    """Whether every move x_j(u/x_i), j < i, lands back in the ideal, each
+    move tested by a membership scan over the generators."""
+    if I.is_zero:
+        raise ZeroIdealError("stability is undefined for the zero ideal")
+    for u in I.gens:
+        for i in u.support:
+            for j in range(1, i):
+                if not I.contains(u.exchange(j, i)):
+                    return StabilityResult(False, (u, i, j))
+    return StabilityResult(True)
+
+
+@st.composite
+def lp_specs(draw, n_max: int = 7, t_max: int = 4):
+    """LP specs whose intervals may leave leading and trailing variables
+    unused; the endpoints are made nondecreasing by a running maximum."""
+    n = draw(st.integers(1, n_max))
+    t = draw(st.integers(1, t_max))
+    alpha = sorted(draw(st.lists(st.integers(1, n), min_size=t, max_size=t)))
+    beta = list(itertools.accumulate(
+        (draw(st.integers(a, n)) for a in alpha), max
+    ))
+    return LPSpec(tuple(alpha), tuple(beta), n)
 
 
 @st.composite
