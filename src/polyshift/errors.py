@@ -54,5 +54,6 @@ class ParseError(PolyshiftError):
 
     def __init__(self, message: str, line: int = 1, column: int = 1):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.reason = message
         self.line = line
         self.column = column

@@ -8,11 +8,13 @@ windows), LP ideals (products of interval primes), transversal ideals
 generator lists.  Every realized family is polymatroidal, which the random
 generator asserts on each draw.
 
-Veronese, PLP, Borel and LP specs are the union of the prefix-sum windows
-``plp_windows`` reads off them (a Borel spec has one per generator), and
-``realize`` and the socle closed form go through that view.  An LP spec also
-reads as the transversal ideal of its intervals (``as_transversal``), which
-the intersection graph and the spanning trees take.
+Veronese, PLP, Borel and LP specs and their powers are the union of the
+prefix-sum windows ``plp_windows`` reads off them (a Borel spec has one per
+generator), and ``realize`` and the socle closed form go through that view;
+only products and the powers of the other specs are formed by ideal
+products.  An LP spec also reads as the transversal ideal of its intervals
+(``as_transversal``), which the intersection graph and the spanning trees
+take.
 """
 
 from __future__ import annotations
@@ -241,11 +243,21 @@ def _borel_window(u: Monomial) -> Window:
     return (0,) * n, (d,) * n, tuple(itertools.accumulate(u.exponents)), (d,) * n
 
 
+def _unwrap_power(spec: FamilySpec) -> tuple[int, FamilySpec]:
+    """The total exponent k and the innermost base of nested powers."""
+    k = 1
+    while isinstance(spec, PowerSpec):
+        k *= spec.exponent
+        spec = spec.base
+    return k, spec
+
+
 def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
     """The windows (lower, upper, alpha, beta) whose monomials generate the
     spec's ideal, when it has them: [own] for a PLP spec, [tight] for a
     Veronese type (b, d), which is (0 | b, alpha, d) with alpha_i =
-    max(0, d - b_{i+1} - ... - b_n), and one per generator of a Borel spec.
+    max(0, d - b_{i+1} - ... - b_n), or [] when no monomial fits, and one
+    per generator of a Borel spec.
 
     An LP spec with t intervals is (0 | t, alpha', beta') with alpha'_k =
     #{i : beta_i <= k} and beta'_k = #{i : alpha_i <= k}.  These bounds are
@@ -253,25 +265,42 @@ def plp_windows(spec: FamilySpec) -> Optional[list[Window]]:
     with alpha_i > k cannot.  They are sufficient because the endpoints are
     nondecreasing: give the sorted variables of c to the intervals in order.
 
+    The k-th power of a one-window spec is the ideal of its polymatroid
+    scaled by k (Herzog-Hibi, Discrete polymatroids, 2002), the window
+    scaled by k; that of a Borel spec with several generators has one window
+    per generator of their k-th power, as B(u)B(v) = B(uv).  The zeroth
+    power of any spec is the zero window.
+
     Plain tuples, not PLPSpecs, so no spec validation can fail here."""
-    if isinstance(spec, PLPSpec):
-        return [(spec.lower, spec.upper, spec.alpha, spec.beta)]
-    if isinstance(spec, VeroneseSpec):
+    k, spec = _unwrap_power(spec)
+    n = spec.n
+    if k == 0:
+        return [((0,) * n,) * 4]  # the unit ideal
+    if isinstance(spec, BorelSpec):
+        gens = spec.generators
+        if k > 1 and len(gens) > 1:
+            gens = ideal_power(MonomialIdeal(n, gens), k).gens
+            return [_borel_window(u) for u in gens]
+        windows = [_borel_window(u) for u in gens]
+    elif isinstance(spec, PLPSpec):
+        windows = [(spec.lower, spec.upper, spec.alpha, spec.beta)]
+    elif isinstance(spec, VeroneseSpec):
         d = spec.degree
+        if sum(min(b, d) for b in spec.bounds) < d:
+            return []  # with no variables the window would give the unit
         alpha = []
         rest = sum(spec.bounds)
         for b in spec.bounds:
             rest -= b
             alpha.append(max(0, d - rest))
-        return [((0,) * spec.n, spec.bounds, tuple(alpha), (d,) * spec.n)]
-    if isinstance(spec, BorelSpec):
-        return [_borel_window(u) for u in spec.generators]
-    if isinstance(spec, LPSpec):
-        ks = range(1, spec.n + 1)
-        alpha = tuple(bisect_right(spec.beta, k) for k in ks)
-        beta = tuple(bisect_right(spec.alpha, k) for k in ks)
-        return [((0,) * spec.n, (spec.t,) * spec.n, alpha, beta)]
-    return None
+        windows = [((0,) * n, spec.bounds, tuple(alpha), (d,) * n)]
+    elif isinstance(spec, LPSpec):
+        alpha = tuple(bisect_right(spec.beta, i) for i in range(1, n + 1))
+        beta = tuple(bisect_right(spec.alpha, i) for i in range(1, n + 1))
+        windows = [((0,) * n, (spec.t,) * n, alpha, beta)]
+    else:
+        return None
+    return [tuple(tuple(k * x for x in v) for v in w) for w in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +344,11 @@ def _windows_into(out: dict, lower, upper, alphas, beta) -> None:
             rows.append(los)
     # reach[i]: the windows' smallest sums after i coordinates, ascending, and
     # the running bitsets of the windows up to each
-    if len(rows) == 1:  # one window, the common case: nothing to sort
-        reach = [([lo], [1]) for lo in rows[0]]
-    else:
-        reach = []
-        for col in zip(*rows):
-            order = sorted(range(len(col)), key=col.__getitem__)
-            masks = itertools.accumulate([1 << w for w in order], operator.or_)
-            reach.append(([col[w] for w in order], list(masks)))
+    reach = []
+    for col in zip(*rows):
+        order = sorted(range(len(col)), key=col.__getitem__)
+        masks = itertools.accumulate([1 << w for w in order], operator.or_)
+        reach.append(([col[w] for w in order], list(masks)))
     prefix: list[int] = []
 
     def rec(i: int, total: int, alive: int):
@@ -375,10 +401,6 @@ def prime_ideal(indices: Iterable[int], n: int) -> MonomialIdeal:
 
 def realize(spec: FamilySpec) -> MonomialIdeal:
     """Minimal generating set of the ideal a family spec describes."""
-    if isinstance(spec, VeroneseSpec) and (
-        sum(min(b, spec.degree) for b in spec.bounds) < spec.degree
-    ):  # the zero ideal; with no variables the windows would give the unit
-        return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is not None:
         return _realize_windows(spec.n, windows)

@@ -10,11 +10,10 @@ graph criterion for transversal ideals, and the spanning-tree candidate set
 for their socles.  ``socle_report`` is the one place that checks linearity
 and runs the general routes that apply.
 
-The closed form is one formula.  Veronese, basic PLP, Borel and LP specs
-are unions of the windows ``plp_windows`` reads off them, and the shifted
-type (k upper - 1 | k alpha - e_n, k beta - 1) of each window of the
-generation degree gives the socle of the k-th power of any of them (of a
-Borel spec with one generator when k > 1).
+The closed form is one formula.  Veronese, basic PLP, Borel and LP specs and
+their powers are unions of the windows ``plp_windows`` reads off them, and
+the shifted type (upper - 1 | alpha - e_n, beta - 1) of each window of the
+generation degree gives the socle of any of them.
 
 The colon route truncates by degree.  For I generated in degree d, the
 degree-(d-1) generators of I : x_i are exactly {u / x_i : u in G(I), x_i | u},
@@ -41,13 +40,7 @@ from .errors import (
     UnsupportedFamilyError,
     ZeroIdealError,
 )
-from .families import (
-    FamilySpec,
-    PowerSpec,
-    TransversalSpec,
-    _realize_windows,
-    plp_windows,
-)
+from .families import FamilySpec, TransversalSpec, _realize_windows, plp_windows
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -249,9 +242,6 @@ def spanning_trees(graph: IntersectionGraph) -> Iterator[tuple[int, ...]]:
     """Yield every spanning tree as a tuple of edge indices, at most
     SPANNING_TREE_CAP of them."""
     t = graph.num_vertices
-    if t == 1:
-        yield ()
-        return
     count = 0
     for picked in itertools.combinations(range(len(graph.edges)), t - 1):
         # t - 1 edges span the t vertices exactly when they form a tree
@@ -275,8 +265,6 @@ def spanning_tree_socle(spec: TransversalSpec) -> MonomialIdeal:
     n = spec.n
     if not graph.is_connected:
         return MonomialIdeal(n)
-    if spec.t == 1:
-        return MonomialIdeal(n, [Monomial.unit(n)])
     out = []
     seen: set[tuple[int, ...]] = set()
     for tree in spanning_trees(graph):
@@ -300,30 +288,17 @@ def spanning_tree_socle(spec: TransversalSpec) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
-def _unwrap_power(spec: FamilySpec) -> tuple[int, FamilySpec]:
-    """The total exponent k and the innermost base of nested powers."""
-    k = 1
-    while isinstance(spec, PowerSpec):
-        k *= spec.exponent
-        spec = spec.base
-    return k, spec
-
-
 def family_socle(spec: FamilySpec) -> MonomialIdeal:
     """Closed-form socle for the families that have one.
 
-    Supported: veronese, basic PLP, borel and LP (one formula over their
-    windows), and powers of those.  A zeroth power of any spec is the
-    unit ideal, whose socle is zero.  Anything else raises
+    Supported: veronese, basic PLP, borel and LP specs and their powers,
+    one formula over their windows.  A zeroth power of any spec is the unit
+    ideal, whose zero window gives the zero socle.  Anything else raises
     UnsupportedFamilyError, pointing to the direct colon route.  Families
     without maximal projective dimension realize to the zero ideal here,
     matching the colon.
     """
-    k, spec = _unwrap_power(spec)
     _require_variables(spec.n)
-    if k == 0:
-        # the unit ideal is generated in degree 0 and has no degree -1 part
-        return MonomialIdeal(spec.n)
     windows = plp_windows(spec)
     if windows is None:
         raise UnsupportedFamilyError(
@@ -339,17 +314,12 @@ def family_socle(spec: FamilySpec) -> MonomialIdeal:
             raise DegreeMismatchError(
                 "socle of a non-equigenerated stable ideal is undefined"
             )
-        if k != 1:
-            raise UnsupportedFamilyError(
-                "power socles are closed-form only for a single stable generator"
-            )
         # a window of higher degree only adds non-minimal monomials
         d = closure.generation_degree
         windows = [w for w in windows if w[2][-1] == d]
-    # the socle type (upper - 1 | alpha - e_n, beta - 1) of the k-th power
+    # the socle type (upper - 1 | alpha - e_n, beta - 1)
     shifted = [
-        (lower, [k * x - 1 for x in upper],
-         [k * x for x in alpha[:-1]] + [k * alpha[-1] - 1], [k * x - 1 for x in beta])
+        (lower, [x - 1 for x in upper], [*alpha[:-1], alpha[-1] - 1], [x - 1 for x in beta])
         for lower, upper, alpha, beta in windows
     ]
     return _realize_windows(spec.n, shifted)

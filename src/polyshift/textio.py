@@ -243,6 +243,14 @@ def _int(doc: Any, field: str, sc: _Scanner, default: Optional[int] = None) -> i
     return value
 
 
+def _generator(value: Any, sc: _Scanner) -> Monomial:
+    """A generator of a family document, its errors placed like a field's."""
+    try:
+        return parse_monomial(str(value))
+    except ParseError as exc:
+        raise sc.error(f"bad generator {str(value)!r}: {exc.reason}") from None
+
+
 def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
     """Build a family spec from a parsed document."""
     sc = sc or _Scanner("")
@@ -257,13 +265,8 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
             raise sc.error("borel document needs a nonempty 'gens' list")
-        widths = []
-        parsed = []
-        for g in raw:
-            m = parse_monomial(str(g))
-            parsed.append(m)
-            widths.append(m.n)
-        n = _int(doc, "n", sc, max(widths))
+        parsed = [_generator(g, sc) for g in raw]
+        n = _int(doc, "n", sc, max(m.n for m in parsed))
         check_variable_count(n)
         gens = tuple(
             Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed
@@ -303,7 +306,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         raw = doc.get("gens")
         if not isinstance(raw, list):
             raise sc.error("explicit document needs a 'gens' list")
-        parsed = [parse_monomial(str(g)) for g in raw]
+        parsed = [_generator(g, sc) for g in raw]
         n = _int(doc, "n", sc, max((m.n for m in parsed), default=0))
         check_variable_count(n)
         gens = [Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed]

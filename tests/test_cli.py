@@ -35,8 +35,10 @@ def write(tmp_path, name, text):
 # and checks it against the other routes, so these bytes pin the colon socle.
 # The entries after the first three cover the windowed families (Borel,
 # Veronese and PLP types, and powers), taken before Borel ideals were read
-# as prefix-sum windows; the multi-generator Borel power and the non-basic
-# PLP type pin the skipped closed form.
+# as prefix-sum windows; the non-basic PLP type pins the skipped closed
+# form.  The multi-generator Borel power differs from its bytes of that time
+# only in routes.closed-form, which was skipped before powers were read as
+# windows.
 SOC_JSON_PINS = {
     '{type:lp, alpha:[1,3], beta:[4,5]}': (
         '{"agreement": true, "command": "soc", "family": "{\\"type\\": \\"lp\\", '
@@ -115,8 +117,8 @@ SOC_JSON_PINS = {
         '[\\"x1*x3\\", \\"x2^2\\"], \\"n\\": 3}, \\"k\\": 2}", "input": '
         '"[x1^4, x1^3*x2, x1^3*x3, x1^2*x2^2, x1^2*x2*x3, x1^2*x3^2, '
         'x1*x2^3, x1*x2^2*x3, x2^4] n=3", "max_pd": true, "n": 3, "route": '
-        '"exchange-formula", "routes": {"closed-form": {"skipped": "power '
-        'socles are closed-form only for a single stable generator"}, '
+        '"exchange-formula", "routes": {"closed-form": {"gens": ["x1^3", '
+        '"x1^2*x2", "x1^2*x3", "x1*x2^2"], "n": 3}, '
         '"colon": {"gens": ["x1^3", "x1^2*x2", "x1^2*x3", "x1*x2^2"], "n": '
         '3}, "exchange-formula": {"gens": ["x1^3", "x1^2*x2", "x1^2*x3", '
         '"x1*x2^2"], "n": 3}}, "socle": {"gens": ["x1^3", "x1^2*x2", '
@@ -433,21 +435,20 @@ class TestSocCommand:
 
     def test_power_past_the_product_cap_is_refused(self, tmp_path, capsys):
         # this once ran past 20 s forming the 2002 x 2002 pairs of the square
+        sets = ", ".join(["[1,2,3,4,5,6]"] * 9)
         path = write(
-            tmp_path, "pow.txt",
-            "{type:power, base:{type:veronese, b:[9,9,9,9,9,9], d:9}, k:99}",
+            tmp_path, "pow.txt", f"{{type:power, base:{{type:transversal, sets:[{sets}]}}, k:99}}"
         )
         code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
         assert (code, out) == (3, "")
-        assert err.startswith("resource cap: ")
+        assert err.startswith("resource cap: ideal power 99 of 2002 generators")
         assert "1000000 pairs" in err
 
     def test_long_power_past_the_product_cap_is_refused(self, tmp_path, capsys):
         # each square of this power stays under the cap, but the 20000 steps
         # together form about 4 * 10^8 pairs; this once ran past 8 s unrefused
         path = write(
-            tmp_path, "pow.txt",
-            "{type:power, base:{type:veronese, b:[9,9], d:1}, k:20000}",
+            tmp_path, "pow.txt", "{type:power, base:{type:transversal, sets:[[1,2]]}, k:20000}"
         )
         start = time.perf_counter()
         code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
@@ -455,6 +456,53 @@ class TestSocCommand:
         assert (code, out) == (3, "")
         assert err.startswith("resource cap: ideal power 20000 of 2 generators")
         assert "1000000 pairs" in err
+
+    def test_windowed_power_past_the_generator_cap_is_refused(self, tmp_path, capsys):
+        # the power has far more than 10^5 generators; it once went to the
+        # product cap with the 2002 x 2002 pairs of the square
+        path = write(
+            tmp_path, "pow.txt",
+            "{type:power, base:{type:veronese, b:[9,9,9,9,9,9], d:9}, k:99}",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err == (
+            "resource cap: windowed realization exceeds the cap of 100000 generators\n"
+        )
+
+    def test_long_windowed_power_is_answered(self, tmp_path, capsys):
+        # the window scaled by 20000 holds 20001 monomials; by 19999 ideal
+        # products the power once went past the product cap
+        path = write(
+            tmp_path, "pow.txt",
+            "{type:power, base:{type:veronese, b:[9,9], d:1}, k:20000}",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 20
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["agreement"] is True
+        assert report["input"].startswith("[x1^20000, x1^19999*x2, ")
+        assert report["input"].count(",") == 20000
+        closed = report["routes"]["closed-form"]
+        assert closed == report["routes"]["colon"] == report["socle"]
+        assert len(closed["gens"]) == 20000
+
+    def test_power_exponent_past_the_supported_range(self, tmp_path, capsys):
+        # like [x1^3000000000]; the power once took seconds of products to
+        # reach the product cap
+        path = write(
+            tmp_path, "pow.txt",
+            "{type:power, base:{type:veronese, b:[1], d:1}, k:3000000000}",
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "")
+        assert err == "invalid value: exponent 3000000000 exceeds the supported range\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -985,6 +1033,21 @@ class TestFuzzCommand:
             "degree_max >= 1 and gen_max >= 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ("n_max", "parse error: budget entries look like key=value, got 'n_max'"),
+            ("n_max=abc", "invalid value: invalid literal for int() with base 10: 'abc'"),
+        ],
+        ids=["no-value", "not-an-integer"],
+    )
+    def test_malformed_budget_exit_code(self, budget, message, capsys):
+        code, out, err = run_cli(
+            ["fuzz", "--seed", "1", "--count", "1", "--budget", budget], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(message)
+
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import polyshift.cli as cli_module
 
@@ -1039,16 +1102,22 @@ class TestUsageAndParsing:
                 2,
                 "precondition: plp vectors must be nonempty and share one length",
             ),
+            ('{type:"veronese, b:[1], d:1}', 1, "parse error: unterminated string"),
+            (
+                "{type:veronese, b:[1], d:1} x",
+                1,
+                "parse error: trailing input after family document",
+            ),
         ],
         ids=[
             "veronese-no-d", "veronese-list-d", "power-no-k", "power-no-base",
             "power-scalar-base", "transversal-scalar-set", "explicit-list-n",
-            "plp-empty",
+            "plp-empty", "unterminated-string", "trailing-input",
         ],
     )
     def test_malformed_family_document(self, text, code, message, tmp_path, capsys):
-        # all but power-scalar-base once ended in a KeyError, TypeError or
-        # IndexError traceback
+        # the first seven but power-scalar-base once ended in a KeyError,
+        # TypeError or IndexError traceback
         path = write(tmp_path, "doc.txt", text)
         got, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
         assert (got, out) == (code, "")
@@ -1071,6 +1140,38 @@ class TestUsageAndParsing:
         assert (code, out) == (1, "")
         assert err.startswith("parse error: family document nests deeper than 100 levels")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "x1*x2",
+                "parse error: input must start with '[' (generators) or '{' (family spec)",
+            ),
+            ("[x0]", "parse error: variable index must be positive, got 0"),
+            ("[x1^-2]", "parse error: exponents must be nonnegative"),
+            ("[x1] m=3", "parse error: expected 'n=<int>' after the generator list"),
+        ],
+        ids=["no-bracket", "variable-zero", "negative-exponent", "bad-declaration"],
+    )
+    def test_generator_list_parse_errors(self, text, message, tmp_path, capsys):
+        path = write(tmp_path, "bad.txt", text)
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(message + " (line 1, column ")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("i/o error: ")
+        assert "missing.txt" in err
+
+    def test_shifts_of_the_zero_ideal_are_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.txt", "[] n=3")
+        code, out, err = run_cli(["hs", "--input", path, "--json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "precondition: shift ideals of the zero ideal are all zero\n"
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -50,6 +50,7 @@ from util import (
     pairwise_exchange_reference,
     plp_factor,
     windowed_reference,
+    windowed_specs,
 )
 
 
@@ -501,7 +502,58 @@ class TestPlpWindows:
 
     def test_other_families_have_none(self):
         assert plp_windows(TransversalSpec((frozenset({1, 2}),), 2)) is None
-        assert plp_windows(PowerSpec(VeroneseSpec((1, 1), 1), 2)) is None
+        assert plp_windows(PowerSpec(TransversalSpec((frozenset({1, 2}),), 2), 2)) is None
+        assert plp_windows(PowerSpec(VeroneseSpec((1, 1), 1), 2)) == [
+            ((0, 0), (2, 2), (0, 2), (2, 2))
+        ]
+
+    def test_power_windows_are_scaled(self):
+        # the k-th power of a polymatroidal ideal is that of the polymatroid
+        # scaled by k, so each of the four vectors scales
+        lp = LPSpec((1, 3), (4, 5), 5)
+        ((lower, upper, alpha, beta),) = plp_windows(lp)
+        assert plp_windows(PowerSpec(lp, 2)) == [
+            (lower, tuple(2 * x for x in upper), tuple(2 * x for x in alpha),
+             tuple(2 * x for x in beta))
+        ]
+        plp = PLPSpec((1, 0), (2, 2), (1, 3), (2, 3))
+        assert plp_windows(PowerSpec(PowerSpec(plp, 2), 3)) == [
+            ((6, 0), (12, 12), (6, 18), (12, 18))
+        ]
+
+    def test_zeroth_power_is_the_zero_window(self):
+        for base in (
+            TransversalSpec((frozenset({1, 2}),), 2),
+            VeroneseSpec((1, 0), 3),
+            PowerSpec(BorelSpec((M("x1*x2", 2), M("x2^2", 2)), 2), 3),
+        ):
+            assert plp_windows(PowerSpec(base, 0)) == [((0, 0),) * 4]
+            assert realize(PowerSpec(base, 0)) == ideal("[1] n=2")
+
+    def test_borel_power_has_a_window_per_generator_of_the_power(self):
+        # B(u)B(v) = B(uv); x1*x3 * x2^2 is one of the three products
+        spec = BorelSpec((M("x1*x3", 3), M("x2^2", 3)), 3)
+        windows = plp_windows(PowerSpec(spec, 2))
+        assert [alpha for _, _, alpha, _ in windows] == [
+            (2, 2, 4), (1, 3, 4), (0, 4, 4)
+        ]
+
+    def test_empty_veronese_has_no_windows(self):
+        for spec in (VeroneseSpec((1, 0), 3), VeroneseSpec((), 1)):
+            assert plp_windows(spec) == []
+            assert plp_windows(PowerSpec(spec, 2)) == []
+            assert realize(PowerSpec(spec, 2)).is_zero
+
+    @settings(max_examples=300, deadline=None)
+    @given(windowed_specs(), st.integers(0, 3), st.integers(0, 2))
+    def test_power_matches_ideal_products(self, base, k, outer):
+        # outer > 0 nests the power in another: (I^k)^outer
+        spec = PowerSpec(base, k)
+        expected = ideal_power(realize(base), k)
+        if outer:
+            spec = PowerSpec(spec, outer)
+            expected = ideal_power(expected, outer)
+        assert realize(spec).gens == expected.gens
 
     def test_veronese_realization_matches_reference_grid(self):
         for n in range(5):
@@ -596,11 +648,14 @@ class TestRandomPolymatroidal:
         assert outcome.startswith("raised family realization is not polymatroidal:")
 
     def test_draw_past_the_product_cap_is_rejected(self, monkeypatch):
-        # with no product allowed, every draw that needs one is retried
+        # with no product allowed, every draw that needs one is retried; the
+        # powers of windowed specs are windows and need none
         monkeypatch.setattr(monomials, "PRODUCT_CAP", 0)
         for seed in range(20):
             spec, I = random_polymatroidal(seed)
-            assert not isinstance(spec, (ProductSpec, PowerSpec)), spec
+            assert not isinstance(spec, ProductSpec), spec
+            if isinstance(spec, PowerSpec):
+                assert plp_windows(spec.base) is not None, spec
 
     def test_budget_validation(self):
         with pytest.raises(FamilySpecError):

@@ -56,6 +56,20 @@ class TestCampaign:
         for row in map(json.loads, lines):
             assert "soc_polymatroidal" not in row
 
+    def test_transversal_socle_alone_matches_full_campaign(self):
+        # without chl the transversal check forms the colon socle itself
+        key = "spanning_tree_socle_equal"
+        verdicts = []
+        for conjectures in (frozenset(fuzzlab.CONJECTURE_KEYS), frozenset({"transversal_socle"})):
+            lines: list[str] = []
+            run_campaign(CampaignConfig(42, 300, conjectures=conjectures), lines.append)
+            rows = [json.loads(line) for line in lines]
+            assert all(row["disagreements"] == [] for row in rows)
+            verdicts.append([row.get(key) for row in rows])
+        full, alone = verdicts
+        assert alone == full
+        assert full.count(True) == 49 and False not in full
+
     def test_unknown_conjecture_rejected(self):
         with pytest.raises(ValueError):
             CampaignConfig(seed=1, instance_count=1, conjectures=frozenset({"abc"}))

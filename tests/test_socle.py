@@ -2,7 +2,7 @@ import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyshift import (
@@ -349,12 +349,21 @@ class TestFamilySocle:
         try:
             closed = family_socle(spec)
         except DegreeMismatchError:
-            assert not realize(base).is_equigenerated
-            return
-        except UnsupportedFamilyError:
-            assert k > 1 and len(gens) > 1
+            assert not realize(spec).is_equigenerated
             return
         assert closed == socle_colon(realize(spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(borel_generator_lists(), st.sampled_from([(2,), (3,), (2, 2)]))
+    def test_multi_generator_borel_powers_match_colon(self, drawn, exponents):
+        # B(u)B(v) = B(uv): one window per generator of the power; (2, 2)
+        # nests a square in a square
+        gens, n = drawn
+        spec = BorelSpec(tuple(gens), n)
+        assume(len(set(gens)) > 1 and realize(spec).is_equigenerated)
+        for k in exponents:
+            spec = PowerSpec(spec, k)
+        assert family_socle(spec) == socle_colon(realize(spec))
 
     @settings(max_examples=150, deadline=None)
     @given(lp_specs(n_max=6, t_max=3), st.integers(0, 3), st.integers(1, 2))

@@ -151,6 +151,30 @@ class TestFamilyDocuments:
         with pytest.raises(ParseError):
             parse_ideal("{type:lp, alpha:[1, x], beta:[2, 3]}")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (
+                '{type:explicit,\n gens:[x1*x2,\n  "x2*y3"]}',
+                "bad generator 'x2*y3': expected a variable factor like x3 or x3^2",
+                3,
+            ),
+            (
+                '{type:borel, gens:[x1, "x1^"], n:2}',
+                "bad generator 'x1^': expected an integer",
+                1,
+            ),
+        ],
+        ids=["explicit", "borel"],
+    )
+    def test_bad_generator_is_placed_in_the_document(self, text, message, line):
+        # the error once gave a position inside the generator string, such as
+        # line 1, column 4 for a generator on line 3
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert info.value.reason == message
+        assert (info.value.line, info.value.column) == (line, len(text.splitlines()[-1]) + 1)
+
     def test_nesting_limit_boundary(self):
         # powers of powers around a Veronese document whose bound list is
         # the innermost level: `levels` objects and lists in all

@@ -33,8 +33,10 @@ from polyshift.families import (
     LPSpec,
     PLPSpec,
     StabilityResult,
+    VeroneseSpec,
     _borel_window,
     _realize_windows,
+    _unwrap_power,
     as_transversal,
     check_exchange,
 )
@@ -55,7 +57,7 @@ from polyshift.quotients import (
     OrderSearch,
     QuotientCertificate,
 )
-from polyshift.socle import _unwrap_power, family_socle, intersection_graph, socle_report
+from polyshift.socle import family_socle, intersection_graph, socle_report
 
 
 def M(text: str, n: int | None = None) -> Monomial:
@@ -765,6 +767,34 @@ def borel_generator_lists(draw):
         elif u.exponents[i - 1] and i > 1:
             gens.append(u.exchange(draw(st.integers(1, i - 1)), i))
     return draw(st.permutations(gens)), n
+
+
+@st.composite
+def plp_specs(draw):
+    """PLP specs in up to three variables, with lower bounds."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    upper = [lo + draw(st.integers(0, 2)) for lo in lower]
+    alpha = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    beta = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    beta = list(map(max, alpha, beta))
+    return PLPSpec(tuple(lower), tuple(upper), (*alpha, d), (*beta, d))
+
+
+def windowed_specs():
+    """Specs that ``plp_windows`` reads as windows: Veronese types (empty
+    and 0-variable ones too), PLP specs with lower bounds, LP specs and
+    Borel specs with several generators of mixed degree."""
+    veronese = st.builds(
+        VeroneseSpec,
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        st.integers(0, 3),
+    )
+    borel = borel_generator_lists().map(
+        lambda drawn: BorelSpec(tuple(drawn[0]), drawn[1])
+    )
+    return st.one_of(veronese, plp_specs(), lp_specs(n_max=4, t_max=3), borel)
 
 
 # The running 5-variable example: the product of the primes on {1,2,3,4} and
