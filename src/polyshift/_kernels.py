@@ -2,14 +2,16 @@
 
 The homology oracle calls :func:`rank_mod_p` for boundary-matrix
 elimination.  It takes each frame's homology relative to the star of a
-vertex, and only once per distinct face set in a table, so the matrices are
-small (at most 36 rows on cycle edge ideals) and many frames need none.
-In-process on one vCPU of a shared 2-core Xeon VM (fastest of five runs),
-the 23 Veronese-type tables of the betti-veronese benchmark (seed 1) take
-0.22 s: 0.10 s in the lcm-lattice closure, 0.07 s in the frames' face
-sets, 0.02 s in the full-simplex test and under 0.01 s in homology, with
-no call here.  The 10- and 11-cycle tables take 0.05 s, 0.04 s of it in
-homology and 0.016 s of that in these ranks.
+vertex, and only once per memo key (the face set with its vertices in a
+canonical order), so the matrices are small (at most 36 rows on the
+relabelled 10- and 11-cycles) and many frames need none.  In-process on
+one vCPU of a shared 2-core Xeon VM (fastest of five runs), the 23
+Veronese-type tables of the betti-veronese benchmark (seed 1) take 0.25 s:
+0.11 s in the lcm-lattice closure, 0.08 s in the frames' face sets, 0.02 s
+in the full-simplex test, 0.01 s in the memo keys and under 0.01 s in
+homology, with no call here.  The relabelled 10- and 11-cycle tables of
+the betti-cycles benchmark (seed 1) take 0.04 s, 0.024 s of it in homology
+and 0.010 s of that in these ranks.
 :func:`contains_mask` (does any generator divide each of a batch of
 monomials) has no caller in the package since the oracle builds its frames
 from facet masks.

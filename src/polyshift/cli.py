@@ -311,13 +311,18 @@ def _parse_budget(text: str) -> dict[str, int]:
     if not text:
         return out
     for piece in text.split(","):
-        if "=" not in piece:
-            raise ParseError(f"budget entries look like key=value, got {piece!r}")
-        key, _, value = piece.partition("=")
+        key, eq, value = piece.partition("=")
         key = key.strip()
         if key not in ("n_max", "degree_max", "gen_max"):
             raise ParseError(f"unknown budget key {key!r}")
-        out[key] = int(value)
+        if not eq:
+            raise ParseError(f"budget entry {key} has no value; write {key}=<integer>")
+        try:
+            out[key] = int(value)
+        except ValueError:
+            raise ParseError(
+                f"budget entry {key} must be an integer, got {value!r}"
+            ) from None
     return out
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all polyshift modules."""
 
+from __future__ import annotations
+
 
 class PolyshiftError(Exception):
     """Base class for all library errors."""
@@ -50,10 +52,14 @@ class RouteDisagreementError(PolyshiftError):
 
 
 class ParseError(PolyshiftError):
-    """Malformed textual input; carries the 1-based line and column."""
+    """Malformed textual input; a document's errors carry the 1-based line
+    and column, a command-line value's carry none."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(
+        self, message: str, line: int | None = None, column: int | None = None
+    ):
+        where = "" if line is None else f" (line {line}, column {column})"
+        super().__init__(message + where)
         self.reason = message
         self.line = line
         self.column = column

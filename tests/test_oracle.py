@@ -21,8 +21,14 @@ from polyshift import (
     reduced_homology_ranks,
     upper_koszul,
 )
-from polyshift import _kernels
-from polyshift.oracle import LATTICE_CAP, _gen_matrix, _lattice
+from polyshift import _kernels, oracle
+from polyshift.oracle import (
+    LATTICE_CAP,
+    _canonical_rows,
+    _gen_matrix,
+    _lattice,
+    face_homology_ranks,
+)
 from util import (
     M,
     betti_table_reference,
@@ -508,6 +514,191 @@ class TestBettiAgainstPerPointReference:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def relabel(exponents, perm):
+    """Variable i + 1 becomes variable perm[i] + 1."""
+    out = [0] * len(exponents)
+    for i, e in enumerate(exponents):
+        out[perm[i]] = e
+    return tuple(out)
+
+
+@st.composite
+def relabelled_ideals(draw):
+    """An ideal in 1 to 5 variables with exponents at most 3, equigenerated
+    or not, and a permutation of its variables."""
+    n = draw(st.integers(1, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(exponents, min_size=1, max_size=6))
+    perm = draw(st.permutations(range(n)))
+    return MonomialIdeal(n, [Monomial(e) for e in gens]), perm
+
+
+class TestRelabelledIdeals:
+    """Frames are memoized up to vertex relabelling, so a table must not
+    depend on the order of the variables."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(drawn=relabelled_ideals())
+    def test_relabelled_table(self, drawn):
+        I, perm = drawn
+        J = MonomialIdeal(I.n, [Monomial(relabel(g.exponents, perm)) for g in I.gens])
+        table = betti_table(J)
+        assert table_items(table) == table_items(betti_table_reference(J))
+        moved = {
+            (i, Monomial(relabel(a.exponents, perm))): r
+            for (i, a), r in betti_table(I).entries.items()
+        }
+        assert table.entries == moved
+
+
+def cycle(n, perm):
+    """The edge ideal of the n-cycle, variable i + 1 renamed perm[i] + 1."""
+    edges = [tuple(int(j in (i, (i + 1) % n)) for j in range(n)) for i in range(n)]
+    return MonomialIdeal(n, [Monomial(relabel(e, perm)) for e in edges])
+
+
+def face_row(v, faces):
+    inside = np.zeros(1 << v, dtype=np.uint8)
+    inside[list(faces)] = 1
+    return np.packbits(inside)
+
+
+def key_of(v, faces):
+    """The face set of the canonical key of a complex on v vertices."""
+    key = _canonical_rows(face_row(v, faces)[None], v)[0]
+    return set(np.flatnonzero(np.unpackbits(key, count=1 << v)).tolist())
+
+
+def relabel_faces(faces, perm):
+    return {sum(1 << perm[k] for k in range(len(perm)) if f >> k & 1) for f in faces}
+
+
+def vertex_profiles(v, faces):
+    """For each vertex, the number of faces of each size holding it."""
+    sizes = [bin(f).count("1") for f in faces]
+    return [
+        tuple(
+            sum(1 for f, size in zip(faces, sizes) if f >> k & 1 and size == s)
+            for s in range(1, v + 1)
+        )
+        for k in range(v)
+    ]
+
+
+def f_vector(faces):
+    return sorted(bin(f).count("1") for f in faces)
+
+
+@st.composite
+def face_sets(draw):
+    """A downward-closed face set on 0 to 6 vertices and a permutation."""
+    v = draw(st.integers(0, 6))
+    facets = draw(st.lists(st.integers(0, (1 << v) - 1), max_size=6))
+    return v, set(closure(v, facets)), draw(st.permutations(range(v)))
+
+
+class TestFrameKey:
+    """``_canonical_rows`` re-encodes a face set with its vertices sorted by
+    an invariant; the homology memo in ``betti_table`` is keyed on it."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(drawn=face_sets())
+    def test_key_is_a_relabelling(self, drawn):
+        v, faces, _ = drawn
+        key = key_of(v, faces)
+        assert f_vector(key) == f_vector(faces)
+        assert face_homology_ranks(np.array(sorted(key)), v, 32003) == (
+            face_homology_ranks(np.array(sorted(faces)), v, 32003)
+        )
+        perms = itertools.permutations(range(v))
+        assert frozenset(key) in {frozenset(relabel_faces(faces, p)) for p in perms}
+
+    @settings(deadline=None, max_examples=200)
+    @given(drawn=face_sets())
+    def test_relabelling_that_keeps_ties_in_order_gives_one_key(self, drawn):
+        # vertices with equal counts keep their relative order, so the sorted
+        # order of the relabelled complex is the relabelled sorted order
+        v, faces, perm = drawn
+        profiles = vertex_profiles(v, faces)
+        kept = list(perm)
+        for profile in set(profiles):
+            tied = [k for k in range(v) if profiles[k] == profile]
+            for k, image in zip(tied, sorted(perm[k] for k in tied)):
+                kept[k] = image
+        assert key_of(v, relabel_faces(faces, kept)) == key_of(v, faces)
+
+    def test_separated_complex_under_every_relabelling(self):
+        # a triangle 012, edges 03, 04 and 13, and a lone vertex 5: each
+        # vertex has its own count of edges and triangles
+        v = 6
+        faces = set(closure(v, [0b000111, 0b001001, 0b010001, 0b001010, 0b100000]))
+        assert len(set(vertex_profiles(v, faces))) == v
+        keys = {
+            frozenset(key_of(v, relabel_faces(faces, p)))
+            for p in itertools.permutations(range(v))
+        }
+        assert keys == {frozenset(key_of(v, faces))}
+
+    def test_separated_complexes_under_random_relabellings(self):
+        rng = random.Random(3)
+        v, found = 6, 0
+        while found < 10:
+            faces = set(closure(v, [rng.getrandbits(v) for _ in range(8)]))
+            if len(set(vertex_profiles(v, faces))) < v:
+                continue
+            found += 1
+            key = key_of(v, faces)
+            for _ in range(20):
+                assert key_of(v, relabel_faces(faces, rng.sample(range(v), v))) == key
+
+    def test_blocks_of_rows_and_faces(self):
+        # 14 vertices: 4 blocks of 4096 faces, rows in blocks of 14, and a
+        # complex whose vertices the counts separate, so one key in all
+        rng = random.Random(5)
+        v = 14
+        faces = []
+        while len(set(vertex_profiles(v, faces))) < v:
+            faces = closure(v, [rng.getrandbits(v) for _ in range(5)])
+        perms = [rng.sample(range(v), v) for _ in range(30)]
+        rows = np.stack([face_row(v, relabel_faces(faces, p)) for p in perms])
+        keys = _canonical_rows(rows, v)
+        assert np.array_equal(keys, np.broadcast_to(keys[0], keys.shape))
+        assert np.array_equal(keys[0], _canonical_rows(face_row(v, faces)[None], v)[0])
+        assert f_vector(key_of(v, faces)) == f_vector(faces)
+
+
+class TestHomologyCount:
+    """The number of homology computations on relabelled cycles, pinned so
+    that a weaker memo key fails here and not only in the benchmark; the
+    exact face-set key needed 179, 203, 344 and 366."""
+
+    @pytest.mark.parametrize(
+        "perm, computations",
+        [
+            ((6, 8, 9, 7, 5, 3, 0, 4, 1, 2), 49),
+            ((5, 9, 3, 4, 6, 7, 2, 8, 1, 0), 60),
+            ((6, 8, 10, 7, 5, 3, 0, 4, 1, 9, 2), 96),
+            ((7, 10, 3, 4, 2, 8, 6, 5, 9, 1, 0), 99),
+        ],
+    )
+    def test_relabelled_cycles(self, perm, computations, monkeypatch):
+        calls = []
+
+        def counted(faces, num_vertices, prime):
+            calls.append(num_vertices)
+            return face_homology_ranks(faces, num_vertices, prime)
+
+        monkeypatch.setattr(oracle, "face_homology_ranks", counted)
+        n = len(perm)
+        table = betti_table(cycle(n, perm))
+        assert len(calls) == computations
+        natural = betti_table_reference(cycle(n, range(n)))
+        assert table.entries == {
+            (i, Monomial(relabel(a.exponents, perm))): r
+            for (i, a), r in natural.entries.items()
+        }
 
 
 def subset_complex_betti(I, prime=32003):
