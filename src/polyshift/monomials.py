@@ -400,19 +400,25 @@ def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th power by repeated product; the 0th power is the unit ideal.
     Raises ResourceCapError, before forming any more, when the products of
     all the steps together would form more than PRODUCT_CAP generator
-    pairs."""
+    pairs; for an equigenerated ideal, before any product when a lower
+    bound on those pairs already passes the cap."""
     if k < 0:
         raise ValueError("negative ideal powers are undefined")
     if k == 0:
         return MonomialIdeal(I.n, [Monomial.unit(I.n)])
+    m = I.num_gens
+    refused = ResourceCapError(
+        f"ideal power {k} of {m} generators exceeds the cap of {PRODUCT_CAP} pairs"
+    )
+    # with two generators u, v of one degree, the u^a v^b with a + b = j are
+    # j + 1 generators of I^j, so the steps form at least m(k-1)(k+2)/2 pairs
+    if m >= 2 and m * (k - 1) * (k + 2) // 2 > PRODUCT_CAP and I.is_equigenerated:
+        raise refused
     result, pairs = I, 0
     for _ in range(k - 1):
-        pairs += result.num_gens * I.num_gens
+        pairs += result.num_gens * m
         if pairs > PRODUCT_CAP:
-            raise ResourceCapError(
-                f"ideal power {k} of {I.num_gens} generators exceeds the cap "
-                f"of {PRODUCT_CAP} pairs"
-            )
+            raise refused
         result = ideal_product(result, I)
     return result
 

@@ -39,12 +39,25 @@ none of them, while a relabelled 10-cycle needs 49 homology computations
 instead of 179.
 
 The homology of a frame K is taken relative to the closed star
-st_v K = {F : F + v in K} of its busiest vertex v.  The star is a cone with
-apex v, so its reduced homology vanishes, and the long exact sequence of the
-pair gives H~_k(K) = H_k(K, st_v K) for every k >= -1.  The relative complex
-keeps only the faces F with F + v not in K, so the boundary matrices are
+st_x K = {F : F + x in K} of its busiest vertex x.  The star is a cone with
+apex x, so its reduced homology vanishes, and the long exact sequence of the
+pair gives H~_k(K) = H_k(K, st_x K) for every k >= -1.  The relative complex
+keeps only the faces F with F + x not in K, so the boundary matrices are
 small (at most 36 rows on the 10- and 11-cycles, against 462 for the full
-complex), and they are assembled by array operations on sorted face masks.
+complex).  The homology of all the distinct keys of a support-size group is
+taken in one pass: apexes, cells and the index of each cell among those of
+its frame and size come from array operations on the unpacked face rows,
+and the signed entries of every (frame, size) boundary matrix are scattered
+into zero-padded stacks of matrices of like shape, each ranked by one
+stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
+(fastest of nine runs), the relabelled 10- and 11-cycle tables of the
+betti-cycles benchmark (seed 1) take 0.032 s.  Homology takes 0.010 s of
+it for 136 frames in 19 groups, 0.004 s of that in the elimination of 324
+boundary matrices in 15 stacks (96 column steps).  Taken one frame at a
+time, with one rank call per matrix, the same tables took 0.058 s on the
+same host: 0.035 s in homology, 0.015 s of it in the 324 rank calls.  The
+23 Veronese-type tables take 0.33 s, 0.011 s of it in homology, and none of
+their 319 frames needs a matrix.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -310,48 +323,146 @@ def face_homology_ranks(
     faces: np.ndarray, num_vertices: int, prime: int
 ) -> dict[int, int]:
     """Nonzero reduced homology ranks, keyed by dimension, of the complex
-    whose faces are the bitmasks ``faces`` over ``num_vertices`` vertices.
+    whose faces are the bitmasks ``faces`` over ``num_vertices`` vertices:
+    :func:`_group_homology` on a group of one, so it takes 2^num_vertices
+    bytes, as :func:`upper_koszul` does.
 
     It uses the convention that the empty face is a (-1)-cell: the irrelevant
     complex {0} has rank 1 in dimension -1, the void complex has none.
-
-    The ranks are those of the pair (K, st_v K), where v is the vertex in
-    the most faces (the lowest such index) and st_v K = {F : F + v in K}.
-    The star is a cone with apex v, so its reduced homology vanishes and
-    H~_k(K) = H_k(K, st_v K) for every k >= -1.  The relative complex has one
-    cell per face F with F + v not in K, and its boundary is the ordinary one
-    with the star's faces dropped; only those cells are eliminated.  When v
-    lies in no face (only the empty face, or no vertices) the star is empty
-    and every face is a cell.
     """
     p = validate_prime(prime)
-    faces = np.sort(np.asarray(faces, dtype=np.int64))
-    bits = (faces[:, None] >> np.arange(num_vertices)) & 1
-    # with no vertices, bit 0 stands for a vertex in no face
-    apex = 1 << int(bits.sum(axis=0).argmax()) if bits.shape[1] else 1
-    is_cell = ~_locate(faces, faces | apex)[1]
-    cells, bits = faces[is_cell], bits[is_cell]
-    sizes = bits.sum(axis=1)
-    counts = np.bincount(sizes).tolist()
-    ranks = [0] * (len(counts) + 1)
-    for s in range(1, len(counts)):
-        if not (counts[s] and counts[s - 1]):
-            continue
-        upper, lower = cells[sizes == s], cells[sizes == s - 1]
-        up_bits = bits[sizes == s]
-        col, k = np.nonzero(up_bits)
-        # deleting bit k has sign (-1)^(set bits below k); star faces are not found
-        below = (np.cumsum(up_bits, axis=1) - up_bits)[col, k]
-        at, found = _locate(lower, upper[col] & ~np.left_shift(1, k))
-        B = np.zeros((len(lower), len(upper)), dtype=np.int64)
-        B[at[found], col[found]] = np.where(below[found] & 1, p - 1, 1)
-        ranks[s] = _kernels.rank_mod_p(B, p)
-    out: dict[int, int] = {}
-    for s, c in enumerate(counts):
-        h = c - ranks[s] - ranks[s + 1]
-        if h:
-            out[s - 1] = h  # cells of size s have dimension s - 1
+    inside = np.zeros(1 << num_vertices, dtype=np.bool_)
+    inside[np.asarray(faces, dtype=np.int64)] = True
+    return _group_homology(np.packbits(inside)[None], num_vertices, p)[0]
+
+
+def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]]:
+    """Nonzero reduced homology ranks, keyed by dimension, of each complex
+    on v vertices whose face set is a packed bit row (bit F set when the
+    face mask F is a face), as :func:`face_homology_ranks` gives them.
+
+    The ranks of a complex K are those of the pair (K, st_x K), where x is
+    the vertex in the most faces (the lowest such index) and
+    st_x K = {F : F + x in K}.  The star is a cone with apex x, so its
+    reduced homology vanishes and H~_k(K) = H_k(K, st_x K) for every
+    k >= -1.  The relative complex has one cell per face F with F + x not in
+    K, and its boundary is the ordinary one with the star's faces dropped.
+    No cell holds x, so the cells are written as masks on the other v - 1
+    vertices; deleting x from a mask keeps the bits below every other
+    vertex, and so the signs.  When x lies in no face (only the empty face,
+    or no vertices) the star is empty and every face is a cell.
+
+    Frames go in blocks of at most 16 * ``_BLOCK_ROWS`` face masks, or one
+    frame, unpacked to one byte per mask.  Within a block every cell gets
+    its index among the cells of its frame and size, and the signed entries
+    of all the (frame, size) boundary matrices are scattered into
+    zero-padded stacks of matrices sorted by shape, each of at most
+    16 * ``_BLOCK_ROWS`` entries or one matrix, each ranked by one
+    :func:`_kernels.rank_mod_p_stack` call.  Cells of size s have dimension
+    s - 1 and homology c_s - r_s - r_{s+1}, with c_s the cells of size s and
+    r_s the rank of the boundary from size s to size s - 1.
+    """
+    p = validate_prime(prime)
+    budget = 16 * _BLOCK_ROWS
+    w = max(v - 1, 0)  # vertices left once the apex is dropped
+    out: list[dict[int, int]] = []
+    step = max(1, budget >> v)
+    for k0 in range(0, len(rows), step):
+        inside = np.unpackbits(rows[k0 : k0 + step], axis=1, count=1 << v).view(np.bool_)
+        cells = inside if not v else _relative_cells(inside, v)
+        counts, ranks = _cell_ranks(cells, w, p, budget)
+        h = counts - ranks
+        h[:, :-1] -= ranks[:, 1:]
+        out += [{s - 1: x for s, x in enumerate(row) if x} for row in h.tolist()]
     return out
+
+
+def _relative_cells(inside: np.ndarray, v: int) -> np.ndarray:
+    """The cells of each frame relative to the star of its busiest vertex,
+    as a (frames, 2^(v-1)) boolean array over the other vertices."""
+    counts = np.empty((len(inside), v), dtype=np.int64)
+    for j in range(v):
+        counts[:, j] = inside.reshape(len(inside), -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
+    apex = counts.argmax(axis=1)
+    cells = np.empty((len(inside), 1 << (v - 1)), dtype=np.bool_)
+    for j in np.flatnonzero(np.bincount(apex)).tolist():
+        at = apex == j
+        # masks without vertex j, then the same masks with it
+        pair = inside[at].reshape(-1, 1 << (v - 1 - j), 2, 1 << j)
+        cells[at] = (pair[:, :, 0] & ~pair[:, :, 1]).reshape(len(pair), -1)
+    return cells
+
+
+def _cell_ranks(
+    cells: np.ndarray, w: int, p: int, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell counts c and boundary ranks r, both (frames, w + 1) int64 arrays
+    indexed by cell size, of frames whose cells are boolean rows over 2^w
+    masks; r[:, s] is the rank of the boundary from size s to size s - 1."""
+    sizes = w + 1
+    frame, mask = np.nonzero(cells)
+    bits = (mask[:, None] >> np.arange(w)) & 1
+    group = frame * sizes + bits.sum(axis=1)
+    counts = np.bincount(group, minlength=len(cells) * sizes)
+    ranks = np.zeros(len(counts), dtype=np.int64)
+    # one matrix per (frame, size s >= 1) with cells of sizes s - 1 and s
+    matrices = np.flatnonzero((counts[:-1] > 0) & (counts[1:] > 0)) + 1
+    matrices = matrices[matrices % sizes > 0]
+    if len(matrices):
+        ranks[matrices] = _boundary_ranks(frame << w | mask, bits, group, counts, matrices, p, budget)
+    return counts.reshape(-1, sizes), ranks.reshape(-1, sizes)
+
+
+def _boundary_ranks(
+    keys: np.ndarray,
+    bits: np.ndarray,
+    group: np.ndarray,
+    counts: np.ndarray,
+    matrices: np.ndarray,
+    p: int,
+    budget: int,
+) -> np.ndarray:
+    """Ranks of the boundary matrices of ``_cell_ranks``: the cells are the
+    sorted ``keys`` (frame << w | mask) with their mask bits and groups
+    (frame * (w + 1) + size), and matrix g maps group g to group g - 1."""
+    # a cell's index among the cells of its frame and size, by mask
+    order = np.argsort(group, kind="stable")
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - (np.cumsum(counts) - counts)[group[order]]
+    # entry (face, cell): the cell less one vertex, when that face is a cell
+    cell, k = np.nonzero(bits)
+    # deleting bit k has sign (-1)^(set bits below k); star faces are not found
+    below = (np.cumsum(bits, axis=1) - bits)[cell, k]
+    face, found = _locate(keys, keys[cell] & ~np.left_shift(1, k))
+    face, cell, below = face[found], cell[found], below[found]
+    # a matrix wider than tall is stacked transposed: the kernel steps by column
+    rows, cols = counts[matrices - 1], counts[matrices]
+    matrix = np.searchsorted(matrices, group[cell])
+    flip = (rows < cols)[matrix]
+    face, cell = local[face], local[cell]
+    face, cell = np.where(flip, cell, face), np.where(flip, face, cell)
+    rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+    # the matrices sorted by shape, and the entries sorted to match
+    by_shape = np.lexsort((cols, rows))
+    slot = np.empty_like(by_shape)
+    slot[by_shape] = np.arange(len(by_shape))
+    slot = slot[matrix]
+    entries = np.argsort(slot, kind="stable")
+    slot, face, cell, below = slot[entries], face[entries], cell[entries], below[entries]
+    rows, cols = rows[by_shape], cols[by_shape]
+    ranks = np.empty(len(matrices), dtype=np.int64)
+    start = 0
+    while start < len(rows):
+        # rows grow and cols <= rows, so n matrices from start pad to at
+        # most n * rows[start + n - 1]^2 entries: take the most that fit
+        padded = np.arange(1, len(rows) - start + 1) * rows[start:] ** 2
+        stop = start + max(1, int(np.searchsorted(padded, budget, side="right")))
+        lo, hi = np.searchsorted(slot, [start, stop]).tolist()
+        stack = np.zeros((stop - start, rows[stop - 1], cols[start:stop].max()), dtype=np.int64)
+        stack[slot[lo:hi] - start, face[lo:hi], cell[lo:hi]] = np.where(below[lo:hi] & 1, p - 1, 1)
+        ranks[by_shape[start:stop]] = _kernels.rank_mod_p_stack(stack, p)
+        start = stop
+    return ranks
 
 
 @dataclass
@@ -408,14 +519,16 @@ def betti_table(
             frames.setdefault(row.tobytes(), []).append(at)
         rows = np.frombuffer(b"".join(frames), dtype=np.uint8)
         keys = _canonical_rows(rows.reshape(len(frames), -1), v)
-        memo: dict[bytes, dict[int, int]] = {}
-        for ats, row in zip(frames.values(), keys):
-            key = row.tobytes()
-            if key not in memo:
-                faces = np.flatnonzero(np.unpackbits(row, count=1 << v))
-                memo[key] = face_homology_ranks(faces, v, p)
+        memo: dict[bytes, int] = {}
+        which, first = [], []
+        for i, key in enumerate(keys):
+            which.append(memo.setdefault(key.tobytes(), len(memo)))
+            if which[-1] == len(first):
+                first.append(i)
+        ranks = _group_homology(keys[first], v, p)
+        for ats, i in zip(frames.values(), which):
             for at in ats:
-                homology[at] = memo[key]
+                homology[at] = ranks[i]
     table = BettiTable(I.n, {}, p)
     for exponents, ranks in zip(points.tolist(), homology):
         if ranks:

@@ -217,8 +217,9 @@ class TestIdealProduct:
             ideal_power(p, 3)
 
     def test_power_cap_counts_every_step(self, monkeypatch):
-        # p^s has s + 1 generators, so p^3 forms 2*2 + 3*2 = 10 pairs and p^4 18
-        p = minimal_generators([M("x1", 2), M("x2", 2)])
+        # q^s has s + 1 generators, so q^3 forms 2*2 + 3*2 = 10 pairs and q^4
+        # 18; q is not equigenerated, so only the loop's count refuses it
+        q = minimal_generators([M("x1^2", 2), M("x2", 2)])
         products = []
 
         def counted(left, right):
@@ -227,16 +228,45 @@ class TestIdealProduct:
 
         monkeypatch.setattr(monomials, "ideal_product", counted)
         monkeypatch.setattr(monomials, "PRODUCT_CAP", 10)
-        assert ideal_power(p, 3).num_gens == 4
+        assert ideal_power(q, 3).num_gens == 4
         assert products == [4, 6]
         products.clear()
         with pytest.raises(ResourceCapError, match="ideal power 4 of 2 generators"):
-            ideal_power(p, 4)
+            ideal_power(q, 4)
         assert products == [4, 6]  # refused before the third product
         monkeypatch.setattr(monomials, "PRODUCT_CAP", 9)
         with pytest.raises(ResourceCapError, match="cap of 9 pairs"):
-            ideal_power(p, 3)
-        assert ideal_power(p, 1) == p and ideal_power(p, 0).is_unit
+            ideal_power(q, 3)
+        assert ideal_power(q, 1) == q and ideal_power(q, 0).is_unit
+
+    def test_long_equigenerated_power_is_refused_before_any_product(self, monkeypatch):
+        # p^j has at least j + 1 generators, so p^20000 forms at least
+        # 2 * 19999 * 20002 / 2 pairs, far past the cap
+        p = minimal_generators([M("x1", 2), M("x2", 2)])
+        products = []
+        monkeypatch.setattr(monomials, "ideal_product", lambda *pair: products.append(pair))
+        with pytest.raises(ResourceCapError) as refused:
+            ideal_power(p, 20000)
+        assert str(refused.value) == (
+            "ideal power 20000 of 2 generators exceeds the cap of 1000000 pairs"
+        )
+        assert products == []
+        # p^4 forms 4 + 6 + 8 = 18 pairs, exactly the bound: refused at 17
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 17)
+        with pytest.raises(ResourceCapError, match="cap of 17 pairs"):
+            ideal_power(p, 4)
+        assert products == []
+
+    def test_power_under_the_bound_is_unchanged(self, monkeypatch):
+        # p^4 forms 3*3 + 6*3 + 10*3 = 57 pairs against a bound of 27: at a
+        # cap of 57 it is the repeated product, and p^5 is refused in the loop
+        p = minimal_generators([M("x1*x2", 3), M("x2*x3", 3), M("x1*x3", 3)])
+        monkeypatch.setattr(monomials, "PRODUCT_CAP", 57)
+        cube = ideal_product(ideal_product(p, p), p)
+        assert cube.num_gens == 10
+        assert ideal_power(p, 4) == ideal_product(cube, p)
+        with pytest.raises(ResourceCapError, match="ideal power 5 of 3 generators"):
+            ideal_power(p, 5)
 
     def test_commutative_and_associative(self, example_ideal, trio_ideal):
         A = minimal_generators([M("x1*x2", 3), M("x3", 3)])

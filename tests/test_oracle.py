@@ -670,9 +670,9 @@ class TestFrameKey:
 
 
 class TestHomologyCount:
-    """The number of homology computations on relabelled cycles, pinned so
-    that a weaker memo key fails here and not only in the benchmark; the
-    exact face-set key needed 179, 203, 344 and 366."""
+    """The number of frames whose homology is taken on relabelled cycles,
+    pinned so that a weaker memo key fails here and not only in the
+    benchmark; the exact face-set key needed 179, 203, 344 and 366."""
 
     @pytest.mark.parametrize(
         "perm, computations",
@@ -684,21 +684,67 @@ class TestHomologyCount:
         ],
     )
     def test_relabelled_cycles(self, perm, computations, monkeypatch):
-        calls = []
+        frames = []
+        group_homology = oracle._group_homology
 
-        def counted(faces, num_vertices, prime):
-            calls.append(num_vertices)
-            return face_homology_ranks(faces, num_vertices, prime)
+        def counted(rows, v, prime):
+            frames.append(len(rows))
+            return group_homology(rows, v, prime)
 
-        monkeypatch.setattr(oracle, "face_homology_ranks", counted)
+        monkeypatch.setattr(oracle, "_group_homology", counted)
         n = len(perm)
         table = betti_table(cycle(n, perm))
-        assert len(calls) == computations
+        assert sum(frames) == computations
         natural = betti_table_reference(cycle(n, range(n)))
         assert table.entries == {
             (i, Monomial(relabel(a.exponents, perm))): r
             for (i, a), r in natural.entries.items()
         }
+
+
+@st.composite
+def face_set_groups(draw):
+    """A vertex count v from 0 to 6 and a list of downward-closed face sets
+    on v vertices, the void complex and the irrelevant complex {0} among
+    them (in both, no vertex lies in a face)."""
+    v = draw(st.integers(0, 6))
+    facets = st.lists(st.integers(0, (1 << v) - 1), max_size=6)
+    complexes = [set(closure(v, f)) for f in draw(st.lists(facets, max_size=10))]
+    return v, draw(st.permutations(complexes + [set(), {0}]))
+
+
+class TestGroupHomology:
+    """``_group_homology`` takes the homology of many frames in one call."""
+
+    @pytest.mark.parametrize("prime", PRIMES)
+    @settings(deadline=None, max_examples=80)
+    @given(drawn=face_set_groups(), block_rows=st.sampled_from([1, 4, oracle._BLOCK_ROWS]))
+    def test_equals_full_boundary_reference(self, drawn, block_rows, prime):
+        # small block sizes split the frames and the matrix stacks
+        v, complexes = drawn
+        rows = np.stack([face_row(v, faces) for faces in complexes])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+            got = oracle._group_homology(rows, v, prime)
+        assert got == [full_boundary_homology(frame_on(v, faces), prime) for faces in complexes]
+        assert all(list(ranks) == sorted(ranks) for ranks in got)
+
+    def test_two_frame_blocks(self):
+        # at v = 6 a block holds 16 * _BLOCK_ROWS >> 6 frames
+        rng = random.Random(7)
+        v = 6
+        count = (16 * oracle._BLOCK_ROWS >> v) + 40
+        complexes = [set(closure(v, [rng.getrandbits(v) for _ in range(3)])) for _ in range(count)]
+        rows = np.stack([face_row(v, faces) for faces in complexes])
+        got = oracle._group_homology(rows, v, 32003)
+        assert got == [full_boundary_homology(frame_on(v, faces), 32003) for faces in complexes]
+        assert any(got)
+
+    def test_refuses_composite_modulus(self):
+        rows = face_row(0, {0})[None]
+        for p in (4, -7):
+            with pytest.raises(ValueError, match="prime below 2"):
+                oracle._group_homology(rows, 0, p)
 
 
 def subset_complex_betti(I, prime=32003):
@@ -911,6 +957,8 @@ class TestKernels:
         assert _kernels.rank_mod_p(np.zeros((3, 5), dtype=np.int64), 101) == 0
         # rank collapses mod 2
         assert _kernels.rank_mod_p(2 * identity, 2) == 0
+        for shape, ranks in (((0, 3, 3), []), ((2, 0, 3), [0, 0]), ((2, 3, 0), [0, 0])):
+            assert _kernels.rank_mod_p_stack(np.zeros(shape), 101).tolist() == ranks
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -933,6 +981,32 @@ class TestKernels:
         # the Fermat inverse is wrong mod 4: this once returned rank 2
         with pytest.raises(ValueError, match="prime below 2"):
             _kernels.rank_mod_p(np.array([[2, 1], [2, 1]]), 4)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_stack_matches_elimination_mod_p(self, p, data):
+        # mixed shapes padded with zeros; each matrix is a product of two
+        # factors mod p, so ranks below the smaller side occur
+        count, rows, cols = (data.draw(st.integers(0, top)) for top in (5, 6, 6))
+        entries = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+        stack = np.zeros((count, rows, cols), dtype=np.int64)
+        expected = []
+        for m in range(count):
+            r, c, k = (data.draw(st.integers(0, top)) for top in (rows, cols, 3))
+            left = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+            right = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+            product = [[sum(x * y for x, y in zip(row, column)) % p for column in zip(*right)] for row in left]
+            if k == 0:
+                product = [[0] * c for _ in range(r)]
+            stack[m, :r, :c] = np.array(product, dtype=np.int64).reshape(r, c)
+            expected.append(elimination_rank(product, p) if r and c else 0)
+        assert _kernels.rank_mod_p_stack(stack, p).tolist() == expected
+
+    def test_stack_refuses_composite_modulus(self):
+        for shape in ((0, 2, 2), (2, 0, 2), (2, 2, 0), (1, 2, 2)):
+            with pytest.raises(ValueError, match="prime below 2"):
+                _kernels.rank_mod_p_stack(np.ones(shape, dtype=np.int64), 4)
 
     def test_validate_prime(self):
         for p in (2, 3, 101, 32003, 2**31 - 1):
