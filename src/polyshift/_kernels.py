@@ -9,12 +9,10 @@ average and at most 36 x 36 on the relabelled 10- and 11-cycles) and the
 cost is numpy call overhead, which a stack shares out.  In-process on
 one vCPU of a shared 2-core Xeon VM (fastest of nine runs), the two tables
 of the betti-cycles benchmark (seed 1) rank 324 matrices in 15 stacks,
-96 column steps in 0.004 s; one call per matrix took 0.015 s.  The
-23 Veronese-type tables of the betti-veronese benchmark need no matrix.
-:func:`rank_mod_p` is the kernel on a stack of one.
-:func:`contains_mask` (does any generator divide each of a batch of
-monomials) has no caller in the package since the oracle builds its frames
-from facet masks.
+96 column steps in 0.003 s.  The 23 Veronese-type tables of the
+betti-veronese benchmark need no matrix.  :func:`rank_mod_p` is the kernel
+on a stack of one.  :func:`contains_mask` (does any generator divide each
+of a batch of monomials) stays because perfbench names it.
 
 Every modulus passes :func:`validate_prime`: the elimination scales rows by
 pivot values, which keeps the rank only when every nonzero residue is

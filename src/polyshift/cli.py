@@ -15,6 +15,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -285,10 +286,9 @@ def cmd_betti(args) -> int:
     table = betti_table(I, args.prime, cap=args.cap)
     entries = [
         {"i": i, "multidegree": str(a), "rank": r}
-        for (i, a), r in sorted(
-            table.entries.items(),
-            key=lambda kv: (kv[0][0], tuple(-e for e in kv[0][1].exponents)),
-        )
+        # entries come in lattice order, so a stable sort on the index alone
+        # keeps each index's multidegrees descending-lex
+        for (i, a), r in sorted(table.entries.items(), key=lambda kv: kv[0][0])
     ]
     report = {
         "command": "betti",
@@ -370,6 +370,7 @@ def _prime(text: str) -> int:
         ) from None
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polyshift")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,15 +28,16 @@ points are grouped by the number v of their support variables: one array
 operation gives a group's facets, and its 2^v face masks are tested in
 blocks of points and faces, every frame temporary near ``_BLOCK_ROWS``
 rows.  The homology depends only on the complex up to isomorphism, so it is
-memoized on a key that is the face set itself with the vertices relabelled:
+taken once per key: the face set itself with the vertices relabelled,
 sorted by how many faces of each size contain them (largest first, ties by
 index, after McKay and Piperno's invariant-based vertex orders).  Equal keys
 are the same face set up to relabelling, hence isomorphic complexes with
-equal homology, whatever the tie order.  Exact duplicates are merged before
-any key is built: the 9171 frames of the 23 Veronese-type tables of the
-betti-veronese benchmark hold 319 distinct face sets, and the key merges
-none of them, while a relabelled 10-cycle needs 49 homology computations
-instead of 179.
+equal homology, whatever the tie order.  A group's packed face rows are
+merged by one sort of their bytes, and the keys of the distinct rows by a
+second, so each point finds its homology through two index arrays.  The
+9171 frames of the 23 Veronese-type tables of the betti-veronese benchmark
+hold 319 distinct face sets, and the key merges none of them, while a
+relabelled 10-cycle needs 49 homology computations instead of 179.
 
 The homology of a frame K is taken relative to the closed star
 st_x K = {F : F + x in K} of its busiest vertex x.  The star is a cone with
@@ -51,13 +52,11 @@ and the signed entries of every (frame, size) boundary matrix are scattered
 into zero-padded stacks of matrices of like shape, each ranked by one
 stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
 (fastest of nine runs), the relabelled 10- and 11-cycle tables of the
-betti-cycles benchmark (seed 1) take 0.032 s.  Homology takes 0.010 s of
-it for 136 frames in 19 groups, 0.004 s of that in the elimination of 324
-boundary matrices in 15 stacks (96 column steps).  Taken one frame at a
-time, with one rank call per matrix, the same tables took 0.058 s on the
-same host: 0.035 s in homology, 0.015 s of it in the 324 rank calls.  The
-23 Veronese-type tables take 0.33 s, 0.011 s of it in homology, and none of
-their 319 frames needs a matrix.
+betti-cycles benchmark (seed 1) take 0.025 s.  Homology takes 0.009 s of
+it for 136 frames in 19 groups, 0.003 s of that in the elimination of 324
+boundary matrices in 15 stacks (96 column steps).  The 23 Veronese-type
+tables take 0.29 s, 0.009 s of it in homology, and none of their 319
+frames needs a matrix.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -69,7 +68,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -203,30 +202,42 @@ def _refuse_wide(points: np.ndarray, sizes: np.ndarray) -> None:
         )
 
 
-def _face_rows(gens: np.ndarray, points: np.ndarray, v: int) -> Iterator[np.ndarray]:
-    """The face set of K^a(I) for each point a with v support variables, as
-    a packed bit row: bit F is set when the face F lies in the facet
-    {i in supp(a) : g_i < a_i} of a generator g dividing x^a.  Face masks
-    give the k-th support variable of each point bit k.  A block holds at
-    most ``_BLOCK_ROWS`` * n (point, face, generator) triples, as many
-    elements as a ``_full_simplex`` block, or one point and ``_BLOCK_ROWS``
-    faces."""
+def _face_rows(gens: np.ndarray, points: np.ndarray, v: int) -> np.ndarray:
+    """The face sets of K^a(I) for the points a with v support variables, as
+    a uint8 array of packed bit rows, one per point: bit F is set when the
+    face F lies in the facet {i in supp(a) : g_i < a_i} of a generator g
+    dividing x^a.  Face masks give the k-th support variable of each point
+    bit k.  A block holds at most ``_BLOCK_ROWS`` * n (point, face,
+    generator) triples, as many elements as a ``_full_simplex`` block, or
+    one point and ``_BLOCK_ROWS`` faces."""
     size = 1 << v
     face_step = min(size, _BLOCK_ROWS)
     point_step = max(1, _BLOCK_ROWS * gens.shape[1] // (face_step * max(len(gens), 1)))
     support = points > 0
     weights = np.left_shift(support, np.cumsum(support, axis=1) - support)
+    rows = np.zeros((len(points), (size + 7) // 8), dtype=np.uint8)
     for p0 in range(0, len(points), point_step):
         a = points[p0 : p0 + point_step, None, :]
         facets = ((gens < a) @ weights[p0 : p0 + point_step, :, None])[..., 0]
         # bit v marks the facets of dividing generators; the others hold no face
         facets |= (gens <= a).all(axis=2) << v
-        rows = np.zeros((len(a), (size + 7) // 8), dtype=np.uint8)
         for f0 in range(0, size, face_step):
             faces = np.arange(f0, f0 + face_step) | (1 << v)
             inside = ((faces[:, None] & ~facets[:, None, :]) == 0).any(axis=2)
-            rows[:, f0 // 8 : (f0 + face_step + 7) // 8] = np.packbits(inside, axis=1)
-        yield from rows
+            rows[p0 : p0 + point_step, f0 // 8 : (f0 + face_step + 7) // 8] = np.packbits(
+                inside, axis=1
+            )
+    return rows
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D uint8 array, sorted as byte strings, and
+    the index of each input row among them.  Rows are viewed as fixed-width
+    byte strings, so one 1-D ``np.unique`` does the merge."""
+    width = rows.shape[1]
+    flat = np.ascontiguousarray(rows).view(f"V{width}")[:, 0]
+    distinct, index = np.unique(flat, return_inverse=True)
+    return distinct.view(np.uint8).reshape(len(distinct), width), index
 
 
 def _canonical_rows(rows: np.ndarray, v: int) -> np.ndarray:
@@ -307,39 +318,29 @@ def upper_koszul(I: MonomialIdeal, a: Monomial) -> SimplicialComplexFrame:
     point = np.array([a.exponents], dtype=np.int64)
     v = len(a.support)
     _refuse_wide(point, np.array([v]))
-    row = next(_face_rows(_gen_matrix(I), point, v))
+    row = _face_rows(_gen_matrix(I), point, v)[0]
     faces = np.flatnonzero(np.unpackbits(row, count=1 << v))
     return SimplicialComplexFrame(len(a.exponents), a, a.support, tuple(faces.tolist()))
 
 
 def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[int, int]:
-    """Nonzero reduced homology ranks of the frame; see :func:`face_homology_ranks`."""
-    return face_homology_ranks(
-        np.array(frame.face_masks, dtype=np.int64), len(frame.vertices), prime
-    )
-
-
-def face_homology_ranks(
-    faces: np.ndarray, num_vertices: int, prime: int
-) -> dict[int, int]:
-    """Nonzero reduced homology ranks, keyed by dimension, of the complex
-    whose faces are the bitmasks ``faces`` over ``num_vertices`` vertices:
-    :func:`_group_homology` on a group of one, so it takes 2^num_vertices
-    bytes, as :func:`upper_koszul` does.
+    """Nonzero reduced homology ranks of the frame, keyed by dimension:
+    :func:`_group_homology` on a group of one, so it takes 2^v bytes for a
+    frame on v vertices, as :func:`upper_koszul` does.
 
     It uses the convention that the empty face is a (-1)-cell: the irrelevant
     complex {0} has rank 1 in dimension -1, the void complex has none.
     """
-    p = validate_prime(prime)
-    inside = np.zeros(1 << num_vertices, dtype=np.bool_)
-    inside[np.asarray(faces, dtype=np.int64)] = True
-    return _group_homology(np.packbits(inside)[None], num_vertices, p)[0]
+    v = len(frame.vertices)
+    inside = np.zeros(1 << v, dtype=np.bool_)
+    inside[np.array(frame.face_masks, dtype=np.int64)] = True
+    return _group_homology(np.packbits(inside)[None], v, prime)[0]
 
 
 def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]]:
     """Nonzero reduced homology ranks, keyed by dimension, of each complex
     on v vertices whose face set is a packed bit row (bit F set when the
-    face mask F is a face), as :func:`face_homology_ranks` gives them.
+    face mask F is a face), as :func:`reduced_homology_ranks` gives them.
 
     The ranks of a complex K are those of the pair (K, st_x K), where x is
     the vertex in the most faces (the lowest such index) and
@@ -505,32 +506,20 @@ def betti_table(
     points = points[~_full_simplex(gens, points)]
     sizes = (points > 0).sum(axis=1)
     _refuse_wide(points, sizes)
-    # group v holds the points with v support variables, in lattice order
-    order = sizes.argsort(kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(sizes))[:-1])
-    homology: list[dict[int, int]] = [{}] * len(points)
-    for v, group in enumerate(groups):
-        if not len(group):
-            continue
-        # isomorphic frames share a key (the face set in canonical vertex
-        # order), and so their homology; it is built once per exact face set
-        frames: dict[bytes, list[int]] = {}
-        for at, row in zip(group.tolist(), _face_rows(gens, points[group], v)):
-            frames.setdefault(row.tobytes(), []).append(at)
-        rows = np.frombuffer(b"".join(frames), dtype=np.uint8)
-        keys = _canonical_rows(rows.reshape(len(frames), -1), v)
-        memo: dict[bytes, int] = {}
-        which, first = [], []
-        for i, key in enumerate(keys):
-            which.append(memo.setdefault(key.tobytes(), len(memo)))
-            if which[-1] == len(first):
-                first.append(i)
-        ranks = _group_homology(keys[first], v, p)
-        for ats, i in zip(frames.values(), which):
-            for at in ats:
-                homology[at] = ranks[i]
+    # isomorphic frames share a key (the face set in canonical vertex order),
+    # and so their homology; keys are built once per exact face set, and
+    # point k's homology is found[which[k]]
+    found: list[dict[int, int]] = []
+    which = np.empty(len(points), dtype=np.int64)
+    for v in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == v)
+        rows, frame = _distinct_rows(_face_rows(gens, points[group], v))
+        keys, key = _distinct_rows(_canonical_rows(rows, v))
+        which[group] = len(found) + key[frame]
+        found += _group_homology(keys, v, p)
     table = BettiTable(I.n, {}, p)
-    for exponents, ranks in zip(points.tolist(), homology):
+    for exponents, i in zip(points.tolist(), which.tolist()):
+        ranks = found[i]
         if ranks:
             a = Monomial(tuple(exponents))
             for dim, rank in ranks.items():

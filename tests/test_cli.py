@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polyshift.cli import main
+from polyshift.cli import build_parser, main
 from util import child_env, ideal
 
 
@@ -1199,6 +1199,28 @@ class TestUsageAndParsing:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["agreement"] is True
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a parse leaves it as it was."""
+
+    def test_reused_parser_gives_the_bytes_of_fresh_ones(self, tmp_path, capsys):
+        path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
+        calls = [
+            ["betti", "--input", path, "--prime", "4"],  # a usage error mid-parse
+            ["betti", "--input", path, "--json"],
+            ["hs", "--input", path, "--route", "all", "--json"],
+        ]
+        build_parser.cache_clear()
+        reused = [run_cli(argv, capsys) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0]
+        assert "prime below 2^31" in reused[0][2]
 
 
 class TestEnvironment:

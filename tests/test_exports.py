@@ -18,14 +18,14 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 ALLOWED = {
     "distance": "README library entry point: the exchange distance of two monomials",
     "minimal_generators": "README library entry point: G(I) of a generator list",
-    "first_shift_by_distance": "ROADMAP item 2: the order-free HS_1 for audited instances",
-    "shift_multiset": "ROADMAP item 4: the certificate's Betti table",
-    "ek_betti": "ROADMAP item 4: a closed-form route of betti for strongly stable ideals",
-    "borel_generators": "ROADMAP item 3: the census reads case (iv) coverage off it",
+    "first_shift_by_distance": "ROADMAP item 3: the order-free HS_1 for audited instances",
+    "shift_multiset": "ROADMAP item 2: the certificate's Betti table",
+    "ek_betti": "ROADMAP item 2: a closed-form route of betti for strongly stable ideals",
+    "borel_generators": "ROADMAP items 4-5: the covered field and the census read case (iv) off it",
 }
 
 ALLOWED_MEMBERS = {
-    "SimplicialComplexFrame.faces": "ROADMAP item 7: the frame the tracer hooks, "
+    "SimplicialComplexFrame.faces": "ROADMAP item 8: the frame the tracer hooks, "
     "kept with it until the tracer reads counters",
 }
 

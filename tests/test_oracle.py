@@ -1,5 +1,9 @@
+import contextlib
+import io
 import itertools
+import json
 import math
+import sys
 import random
 from fractions import Fraction
 
@@ -21,14 +25,15 @@ from polyshift import (
     reduced_homology_ranks,
     upper_koszul,
 )
-from polyshift import _kernels, oracle
+from polyshift import _kernels, cli, oracle
 from polyshift.oracle import (
     LATTICE_CAP,
     _canonical_rows,
+    _distinct_rows,
     _gen_matrix,
     _lattice,
-    face_homology_ranks,
 )
+from polyshift.textio import format_ideal
 from util import (
     M,
     betti_table_reference,
@@ -448,6 +453,28 @@ def table_items(table):
     return list(table.entries.items())
 
 
+class TestBettiReportOrder:
+    """``betti`` lists the entries by a stable sort on the index alone, so
+    within an index they keep the table's lattice order, descending-lex."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(I=mixed_degree_ideals())
+    def test_entries_by_index_then_descending_lex(self, I):
+        table = betti_table(I)
+        expected = [
+            {"i": i, "multidegree": str(a), "rank": r}
+            for (i, a), r in sorted(
+                table.entries.items(),
+                key=lambda kv: (kv[0][0], tuple(-e for e in kv[0][1].exponents)),
+            )
+        ]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+            patch.setattr(sys, "stdin", io.StringIO(format_ideal(I)))
+            assert cli.main(["betti", "--input", "-", "--json"]) == 0
+        assert json.loads(out.getvalue())["entries"] == expected
+
+
 class TestBettiAgainstPerPointReference:
     """``betti_table`` batches frames by support size and takes each
     distinct complex's homology once; the reference builds every point's
@@ -609,8 +636,8 @@ class TestFrameKey:
         v, faces, _ = drawn
         key = key_of(v, faces)
         assert f_vector(key) == f_vector(faces)
-        assert face_homology_ranks(np.array(sorted(key)), v, 32003) == (
-            face_homology_ranks(np.array(sorted(faces)), v, 32003)
+        assert oracle._group_homology(face_row(v, key)[None], v, 32003) == (
+            oracle._group_homology(face_row(v, faces)[None], v, 32003)
         )
         perms = itertools.permutations(range(v))
         assert frozenset(key) in {frozenset(relabel_faces(faces, p)) for p in perms}
@@ -667,6 +694,60 @@ class TestFrameKey:
         assert np.array_equal(keys, np.broadcast_to(keys[0], keys.shape))
         assert np.array_equal(keys[0], _canonical_rows(face_row(v, faces)[None], v)[0])
         assert f_vector(key_of(v, faces)) == f_vector(faces)
+
+
+def distinct_rows_reference(rows):
+    """The distinct rows as bytes in order of first appearance, and the
+    index of each row among them."""
+    seen: dict[bytes, int] = {}
+    return seen, [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
+
+
+@st.composite
+def byte_row_arrays(draw):
+    """A (k, width) uint8 array with repeated rows, width 1 (face rows of at
+    most 3 vertices) or 8 (6 vertices), sometimes every other column of a
+    wider array, so that no row is contiguous."""
+    width = draw(st.sampled_from([1, 8]))
+    pool = draw(st.lists(st.binary(min_size=width, max_size=width), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    array = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), width)
+    if draw(st.booleans()):
+        wide = np.zeros((len(rows), 2 * width), dtype=np.uint8)
+        wide[:, ::2] = array
+        array = wide[:, ::2]
+    return array
+
+
+class TestDistinctRows:
+    """``_distinct_rows`` merges equal rows by one sort of their bytes."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(rows=byte_row_arrays())
+    def test_matches_dict_on_bytes(self, rows):
+        distinct, index = _distinct_rows(rows)
+        seen, first_seen = distinct_rows_reference(rows)
+        assert distinct.dtype == np.uint8
+        assert distinct.shape == (len(seen), rows.shape[1])
+        assert np.array_equal(distinct[index], rows)
+        # the same partition of the rows as the reference's
+        assert len(set(zip(index.tolist(), first_seen))) == len(seen)
+        as_bytes = [row.tobytes() for row in distinct]
+        assert as_bytes == sorted(seen)  # pairwise different, in byte order
+
+    @pytest.mark.parametrize("width", (1, 8))
+    def test_one_row(self, width):
+        rows = np.arange(width, dtype=np.uint8)[None]
+        distinct, index = _distinct_rows(rows)
+        assert np.array_equal(distinct, rows)
+        assert index.tolist() == [0]
+
+    @pytest.mark.parametrize("width", (1, 8))
+    def test_all_rows_equal(self, width):
+        rows = np.full((7, width), 0b10110001, dtype=np.uint8)
+        distinct, index = _distinct_rows(rows)
+        assert np.array_equal(distinct, rows[:1])
+        assert index.tolist() == [0] * 7
 
 
 class TestHomologyCount:
