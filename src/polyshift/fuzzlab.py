@@ -14,13 +14,23 @@ independently reproduces the same ideal; a route mismatch is recorded as an
 internal disagreement instead, and the campaign reports both counts.  Flags
 are reports, never failures: the questions are open.
 
+The draws repeat their supported ideal J = ``restrict_to_support(I)``
+often, so a campaign computes the checks that read only J (the certificate,
+the shift ideals, the route, bbh, chl and nesting checks) once per distinct
+J, and the checks that read the spec (the row header, the spanning-tree
+socle and the Veronese closed form) on every instance.  The summary counts
+the distinct J as ``distinct_ideals``.
+
 Everything is deterministic in the campaign seed; each instance derives its
-own seed, so a single row reproduces in isolation.
+own seed, so a single row reproduces in isolation, equal to its row in the
+campaign.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -115,24 +125,67 @@ def check_instance(
     spec: FamilySpec, ideal: MonomialIdeal, config: CampaignConfig
 ) -> dict[str, Any]:
     """All per-instance computations and comparisons; returns the report row."""
-    row: dict[str, Any] = {
-        "spec": spec_to_doc(spec),
-        "n": ideal.n,
-        "num_gens": ideal.num_gens,
-        "degree": ideal.generation_degree,
-        "flags": [],
-        "disagreements": [],
-    }
     J, _ = restrict_to_support(ideal)
+    return _instance_row(spec, ideal, J, _check_supported(J, config), config)
+
+
+def _packed(I: MonomialIdeal) -> bytes:
+    """I as one byte string, equal for equal ideals only: a width byte w, then
+    the variable count and the generators' exponent vectors in order, each
+    number in w bytes (1 when all are below 256, else 4)."""
+    flat = [I.n, *(e for g in I.gens for e in g.exponents)]
+    if max(flat) < 256:
+        return bytes([1, *flat])
+    return b"\x04" + array("I", flat).tobytes()
+
+
+def _is_veronese_type(J: MonomialIdeal) -> bool:
+    """Whether J is every monomial of its degree d under its largest exponents.
+
+    Every realization of a Veronese spec is: its largest exponents lie under
+    the spec's bounds, so each monomial of degree d under them is a
+    generator.  J lies in that set, so the sizes decide.
+    """
+    d = J.generation_degree
+    ways = [1] + [0] * d  # monomials under the bounds so far, by degree
+    for b in map(max, zip(*(g.exponents for g in J.gens))):
+        ways = [sum(ways[max(0, t - b) : t + 1]) for t in range(d + 1)]
+    return ways[d] == J.num_gens
+
+
+def _row_part(fields: dict, flags: list, early: list, late: list) -> str:
+    """The JSON text of [fields, flags, early, late], interned: most distinct
+    supported ideals share one text."""
+    return sys.intern(json.dumps([fields, flags, early, late]))
+
+
+# what the checks that read only J give the row, and HS_1..HS_pd of J packed
+# when J is of Veronese type (None otherwise)
+_Checked = tuple[str, Optional[tuple[bytes, ...]]]
+
+
+def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> _Checked:
+    """The checks that read only the supported ideal J.
+
+    Returns the row fields they set, their flags, and the disagreements that
+    come before the spanning-tree check (``early``) and after it (``late``)
+    as one JSON text, with HS_1..HS_pd packed for the Veronese closed form
+    when J is of Veronese type.  The result holds no ideal, so a campaign
+    keeps one per distinct J.
+    """
+    fields: dict[str, Any] = {}
+    flags: list[dict] = []
+    early: list[dict] = []
+    late: list[dict] = []
     cert = certify_lex(J)
     if not isinstance(cert, QuotientCertificate):
-        row["disagreements"].append(
+        early.append(
             {"kind": "no-lex-certificate", "detail": "polymatroidal ideal refused lex order"}
         )
-        return row
+        return _row_part(fields, flags, early, late), None
     pd = cert.projective_dimension
-    row["pd"] = pd
-    row["matroidal"] = is_matroidal(J)
+    fields["pd"] = pd
+    fields["matroidal"] = is_matroidal(J)
 
     shifts = [homological_shift(cert, j) for j in range(pd + 1)]
 
@@ -140,10 +193,9 @@ def check_instance(
     for j in range(pd + 2):
         expected = shifts[j] if j <= pd else MonomialIdeal(J.n)
         if shifts_by_distance(cert, j) != expected:
-            row["disagreements"].append({"kind": "distance-route", "j": j})
+            early.append({"kind": "distance-route", "j": j})
 
     table = None
-    soc_colon = None
     if "bbh" in config.conjectures:
         verdicts = []
         for j in range(1, pd + 1):
@@ -154,7 +206,7 @@ def check_instance(
                     table = betti_table(J, config.prime)
                 oracle_ideal = table.shift_ideal(j)
                 if oracle_ideal == shifts[j]:
-                    row["flags"].append(
+                    flags.append(
                         {
                             "conjecture": "bbh",
                             "j": j,
@@ -163,18 +215,17 @@ def check_instance(
                         }
                     )
                 else:
-                    row["disagreements"].append({"kind": "oracle-vs-certificate", "j": j})
-        row["hs_polymatroidal"] = verdicts
+                    early.append({"kind": "oracle-vs-certificate", "j": j})
+        fields["hs_polymatroidal"] = verdicts
 
     if "chl" in config.conjectures:
         soc_exchange = socle_exchange(cert)
-        soc_colon = socle_colon(J)
-        if soc_exchange != soc_colon:
-            row["disagreements"].append({"kind": "socle-route"})
-        row["max_pd"] = not soc_exchange.is_zero
+        if soc_exchange != socle_colon(J):
+            early.append({"kind": "socle-route"})
+        fields["max_pd"] = not soc_exchange.is_zero
         if not soc_exchange.is_zero:
             result = check_exchange(soc_exchange, "exchange")
-            row["soc_polymatroidal"] = bool(result.holds)
+            fields["soc_polymatroidal"] = bool(result.holds)
             if not result.holds:
                 if table is None:
                     table = betti_table(J, config.prime)
@@ -183,7 +234,7 @@ def check_instance(
                     soc_exchange, Monomial.from_support(range(1, J.n + 1), J.n)
                 )
                 if top_oracle == top_formula:
-                    row["flags"].append(
+                    flags.append(
                         {
                             "conjecture": "chl",
                             "socle": [str(g) for g in soc_exchange.gens],
@@ -191,19 +242,7 @@ def check_instance(
                         }
                     )
                 else:
-                    row["disagreements"].append({"kind": "oracle-vs-socle"})
-
-    if "transversal_socle" in config.conjectures:
-        tspec = as_transversal(spec)
-        if tspec is not None and tspec.covers_variables:
-            candidates = spanning_tree_socle(tspec)
-            if soc_colon is None:
-                soc_colon = socle_colon(J)
-            if not candidates.is_zero:
-                contained = all(soc_colon.contains(g) for g in candidates.gens)
-                if not contained:
-                    row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
-                row["spanning_tree_socle_equal"] = candidates == soc_colon
+                    early.append({"kind": "oracle-vs-socle"})
 
     # theorem-level spot checks that double as route validation; both
     # nesting checks read HS_1 of a shift ideal along its own lex certificate
@@ -220,19 +259,15 @@ def check_instance(
             )
         return inner_first[j]
 
-    if row.get("matroidal"):
+    if fields["matroidal"]:
         for j in range(1, pd):
             first = first_shift_of(j)
             if first is None:
-                row["disagreements"].append({"kind": "shift-not-certifiable", "j": j})
+                late.append({"kind": "shift-not-certifiable", "j": j})
                 continue
             if first != shifts[j + 1]:
-                row["disagreements"].append({"kind": "matroidal-nesting", "j": j})
-    if isinstance(spec, VeroneseSpec) and J.n == ideal.n:
-        for level in range(1, pd + 1):
-            if veronese_shift(spec, level) != shifts[level]:
-                row["disagreements"].append({"kind": "veronese-closed-form", "j": level})
-    if ideal.num_gens <= REFINED_NESTING_CAP and pd >= 1:
+                late.append({"kind": "matroidal-nesting", "j": j})
+    if J.num_gens <= REFINED_NESTING_CAP and pd >= 1:
         equalities = []
         for j in range(1, pd + 1):
             first = first_shift_of(j)
@@ -242,7 +277,49 @@ def check_instance(
             refined = support_filter(first, j + 1)
             upper = shifts[j + 1] if j + 1 <= pd else MonomialIdeal(J.n)
             equalities.append(refined == upper)
-        row["refined_nesting_equal"] = equalities
+        fields["refined_nesting_equal"] = equalities
+    packed = None
+    if _is_veronese_type(J):
+        packed = tuple(_packed(shifts[j]) for j in range(1, pd + 1))
+    return _row_part(fields, flags, early, late), packed
+
+
+def _instance_row(
+    spec: FamilySpec,
+    ideal: MonomialIdeal,
+    J: MonomialIdeal,
+    checked: _Checked,
+    config: CampaignConfig,
+) -> dict[str, Any]:
+    """The report row: ``checked`` (from ``_check_supported(J, config)``)
+    merged with the checks that read the spec, which run on every call."""
+    part, shifts = checked
+    fields, flags, early, late = json.loads(part)
+    row: dict[str, Any] = {
+        "spec": spec_to_doc(spec),
+        "n": ideal.n,
+        "num_gens": ideal.num_gens,
+        "degree": ideal.generation_degree,
+        **fields,
+        "flags": flags,
+        "disagreements": early,
+    }
+    if "pd" not in fields:  # no lex certificate
+        return row
+    if "transversal_socle" in config.conjectures:
+        tspec = as_transversal(spec)
+        if tspec is not None and tspec.covers_variables:
+            candidates = spanning_tree_socle(tspec)
+            if not candidates.is_zero:
+                soc_colon = socle_colon(J)
+                if not all(soc_colon.contains(g) for g in candidates.gens):
+                    row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
+                row["spanning_tree_socle_equal"] = candidates == soc_colon
+    row["disagreements"] += late
+    if isinstance(spec, VeroneseSpec) and J.n == ideal.n:
+        for level, packed in enumerate(shifts, start=1):
+            if _packed(veronese_shift(spec, level)) != packed:
+                row["disagreements"].append({"kind": "veronese-closed-form", "j": level})
     return row
 
 
@@ -252,10 +329,16 @@ def run_campaign(
     """Run the full campaign; stream one JSON line per instance to ``sink``."""
     summary = CampaignSummary(config)
     budget = config.budget
+    # the J-only checks of each distinct supported ideal, keyed exactly
+    checked: dict[bytes, _Checked] = {}
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
         spec, ideal = random_polymatroidal(seed, budget)
-        row = check_instance(spec, ideal, config)
+        J, _ = restrict_to_support(ideal)
+        key = _packed(J)
+        if key not in checked:
+            checked[key] = _check_supported(J, config)
+        row = _instance_row(spec, ideal, J, checked[key], config)
         row["index"] = index
         row["seed"] = seed
         for flag in row["flags"]:
@@ -275,6 +358,7 @@ def run_campaign(
             )
         if sink is not None:
             sink(json.dumps(row, sort_keys=True))
+    summary.bump("distinct_ideals", len(checked))
     summary.bump("flags", len(summary.flags))
     summary.bump("disagreements", len(summary.disagreements))
     return summary

@@ -13,6 +13,7 @@ function; values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -337,25 +338,20 @@ class MonomialIdeal:
 
 def _minimalize(mons: list[Monomial]) -> list[Monomial]:
     """Antichain of the divisibility-minimal elements, canonically sorted."""
-    unique = sorted(set(mons), key=lambda m: (m.degree, m.exponents))
-    degrees = {m.degree for m in unique}
-    if len(degrees) <= 1:
-        kept = unique
-    else:
-        kept = []
-        for cand in unique:
-            ce = cand.exponents
-            cd = cand.degree
-            redundant = False
-            for g in kept:
-                if g.degree >= cd:
-                    break
-                if all(a <= b for a, b in zip(g.exponents, ce)):
-                    redundant = True
-                    break
-            if not redundant:
-                kept.append(cand)
-    return sorted(kept, key=lambda m: m.exponents, reverse=True)
+    by_degree: dict[int, list[Monomial]] = {}
+    for m in set(mons):
+        by_degree.setdefault(sum(m.exponents), []).append(m)
+    degrees = sorted(by_degree)
+    kept = by_degree[degrees[0]] if degrees else []
+    for d in degrees[1:]:
+        # a candidate can only be a multiple of a generator of lower degree
+        below = [g.exponents for g in kept]
+        kept += [
+            m
+            for m in by_degree[d]
+            if not any(all(a <= b for a, b in zip(ge, m.exponents)) for ge in below)
+        ]
+    return sorted(kept, key=attrgetter("exponents"), reverse=True)
 
 
 def minimal_generators(
@@ -441,9 +437,12 @@ def restrict_to_support(I: MonomialIdeal) -> tuple[MonomialIdeal, tuple[int, ...
     """Rewrite I in the subring on its support variables.
 
     Returns the restricted ideal together with the tuple mapping new 1-based
-    variable positions to the original indices.
+    variable positions to the original indices; I itself when its support
+    is every variable.
     """
     supp = I.support
+    if len(supp) == I.n:
+        return I, supp
     if not supp:
         # zero ideal, or the unit ideal (empty support): keep a 0-variable ring
         if I.is_unit:

@@ -8,11 +8,17 @@ from polyshift import (
     CampaignConfig,
     ExchangeResult,
     LPSpec,
+    Monomial,
+    MonomialIdeal,
+    VeroneseSpec,
     check_instance,
+    random_polymatroidal,
     realize,
+    restrict_to_support,
     run_campaign,
 )
 from polyshift import fuzzlab
+from polyshift.families import as_transversal
 from polyshift.fuzzlab import instance_seed
 
 
@@ -27,16 +33,17 @@ class TestCampaign:
         assert len(lines_a) == 20
 
     def test_rows_reproduce_from_their_seed(self):
-        from polyshift import random_polymatroidal
-
-        config = CampaignConfig(seed=99, instance_count=10, n_max=4, degree_max=3)
+        # most rows of this campaign repeat an earlier supported ideal, and
+        # each equals, in full, the row its draw gives alone
+        config = CampaignConfig(seed=99, instance_count=60, n_max=3, degree_max=3)
         lines: list[str] = []
-        run_campaign(config, lines.append)
-        for row in map(json.loads, lines[:4]):
-            spec, ideal = random_polymatroidal(row["seed"], config.budget)
+        summary = run_campaign(config, lines.append)
+        assert summary.counters["distinct_ideals"] <= config.instance_count // 2
+        for index, row in enumerate(map(json.loads, lines)):
+            assert row.pop("index") == index
+            spec, ideal = random_polymatroidal(row.pop("seed"), config.budget)
             again = check_instance(spec, ideal, config)
-            for key in ("pd", "num_gens", "spec"):
-                assert again[key] == row[key]
+            assert json.loads(json.dumps(again)) == row
 
     def test_counters_and_clean_run(self):
         config = CampaignConfig(seed=3, instance_count=60)
@@ -100,6 +107,112 @@ class TestCampaign:
         assert hashlib.sha256(data).hexdigest() == (
             "f6cacd155bc94f52a841306de24ceef7ee58b9a473bdaa43e4d27e959049b1b9"
         )
+
+
+def supported_draws(config: CampaignConfig):
+    """(seed, spec, ideal, supported ideal) of each instance, in order."""
+    for index in range(config.instance_count):
+        seed = instance_seed(config.seed, index)
+        spec, ideal = random_polymatroidal(seed, config.budget)
+        yield seed, spec, ideal, restrict_to_support(ideal)[0]
+
+
+class TestDistinctIdeals:
+    """A campaign runs the checks that read only the supported ideal J once
+    per distinct J, and the checks that read the spec on every instance."""
+
+    CONFIG = CampaignConfig(seed=13, instance_count=120, n_max=3, degree_max=3)
+
+    def test_distinct_ideals_match_a_recount(self):
+        summary = run_campaign(self.CONFIG)
+        distinct = {J for _, _, _, J in supported_draws(self.CONFIG)}
+        assert summary.counters["distinct_ideals"] == len(distinct)
+        assert len(distinct) < self.CONFIG.instance_count // 2
+
+    def test_certificate_once_per_distinct_ideal(self, monkeypatch):
+        real_restrict, real_certify = fuzzlab.restrict_to_support, fuzzlab.certify_lex
+        supported: list[MonomialIdeal] = []  # every J the campaign forms
+        top_level: list[MonomialIdeal] = []  # the J that certify_lex was given
+
+        def restrict(I):
+            out = real_restrict(I)
+            supported.append(out[0])
+            return out
+
+        def certify(I):
+            if any(I is J for J in supported):
+                top_level.append(I)
+            return real_certify(I)
+
+        monkeypatch.setattr(fuzzlab, "restrict_to_support", restrict)
+        monkeypatch.setattr(fuzzlab, "certify_lex", certify)
+        summary = run_campaign(self.CONFIG)
+        assert len(supported) == self.CONFIG.instance_count
+        assert len(top_level) == summary.counters["distinct_ideals"]
+        assert len(set(top_level)) == len(top_level)
+
+    def test_entries_hold_no_ideal(self):
+        for _, _, _, J in supported_draws(self.CONFIG):
+            part, shifts = fuzzlab._check_supported(J, self.CONFIG)
+            assert isinstance(part, str)
+            assert shifts is None or all(isinstance(level, bytes) for level in shifts)
+
+    def test_veronese_type_matches_a_realization(self):
+        # the Veronese closed form finds packed shifts for every Veronese spec
+        for _, spec, ideal, J in supported_draws(self.CONFIG):
+            bounds = tuple(max(column) for column in zip(*(g.exponents for g in J.gens)))
+            own = realize(VeroneseSpec(bounds, J.generation_degree))
+            assert fuzzlab._is_veronese_type(J) == (own == J)
+            if isinstance(spec, VeroneseSpec):
+                assert fuzzlab._is_veronese_type(J)
+
+    def rows_with_draws(self):
+        lines: list[str] = []
+        run_campaign(self.CONFIG, lines.append)
+        seen = set()
+        for line, (seed, spec, ideal, J) in zip(lines, supported_draws(self.CONFIG)):
+            row = json.loads(line)
+            assert row["seed"] == seed
+            yield row, spec, ideal, J, J in seen
+            seen.add(J)
+
+    def test_veronese_closed_form_on_hits_and_misses(self, monkeypatch):
+        monkeypatch.setattr(
+            fuzzlab, "veronese_shift", lambda spec, level: MonomialIdeal(len(spec.bounds))
+        )
+        repeats = []
+        for row, spec, ideal, J, repeat in self.rows_with_draws():
+            levels = [
+                item["j"]
+                for item in row["disagreements"]
+                if item["kind"] == "veronese-closed-form"
+            ]
+            if isinstance(spec, VeroneseSpec) and J.n == ideal.n and row["pd"] >= 1:
+                assert levels == list(range(1, row["pd"] + 1))
+                repeats.append(repeat)
+            else:
+                assert levels == []
+        assert True in repeats and False in repeats
+
+    def test_spanning_tree_socle_on_hits_and_misses(self, monkeypatch):
+        # the unit ideal lies in the socle only when the socle is the unit
+        # ideal, that is, in degree 1
+        monkeypatch.setattr(
+            fuzzlab,
+            "spanning_tree_socle",
+            lambda spec: MonomialIdeal(spec.n, [Monomial.unit(spec.n)]),
+        )
+        repeats = []
+        for row, spec, ideal, J, repeat in self.rows_with_draws():
+            kinds = [item["kind"] for item in row["disagreements"]]
+            tspec = as_transversal(spec)
+            if tspec is not None and tspec.covers_variables and row["degree"] >= 2:
+                assert "spanning-tree-not-in-socle" in kinds
+                assert row["spanning_tree_socle_equal"] is False
+                repeats.append(repeat)
+            else:
+                assert "spanning-tree-not-in-socle" not in kinds
+        assert True in repeats and False in repeats
 
 
 class TestOracleFallbacks:

@@ -179,6 +179,30 @@ class TestMinimalGenerators:
         reversed_input = minimal_generators(list(reversed(mons)), 3)
         assert reversed_input == I
 
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Monomial,
+                st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+            ),
+            max_size=10,
+        )
+    )
+    def test_matches_the_pairwise_antichain(self, mons):
+        # the exponent vectors no other one divides, in descending
+        # lexicographic order
+        distinct = {m.exponents for m in mons}
+        expected = sorted(
+            (
+                e
+                for e in distinct
+                if not any(f != e and all(a <= b for a, b in zip(f, e)) for f in distinct)
+            ),
+            reverse=True,
+        )
+        assert [g.exponents for g in minimal_generators(mons, 3).gens] == expected
+
 
 class TestIdealProduct:
     def test_prime_product_example(self, example_ideal):
@@ -324,3 +348,9 @@ class TestCanonicalForm:
         assert J.n == 3
         assert mapping == (2, 4, 5)
         assert gens_set(J) == {"x1*x3", "x1*x2"}
+
+    def test_restrict_to_full_support_is_the_ideal(self):
+        I = ideal("[x1*x2, x2*x3^2] n=3")
+        J, mapping = restrict_to_support(I)
+        assert J is I
+        assert mapping == (1, 2, 3)
