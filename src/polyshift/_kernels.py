@@ -4,12 +4,12 @@ The homology oracle ranks its boundary matrices with
 :func:`rank_mod_p_stack`: the matrices of all the distinct frames of one
 support-size group, zero-padded into stacks of like shape, and one column
 step per loop iteration for every matrix of a stack.  Frames are taken
-relative to the star of a vertex, so the matrices are small (5.2 x 4.5 on
+relative to the star of a vertex, so the matrices are small (4.4 x 3.7 on
 average and at most 36 x 36 on the relabelled 10- and 11-cycles) and the
 cost is numpy call overhead, which a stack shares out.  In-process on
 one vCPU of a shared 2-core Xeon VM (fastest of nine runs), the two tables
-of the betti-cycles benchmark (seed 1) rank 324 matrices in 15 stacks,
-96 column steps in 0.003 s.  The 23 Veronese-type tables of the
+of the betti-cycles benchmark (seed 1) rank 1104 matrices in 15 stacks,
+96 column steps in 0.005 s.  The 23 Veronese-type tables of the
 betti-veronese benchmark need no matrix.  :func:`rank_mod_p` is the kernel
 on a stack of one.  :func:`contains_mask` (does any generator divide each
 of a batch of monomials) stays because perfbench names it.

@@ -285,10 +285,8 @@ class MonomialIdeal:
 
     @property
     def support(self) -> tuple[int, ...]:
-        used = set()
-        for g in self.gens:
-            used.update(g.support)
-        return tuple(sorted(used))
+        columns = zip(*(g.exponents for g in self.gens))
+        return tuple(i + 1 for i, column in enumerate(columns) if any(column))
 
     @property
     def exponent_set(self) -> frozenset[tuple[int, ...]]:

@@ -27,17 +27,13 @@ nonempty supp(a); that test runs on the whole lattice at once.  The other
 points are grouped by the number v of their support variables: one array
 operation gives a group's facets, and its 2^v face masks are tested in
 blocks of points and faces, every frame temporary near ``_BLOCK_ROWS``
-rows.  The homology depends only on the complex up to isomorphism, so it is
-taken once per key: the face set itself with the vertices relabelled,
-sorted by how many faces of each size contain them (largest first, ties by
-index, after McKay and Piperno's invariant-based vertex orders).  Equal keys
-are the same face set up to relabelling, hence isomorphic complexes with
-equal homology, whatever the tie order.  A group's packed face rows are
-merged by one sort of their bytes, and the keys of the distinct rows by a
-second, so each point finds its homology through two index arrays.  The
-9171 frames of the 23 Veronese-type tables of the betti-veronese benchmark
-hold 319 distinct face sets, and the key merges none of them, while a
-relabelled 10-cycle needs 49 homology computations instead of 179.
+rows.  A group's packed face rows are merged by one sort of their bytes,
+so the homology of each distinct face set is taken once and each point
+finds it through one index array.  Frames are not keyed up to vertex
+relabelling: on frames of at most 11 vertices, as on every benchmark
+workload, a frame's homology in the stacked elimination below costs less
+than such a key.  The 9171 frames of the 23 Veronese-type tables of the
+betti-veronese benchmark hold 319 distinct face sets.
 
 The homology of a frame K is taken relative to the closed star
 st_x K = {F : F + x in K} of its busiest vertex x.  The star is a cone with
@@ -45,17 +41,17 @@ apex x, so its reduced homology vanishes, and the long exact sequence of the
 pair gives H~_k(K) = H_k(K, st_x K) for every k >= -1.  The relative complex
 keeps only the faces F with F + x not in K, so the boundary matrices are
 small (at most 36 rows on the 10- and 11-cycles, against 462 for the full
-complex).  The homology of all the distinct keys of a support-size group is
-taken in one pass: apexes, cells and the index of each cell among those of
-its frame and size come from array operations on the unpacked face rows,
-and the signed entries of every (frame, size) boundary matrix are scattered
-into zero-padded stacks of matrices of like shape, each ranked by one
-stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
+complex).  The homology of all the distinct face sets of a support-size
+group is taken in one pass: apexes, cells and the index of each cell among
+those of its frame and size come from array operations on the unpacked face
+rows, and the signed entries of every (frame, size) boundary matrix are
+scattered into zero-padded stacks of matrices of like shape, each ranked by
+one stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
 (fastest of nine runs), the relabelled 10- and 11-cycle tables of the
-betti-cycles benchmark (seed 1) take 0.025 s.  Homology takes 0.009 s of
-it for 136 frames in 19 groups, 0.003 s of that in the elimination of 324
+betti-cycles benchmark (seed 1) take 0.020 s.  Homology takes 0.010 s of
+it for 499 frames in 19 groups, 0.005 s of that in the elimination of 1104
 boundary matrices in 15 stacks (96 column steps).  The 23 Veronese-type
-tables take 0.29 s, 0.009 s of it in homology, and none of their 319
+tables take 0.28 s, 0.007 s of it in homology, and none of their 319
 frames needs a matrix.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
@@ -238,53 +234,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flat = np.ascontiguousarray(rows).view(f"V{width}")[:, 0]
     distinct, index = np.unique(flat, return_inverse=True)
     return distinct.view(np.uint8).reshape(len(distinct), width), index
-
-
-def _canonical_rows(rows: np.ndarray, v: int) -> np.ndarray:
-    """The packed face rows of frames on v vertices, each re-encoded with its
-    vertices in a canonical order: by the number of faces of each size that
-    contain them, largest first, ties by index.  A key is its frame's face
-    set relabelled, so equal keys mean isomorphic complexes.
-
-    Faces go in blocks of at most ``_BLOCK_ROWS``, points in blocks of at
-    most ``_BLOCK_ROWS`` * v (point, face) pairs.  Within a face block the
-    faces are sorted by size, so a row's counts for one size are the product
-    of its faces of that size with their 0/1 vertex table; the order is one
-    ``lexsort``.  New face G is old face sum_j bit_j(G) << order_j, again a
-    product with the vertex table, read from the packed rows and packed."""
-    if v < 2:  # one order only
-        return rows
-    size = 1 << v
-    step = min(size, _BLOCK_ROWS)
-    point_step = max(1, _BLOCK_ROWS * v // step)
-    low = (np.arange(step)[:, None] >> np.arange(v)) & 1
-    # face f0 + m of a block has the size of f0 plus that of m
-    sizes = low.sum(axis=1)
-    by_size = np.argsort(sizes, kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(sizes)).tolist()]
-    counts = np.zeros((len(rows), v + 1, v), dtype=np.int64)
-    for f0 in range(0, size, step):
-        table = low[by_size] + ((f0 >> np.arange(v)) & 1)
-        for p0 in range(0, len(rows), point_step):
-            block = rows[p0 : p0 + point_step, f0 // 8 : (f0 + step + 7) // 8]
-            inside = np.unpackbits(block, axis=1, count=step)[:, by_size]
-            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), f0.bit_count()):
-                counts[p0 : p0 + point_step, s] += inside[:, lo:hi] @ table[lo:hi]
-    # lexsort's last key leads: faces of size 0 (none), then 1, 2, ..., v
-    order = np.lexsort(-counts.transpose(1, 0, 2)[::-1], axis=-1)
-    weights = np.left_shift(1, order)
-    out = np.empty_like(rows)
-    for g0 in range(0, size, step):
-        table = low + ((g0 >> np.arange(v)) & 1)
-        for p0 in range(0, len(rows), point_step):
-            old = weights[p0 : p0 + point_step] @ table.T
-            block = rows[p0 : p0 + point_step]
-            at = (old >> 3) + np.arange(0, block.size, block.shape[1])[:, None]
-            bits = (block.take(at) << (old & 7).astype(np.uint8)) & 128
-            out[p0 : p0 + point_step, g0 // 8 : (g0 + step + 7) // 8] = np.packbits(
-                bits, axis=1
-            )
-    return out
 
 
 @dataclass(frozen=True)
@@ -506,17 +455,15 @@ def betti_table(
     points = points[~_full_simplex(gens, points)]
     sizes = (points > 0).sum(axis=1)
     _refuse_wide(points, sizes)
-    # isomorphic frames share a key (the face set in canonical vertex order),
-    # and so their homology; keys are built once per exact face set, and
-    # point k's homology is found[which[k]]
+    # frames with equal face sets share their homology: point k's is
+    # found[which[k]]
     found: list[dict[int, int]] = []
     which = np.empty(len(points), dtype=np.int64)
     for v in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == v)
         rows, frame = _distinct_rows(_face_rows(gens, points[group], v))
-        keys, key = _distinct_rows(_canonical_rows(rows, v))
-        which[group] = len(found) + key[frame]
-        found += _group_homology(keys, v, p)
+        which[group] = len(found) + frame
+        found += _group_homology(rows, v, p)
     table = BettiTable(I.n, {}, p)
     for exponents, i in zip(points.tolist(), which.tolist()):
         ranks = found[i]

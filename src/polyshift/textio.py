@@ -139,7 +139,12 @@ def parse_monomial(text: str, n: Optional[int] = None) -> Monomial:
         n = width
     elif width > n:
         raise sc.error(f"variable index {width} exceeds n={n}")
-    vec = [0] * check_variable_count(n)
+    return _monomial(exps, check_variable_count(n))
+
+
+def _monomial(exps: dict[int, int], n: int) -> Monomial:
+    """The monomial in n variables with the scanned {index: exponent}."""
+    vec = [0] * n
     for i, e in exps.items():
         vec[i - 1] = e
     return Monomial(tuple(vec))
@@ -393,13 +398,7 @@ def parse_ideal(text: str) -> IdealSource:
                 f"variable index {width} exceeds declared n={n}", declared_at
             )
         check_variable_count(n)
-        gens = []
-        for exps in monomials:
-            vec = [0] * n
-            for i, e in exps.items():
-                vec[i - 1] = e
-            gens.append(Monomial(tuple(vec)))
-        return IdealSource(MonomialIdeal(n, gens))
+        return IdealSource(MonomialIdeal(n, [_monomial(exps, n) for exps in monomials]))
     if ch == "{":
         doc = _scan_value(sc)
         if not sc.at_end():

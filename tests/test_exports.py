@@ -1,7 +1,8 @@
 """The package ships only routes something runs.  Every name ``polyshift``
 exports, and every public method or property of an exported class, needs a
 caller in the package's own modules or in perfbench/, or a line on the
-allowlists below that says why it stays.  References that only the tests
+allowlists below that says why it stays.  A module-level private function
+needs a caller in the package itself.  References that only the tests
 compare against live in tests/util.py."""
 
 import ast
@@ -56,6 +57,19 @@ def _used_in_package() -> set[str]:
     return used
 
 
+def private_functions() -> set[str]:
+    """Module-level functions of the package whose names start with one
+    underscore."""
+    return {
+        stmt.name
+        for path in PACKAGE.glob("*.py")
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    }
+
+
 def _used_in_perfbench() -> set[str]:
     """Names perfbench/ reads from the package: attributes of its imported
     ``polyshift`` modules, names it imports, and the ``module.name`` span
@@ -102,6 +116,11 @@ def test_allowlist_holds_only_exported_names_without_a_caller():
     assert set(ALLOWED) <= exported()
     # a name that gains a caller comes off the list
     assert sorted(set(ALLOWED) & used) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper that only the tests call is a reference: it goes to tests/util.py
+    assert sorted(private_functions() - _used_in_package()) == []
 
 
 def test_perfbench_names_are_seen():

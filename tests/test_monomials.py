@@ -345,9 +345,15 @@ class TestCanonicalForm:
     def test_restrict_to_support(self):
         I = ideal("[x2*x5, x2*x4] n=6")
         J, mapping = restrict_to_support(I)
+        assert I.support == (2, 4, 5)
         assert J.n == 3
         assert mapping == (2, 4, 5)
         assert gens_set(J) == {"x1*x3", "x1*x2"}
+        # no variable divides a generator of the zero or the unit ideal
+        zero, unit = MonomialIdeal(4), MonomialIdeal(4, [Monomial.unit(4)])
+        assert zero.support == unit.support == ()
+        assert restrict_to_support(zero) == (MonomialIdeal(0), ())
+        assert restrict_to_support(unit) == (MonomialIdeal(0, [Monomial(())]), ())
 
     def test_restrict_to_full_support_is_the_ideal(self):
         I = ideal("[x1*x2, x2*x3^2] n=3")

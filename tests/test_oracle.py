@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,6 @@ from polyshift import (
 from polyshift import _kernels, cli, oracle
 from polyshift.oracle import (
     LATTICE_CAP,
-    _canonical_rows,
     _distinct_rows,
     _gen_matrix,
     _lattice,
@@ -38,6 +38,7 @@ from util import (
     M,
     betti_table_reference,
     borel_closure,
+    frame_reference,
     full_boundary_homology,
     gens_set,
     ideal,
@@ -563,8 +564,9 @@ def relabelled_ideals(draw):
 
 
 class TestRelabelledIdeals:
-    """Frames are memoized up to vertex relabelling, so a table must not
-    depend on the order of the variables."""
+    """Renaming the variables renames the table's multidegrees and changes
+    nothing else: frames are merged by their exact face sets over the
+    support in index order, so the merge must not depend on that order."""
 
     @settings(deadline=None, max_examples=150)
     @given(drawn=relabelled_ideals())
@@ -590,110 +592,6 @@ def face_row(v, faces):
     inside = np.zeros(1 << v, dtype=np.uint8)
     inside[list(faces)] = 1
     return np.packbits(inside)
-
-
-def key_of(v, faces):
-    """The face set of the canonical key of a complex on v vertices."""
-    key = _canonical_rows(face_row(v, faces)[None], v)[0]
-    return set(np.flatnonzero(np.unpackbits(key, count=1 << v)).tolist())
-
-
-def relabel_faces(faces, perm):
-    return {sum(1 << perm[k] for k in range(len(perm)) if f >> k & 1) for f in faces}
-
-
-def vertex_profiles(v, faces):
-    """For each vertex, the number of faces of each size holding it."""
-    sizes = [bin(f).count("1") for f in faces]
-    return [
-        tuple(
-            sum(1 for f, size in zip(faces, sizes) if f >> k & 1 and size == s)
-            for s in range(1, v + 1)
-        )
-        for k in range(v)
-    ]
-
-
-def f_vector(faces):
-    return sorted(bin(f).count("1") for f in faces)
-
-
-@st.composite
-def face_sets(draw):
-    """A downward-closed face set on 0 to 6 vertices and a permutation."""
-    v = draw(st.integers(0, 6))
-    facets = draw(st.lists(st.integers(0, (1 << v) - 1), max_size=6))
-    return v, set(closure(v, facets)), draw(st.permutations(range(v)))
-
-
-class TestFrameKey:
-    """``_canonical_rows`` re-encodes a face set with its vertices sorted by
-    an invariant; the homology memo in ``betti_table`` is keyed on it."""
-
-    @settings(deadline=None, max_examples=100)
-    @given(drawn=face_sets())
-    def test_key_is_a_relabelling(self, drawn):
-        v, faces, _ = drawn
-        key = key_of(v, faces)
-        assert f_vector(key) == f_vector(faces)
-        assert oracle._group_homology(face_row(v, key)[None], v, 32003) == (
-            oracle._group_homology(face_row(v, faces)[None], v, 32003)
-        )
-        perms = itertools.permutations(range(v))
-        assert frozenset(key) in {frozenset(relabel_faces(faces, p)) for p in perms}
-
-    @settings(deadline=None, max_examples=200)
-    @given(drawn=face_sets())
-    def test_relabelling_that_keeps_ties_in_order_gives_one_key(self, drawn):
-        # vertices with equal counts keep their relative order, so the sorted
-        # order of the relabelled complex is the relabelled sorted order
-        v, faces, perm = drawn
-        profiles = vertex_profiles(v, faces)
-        kept = list(perm)
-        for profile in set(profiles):
-            tied = [k for k in range(v) if profiles[k] == profile]
-            for k, image in zip(tied, sorted(perm[k] for k in tied)):
-                kept[k] = image
-        assert key_of(v, relabel_faces(faces, kept)) == key_of(v, faces)
-
-    def test_separated_complex_under_every_relabelling(self):
-        # a triangle 012, edges 03, 04 and 13, and a lone vertex 5: each
-        # vertex has its own count of edges and triangles
-        v = 6
-        faces = set(closure(v, [0b000111, 0b001001, 0b010001, 0b001010, 0b100000]))
-        assert len(set(vertex_profiles(v, faces))) == v
-        keys = {
-            frozenset(key_of(v, relabel_faces(faces, p)))
-            for p in itertools.permutations(range(v))
-        }
-        assert keys == {frozenset(key_of(v, faces))}
-
-    def test_separated_complexes_under_random_relabellings(self):
-        rng = random.Random(3)
-        v, found = 6, 0
-        while found < 10:
-            faces = set(closure(v, [rng.getrandbits(v) for _ in range(8)]))
-            if len(set(vertex_profiles(v, faces))) < v:
-                continue
-            found += 1
-            key = key_of(v, faces)
-            for _ in range(20):
-                assert key_of(v, relabel_faces(faces, rng.sample(range(v), v))) == key
-
-    def test_blocks_of_rows_and_faces(self):
-        # 14 vertices: 4 blocks of 4096 faces, rows in blocks of 14, and a
-        # complex whose vertices the counts separate, so one key in all
-        rng = random.Random(5)
-        v = 14
-        faces = []
-        while len(set(vertex_profiles(v, faces))) < v:
-            faces = closure(v, [rng.getrandbits(v) for _ in range(5)])
-        perms = [rng.sample(range(v), v) for _ in range(30)]
-        rows = np.stack([face_row(v, relabel_faces(faces, p)) for p in perms])
-        keys = _canonical_rows(rows, v)
-        assert np.array_equal(keys, np.broadcast_to(keys[0], keys.shape))
-        assert np.array_equal(keys[0], _canonical_rows(face_row(v, faces)[None], v)[0])
-        assert f_vector(key_of(v, faces)) == f_vector(faces)
 
 
 def distinct_rows_reference(rows):
@@ -751,18 +649,19 @@ class TestDistinctRows:
 
 
 class TestHomologyCount:
-    """The number of frames whose homology is taken on relabelled cycles,
-    pinned so that a weaker memo key fails here and not only in the
-    benchmark; the exact face-set key needed 179, 203, 344 and 366."""
+    """The number of frames whose homology is taken on relabelled cycles:
+    one per distinct face set of each support size, pinned so that a merge
+    that drops or repeats frames fails here and not only in the benchmark."""
 
     @pytest.mark.parametrize(
         "perm, computations",
         [
-            ((6, 8, 9, 7, 5, 3, 0, 4, 1, 2), 49),
-            ((5, 9, 3, 4, 6, 7, 2, 8, 1, 0), 60),
-            ((6, 8, 10, 7, 5, 3, 0, 4, 1, 9, 2), 96),
-            ((7, 10, 3, 4, 2, 8, 6, 5, 9, 1, 0), 99),
+            ((6, 8, 9, 7, 5, 3, 0, 4, 1, 2), 179),
+            ((5, 9, 3, 4, 6, 7, 2, 8, 1, 0), 203),
+            ((6, 8, 10, 7, 5, 3, 0, 4, 1, 9, 2), 344),
+            ((7, 10, 3, 4, 2, 8, 6, 5, 9, 1, 0), 366),
         ],
+        ids=["cycle10-a", "cycle10-b", "cycle11-a", "cycle11-b"],
     )
     def test_relabelled_cycles(self, perm, computations, monkeypatch):
         frames = []
@@ -781,6 +680,31 @@ class TestHomologyCount:
             (i, Monomial(relabel(a.exponents, perm))): r
             for (i, a), r in natural.entries.items()
         }
+
+    @settings(deadline=None, max_examples=100)
+    @given(drawn=relabelled_ideals())
+    def test_each_distinct_frame_once(self, drawn):
+        # recount: the distinct (v, face set) pairs of the lattice points
+        # whose frame is not a full simplex on a nonempty support
+        I, perm = drawn
+        J = MonomialIdeal(I.n, [Monomial(relabel(g.exponents, perm)) for g in I.gens])
+        frames = []
+        group_homology = oracle._group_homology
+
+        def counted(rows, v, prime):
+            frames.append((v, len(rows)))
+            return group_homology(rows, v, prime)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_group_homology", counted)
+            betti_table(J)
+        distinct = set()
+        for a in lcm_lattice(J):
+            frame = frame_reference(J, a)
+            v = len(frame.vertices)
+            if not v or len(frame.face_masks) < 1 << v:
+                distinct.add((v, frame.face_masks))
+        assert sorted(frames) == sorted(Counter(v for v, _ in distinct).items())
 
 
 @st.composite
