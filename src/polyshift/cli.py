@@ -328,11 +328,14 @@ def _parse_budget(text: str) -> dict[str, int]:
 
 def cmd_fuzz(args) -> int:
     budget = _parse_budget(args.budget or "")
-    conjectures = (
-        frozenset(c.strip() for c in args.conjectures.split(",") if c.strip())
-        if args.conjectures
-        else frozenset(CONJECTURE_KEYS)
-    )
+    conjectures = frozenset(CONJECTURE_KEYS)
+    if args.conjectures is not None:
+        conjectures = frozenset(c.strip() for c in args.conjectures.split(",")) - {""}
+        if not conjectures:
+            raise ValueError(
+                "--conjectures names no conjecture; choose from "
+                + ",".join(CONJECTURE_KEYS)
+            )
     config = CampaignConfig(
         seed=args.seed,
         instance_count=args.count,

@@ -16,10 +16,10 @@ are reports, never failures: the questions are open.
 
 The draws repeat their supported ideal J = ``restrict_to_support(I)``
 often, so a campaign computes the checks that read only J (the certificate,
-the shift ideals, the route, bbh, chl and nesting checks) once per distinct
-J, and the checks that read the spec (the row header, the spanning-tree
-socle and the Veronese closed form) on every instance.  The summary counts
-the distinct J as ``distinct_ideals``.
+the shift ideals, the route, bbh, chl and nesting checks and the Veronese
+closed form) once per distinct J, and the checks that read the spec (the
+row header and the spanning-tree socle) on every instance.  The summary
+counts the distinct J as ``distinct_ideals``.
 
 Everything is deterministic in the campaign seed; each instance derives its
 own seed, so a single row reproduces in isolation, equal to its row in the
@@ -139,18 +139,16 @@ def _packed(I: MonomialIdeal) -> bytes:
     return b"\x04" + array("I", flat).tobytes()
 
 
-def _is_veronese_type(J: MonomialIdeal) -> bool:
-    """Whether J is every monomial of its degree d under its largest exponents.
-
-    Every realization of a Veronese spec is: its largest exponents lie under
-    the spec's bounds, so each monomial of degree d under them is a
-    generator.  J lies in that set, so the sizes decide.
-    """
+def _veronese_spec(J: MonomialIdeal) -> Optional[VeroneseSpec]:
+    """VeroneseSpec(c, d) when J is every monomial of its degree d under its
+    largest exponents c, as each realization of a Veronese spec is; None
+    otherwise.  J lies in that set of monomials, so the sizes decide."""
     d = J.generation_degree
+    bounds = tuple(map(max, zip(*(g.exponents for g in J.gens))))
     ways = [1] + [0] * d  # monomials under the bounds so far, by degree
-    for b in map(max, zip(*(g.exponents for g in J.gens))):
+    for b in bounds:
         ways = [sum(ways[max(0, t - b) : t + 1]) for t in range(d + 1)]
-    return ways[d] == J.num_gens
+    return VeroneseSpec(bounds, d) if ways[d] == J.num_gens else None
 
 
 def _row_part(fields: dict, flags: list, early: list, late: list) -> str:
@@ -159,19 +157,13 @@ def _row_part(fields: dict, flags: list, early: list, late: list) -> str:
     return sys.intern(json.dumps([fields, flags, early, late]))
 
 
-# what the checks that read only J give the row, and HS_1..HS_pd of J packed
-# when J is of Veronese type (None otherwise)
-_Checked = tuple[str, Optional[tuple[bytes, ...]]]
-
-
-def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> _Checked:
+def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
     """The checks that read only the supported ideal J.
 
     Returns the row fields they set, their flags, and the disagreements that
     come before the spanning-tree check (``early``) and after it (``late``)
-    as one JSON text, with HS_1..HS_pd packed for the Veronese closed form
-    when J is of Veronese type.  The result holds no ideal, so a campaign
-    keeps one per distinct J.
+    as one JSON text.  The text holds no ideal, so a campaign keeps one per
+    distinct J.
     """
     fields: dict[str, Any] = {}
     flags: list[dict] = []
@@ -182,7 +174,7 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> _Checked:
         early.append(
             {"kind": "no-lex-certificate", "detail": "polymatroidal ideal refused lex order"}
         )
-        return _row_part(fields, flags, early, late), None
+        return _row_part(fields, flags, early, late)
     pd = cert.projective_dimension
     fields["pd"] = pd
     fields["matroidal"] = is_matroidal(J)
@@ -278,22 +270,25 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> _Checked:
             upper = shifts[j + 1] if j + 1 <= pd else MonomialIdeal(J.n)
             equalities.append(refined == upper)
         fields["refined_nesting_equal"] = equalities
-    packed = None
-    if _is_veronese_type(J):
-        packed = tuple(_packed(shifts[j]) for j in range(1, pd + 1))
-    return _row_part(fields, flags, early, late), packed
+    # the Veronese closed form on J's largest exponents, min(b_i, d) for any
+    # bounds b that give J: no generator of HS_l has an exponent above d
+    own = _veronese_spec(J)
+    if own is not None:
+        for level in range(1, pd + 1):
+            if veronese_shift(own, level) != shifts[level]:
+                late.append({"kind": "veronese-closed-form", "j": level})
+    return _row_part(fields, flags, early, late)
 
 
 def _instance_row(
     spec: FamilySpec,
     ideal: MonomialIdeal,
     J: MonomialIdeal,
-    checked: _Checked,
+    part: str,
     config: CampaignConfig,
 ) -> dict[str, Any]:
-    """The report row: ``checked`` (from ``_check_supported(J, config)``)
+    """The report row: ``part`` (from ``_check_supported(J, config)``)
     merged with the checks that read the spec, which run on every call."""
-    part, shifts = checked
     fields, flags, early, late = json.loads(part)
     row: dict[str, Any] = {
         "spec": spec_to_doc(spec),
@@ -316,10 +311,6 @@ def _instance_row(
                     row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
                 row["spanning_tree_socle_equal"] = candidates == soc_colon
     row["disagreements"] += late
-    if isinstance(spec, VeroneseSpec) and J.n == ideal.n:
-        for level, packed in enumerate(shifts, start=1):
-            if _packed(veronese_shift(spec, level)) != packed:
-                row["disagreements"].append({"kind": "veronese-closed-form", "j": level})
     return row
 
 
@@ -330,7 +321,7 @@ def run_campaign(
     summary = CampaignSummary(config)
     budget = config.budget
     # the J-only checks of each distinct supported ideal, keyed exactly
-    checked: dict[bytes, _Checked] = {}
+    checked: dict[bytes, str] = {}
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
         spec, ideal = random_polymatroidal(seed, budget)

@@ -52,18 +52,14 @@ class Monomial:
     @classmethod
     def variable(cls, i: int, n: int) -> "Monomial":
         """The monomial x_i in n variables (i is 1-based)."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
-        return cls(tuple(1 if k == i - 1 else 0 for k in range(n)))
+        return cls.from_support((i,), n)
 
     @classmethod
     def from_support(cls, indices: Iterable[int], n: int) -> "Monomial":
         """The squarefree monomial whose support is the given index set."""
         exps = [0] * n
         for i in indices:
-            if not 1 <= i <= n:
-                raise ValueError(f"variable index {i} out of range 1..{n}")
-            exps[i - 1] = 1
+            exps[_position(i, n)] = 1
         return cls(tuple(exps))
 
     @property
@@ -76,7 +72,7 @@ class Monomial:
 
     def deg(self, i: int) -> int:
         """Degree in the variable x_i (1-based)."""
-        return self.exponents[i - 1]
+        return self.exponents[_position(i, self.n)]
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -112,24 +108,20 @@ class Monomial:
 
     def times_var(self, i: int) -> "Monomial":
         exps = list(self.exponents)
-        exps[i - 1] += 1
+        exps[_position(i, self.n)] += 1
         return Monomial(tuple(exps))
 
     def div_var(self, i: int) -> "Monomial":
         exps = list(self.exponents)
-        if exps[i - 1] == 0:
+        k = _position(i, self.n)
+        if exps[k] == 0:
             raise ValueError(f"x{i} does not divide {self}")
-        exps[i - 1] -= 1
+        exps[k] -= 1
         return Monomial(tuple(exps))
 
     def exchange(self, add: int, remove: int) -> "Monomial":
         """x_add * (self / x_remove): the single-variable exchange move."""
-        exps = list(self.exponents)
-        if exps[remove - 1] == 0:
-            raise ValueError(f"x{remove} does not divide {self}")
-        exps[remove - 1] -= 1
-        exps[add - 1] += 1
-        return Monomial(tuple(exps))
+        return self.div_var(remove).times_var(add)
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -147,6 +139,13 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents!r})"
+
+
+def _position(i: int, n: int) -> int:
+    """The 0-based position of the variable x_i among x1..xn."""
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} out of range 1..{n}")
+    return i - 1
 
 
 def _check_same_ring(u: Monomial, v: Monomial) -> None:
@@ -238,7 +237,7 @@ class MonomialIdeal:
     ideal has the single generator 1.  They are distinct values.
     """
 
-    __slots__ = ("n", "gens", "_expset")
+    __slots__ = ("n", "gens", "_expset", "_degrees")
 
     def __init__(self, n: int, monomials: Iterable[Monomial] = ()):
         mons = list(monomials)
@@ -250,6 +249,7 @@ class MonomialIdeal:
         self.n = n
         self.gens = tuple(_minimalize(mons))
         self._expset: Optional[frozenset[tuple[int, ...]]] = None
+        self._degrees: Optional[frozenset[int]] = None
 
     # -- structure ---------------------------------------------------------
 
@@ -271,17 +271,18 @@ class MonomialIdeal:
 
     @property
     def is_equigenerated(self) -> bool:
-        return len({g.degree for g in self.gens}) <= 1
+        if self._degrees is None:  # the generators' degrees, formed on first use
+            self._degrees = frozenset(g.degree for g in self.gens)
+        return len(self._degrees) <= 1
 
     @property
     def generation_degree(self) -> int:
         """Common degree of the generators; raises unless equigenerated."""
-        degrees = {g.degree for g in self.gens}
-        if len(degrees) != 1:
+        if not (self.is_equigenerated and self.gens):
             raise DegreeMismatchError(
-                f"ideal is not equigenerated (degrees {sorted(degrees)})"
+                f"ideal is not equigenerated (degrees {sorted(self._degrees)})"
             )
-        return degrees.pop()
+        return self.gens[0].degree
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ from functools import cached_property
 from math import comb, factorial
 from typing import Optional, Sequence, Union
 
-from .errors import DegreeMismatchError, ZeroIdealError
+from .errors import DegreeMismatchError, DimensionMismatchError, ZeroIdealError
 from .monomials import Monomial, MonomialIdeal, VariableOrder, coordinate_bitsets
 
 SEARCH_NODE_BUDGET = 200_000
@@ -183,6 +183,10 @@ def certify_lex(I: MonomialIdeal, vo: Optional[VariableOrder] = None) -> Certify
         raise ZeroIdealError("the zero ideal has no admissible orders")
     if vo is None:
         vo = VariableOrder.identity(I.n)
+    elif vo.n != I.n:
+        raise DimensionMismatchError(
+            f"variable order {vo} has {vo.n} variables, expected {I.n}"
+        )
     order = tuple(
         sorted(range(I.num_gens), key=lambda i: vo.key(I.gens[i]), reverse=True)
     )

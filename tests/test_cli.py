@@ -1049,6 +1049,18 @@ class TestFuzzCommand:
         assert (code, out) == (1, "")
         assert err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("names", ["", ",", " , "], ids=["empty", "comma", "blanks"])
+    def test_conjectures_naming_none_exit_code(self, names, capsys):
+        # an empty list is refused, not read as every conjecture or as none
+        code, out, err = run_cli(
+            ["fuzz", "--seed", "1", "--count", "1", "--conjectures", names], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "invalid value: --conjectures names no conjecture; "
+            "choose from bbh,chl,transversal_socle\n"
+        )
+
     def test_disagreement_exit_code(self, monkeypatch, capsys):
         import polyshift.cli as cli_module
 

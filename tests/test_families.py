@@ -616,6 +616,24 @@ class TestVeroneseShift:
         spec = VeroneseSpec((1, 1, 1), 2)
         assert veronese_shift(spec, 3).is_zero
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(st.integers(min_value=0, max_value=d + 3), min_size=1, max_size=4),
+            )
+        )
+    )
+    def test_bounds_matter_only_up_to_the_degree(self, drawn):
+        # the campaign checks a Veronese-type ideal on its own largest
+        # exponents, min(b_i, d) for the bounds b of any spec that gives it
+        d, bounds = drawn
+        raw = VeroneseSpec(tuple(bounds), d)
+        clipped = VeroneseSpec(tuple(min(b, d) for b in bounds), d)
+        for level in range(len(bounds) + 1):
+            assert veronese_shift(raw, level) == veronese_shift(clipped, level)
+
 
 class TestRandomPolymatroidal:
     def test_deterministic_in_seed(self):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from polyshift import (
     BettiTable,
     CampaignConfig,
     ExchangeResult,
+    ExplicitSpec,
     LPSpec,
     Monomial,
     MonomialIdeal,
@@ -93,6 +96,14 @@ class TestCampaign:
             row = json.loads(line)
             assert row["num_gens"] >= 1
 
+    def test_disagreement_kinds_documented(self):
+        source = Path(fuzzlab.__file__).read_text(encoding="utf-8")
+        kinds = set(re.findall(r'"kind": "([^"]+)"', source))
+        docs = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+        rows = re.findall(r"^\| `([^`]+)` \|", docs.read_text(encoding="utf-8"), re.M)
+        assert len(kinds) == 9
+        assert kinds <= set(rows)
+
     def test_instance_seed_mixing(self):
         seeds = {instance_seed(123, i) for i in range(1000)}
         assert len(seeds) == 1000
@@ -152,19 +163,20 @@ class TestDistinctIdeals:
         assert len(set(top_level)) == len(top_level)
 
     def test_entries_hold_no_ideal(self):
+        # an entry is one JSON text: [fields, flags, early, late]
         for _, _, _, J in supported_draws(self.CONFIG):
-            part, shifts = fuzzlab._check_supported(J, self.CONFIG)
+            part = fuzzlab._check_supported(J, self.CONFIG)
             assert isinstance(part, str)
-            assert shifts is None or all(isinstance(level, bytes) for level in shifts)
+            assert len(json.loads(part)) == 4
 
     def test_veronese_type_matches_a_realization(self):
-        # the Veronese closed form finds packed shifts for every Veronese spec
+        # J is of Veronese type exactly when its largest exponents realize it
         for _, spec, ideal, J in supported_draws(self.CONFIG):
             bounds = tuple(max(column) for column in zip(*(g.exponents for g in J.gens)))
-            own = realize(VeroneseSpec(bounds, J.generation_degree))
-            assert fuzzlab._is_veronese_type(J) == (own == J)
+            own = VeroneseSpec(bounds, J.generation_degree)
+            assert fuzzlab._veronese_spec(J) == (own if realize(own) == J else None)
             if isinstance(spec, VeroneseSpec):
-                assert fuzzlab._is_veronese_type(J)
+                assert fuzzlab._veronese_spec(J) == own
 
     def rows_with_draws(self):
         lines: list[str] = []
@@ -177,22 +189,30 @@ class TestDistinctIdeals:
             seen.add(J)
 
     def test_veronese_closed_form_on_hits_and_misses(self, monkeypatch):
+        # the closed form reads J alone, so it runs on every J of Veronese
+        # type, whatever spec drew it, and on an explicit document of J
         monkeypatch.setattr(
             fuzzlab, "veronese_shift", lambda spec, level: MonomialIdeal(len(spec.bounds))
         )
-        repeats = []
-        for row, spec, ideal, J, repeat in self.rows_with_draws():
-            levels = [
+
+        def levels(row):
+            return [
                 item["j"]
                 for item in row["disagreements"]
                 if item["kind"] == "veronese-closed-form"
             ]
-            if isinstance(spec, VeroneseSpec) and J.n == ideal.n and row["pd"] >= 1:
-                assert levels == list(range(1, row["pd"] + 1))
+
+        repeats, specs = [], set()
+        for row, spec, ideal, J, repeat in self.rows_with_draws():
+            explicit = check_instance(ExplicitSpec(J), J, self.CONFIG)
+            if fuzzlab._veronese_spec(J) is not None and row["pd"] >= 1:
+                assert levels(row) == levels(explicit) == list(range(1, row["pd"] + 1))
                 repeats.append(repeat)
+                specs.add(type(spec))
             else:
-                assert levels == []
+                assert levels(row) == levels(explicit) == []
         assert True in repeats and False in repeats
+        assert VeroneseSpec in specs and len(specs) > 1
 
     def test_spanning_tree_socle_on_hits_and_misses(self, monkeypatch):
         # the unit ideal lies in the socle only when the socle is the unit

@@ -360,3 +360,64 @@ class TestCanonicalForm:
         J, mapping = restrict_to_support(I)
         assert J is I
         assert mapping == (1, 2, 3)
+
+
+class TestVariableIndices:
+    """Every method that takes a 1-based variable index refuses one outside
+    1..n, as ``Monomial.variable`` does, instead of wrapping index 0 to the
+    last variable."""
+
+    U = Monomial((1, 0, 2))
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_out_of_range_refused(self, i):
+        calls = [
+            lambda: self.U.deg(i),
+            lambda: self.U.times_var(i),
+            lambda: self.U.div_var(i),
+            lambda: self.U.exchange(i, 1),
+            lambda: self.U.exchange(1, i),
+            lambda: Monomial.variable(i, 3),
+            lambda: Monomial.from_support((1, i), 3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"variable index {i} out of range 1..3"):
+                call()
+
+    def test_in_range(self):
+        assert [self.U.deg(i) for i in (1, 2, 3)] == [1, 0, 2]
+        assert str(self.U.times_var(2)) == "x1*x2*x3^2"
+        assert str(self.U.div_var(3)) == "x1*x3"
+        assert str(self.U.exchange(2, 1)) == "x2*x3^2"
+        with pytest.raises(ValueError, match="x2 does not divide"):
+            self.U.exchange(1, 2)
+
+
+class TestDegreeSet:
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.builds(Monomial, st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_a_recount(self, mons):
+        # mixed degrees included; the cached answer repeats on a second call
+        I = MonomialIdeal(3, mons)
+        degrees = {sum(g.exponents) for g in I.gens}
+        for _ in range(2):
+            assert I.is_equigenerated == (len(degrees) == 1)
+            if len(degrees) == 1:
+                assert I.generation_degree == min(degrees)
+            else:
+                with pytest.raises(DegreeMismatchError) as caught:
+                    I.generation_degree
+                assert str(caught.value) == (
+                    f"ideal is not equigenerated (degrees {sorted(degrees)})"
+                )
+
+    def test_zero_ideal(self):
+        assert MonomialIdeal(3).is_equigenerated
+        with pytest.raises(DegreeMismatchError, match=r"\(degrees \[\]\)"):
+            MonomialIdeal(3).generation_degree

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from polyshift import (
     AdmissibleOrderFailure,
     DegreeMismatchError,
+    DimensionMismatchError,
     GenBudget,
     Monomial,
     MonomialIdeal,
@@ -96,6 +97,16 @@ class TestCertifyLex:
         vo = VariableOrder((2, 1, 3, 4))
         cert = certify_lex(trio_ideal, vo)
         assert cert.variable_order == vo
+
+    @pytest.mark.parametrize("chain", [(1, 2), (4, 3, 2, 1)], ids=["short", "long"])
+    def test_order_on_other_variables_refused(self, chain):
+        # a short order would certify and name x2 the least variable; a long
+        # one would fail on an index past the ideal's ring
+        I = ideal("[x1*x2, x2*x3, x1*x3] n=3")
+        with pytest.raises(
+            DimensionMismatchError, match=f"has {len(chain)} variables, expected 3"
+        ):
+            certify_lex(I, VariableOrder(chain))
 
     def test_colon_sets_bounded_by_largest_variable(self, fuzz_corpus):
         # under the identity order, every colon variable of u is < max(u)
