@@ -8,17 +8,21 @@ complex there, computed over a prime field by boundary-matrix elimination.
 
 Both steps work on int64 arrays; a Monomial is made only for a table entry.
 The lattice is built one generator row at a time: that of g_1..g_k is that
-of g_1..g_{k-1}, plus g_k, plus the row-wise maximum of g_k with each of its
-points, sorted and deduplicated, so no lattice array exceeds 2 * cap + 1
-rows.  The closure runs on packed words: coordinate i of a lattice point
-is at most the largest i-th exponent of a generator, so it takes a field of
-that exponent's bit length (at least 1, at most 32).  The fields are packed
-into int64 words of at most 63 bits, variable 1 highest and none across two
-words, so the words order the points as their exponents do, and each step
-sorts W words instead of n exponent columns (one word on the Veronese
-tables in five variables and on the 10- and 11-cycles, two for 70
-squarefree variables).  The points are read back into exponents once, at
-the end.
+of g_1..g_{k-1}, plus g_k, plus the lcm of g_k with each of its points,
+sorted and deduplicated, so no lattice array exceeds 2 * cap + 1 rows.  The
+generators are fed in increasing order of their largest exponent, which
+halves the rows the closure touches on the 23 Veronese-type tables of the
+betti-veronese benchmark (371,886 against 745,778 in the given order) and
+leaves the result alone.  The closure runs on packed words: every
+coordinate takes a field of w bits, w the bit length of the largest
+exponent, with one guard bit above it.  The fields are packed into int64
+words of at most 63 bits, variable 1 highest and none across two words, so
+the words order the points as their exponents do, and the lcm of g with
+every point is a few whole-word operations (SWAR, as in Lamport's
+"Multiple byte processing with full-word instructions", 1975).  One word
+holds the Veronese tables in five variables and the 10- and 11-cycles; 70
+squarefree variables take three.  The points are read back into exponents
+once, at the end.
 The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
 in I} is generated by facets: x^a / x_F lies in I exactly when F is
 contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
@@ -48,11 +52,11 @@ rows, and the signed entries of every (frame, size) boundary matrix are
 scattered into zero-padded stacks of matrices of like shape, each ranked by
 one stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
 (fastest of nine runs), the relabelled 10- and 11-cycle tables of the
-betti-cycles benchmark (seed 1) take 0.020 s.  Homology takes 0.010 s of
-it for 499 frames in 19 groups, 0.005 s of that in the elimination of 1104
+betti-cycles benchmark (seed 1) take 0.022 s.  Homology takes 0.011 s of
+it for 499 frames in 19 groups, 0.004 s of that in the elimination of 1104
 boundary matrices in 15 stacks (96 column steps).  The 23 Veronese-type
-tables take 0.28 s, 0.007 s of it in homology, and none of their 319
-frames needs a matrix.
+tables take 0.18 s: 0.05 s in the lattice, 0.07 s in the face rows and
+0.008 s in homology, where none of their 319 frames needs a matrix.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -122,16 +126,26 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     The lattice of g_1..g_k is that of g_1..g_{k-1}, plus g_k, plus
     lcm(a, g_k) for each of its points a: every subset lcm holding g_k is
     lcm(lcm(S'), g_k).  So the points are built one generator at a time,
-    never more than 2 * cap + 1 rows at once.
+    never more than 2 * cap + 1 rows at once.  The generators go in
+    increasing order of their largest exponent (a stable sort); every
+    intermediate lattice lies inside the final one, so the order changes
+    neither the rows nor the cap outcome, only how many rows each step
+    meets.
 
-    The closure runs on packed words.  Coordinate i of a point is at most
-    the largest i-th exponent e_i of a generator, so it fits in a field of
-    max(1, bit_length(e_i)) bits, at most 32 for exponents up to 2^31.
-    The fields are packed into int64 words of at most 63 bits,
-    variable 1 highest in word 0 and no field across two words, so the
-    order of the word tuples is the lex order of the rows.  Each step
-    takes the field-wise maximum with g_k, keeps the points it changed,
-    sorts ascending with ``np.lexsort`` over the words and drops adjacent
+    The closure runs on packed words.  Every coordinate gets a field of
+    w + 1 bits, w = max(1, bit_length(e)) for the largest exponent e, the
+    top bit a guard that stays clear in a point.  63 // (w + 1) fields go
+    in each int64 word, variable 1 highest in word 0, so the order of the
+    word tuples is the lex order of the rows.  Field i of
+    (a | guard) - g holds 2^w + a_i - g_i, so no borrow crosses a field
+    and the guard bit survives exactly when a_i >= g_i:
+
+        ge = ((a | guard) - g) & guard      guard bit of i set iff a_i >= g_i
+        keep = ge - (ge >> w)               w low bits of those fields
+        lcm(a, g) = (a & keep) | (g & ~keep)
+
+    for all points at once.  Each step sorts the points with their lcms
+    and g ascending with ``np.lexsort`` over the words and drops adjacent
     duplicates; at the end the order is reversed and the fields read back
     as exponents.  Raises ValueError when ``cap`` is below 1 and
     ResourceCapError exactly when the lattice has more than ``cap`` points.
@@ -141,25 +155,19 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     n = gens.shape[1]
     if n == 0:  # no columns to sort on; at most the unit
         return gens[:1]
-    widths = [max(1, top.bit_length()) for top in gens.max(axis=0, initial=0).tolist()]
-    word, shift, first, used = [], [], [0], 0
-    for i, width in enumerate(widths):
-        if used + width > _WORD_BITS:
-            first.append(i)  # column i opens a word
-            used = 0
-        used += width
-        word.append(len(first) - 1)
-        shift.append(_WORD_BITS - used)
-    word, shift = np.array(word), np.array(shift)
-    mask = (1 << np.array(widths)) - 1
+    width = max(1, int(gens.max(initial=0)).bit_length())
+    per_word = _WORD_BITS // (width + 1)
+    column = np.arange(n)
+    word = column // per_word
+    shift = (per_word - 1 - column % per_word) * (width + 1)
+    first = np.arange(0, n, per_word)
+    guard = np.add.reduceat(1 << (shift + width), first)
     packed = np.add.reduceat(gens << shift, first, axis=1)  # fields are disjoint
     points = packed[:0]
-    for g, e in zip(packed, gens):
-        have = (points[:, word] >> shift) & mask
-        lift = (np.maximum(have, e) - have) << shift
-        # lcm(a, g) = a whenever g divides a: those are points already
-        grown = lift.any(axis=1)
-        joins = points[grown] + np.add.reduceat(lift[grown], first, axis=1)
+    for g in packed[np.argsort(gens.max(axis=1, initial=0), kind="stable")]:
+        ge = ((points | guard) - g) & guard
+        keep = ge - (ge >> width)
+        joins = (points & keep) | (g & ~keep)
         points = np.concatenate([points, joins, g[None]])
         points = points[np.lexsort(points.T[::-1])]
         fresh = np.ones(len(points), dtype=np.bool_)
@@ -167,7 +175,7 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
         points = points[fresh]
         if len(points) > cap:
             raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
-    return (points[::-1, word] >> shift) & mask
+    return (points[::-1, word] >> shift) & ((1 << width) - 1)
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:

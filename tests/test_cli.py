@@ -7,7 +7,7 @@ import time
 import pytest
 
 from polyshift.cli import build_parser, main
-from util import child_env, ideal
+from util import RP2_DOC, RP2_TOTALS, child_env, ideal
 
 
 def cycle_doc(n):
@@ -181,8 +181,8 @@ HS_JSON_PINS = {
 # frames were batched and their homology memoized: the 5-cycle, a
 # mixed-degree ideal and a Veronese document (58 generators, 338 entries).
 # The fourth, taken before the lattice was packed into words, spreads a
-# 5-cycle over 70 variables with one exponent at 2^31 - 1: its 70 fields,
-# one of 31 bits, need two words.
+# 5-cycle over 70 variables with one exponent at 2^31 - 1, so every one of
+# its 70 guard-bit fields takes 32 bits, a word of its own.
 BETTI_JSON_PINS = {
     CYCLE5:
         "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",
@@ -898,6 +898,28 @@ class TestBettiCommand:
         assert code == 0
         assert json.loads(out)["totals"] == {"0": 5, "1": 5, "2": 1}
 
+    @pytest.mark.parametrize("prime, totals", RP2_TOTALS, ids=["p2", "p3", "p32003"])
+    def test_prime_reaches_the_table(self, prime, totals, tmp_path, capsys):
+        path = write(tmp_path, "rp2.txt", RP2_DOC)
+        code, out, err = run_cli(
+            ["betti", "--input", path, "--prime", str(prime), "--json"], capsys
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["prime"] == prime
+        assert report["totals"] == {str(i): t for i, t in totals.items()}
+
+    def test_lattice_cap_refused_early(self, tmp_path, capsys):
+        # 5328 generators; the closure meets the cap of 2000 within a few steps
+        path = write(tmp_path, "v38.txt", "{type:veronese, b:[3,3,3,3,3,3,3,3], d:9}")
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["betti", "--input", path, "--cap", "2000", "--json"], capsys
+        )
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, "")
+        assert "resource cap: lcm lattice exceeds the cap of 2000 points" in err
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_exit_code(self, cap, tmp_path, capsys):
         # these once exited 3 with "lcm lattice exceeds the cap of -1 points"
@@ -1262,3 +1284,16 @@ class TestEnvironment:
         good = self.run_child(betti, tmp_path, POLYSHIFT_PRIME="101")
         assert good.returncode == 0, good.stderr
         assert json.loads(good.stdout)["prime"] == 101
+
+    def test_import_loads_only_numpy_beyond_the_standard_library(self, tmp_path):
+        # every module imported at start-up is paid for by each command
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import polyshift.cli\n"
+            "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(tops - set(sys.stdlib_module_names))))\n"
+        )
+        out = self.run_child(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert set(json.loads(out.stdout)) <= {"numpy", "polyshift"}

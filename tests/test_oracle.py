@@ -36,6 +36,8 @@ from polyshift.oracle import (
 from polyshift.textio import format_ideal
 from util import (
     M,
+    RP2_DOC,
+    RP2_TOTALS,
     betti_table_reference,
     borel_closure,
     frame_reference,
@@ -105,8 +107,9 @@ class TestLcmLattice:
 
 
 class TestLatticeClosure:
-    """The one-generator-at-a-time closure against the frontier closure it
-    replaced: the same rows in the same order, and the same cap outcomes."""
+    """The one-generator-at-a-time closure on guard-bit words against the
+    frontier closure it replaced: the same rows in the same order, and the
+    same cap outcomes, in any order of the generator rows."""
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
@@ -123,8 +126,8 @@ class TestLatticeClosure:
     @settings(deadline=None, max_examples=40)
     @given(st.data())
     def test_huge_exponents_equal_reference(self, data):
-        # tiny, near-limit and arbitrary exponents share columns, so fields
-        # of up to 31 bits sit two to a word
+        # tiny, near-limit and arbitrary exponents share columns: one large
+        # entry gives every field 32 bits, one to a word
         n = data.draw(st.integers(1, 6))
         value = st.one_of(
             st.integers(0, 3),
@@ -148,27 +151,79 @@ class TestLatticeClosure:
     @settings(deadline=None, max_examples=30)
     @given(st.data())
     def test_multiword_equals_reference(self, data):
-        # more than 63 bits of fields, so they fill a word and spill into
-        # the next; with fields of at most 6 bits the first ends in its
-        # last 6 bits
+        # more fields than one word holds, so they fill a word and spill
+        # into the next; with entries up to 40 a field takes 7 bits, nine
+        # to a word
         n = data.draw(st.integers(16, 40))
         pool = st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True)
         columns = [st.sampled_from(v) for v in data.draw(st.lists(pool, min_size=n, max_size=n))]
-        gens = data.draw(rows_from(columns, min_size=8).filter(needs_two_words))
+        gens = data.draw(rows_from(columns, min_size=8).filter(lambda g: packed_words(g) > 1))
         assert_lattice_matches_reference(gens)
 
     @pytest.mark.parametrize(
-        "widths",
-        [[3] * 21 + [1], [3] * 20 + [2, 3], [1] * 62 + [2], [4] + [1] * 64],
-        ids=["ends-at-63", "ends-at-62", "ends-at-62-ones", "ones-past-63"],
+        "widths, words",
+        [([3] * 21 + [1], 2), ([3] * 20 + [2, 3], 2), ([1] * 62 + [2], 3), ([4] + [1] * 64, 6)],
+        # ids name the largest entry's bit length; a field has one bit more
+        ids=[
+            "3-bit-15-then-7", "3-bit-mixed-15-then-7", "2-bit-three-full-words", "4-bit-six-words",
+        ],
     )
-    def test_fields_at_the_word_boundary(self, widths):
-        # column i of row j is j mod 2^w_i, at most 2^w_i - 1: a w_i-bit
-        # field; scaled to the exponent limit, the fields take 30-31 bits
+    def test_fields_at_the_word_boundary(self, widths, words):
+        # column i of row j is j mod 2^w_i, so the largest entry has
+        # max(w_i) bits and every field max(w_i) + 1; scaled so that the
+        # largest entry is 2^31 - 1, every field takes 32 bits, one a word
         rows = [[j % (1 << w) for w in widths] for j in range(1 << max(widths))]
         gens = np.array(rows, dtype=np.int64)
+        assert packed_words(gens) == words
         assert_lattice_matches_reference(gens)
-        assert_lattice_matches_reference(gens * EXPONENT_TOP // gens.max())
+        scaled = gens * EXPONENT_TOP // gens.max()
+        assert packed_words(scaled) == len(widths)
+        assert_lattice_matches_reference(scaled)
+
+    @pytest.mark.parametrize(
+        "n, top, words",
+        [
+            (31, 1, 1), (32, 1, 2),
+            (21, 3, 1), (22, 3, 2),
+            (2, 2**30 - 1, 1), (3, 2**30 - 1, 2),
+            (1, 2**31 - 1, 1), (2, 2**31 - 1, 2),
+            (2, 2**31, 2),
+        ],
+        ids=[
+            "squarefree-31-fill-one-word", "squarefree-32-spill",
+            "2-bit-21-fill-63-bits", "2-bit-22-spill",
+            "30-bit-two-in-a-word", "30-bit-three-spill",
+            "31-bit-one-in-a-word", "31-bit-two-words",
+            "exponent-limit-two-words",
+        ],
+    )
+    def test_guard_bits_at_the_word_boundary(self, n, top, words):
+        # entries at both ends of the range, and the largest one in the
+        # first and last column, so the top and bottom fields of a word
+        # both meet 0 and the largest entry
+        values = sorted({0, 1, top // 2, top - 1, top})
+        gens = np.random.default_rng(n).choice(values, size=(10, n))
+        gens[0, 0] = gens[1, -1] = top
+        gens = np.unique(gens, axis=0)
+        assert packed_words(gens) == words
+        assert_lattice_matches_reference(gens)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_generator_order_changes_nothing(self, data):
+        # the closure feeds the generators in its own order, so any order
+        # of the rows gives the same array and the same cap outcomes
+        n = data.draw(st.integers(1, 8))
+        value = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_TOP))
+        gens = data.draw(rows_from([value] * n))
+        shuffled = gens[data.draw(st.permutations(range(len(gens))))]
+        expected = _lattice(gens, LATTICE_CAP)
+        assert np.array_equal(_lattice(shuffled, LATTICE_CAP), expected)
+        size = len(expected)
+        for cap in sorted({0, 1, size - 1, size, size + 1}):
+            assert_same_outcome(
+                lattice_outcome(_lattice, shuffled, cap), lattice_outcome(_lattice, gens, cap), cap
+            )
 
     @pytest.mark.parametrize(
         "I",
@@ -195,11 +250,12 @@ def rows_from(columns, min_size=1):
     return rows.map(lambda r: np.array(r, dtype=np.int64))
 
 
-def needs_two_words(gens):
-    """Whether the columns' fields, max(1, bit_length(e)) bits for the
-    largest entry e of the column, hold more than 63 bits."""
-    widths = [max(1, max(c).bit_length()) for c in gens.T.tolist()]
-    return sum(widths) > 63
+def packed_words(gens):
+    """Words of ``_lattice``'s layout: every field takes max(1, bit_length(e))
+    bits and a guard bit, e the largest entry, and 63 bits hold
+    63 // that many fields."""
+    field = max(1, int(gens.max(initial=0)).bit_length()) + 1
+    return -(-gens.shape[1] // (63 // field))
 
 
 def assert_lattice_matches_reference(gens):
@@ -212,12 +268,17 @@ def assert_lattice_matches_reference(gens):
     assert np.array_equal(got, expected)
     size = len(expected)
     for cap in sorted({0, 1, size - 1, size, size + 1}):
-        want = lattice_outcome(lattice_reference, gens, cap)
-        have = lattice_outcome(_lattice, gens, cap)
-        if isinstance(want, type):
-            assert have is want, cap
-        else:
-            assert np.array_equal(have, want), cap
+        assert_same_outcome(
+            lattice_outcome(_lattice, gens, cap), lattice_outcome(lattice_reference, gens, cap), cap
+        )
+
+
+def assert_same_outcome(have, want, cap):
+    """Two ``lattice_outcome`` results are the same array or error class."""
+    if isinstance(want, type):
+        assert have is want, cap
+    else:
+        assert np.array_equal(have, want), cap
 
 
 def lattice_outcome(closure, gens, cap):
@@ -916,6 +977,13 @@ class TestCrossPrime:
     def test_small_random_instances(self, fuzz_corpus):
         for spec, I in fuzz_corpus[:15]:
             assert betti_table(I, 32003).entries == betti_table(I, 101).entries
+
+    @pytest.mark.parametrize("prime, totals", RP2_TOTALS, ids=["p2", "p3", "p32003"])
+    def test_prime_reaches_the_elimination(self, prime, totals):
+        # the real projective plane has torsion, so p = 2 differs
+        table = betti_table(ideal(RP2_DOC), prime)
+        assert table.prime == prime
+        assert table.totals() == totals
 
 
 class TestEliahouKervaire:

@@ -842,3 +842,19 @@ EXAMPLE_HS3_OMITTED = "x1*x2*x3*x4^2"
 EXAMPLE_HS3 = EXAMPLE_HS3_LISTED | {EXAMPLE_HS3_OMITTED}
 
 EXAMPLE_HS4 = {"x1*x2*x3^2*x4*x5", "x1*x2*x3*x4^2*x5"}
+
+
+# the Stanley-Reisner ideal of the 6-vertex real projective plane: the
+# squarefree cubics of [6] that are not among its 10 facets; its Betti
+# numbers depend on the characteristic
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+RP2_DOC = "[" + ", ".join(
+    "*".join(f"x{v}" for v in face)
+    for face in itertools.combinations("123456", 3)
+    if "".join(face) not in RP2_FACETS
+) + "] n=6"
+RP2_TOTALS = [
+    (2, {0: 10, 1: 15, 2: 7, 3: 1}),
+    (3, {0: 10, 1: 15, 2: 6}),
+    (32003, {0: 10, 1: 15, 2: 6}),
+]
