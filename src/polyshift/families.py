@@ -15,6 +15,10 @@ only products and the powers of the other specs are formed by ideal
 products.  An LP spec also reads as the transversal ideal of its intervals
 (``as_transversal``), which the intersection graph and the spanning trees
 take.
+
+The stability test and ``borel_generators`` read the moves toward smaller
+indices off :func:`~polyshift.monomials.exchange_moves`; ``check_exchange``
+forms only the moves that can rescue a failure.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .monomials import (
     MonomialIdeal,
     check_variable_count,
     coordinate_bitsets,
+    exchange_moves,
     ideal_power,
     ideal_product,
     support_filter,
@@ -111,10 +116,6 @@ class PLPSpec:
     @property
     def n(self) -> int:
         return len(self.upper)
-
-    @property
-    def degree(self) -> int:
-        return self.alpha[-1]
 
 
 @dataclass(frozen=True)
@@ -438,23 +439,16 @@ class StabilityResult:
 def is_strongly_stable(I: MonomialIdeal) -> StabilityResult:
     """Whether every move x_j(u/x_i), j < i, lands back in the ideal.
 
-    Each move is formed as an exponent tuple and looked up among the
+    Each of the :func:`exchange_moves` with j < i is looked up among the
     generators; only a move that is not a generator is tested for
     membership, which in an equigenerated ideal happens at most once."""
     if I.is_zero:
         raise ZeroIdealError("stability is undefined for the zero ideal")
     gset = I.exponent_set
     for u in I.gens:
-        moved = list(u.exponents)
-        for i in u.support:
-            moved[i - 1] -= 1
-            for j in range(1, i):
-                moved[j - 1] += 1
-                move = tuple(moved)
-                moved[j - 1] -= 1
-                if move not in gset and not I.contains(Monomial(move)):
-                    return StabilityResult(False, (u, i, j))
-            moved[i - 1] += 1
+        for i, j, move in exchange_moves(u):
+            if j < i and move not in gset and not I.contains(Monomial(move)):
+                return StabilityResult(False, (u, i + 1, j + 1))
     return StabilityResult(True)
 
 
@@ -465,11 +459,7 @@ def borel_generators(I: MonomialIdeal) -> tuple[Monomial, ...]:
 
     if not is_strongly_stable(I).holds:
         raise NotStronglyStableError("ideal is not strongly stable")
-    produced: set[tuple[int, ...]] = set()
-    for u in I.gens:
-        for i in u.support:
-            for j in range(1, i):
-                produced.add(u.exchange(j, i).exponents)
+    produced = {move for u in I.gens for i, j, move in exchange_moves(u) if j < i}
     return tuple(u for u in I.gens if u.exponents not in produced)
 
 
@@ -509,6 +499,10 @@ def check_exchange(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
     the strong failures are read off the same bitsets.  The
     cost is O(m n^2) lookups and operations on m-bit ints, against O(m^2 n)
     for a scan of the generator pairs.
+
+    Only the moves with i among the ups and j among the downs can rescue a
+    failure, so they are formed here: taking every move from
+    :func:`exchange_moves` nearly doubled these checks' time in fuzz runs.
     """
     if mode not in EXCHANGE_MODES:
         raise ValueError(f"unknown exchange mode {mode!r}")

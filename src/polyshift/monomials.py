@@ -70,10 +70,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    def deg(self, i: int) -> int:
-        """Degree in the variable x_i (1-based)."""
-        return self.exponents[_position(i, self.n)]
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, e in enumerate(self.exponents) if e > 0)
@@ -105,23 +101,6 @@ class Monomial:
         if any(d < 0 for d in diff):
             raise ValueError(f"{other} does not divide {self}")
         return Monomial(diff)
-
-    def times_var(self, i: int) -> "Monomial":
-        exps = list(self.exponents)
-        exps[_position(i, self.n)] += 1
-        return Monomial(tuple(exps))
-
-    def div_var(self, i: int) -> "Monomial":
-        exps = list(self.exponents)
-        k = _position(i, self.n)
-        if exps[k] == 0:
-            raise ValueError(f"x{i} does not divide {self}")
-        exps[k] -= 1
-        return Monomial(tuple(exps))
-
-    def exchange(self, add: int, remove: int) -> "Monomial":
-        """x_add * (self / x_remove): the single-variable exchange move."""
-        return self.div_var(remove).times_var(add)
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -165,6 +144,25 @@ def distance(u: Monomial, v: Monomial) -> int:
         )
     total = sum(abs(a - b) for a, b in zip(u.exponents, v.exponents))
     return total // 2
+
+
+def exchange_moves(u: Monomial) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The single-variable exchange moves of u, as (i, j, u - e_i + e_j)
+    with 0-based i and j and the move an exponent tuple: every i with
+    u_i > 0 and every j != i, i ascending, then j ascending.  No Monomial is
+    built; callers look the moves up among generator exponents."""
+    out = []
+    moved = list(u.exponents)
+    for i, e in enumerate(u.exponents):
+        if e:
+            moved[i] -= 1
+            for j in range(len(moved)):
+                if j != i:
+                    moved[j] += 1
+                    out.append((i, j, tuple(moved)))
+                    moved[j] -= 1
+            moved[i] += 1
+    return out
 
 
 def check_variable_count(n: int) -> int:
@@ -295,9 +293,6 @@ class MonomialIdeal:
         if self._expset is None:
             self._expset = frozenset(g.exponents for g in self.gens)
         return self._expset
-
-    def is_generator(self, u: Monomial) -> bool:
-        return u.exponents in self.exponent_set
 
     def contains(self, u: Monomial) -> bool:
         """Ideal membership: some minimal generator divides u."""

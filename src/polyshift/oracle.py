@@ -81,8 +81,9 @@ from .families import is_strongly_stable
 LATTICE_CAP = 50_000
 # (point, generator) pairs per array block; blocks hold one point at least
 _BLOCK_ROWS = 4096
-# face bitmasks are int64, so a frame has at most 62 vertices
-_MAX_FRAME_VERTICES = 62
+# a frame on v vertices takes working arrays of order 2^v bytes, about 230 MB
+# at v = 26; int64 face masks alone would allow 62
+_MAX_FRAME_VERTICES = 26
 # bits per packed lattice word: the sign bit of an int64 stays clear
 _WORD_BITS = 63
 
@@ -197,7 +198,8 @@ def _full_simplex(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _refuse_wide(points: np.ndarray, sizes: np.ndarray) -> None:
-    """Refuse the first frame too wide for int64 face masks, before any 2^v array."""
+    """Refuse the first frame on more than _MAX_FRAME_VERTICES vertices,
+    before any 2^v array."""
     wide = np.flatnonzero(sizes > _MAX_FRAME_VERTICES)
     if len(wide):
         raise ResourceCapError(

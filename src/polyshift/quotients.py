@@ -22,7 +22,8 @@ Two independent computation routes live here:
 
 * :func:`homological_shift` - the subset formula over the certificate,
 * :func:`shifts_by_distance` / :func:`first_shift_by_distance` - via the
-  exchange-distance characterization (equigenerated ideals only).
+  exchange-distance characterization (equigenerated ideals only), which
+  look up :func:`~polyshift.monomials.exchange_moves` among the generators.
 
 Cross-checking the routes against each other (and against the homology
 oracle) is the backbone of the test suite and the fuzzing lab.
@@ -38,7 +39,7 @@ from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .errors import DegreeMismatchError, DimensionMismatchError, ZeroIdealError
-from .monomials import Monomial, MonomialIdeal, VariableOrder, coordinate_bitsets
+from .monomials import Monomial, MonomialIdeal, VariableOrder, coordinate_bitsets, exchange_moves
 
 SEARCH_NODE_BUDGET = 200_000
 
@@ -69,31 +70,19 @@ class QuotientCertificate:
         x_k such that some earlier generator is x_k * (u_t / x_l): the
         exchange variables of its earlier neighbours at distance 1.
 
-        They are found by looking up the n(n-1) single-variable moves of u_t
-        in a dictionary from exponents to positions in the order, so the cost
-        is O(m n^2) lookups rather than O(m^2 n) for a test of every earlier
+        They are found by looking up the :func:`exchange_moves` of u_t in a
+        dictionary from exponents to positions in the order, so the cost is
+        O(m n^2) lookups rather than O(m^2 n) for a test of every earlier
         generator.
         """
         ordered = self.ordered_gens
-        n = self.ideal.n
         position = {u.exponents: s for s, u in enumerate(ordered)}
-        out = []
-        for t, ut in enumerate(ordered):
-            adds: set[int] = set()
-            moved = list(ut.exponents)
-            for l, e in enumerate(ut.exponents):
-                if not e:
-                    continue
-                moved[l] -= 1
-                for k in range(n):
-                    if k != l:
-                        moved[k] += 1
-                        if position.get(tuple(moved), t) < t:
-                            adds.add(k + 1)
-                        moved[k] -= 1
-                moved[l] += 1
-            out.append(tuple(sorted(adds)))
-        return tuple(out)
+        return tuple(
+            tuple(sorted({
+                k + 1 for _, k, move in exchange_moves(ut) if position.get(move, t) < t
+            }))
+            for t, ut in enumerate(ordered)
+        )
 
     @property
     def projective_dimension(self) -> int:
@@ -331,23 +320,23 @@ def first_shift_by_distance(I: MonomialIdeal) -> MonomialIdeal:
     """HS_1 for an equigenerated ideal with linear quotients, computed
     order-independently: lcms of all generator pairs at exchange distance 1.
 
+    The lcm of u and its move u - e_i + e_j is u + e_j, so the pairs are the
+    :func:`exchange_moves` of each generator that land in G(I): O(m n^2)
+    lookups, with no scan of the generator pairs.
+
     The caller is responsible for the linear-quotients hypothesis; without
     it the returned ideal need not be the first shift ideal.
     """
     if not I.is_equigenerated:
         raise DegreeMismatchError("distance route requires an equigenerated ideal")
-    n = I.n
-    gens = I.gens
-    out: list[Monomial] = []
-    for a in range(len(gens)):
-        ea = gens[a].exponents
-        for b in range(a + 1, len(gens)):
-            eb = gens[b].exponents
-            if sum(abs(x - y) for x, y in zip(ea, eb)) == 2:
-                out.append(
-                    Monomial(tuple(max(x, y) for x, y in zip(ea, eb)))
-                )
-    return MonomialIdeal(n, out)
+    gset = I.exponent_set
+    lcms = set()
+    for u in I.gens:
+        e = u.exponents
+        for _, j, move in exchange_moves(u):
+            if move in gset:
+                lcms.add(e[:j] + (e[j] + 1,) + e[j + 1:])
+    return MonomialIdeal(I.n, map(Monomial, lcms))
 
 
 def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:

@@ -44,6 +44,7 @@ from .families import FamilySpec, TransversalSpec, _realize_windows, plp_windows
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    exchange_moves,
     monomial_multiples,
     restrict_to_support,
 )
@@ -94,7 +95,8 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
     For an equigenerated ideal certified under a variable order with full
     support, the socle generators are exactly the u / x_last whose every
     variable multiple x_i * (u / x_last) is again a minimal generator, where
-    x_last is the least variable of the order.
+    x_last is the least variable of the order: the generators u with
+    u_last > 0 whose :func:`exchange_moves` from x_last all land in G(I).
     """
     I = cert.ideal
     if cert.variable_order is None:
@@ -107,14 +109,13 @@ def socle_exchange(cert: QuotientCertificate) -> MonomialIdeal:
             "ideal does not involve every variable; restrict_to_support first"
         )
     I.generation_degree  # raises unless equigenerated
-    last = cert.variable_order.least
+    last = cert.variable_order.least - 1
+    gset = I.exponent_set
     out = []
     for u in I.gens:
-        if u.deg(last) == 0:
-            continue
-        w = u.div_var(last)
-        if all(I.is_generator(w.times_var(i)) for i in range(1, I.n + 1)):
-            out.append(w)
+        e = u.exponents
+        if e[last] and all(move in gset for i, _, move in exchange_moves(u) if i == last):
+            out.append(Monomial(e[:last] + (e[last] - 1,) + e[last + 1:]))
     return MonomialIdeal(I.n, out)
 
 
@@ -180,9 +181,10 @@ def socle_report(I: MonomialIdeal) -> SocleReport:
     soc = routes[route]
     witness = None
     if not soc.is_zero:
-        candidate = soc.gens[0].times_var(I.n)
-        if I.is_generator(candidate):
-            witness = candidate
+        e = soc.gens[0].exponents
+        candidate = e[:-1] + (e[-1] + 1,)
+        if candidate in I.exponent_set:
+            witness = Monomial(candidate)
     return SocleReport(soc, not soc.is_zero, witness, route, routes)
 
 

@@ -256,17 +256,28 @@ def _generator(value: Any, sc: _Scanner) -> Monomial:
         raise sc.error(f"bad generator {str(value)!r}: {exc.reason}") from None
 
 
+def _only_fields(doc: dict, sc: _Scanner, *fields: str) -> None:
+    """Refuse the first key the document's type does not read, as a
+    misspelt optional field would change the answer without a word."""
+    for key in doc:
+        if key != "type" and key not in fields:
+            raise sc.error(f"{doc['type']} document has no field {key!r}")
+
+
 def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
-    """Build a family spec from a parsed document."""
+    """Build a family spec from a parsed document.  A key outside the
+    type's fields, at any depth, is a parse error."""
     sc = sc or _Scanner("")
     if not isinstance(doc, dict) or "type" not in doc:
         raise sc.error("family document must be an object with a 'type' field")
     tag = doc["type"]
     if tag == "veronese":
+        _only_fields(doc, sc, "b", "d")
         bounds = _intlist(doc, "b", sc)
         check_variable_count(len(bounds))
         return VeroneseSpec(bounds, _int(doc, "d", sc))
     if tag == "borel":
+        _only_fields(doc, sc, "gens", "n")
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
             raise sc.error("borel document needs a nonempty 'gens' list")
@@ -278,16 +289,19 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         )
         return BorelSpec(gens, n)
     if tag == "plp":
+        _only_fields(doc, sc, "a", "b", "alpha", "beta")
         vectors = [_intlist(doc, key, sc) for key in ("a", "b", "alpha", "beta")]
         check_variable_count(max(map(len, vectors)))
         return PLPSpec(*vectors)
     if tag == "lp":
+        _only_fields(doc, sc, "alpha", "beta", "n")
         alpha = _intlist(doc, "alpha", sc)
         beta = _intlist(doc, "beta", sc)
         n = _int(doc, "n", sc, max(beta, default=0))
         check_variable_count(n)
         return LPSpec(alpha, beta, n)
     if tag == "transversal":
+        _only_fields(doc, sc, "sets", "n")
         raw = doc.get("sets")
         if not isinstance(raw, list) or not raw or not all(
             isinstance(A, list) and all(isinstance(i, int) for i in A) for A in raw
@@ -298,16 +312,19 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         check_variable_count(n)
         return TransversalSpec(sets, n)
     if tag == "product":
+        _only_fields(doc, sc, "factors")
         factors = doc.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             raise sc.error("product document needs at least two factors")
         return ProductSpec(tuple(spec_from_doc(f, sc) for f in factors))
     if tag == "power":
+        _only_fields(doc, sc, "base", "k")
         base = doc.get("base")
         if not isinstance(base, dict):
             raise sc.error("power document needs a 'base' object")
         return PowerSpec(spec_from_doc(base, sc), _int(doc, "k", sc))
     if tag == "explicit":
+        _only_fields(doc, sc, "gens", "n")
         raw = doc.get("gens")
         if not isinstance(raw, list):
             raise sc.error("explicit document needs a 'gens' list")

@@ -932,6 +932,23 @@ class TestBettiCommand:
         assert f"invalid value: the lcm lattice cap must be at least 1, got {cap}" in err
         assert "Traceback" not in err
 
+    def test_wide_frame_is_refused_before_its_face_rows(self, tmp_path, capsys):
+        # the frame at x1*...*x40 once ended in a traceback asking numpy for
+        # 128 GiB, as int64 face masks allowed 62 vertices
+        import tracemalloc
+
+        path = write(tmp_path, "wide.txt", "[" + "*".join(f"x{i}" for i in range(1, 41)) + "]")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["betti", "--input", path, "--json"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap: upper Koszul frame at x1*x2*")
+        assert "has 40 vertices; at most 26 are supported" in err
+        assert peak < 1 << 20
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
         code, _, err = run_cli(
@@ -1143,11 +1160,16 @@ class TestUsageAndParsing:
                 1,
                 "parse error: trailing input after family document",
             ),
+            (
+                "{type:lp, alpha:[1,3], beta:[4,5], N:7}",
+                1,
+                "parse error: lp document has no field 'N'",
+            ),
         ],
         ids=[
             "veronese-no-d", "veronese-list-d", "power-no-k", "power-no-base",
             "power-scalar-base", "transversal-scalar-set", "explicit-list-n",
-            "plp-empty", "unterminated-string", "trailing-input",
+            "plp-empty", "unterminated-string", "trailing-input", "lp-misspelt-n",
         ],
     )
     def test_malformed_family_document(self, text, code, message, tmp_path, capsys):
@@ -1158,6 +1180,55 @@ class TestUsageAndParsing:
         assert (got, out) == (code, "")
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{type:veronese, b:[1,1], d:-1}", "veronese degree must be nonnegative"),
+            ("{type:veronese, b:[-1,1], d:1}", "veronese bounds must be nonnegative"),
+            ("{type:borel, gens:[x3], n:2}", "borel generator in the wrong ring"),
+            (
+                "{type:plp, a:[0], b:[1,1], alpha:[1,1], beta:[1,1]}",
+                "plp vectors must be nonempty and share one length",
+            ),
+            (
+                "{type:plp, a:[2,0], b:[1,1], alpha:[1,2], beta:[1,2]}",
+                "plp needs 0 <= lower <= upper componentwise",
+            ),
+            (
+                "{type:plp, a:[0,0], b:[2,2], alpha:[2,2], beta:[1,2]}",
+                "plp needs alpha <= beta componentwise",
+            ),
+            (
+                "{type:plp, a:[0,0], b:[2,2], alpha:[2,1], beta:[2,2]}",
+                "plp window sequences must be nondecreasing",
+            ),
+            (
+                "{type:plp, a:[0,0], b:[2,2], alpha:[0,1], beta:[1,2]}",
+                "plp windows must close at the degree: alpha_n = beta_n = d >= 1",
+            ),
+            ("{type:lp, alpha:[1], beta:[1,2]}", "lp needs matching nonempty alpha and beta"),
+            ("{type:lp, alpha:[2,1], beta:[2,2]}", "lp interval endpoints must be nondecreasing"),
+            ("{type:lp, alpha:[0], beta:[1]}", "lp needs 1 <= alpha_i <= beta_i"),
+            ("{type:lp, alpha:[1], beta:[3], n:2}", "lp interval exceeds the ambient variable count"),
+            ("{type:transversal, sets:[[]], n:2}", "transversal sets must be nonempty"),
+            ("{type:transversal, sets:[[3]], n:2}", "transversal set index out of range"),
+            (
+                "{type:power, base:{type:lp, alpha:[1], beta:[2]}, k:-1}",
+                "power exponent must be nonnegative",
+            ),
+        ],
+        ids=[
+            "veronese-degree", "veronese-bounds", "borel-ring", "plp-lengths", "plp-lower",
+            "plp-alpha-beta", "plp-nondecreasing", "plp-closing", "lp-lengths",
+            "lp-nondecreasing", "lp-alpha-beta", "lp-n", "transversal-empty-set",
+            "transversal-index", "power-exponent",
+        ],
+    )
+    def test_spec_validation_refusal(self, text, message, tmp_path, capsys):
+        path = write(tmp_path, "doc.txt", text)
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, out, err) == (2, "", f"precondition: {message}\n")
 
     @pytest.mark.parametrize("command", ["soc", "hs"])
     @pytest.mark.parametrize(

@@ -134,6 +134,26 @@ class TestRealize:
         with pytest.raises(FamilySpecError):
             PLPSpec((0, 0), (1, 1), (0, 1), (0, 2))  # alpha_n != beta_n
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BorelSpec((), 2), "borel spec needs at least one generator"),
+            (
+                lambda: ProductSpec((LPSpec((1,), (2,), 2),)),
+                "product spec needs at least two factors",
+            ),
+            (lambda: TransversalSpec((), 2), "transversal spec needs at least one set"),
+        ],
+        ids=["borel-no-generators", "product-one-factor", "transversal-no-sets"],
+    )
+    def test_refusals_behind_the_parser(self, build, message):
+        # the parser refuses documents of these shapes itself, so only a
+        # constructor call reaches these checks; the other constructor
+        # refusals are pinned through the CLI
+        with pytest.raises(FamilySpecError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_plp_factorization(self):
         spec = PLPSpec((1, 0, 1), (2, 2, 2), (1, 2, 4), (2, 3, 4))
         monomial, basic = plp_factor(spec)
@@ -293,7 +313,7 @@ class TestStronglyStable:
             if len(gens) > 1 and data.draw(st.booleans()):
                 gens.pop(data.draw(st.integers(0, len(gens) - 1)))
             if data.draw(st.booleans()):
-                gens.append(data.draw(st.sampled_from(gens)).times_var(n))
+                gens.append(data.draw(st.sampled_from(gens)) * Monomial.variable(n, n))
             I = MonomialIdeal(n, gens)
         assert is_strongly_stable(I) == is_strongly_stable_reference(I)
 

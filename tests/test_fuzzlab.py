@@ -162,6 +162,19 @@ class TestDistinctIdeals:
         assert len(top_level) == summary.counters["distinct_ideals"]
         assert len(set(top_level)) == len(top_level)
 
+    @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
+    def test_memo_keys_across_the_wide_encoding(self, low, high):
+        # an exponent of 256 or more switches the key to 4-byte numbers, which
+        # no campaign of the default budget reaches; a collision would give
+        # one ideal the checks of another
+        def key(e, reverse=False):
+            gens = [Monomial((e, 1, 0)), Monomial((0, 1, e))]
+            return fuzzlab._packed(MonomialIdeal(3, gens[::-1] if reverse else gens))
+
+        assert key(low) != key(high)
+        assert key(low) == key(low, reverse=True)
+        assert key(high) == key(high, reverse=True)
+
     def test_entries_hold_no_ideal(self):
         # an entry is one JSON text: [fields, flags, early, late]
         for _, _, _, J in supported_draws(self.CONFIG):

@@ -108,7 +108,7 @@ class TestUnitExchange:
                     ex = unit_exchange(u, v)
                     if distance(u, v) == 1:
                         k, l = ex
-                        assert u == v.exchange(k, l)
+                        assert u == v / Monomial.variable(l, n) * Monomial.variable(k, n)
                     else:
                         assert ex is None
 
@@ -363,20 +363,12 @@ class TestCanonicalForm:
 
 
 class TestVariableIndices:
-    """Every method that takes a 1-based variable index refuses one outside
-    1..n, as ``Monomial.variable`` does, instead of wrapping index 0 to the
-    last variable."""
-
-    U = Monomial((1, 0, 2))
+    """Every constructor that takes a 1-based variable index refuses one
+    outside 1..n instead of wrapping index 0 to the last variable."""
 
     @pytest.mark.parametrize("i", [0, -1, 4])
     def test_out_of_range_refused(self, i):
         calls = [
-            lambda: self.U.deg(i),
-            lambda: self.U.times_var(i),
-            lambda: self.U.div_var(i),
-            lambda: self.U.exchange(i, 1),
-            lambda: self.U.exchange(1, i),
             lambda: Monomial.variable(i, 3),
             lambda: Monomial.from_support((1, i), 3),
         ]
@@ -385,12 +377,40 @@ class TestVariableIndices:
                 call()
 
     def test_in_range(self):
-        assert [self.U.deg(i) for i in (1, 2, 3)] == [1, 0, 2]
-        assert str(self.U.times_var(2)) == "x1*x2*x3^2"
-        assert str(self.U.div_var(3)) == "x1*x3"
-        assert str(self.U.exchange(2, 1)) == "x2*x3^2"
-        with pytest.raises(ValueError, match="x2 does not divide"):
-            self.U.exchange(1, 2)
+        # both ends of 1..n are accepted
+        assert [str(Monomial.variable(i, 3)) for i in (1, 2, 3)] == ["x1", "x2", "x3"]
+        assert str(Monomial.from_support((3, 1), 3)) == "x1*x3"
+
+
+class TestExchangeMoves:
+    def test_explicit_order(self):
+        moves = monomials.exchange_moves(Monomial((1, 0, 2)))
+        assert moves == [
+            (0, 1, (0, 1, 2)),
+            (0, 2, (0, 0, 3)),
+            (2, 0, (2, 0, 1)),
+            (2, 1, (1, 1, 1)),
+        ]
+
+    def test_unit_has_no_moves(self):
+        assert monomials.exchange_moves(Monomial.unit(3)) == []
+
+    def test_exhaustive_equivalence_with_distance_one(self):
+        for n in range(1, 5):
+            for d in range(0, 4):
+                for u in all_monomials(n, d):
+                    moves = monomials.exchange_moves(u)
+                    assert [(i, j) for i, j, _ in moves] == sorted(
+                        (i, j) for i in range(n) for j in range(n)
+                        if i != j and u.exponents[i]
+                    )
+                    assert all(
+                        unit_exchange(Monomial(move), u) == (j + 1, i + 1)
+                        for i, j, move in moves
+                    )
+                    assert {move for _, _, move in moves} == {
+                        v.exponents for v in all_monomials(n, d) if distance(u, v) == 1
+                    }
 
 
 class TestDegreeSet:

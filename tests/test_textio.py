@@ -143,6 +143,37 @@ class TestFamilyDocuments:
         for spec, _ in fuzz_corpus[:60]:
             assert spec_from_doc(spec_to_doc(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("{type:veronese, b:[1,1], d:1, n:2}", "veronese document has no field 'n'"),
+            ("{type:borel, gens:[x2], n:2, d:1}", "borel document has no field 'd'"),
+            ("{type:plp, a:[0], b:[1], alpha:[1], beta:[1], n:1}", "plp document has no field 'n'"),
+            ("{type:lp, alpha:[1,3], beta:[4,5], N:7}", "lp document has no field 'N'"),
+            ("{type:transversal, set:[[1]], sets:[[1]]}", "transversal document has no field 'set'"),
+            (
+                "{type:product, factors:[{type:lp, alpha:[1], beta:[2]}, {type:lp, alpha:[1], beta:[2]}], k:2}",
+                "product document has no field 'k'",
+            ),
+            ("{type:power, base:{type:lp, alpha:[1], beta:[2]}, k:2, n:3}", "power document has no field 'n'"),
+            ('{type:explicit, gens:[x1], "n ":2}', "explicit document has no field 'n '"),
+            (
+                "{type:product, factors:[{type:lp, alpha:[1], beta:[2]}, {type:lp, alpha:[1], beta:[2], m:3}]}",
+                "lp document has no field 'm'",
+            ),
+            ("{type:power, base:{type:veronese, b:[1,1], d:1, k:2}, k:2}", "veronese document has no field 'k'"),
+        ],
+        ids=[
+            "veronese", "borel", "plp", "lp", "transversal", "product", "power",
+            "explicit", "product-factor", "power-base",
+        ],
+    )
+    def test_key_outside_the_fields_is_refused(self, text, reason):
+        # a misspelt n once left the lp ideal in n=5 and changed its socle
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert info.value.reason == reason
+
     def test_unknown_tag(self):
         with pytest.raises(ParseError):
             parse_ideal("{type:mystery}")

@@ -117,7 +117,7 @@ def colon_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
     """I : x_i, by decrementing the exponent of x_i where possible."""
     gens = []
     for g in I.gens:
-        gens.append(g.div_var(i) if g.deg(i) > 0 else g)
+        gens.append(g / Monomial.variable(i, I.n) if g.exponents[i - 1] else g)
     return MonomialIdeal(I.n, gens)
 
 
@@ -215,10 +215,10 @@ def power_persistence(I: MonomialIdeal, k: int) -> PersistenceCheck:
         raise AssertionError(
             f"socle element {report.socle.gens[0]} times x{n} is not a generator of the ideal"
         )
-    witness = (u ** k).div_var(n)
+    witness = u ** k / Monomial.variable(n, n)
     power = ideal_power(I, k)
     for i in range(1, n + 1):
-        if not power.is_generator(witness.times_var(i)):
+        if (witness * Monomial.variable(i, n)).exponents not in power.exponent_set:
             return PersistenceCheck(False, k, witness, i)
     return PersistenceCheck(True, k, witness)
 
@@ -684,7 +684,7 @@ def borel_closure_reference(gens, n: int) -> MonomialIdeal:
         collected.append(u)
         for i in u.support:
             for j in range(1, i):
-                v = u.exchange(j, i)
+                v = u / Monomial.variable(i, n) * Monomial.variable(j, n)
                 if v.exponents not in seen:
                     seen.add(v.exponents)
                     queue.append(v)
@@ -734,7 +734,7 @@ def is_strongly_stable_reference(I: MonomialIdeal) -> StabilityResult:
     for u in I.gens:
         for i in u.support:
             for j in range(1, i):
-                if not I.contains(u.exchange(j, i)):
+                if not I.contains(u / Monomial.variable(i, I.n) * Monomial.variable(j, I.n)):
                     return StabilityResult(False, (u, i, j))
     return StabilityResult(True)
 
@@ -763,9 +763,10 @@ def borel_generator_lists(draw):
         u = draw(st.sampled_from(gens))
         i = draw(st.integers(1, n))
         if draw(st.booleans()):
-            gens.append(u.times_var(i))
+            gens.append(u * Monomial.variable(i, n))
         elif u.exponents[i - 1] and i > 1:
-            gens.append(u.exchange(draw(st.integers(1, i - 1)), i))
+            j = draw(st.integers(1, i - 1))
+            gens.append(u / Monomial.variable(i, n) * Monomial.variable(j, n))
     return draw(st.permutations(gens)), n
 
 
