@@ -13,6 +13,7 @@ from polyshift import (
     GenBudget,
     LPSpec,
     Monomial,
+    NotStronglyStableError,
     PLPSpec,
     PowerSpec,
     ProductSpec,
@@ -213,6 +214,10 @@ class TestBorel:
     def test_borel_generators_recovered(self):
         closure = borel_closure([M("x2*x3", 3)])
         assert [str(g) for g in borel_generators(closure)] == ["x2*x3"]
+
+    def test_borel_generators_refuse_an_unstable_ideal(self):
+        with pytest.raises(NotStronglyStableError, match="not strongly stable"):
+            borel_generators(ideal("[x2] n=2"))
 
     @settings(max_examples=150, deadline=None)
     @given(borel_generator_lists())
@@ -636,6 +641,10 @@ class TestVeroneseShift:
         spec = VeroneseSpec((1, 1, 1), 2)
         assert veronese_shift(spec, 3).is_zero
 
+    def test_negative_level_refused(self):
+        with pytest.raises(ValueError, match="shift level must be nonnegative"):
+            veronese_shift(VeroneseSpec((1, 1, 1), 2), -1)
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(min_value=1, max_value=4).flatmap(
@@ -694,6 +703,28 @@ class TestRandomPolymatroidal:
             assert not isinstance(spec, ProductSpec), spec
             if isinstance(spec, PowerSpec):
                 assert plp_windows(spec.base) is not None, spec
+
+    def test_draw_above_the_generator_cap_is_retried(self, monkeypatch):
+        # the first realization has more generators than gen_max allows
+        big = realize(VeroneseSpec((2, 2, 2), 2))
+        small = realize(VeroneseSpec((1, 1, 1), 2))
+        given = [big, small]
+        monkeypatch.setattr(families, "realize", lambda spec: given.pop(0))
+        _, I = random_polymatroidal(1, GenBudget(gen_max=big.num_gens - 1))
+        assert I == small and given == []
+
+    def test_no_draw_within_the_attempts_is_a_resource_cap(self, monkeypatch):
+        calls = []
+
+        def zero(spec):
+            calls.append(spec)
+            return MonomialIdeal(2)
+
+        monkeypatch.setattr(families, "realize", zero)
+        message = f"no polymatroidal instance found for seed 1 within {families.DRAW_ATTEMPTS} attempts"
+        with pytest.raises(ResourceCapError, match=message):
+            random_polymatroidal(1)
+        assert len(calls) == families.DRAW_ATTEMPTS
 
     def test_budget_validation(self):
         with pytest.raises(FamilySpecError):

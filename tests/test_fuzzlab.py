@@ -23,6 +23,7 @@ from polyshift import (
 from polyshift import fuzzlab
 from polyshift.families import as_transversal
 from polyshift.fuzzlab import instance_seed
+from polyshift.quotients import AdmissibleOrderFailure
 
 
 class TestCampaign:
@@ -97,12 +98,16 @@ class TestCampaign:
             assert row["num_gens"] >= 1
 
     def test_disagreement_kinds_documented(self):
+        # every kind the campaign can report has a row in docs/formats.md
+        # and is named in this file, so a new kind arrives with a test
         source = Path(fuzzlab.__file__).read_text(encoding="utf-8")
         kinds = set(re.findall(r'"kind": "([^"]+)"', source))
         docs = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
         rows = re.findall(r"^\| `([^`]+)` \|", docs.read_text(encoding="utf-8"), re.M)
         assert len(kinds) == 9
         assert kinds <= set(rows)
+        tests = Path(__file__).read_text(encoding="utf-8")
+        assert {kind for kind in kinds if f'"{kind}"' not in tests} == set()
 
     def test_instance_seed_mixing(self):
         seeds = {instance_seed(123, i) for i in range(1000)}
@@ -248,6 +253,12 @@ class TestDistinctIdeals:
         assert True in repeats and False in repeats
 
 
+def failing_check(I, mode="exchange"):
+    """An exchange check that fails on every ideal, its witness the first and
+    last generators."""
+    return ExchangeResult(False, (I.gens[0], I.gens[-1], 1))
+
+
 class TestOracleFallbacks:
     """The oracle runs in a campaign only when an exchange check fails; a
     patched check makes it run, and a patched table makes it disagree."""
@@ -256,10 +267,7 @@ class TestOracleFallbacks:
 
     @pytest.fixture
     def failing_exchange(self, monkeypatch):
-        def fail(I, mode="exchange"):
-            return ExchangeResult(False, (I.gens[0], I.gens[-1], 1))
-
-        monkeypatch.setattr(fuzzlab, "check_exchange", fail)
+        monkeypatch.setattr(fuzzlab, "check_exchange", failing_check)
 
     def test_flags_when_the_oracle_reproduces(self, failing_exchange):
         row = check_instance(self.SPEC, realize(self.SPEC), CampaignConfig(1, 1))
@@ -304,3 +312,138 @@ class TestOracleFallbacks:
         assert row["disagreements"] == [
             {"kind": "oracle-vs-certificate", "j": j} for j in (1, 2, 3, 4)
         ] + [{"kind": "oracle-vs-socle"}]
+
+
+class TestDisagreementPaths:
+    """Each disagreement kind, raised by one patched route: the exact list a
+    row reports and the summary's counters, over a campaign whose draws all
+    give the same ideal."""
+
+    LP = LPSpec((1, 3), (4, 5), 5)  # pd 4, maximal; transversal, not matroidal
+    MATROIDAL = VeroneseSpec((1, 1, 1, 1), 2)  # pd 2, not maximal
+
+    def campaign(self, monkeypatch, spec):
+        ideal = realize(spec)
+        monkeypatch.setattr(fuzzlab, "random_polymatroidal", lambda seed, budget: (spec, ideal))
+        lines: list[str] = []
+        summary = run_campaign(CampaignConfig(1, 3), lines.append)
+        rows = [json.loads(line) for line in lines]
+        assert all(row["disagreements"] == rows[0]["disagreements"] for row in rows)
+        return rows[0], summary.counters
+
+    def test_no_lex_certificate(self, monkeypatch):
+        monkeypatch.setattr(
+            fuzzlab, "certify_lex", lambda I: AdmissibleOrderFailure(2, I.gens[0], I.gens[0])
+        )
+        row, counters = self.campaign(monkeypatch, self.LP)
+        assert row["disagreements"] == [
+            {"kind": "no-lex-certificate", "detail": "polymatroidal ideal refused lex order"}
+        ]
+        assert "pd" not in row and "spanning_tree_socle_equal" not in row
+        assert counters == {
+            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+        }
+
+    def test_distance_route(self, monkeypatch):
+        monkeypatch.setattr(
+            fuzzlab, "shifts_by_distance", lambda cert, j: MonomialIdeal(cert.ideal.n)
+        )
+        row, counters = self.campaign(monkeypatch, self.LP)
+        # HS_5 is zero on both routes
+        assert row["disagreements"] == [{"kind": "distance-route", "j": j} for j in range(5)]
+        assert counters == {
+            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 15,
+            "max_pd": 3, "transversal_socle_equal": 3,
+        }
+
+    def test_socle_route(self, monkeypatch):
+        # the zero colon socle also misses the spanning-tree candidates, whose
+        # check comes between J's route checks and its nesting checks
+        monkeypatch.setattr(fuzzlab, "socle_colon", lambda I: MonomialIdeal(I.n))
+        row, counters = self.campaign(monkeypatch, self.LP)
+        assert row["disagreements"] == [
+            {"kind": "socle-route"}, {"kind": "spanning-tree-not-in-socle"}
+        ]
+        assert row["max_pd"] is True and row["spanning_tree_socle_equal"] is False
+        assert counters == {
+            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 6,
+            "max_pd": 3, "transversal_socle_strict": 3,
+        }
+
+    def test_shift_not_certifiable(self, monkeypatch):
+        # J has degree 2, so only the shift ideals are refused
+        real = fuzzlab.certify_lex
+        monkeypatch.setattr(
+            fuzzlab,
+            "certify_lex",
+            lambda I: real(I)
+            if I.generation_degree == 2
+            else AdmissibleOrderFailure(2, I.gens[0], I.gens[0]),
+        )
+        row, counters = self.campaign(monkeypatch, self.MATROIDAL)
+        assert row["disagreements"] == [{"kind": "shift-not-certifiable", "j": 1}]
+        assert row["refined_nesting_equal"] == [None, None]
+        assert counters == {
+            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+            "matroidal": 3,
+        }
+
+    def test_matroidal_nesting(self, monkeypatch):
+        # HS_1 of each shift ideal is zero; the shift ideals of J are not
+        real = fuzzlab.homological_shift
+        monkeypatch.setattr(
+            fuzzlab,
+            "homological_shift",
+            lambda cert, j: real(cert, j)
+            if cert.ideal.generation_degree == 2
+            else MonomialIdeal(cert.ideal.n),
+        )
+        row, counters = self.campaign(monkeypatch, self.MATROIDAL)
+        assert row["disagreements"] == [{"kind": "matroidal-nesting", "j": 1}]
+        assert row["refined_nesting_equal"] == [False, True]
+        assert counters == {
+            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+            "matroidal": 3,
+        }
+
+    def test_summary_flags_carry_index_and_seed(self, monkeypatch):
+        monkeypatch.setattr(fuzzlab, "check_exchange", failing_check)
+        config = CampaignConfig(13, 20, n_max=4, degree_max=3)
+        lines: list[str] = []
+        summary = run_campaign(config, lines.append)
+        expected = [
+            {"index": row["index"], "seed": row["seed"], **flag}
+            for row in map(json.loads, lines)
+            for flag in row["flags"]
+        ]
+        assert summary.flags == expected
+        assert summary.counters["flags"] == len(expected) > 0
+        for flag in summary.flags:
+            assert flag["seed"] == instance_seed(config.seed, flag["index"])
+
+    @pytest.mark.parametrize(
+        "route, patch, size, digest",
+        [
+            (
+                "check_exchange",
+                failing_check,
+                71562,
+                "5a1ca34437299a7554f322e0ac09afaa50f030327da1ae65bbcc8e8ecc0d54bb",
+            ),
+            (
+                "socle_colon",
+                lambda I: MonomialIdeal(I.n),
+                48909,
+                "ab7022e3de89d28981624aca1f3e9f9225dd7b9d266a25d7ae2474bdfe9d743f",
+            ),
+        ],
+        ids=["exchange-failing", "colon-socle-zero"],
+    )
+    def test_patched_campaign_bytes_pinned(self, monkeypatch, route, patch, size, digest):
+        # the JSONL of a campaign whose rows take the oracle fallbacks, or
+        # report a socle-route and spanning-tree disagreement, byte for byte
+        monkeypatch.setattr(fuzzlab, route, patch)
+        lines: list[str] = []
+        run_campaign(CampaignConfig(13, 150, n_max=4, degree_max=3), lines.append)
+        data = ("\n".join(lines) + "\n").encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

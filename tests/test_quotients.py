@@ -147,6 +147,11 @@ class TestHomologicalShift:
         cert = certify_lex(example_ideal)
         assert homological_shift(cert, 5).is_zero
 
+    @pytest.mark.parametrize("route", [homological_shift, shifts_by_distance])
+    def test_negative_index_refused(self, route, example_ideal):
+        with pytest.raises(ValueError, match="homological index must be nonnegative"):
+            route(certify_lex(example_ideal), -1)
+
     def test_betti_totals(self, example_ideal):
         cert = certify_lex(example_ideal)
         totals = [total_betti_from_certificate(cert, j) for j in range(5)]
