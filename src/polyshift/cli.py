@@ -128,11 +128,7 @@ def cmd_hs(args) -> int:
         timings["oracle"] = time.perf_counter() - start
         pd = table.pd if pd is None else pd
 
-    levels = (
-        [args.j]
-        if args.j is not None and not args.all
-        else list(range(pd + 2))
-    )
+    levels = [args.j] if args.j is not None else list(range(pd + 2))
     routes: dict[str, Any] = {}
     for route in want:
         if route == "certificate":
@@ -384,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     hs = sub.add_parser("hs", help="homological shift ideals")
     common(hs)
-    hs.add_argument("-j", type=int, default=None, help="single homological index")
-    hs.add_argument("--all", action="store_true", help="all indices up to pd (default)")
+    level = hs.add_mutually_exclusive_group()
+    level.add_argument("-j", type=int, default=None, help="single homological index")
+    level.add_argument("--all", action="store_true", help="all indices up to pd (default)")
     hs.add_argument(
         "--route",
         choices=["certificate", "distance", "oracle", "all"],

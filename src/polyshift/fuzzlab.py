@@ -1,8 +1,9 @@
 """Conjecture-fuzzing campaigns over random polymatroidal ideals.
 
-Each campaign instance draws a random polymatroidal ideal, computes every
-homological shift ideal along the lexicographic certificate, cross-checks
-the distance route, and then tests the open questions:
+Each campaign instance draws a random polymatroidal ideal I, forms the
+shift ideals HS_0..HS_{pd+1} of its supported ideal J =
+``restrict_to_support(I)`` once along the lexicographic certificate,
+cross-checks the distance route, and then tests the open questions:
 
 * does every shift ideal stay polymatroidal (first shift heredity is a
   theorem; the higher shifts are the open part),
@@ -10,16 +11,15 @@ the distance route, and then tests the open questions:
 * for transversal ideals, do spanning-tree candidates exhaust the socle.
 
 A candidate counterexample is only *flagged* after the homology oracle
-independently reproduces the same ideal; a route mismatch is recorded as an
-internal disagreement instead, and the campaign reports both counts.  Flags
-are reports, never failures: the questions are open.
+independently reproduces the same ideal (J's Betti table is built at most
+once, by the first exchange check that fails); a route mismatch is recorded
+as an internal disagreement instead, and the campaign reports both counts.
+Flags are reports, never failures: the questions are open.
 
-The draws repeat their supported ideal J = ``restrict_to_support(I)``
-often, so a campaign computes the checks that read only J (the certificate,
-the shift ideals, the route, bbh, chl and nesting checks and the Veronese
-closed form) once per distinct J, and the checks that read the spec (the
-row header and the spanning-tree socle) on every instance.  The summary
-counts the distinct J as ``distinct_ideals``.
+The draws repeat J often, so a campaign runs the checks that read only J
+once per distinct J (``distinct_ideals`` in the summary), and the checks
+that read the spec (the row header and the spanning-tree socle) on every
+instance.
 
 Everything is deterministic in the campaign seed; each instance derives its
 own seed, so a single row reproduces in isolation, equal to its row in the
@@ -28,6 +28,7 @@ campaign.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from array import array
@@ -130,13 +131,10 @@ def check_instance(
 
 
 def _packed(I: MonomialIdeal) -> bytes:
-    """I as one byte string, equal for equal ideals only: a width byte w, then
-    the variable count and the generators' exponent vectors in order, each
-    number in w bytes (1 when all are below 256, else 4)."""
-    flat = [I.n, *(e for g in I.gens for e in g.exponents)]
-    if max(flat) < 256:
-        return bytes([1, *flat])
-    return b"\x04" + array("I", flat).tobytes()
+    """I as one byte string, equal for equal ideals only: the variable count
+    and the generators' exponent vectors in order, each number in 4 bytes,
+    which hold every exponent up to the 2^31 limit."""
+    return array("I", [I.n, *(e for g in I.gens for e in g.exponents)]).tobytes()
 
 
 def _veronese_spec(J: MonomialIdeal) -> Optional[VeroneseSpec]:
@@ -179,25 +177,23 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
     fields["pd"] = pd
     fields["matroidal"] = is_matroidal(J)
 
-    shifts = [homological_shift(cert, j) for j in range(pd + 1)]
+    # HS_0 .. HS_{pd+1}, the last the zero ideal
+    shifts = [homological_shift(cert, j) for j in range(pd + 2)]
+    # J's Betti table, built by the first fallback that reads it
+    oracle = functools.cache(functools.partial(betti_table, J, config.prime))
 
     # route cross-check: the distance characterization must agree everywhere
-    for j in range(pd + 2):
-        expected = shifts[j] if j <= pd else MonomialIdeal(J.n)
-        if shifts_by_distance(cert, j) != expected:
+    for j, shift in enumerate(shifts):
+        if shifts_by_distance(cert, j) != shift:
             early.append({"kind": "distance-route", "j": j})
 
-    table = None
     if "bbh" in config.conjectures:
         verdicts = []
         for j in range(1, pd + 1):
             result = check_exchange(shifts[j], "exchange")
             verdicts.append(bool(result.holds))
             if not result.holds:
-                if table is None:
-                    table = betti_table(J, config.prime)
-                oracle_ideal = table.shift_ideal(j)
-                if oracle_ideal == shifts[j]:
+                if oracle().shift_ideal(j) == shifts[j]:
                     flags.append(
                         {
                             "conjecture": "bbh",
@@ -219,13 +215,10 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
             result = check_exchange(soc_exchange, "exchange")
             fields["soc_polymatroidal"] = bool(result.holds)
             if not result.holds:
-                if table is None:
-                    table = betti_table(J, config.prime)
-                top_oracle = table.shift_ideal(J.n - 1)
                 top_formula = monomial_multiples(
                     soc_exchange, Monomial.from_support(range(1, J.n + 1), J.n)
                 )
-                if top_oracle == top_formula:
+                if oracle().shift_ideal(J.n - 1) == top_formula:
                     flags.append(
                         {
                             "conjecture": "chl",
@@ -236,40 +229,26 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
                 else:
                     early.append({"kind": "oracle-vs-socle"})
 
-    # theorem-level spot checks that double as route validation; both
-    # nesting checks read HS_1 of a shift ideal along its own lex certificate
-    inner_first: dict[int, Optional[MonomialIdeal]] = {}
-
-    def first_shift_of(j: int) -> Optional[MonomialIdeal]:
-        """HS_1(HS_j) by the lex certificate, or None when it has none."""
-        if j not in inner_first:
-            inner_cert = certify_lex(shifts[j])
-            inner_first[j] = (
-                homological_shift(inner_cert, 1)
-                if isinstance(inner_cert, QuotientCertificate)
-                else None
-            )
-        return inner_first[j]
-
+    # theorem-level spot checks that double as route validation: the
+    # matroidal nesting check reads HS_1(HS_j) for j < pd and the refined
+    # one for j <= pd, each along HS_j's own lex certificate (None without)
+    refined = J.num_gens <= REFINED_NESTING_CAP and pd >= 1
+    reach = pd if refined else pd - 1 if fields["matroidal"] else 0
+    firsts: dict[int, Optional[MonomialIdeal]] = {}
+    for j in range(1, reach + 1):
+        inner = certify_lex(shifts[j])
+        firsts[j] = homological_shift(inner, 1) if isinstance(inner, QuotientCertificate) else None
     if fields["matroidal"]:
         for j in range(1, pd):
-            first = first_shift_of(j)
-            if first is None:
+            if firsts[j] is None:
                 late.append({"kind": "shift-not-certifiable", "j": j})
-                continue
-            if first != shifts[j + 1]:
+            elif firsts[j] != shifts[j + 1]:
                 late.append({"kind": "matroidal-nesting", "j": j})
-    if J.num_gens <= REFINED_NESTING_CAP and pd >= 1:
-        equalities = []
-        for j in range(1, pd + 1):
-            first = first_shift_of(j)
-            if first is None:
-                equalities.append(None)
-                continue
-            refined = support_filter(first, j + 1)
-            upper = shifts[j + 1] if j + 1 <= pd else MonomialIdeal(J.n)
-            equalities.append(refined == upper)
-        fields["refined_nesting_equal"] = equalities
+    if refined:
+        fields["refined_nesting_equal"] = [
+            None if firsts[j] is None else support_filter(firsts[j], j + 1) == shifts[j + 1]
+            for j in range(1, pd + 1)
+        ]
     # the Veronese closed form on J's largest exponents, min(b_i, d) for any
     # bounds b that give J: no generator of HS_l has an exponent above d
     own = _veronese_spec(J)

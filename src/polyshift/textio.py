@@ -40,6 +40,9 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        # where each key of a scanned object starts, by (id(object), key);
+        # the document holds every object it scanned, so no id is reused
+        self.key_at: dict[tuple[int, str], int] = {}
 
     def error(self, message: str, pos: Optional[int] = None) -> ParseError:
         """A ParseError at ``pos``, by default the current position."""
@@ -196,10 +199,9 @@ def _scan_value(sc: _Scanner, depth: int = 0) -> Any:
             return obj
         while True:
             sc.skip_ws()
-            if sc.peek() == '"':
-                key = _scan_string(sc)
-            else:
-                key = sc.word()
+            start = sc.pos
+            key = _scan_string(sc) if sc.peek() == '"' else sc.word()
+            sc.key_at[id(obj), key] = start
             sc.expect(":")
             obj[key] = _scan_value(sc, depth + 1)
             if sc.try_consume("}"):
@@ -261,7 +263,9 @@ def _only_fields(doc: dict, sc: _Scanner, *fields: str) -> None:
     misspelt optional field would change the answer without a word."""
     for key in doc:
         if key != "type" and key not in fields:
-            raise sc.error(f"{doc['type']} document has no field {key!r}")
+            raise sc.error(
+                f"{doc['type']} document has no field {key!r}", sc.key_at.get((id(doc), key))
+            )
 
 
 def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:

@@ -298,6 +298,15 @@ class TestHsCommand:
         shifts = report["routes"]["certificate"]["shifts"]
         assert shifts["4"] == ["x1*x2*x3^2*x4*x5", "x1*x2*x3*x4^2*x5"]
 
+    @pytest.mark.parametrize("flags", [["-j", "1", "--all"], ["--all", "-j", "1"]])
+    def test_single_level_and_all_are_exclusive(self, flags, tmp_path, capsys):
+        # the pair once printed every level and dropped -j without a word
+        path = write(tmp_path, "lp.txt", "{type:lp, alpha:[1,3], beta:[4,5]}")
+        code, out, err = run_cli(["hs", "--input", path, *flags, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: polyshift hs ")
+        assert "not allowed with argument" in err
+
     def test_distance_route_skips_mixed_degrees(self, tmp_path, capsys):
         path = write(tmp_path, "mixed.txt", "[x1, x2*x3] n=3")
         code, out, _ = run_cli(
@@ -1180,6 +1189,14 @@ class TestUsageAndParsing:
         assert (got, out) == (code, "")
         assert err.startswith(message)
         assert "Traceback" not in err
+
+
+    def test_stray_key_placed_in_a_multi_line_document(self, tmp_path, capsys):
+        # the error once named line 5, column 1, past the document's end
+        path = write(tmp_path, "lp.txt", "{type:lp,\n alpha:[1,3],\n N:7,\n beta:[4,5]}\n")
+        code, out, err = run_cli(["soc", "--input", path, "--json"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "parse error: lp document has no field 'N' (line 3, column 2)\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -174,6 +174,29 @@ class TestFamilyDocuments:
             parse_ideal(text)
         assert info.value.reason == reason
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("{type:lp, alpha:[1,3], beta:[4,5], N:7}", 1, 36),
+            ("{type:lp,\n alpha:[1,3],\n N:7,\n beta:[4,5]}", 3, 2),
+            ('{type:explicit, gens:[x1], "n ":2}', 1, 28),
+            ("{type:power, base:{type:veronese, b:[1,1], d:1, k:2}, k:2}", 1, 49),
+        ],
+        ids=["one-line", "multi-line", "quoted", "nested"],
+    )
+    def test_key_outside_the_fields_is_placed_at_the_key(self, text, line, column):
+        # the position once lay at the end of the document
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    def test_key_outside_the_fields_of_a_plain_dict(self):
+        doc = {"type": "lp", "alpha": [1, 3], "beta": [4, 5]}
+        assert spec_from_doc(doc) == LPSpec((1, 3), (4, 5), 5)
+        with pytest.raises(ParseError) as info:
+            spec_from_doc({**doc, "N": 7})
+        assert info.value.reason == "lp document has no field 'N'"
+
     def test_unknown_tag(self):
         with pytest.raises(ParseError):
             parse_ideal("{type:mystery}")
