@@ -200,7 +200,10 @@ def _scan_value(sc: _Scanner, depth: int = 0) -> Any:
         while True:
             sc.skip_ws()
             start = sc.pos
-            key = _scan_string(sc) if sc.peek() == '"' else sc.word()
+            if sc.peek() == '"':
+                key = _scan_string(sc)
+            else:
+                key = sc.word()
             sc.key_at[id(obj), key] = start
             sc.expect(":")
             obj[key] = _scan_value(sc, depth + 1)

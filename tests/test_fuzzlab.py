@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from polyshift import (
+    AdmissibleOrderFailure,
     BettiTable,
     CampaignConfig,
     ExchangeResult,
@@ -23,7 +24,6 @@ from polyshift import (
 from polyshift import fuzzlab
 from polyshift.families import as_transversal
 from polyshift.fuzzlab import instance_seed
-from polyshift.quotients import AdmissibleOrderFailure
 
 
 class TestCampaign:
@@ -169,9 +169,10 @@ class TestDistinctIdeals:
 
     @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
     def test_memo_keys_across_the_wide_encoding(self, low, high):
-        # an exponent of 256 or more switches the key to 4-byte numbers, which
-        # no campaign of the default budget reaches; a collision would give
-        # one ideal the checks of another
+        # every number of a key takes 4 bytes, so exponents on either side of
+        # a byte's range, which no campaign of the default budget reaches,
+        # still give distinct keys; a collision would give one ideal the
+        # checks of another
         def key(e, reverse=False):
             gens = [Monomial((e, 1, 0)), Monomial((0, 1, e))]
             return fuzzlab._packed(MonomialIdeal(3, gens[::-1] if reverse else gens))
