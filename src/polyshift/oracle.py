@@ -21,17 +21,22 @@ the words order the points as their exponents do, and the lcm of g with
 every point is a few whole-word operations (SWAR, as in Lamport's
 "Multiple byte processing with full-word instructions", 1975).  One word
 holds the Veronese tables in five variables and the 10- and 11-cycles; 70
-squarefree variables take three.  The points are read back into exponents
+squarefree variables take three.  When the points fit one word, each
+step sorts a 1-D array of words.  The points are read back into exponents
 once, at the end.
 The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
 in I} is generated by facets: x^a / x_F lies in I exactly when F is
 contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
 is a full simplex, hence contractible, when one such facet is all of a
-nonempty supp(a); that test runs on the whole lattice at once.  The other
-points are grouped by the number v of their support variables: one array
-operation gives a group's facets, and its 2^v face masks are tested in
-blocks of points and faces, every frame temporary near ``_BLOCK_ROWS``
-rows.  A group's packed face rows are merged by one sort of their bytes,
+nonempty supp(a), that is, when some generator divides x^a / x_supp(a);
+that test runs on the whole lattice in blocks.  Both it and the frames'
+divisibility tests compare the same packed words, one subtraction a word.
+The other points are grouped by the number v of their support variables.
+For each block of a group, the facets of the dividing generators are set
+in a (points, 2^v) boolean array by one scatter, and v in-place passes
+close the array downward: pass j adds F to every face F + j.  Every frame
+temporary stays near ``_BLOCK_ROWS`` rows or one point.  A group's packed
+face rows are merged by one sort of their bytes,
 so the homology of each distinct face set is taken once and each point
 finds it through one index array.  Frames are not keyed up to vertex
 relabelling: on frames of at most 11 vertices, as on every benchmark
@@ -52,11 +57,12 @@ rows, and the signed entries of every (frame, size) boundary matrix are
 scattered into zero-padded stacks of matrices of like shape, each ranked by
 one stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
 (fastest of nine runs), the relabelled 10- and 11-cycle tables of the
-betti-cycles benchmark (seed 1) take 0.022 s.  Homology takes 0.011 s of
+betti-cycles benchmark (seed 1) take 0.018 s.  Homology takes 0.011 s of
 it for 499 frames in 19 groups, 0.004 s of that in the elimination of 1104
 boundary matrices in 15 stacks (96 column steps).  The 23 Veronese-type
-tables take 0.18 s: 0.05 s in the lattice, 0.07 s in the face rows and
-0.008 s in homology, where none of their 319 frames needs a matrix.
+tables take 0.10 s: 0.028 s in the lattice, 0.008 s in the full-simplex
+test, 0.022 s in the face rows and 0.005 s in homology, where none of
+their 319 frames needs a matrix.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -81,8 +87,9 @@ from .families import is_strongly_stable
 LATTICE_CAP = 50_000
 # (point, generator) pairs per array block; blocks hold one point at least
 _BLOCK_ROWS = 4096
-# a frame on v vertices takes working arrays of order 2^v bytes, about 230 MB
-# at v = 26; int64 face masks alone would allow 62
+# a frame on v vertices takes working arrays of order 2^v bytes: betti_table
+# of x1*...*xv peaks at 85 MB RSS in 0.5 s at v = 24 and 247 MB in 2 s at
+# v = 26 (shared 2-core VM); int64 face masks alone would allow 62
 _MAX_FRAME_VERTICES = 26
 # bits per packed lattice word: the sign bit of an int64 stays clear
 _WORD_BITS = 63
@@ -120,6 +127,47 @@ def _block(m: int) -> int:
     return max(1, _BLOCK_ROWS // max(m, 1))
 
 
+@dataclass(frozen=True)
+class _Words:
+    """The guard-bit word layout of exponent rows (see :func:`_lattice`):
+    every column gets a field of ``width`` + 1 bits, the top bit a guard,
+    ``_WORD_BITS`` // (``width`` + 1) fields to an int64 word, column 1
+    highest in word 0.  ``word`` and ``shift`` place each column's field,
+    and ``guard`` holds each word's guard bits."""
+
+    width: int
+    word: np.ndarray
+    shift: np.ndarray
+    first: np.ndarray  # the first column of each word
+    guard: np.ndarray
+
+    @classmethod
+    def fit(cls, *rows: np.ndarray) -> "_Words":
+        """The layout that holds every one of the exponent row arrays, all
+        with the same columns."""
+        width = max(1, int(max(r.max(initial=0) for r in rows)).bit_length())
+        per_word = _WORD_BITS // (width + 1)
+        column = np.arange(rows[0].shape[1])
+        shift = (per_word - 1 - column % per_word) * (width + 1)
+        first = np.arange(0, len(column), per_word)
+        guard = np.add.reduceat(1 << (shift + width), first)
+        return cls(width, column // per_word, shift, first, guard)
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """The (rows, words) int64 array of exponent rows; fields are disjoint."""
+        return np.add.reduceat(rows << self.shift, self.first, axis=1)
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """The exponent rows of a (rows, words) array."""
+        return (words[:, self.word] >> self.shift) & ((1 << self.width) - 1)
+
+    def divides(self, gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """A (points, gens) boolean array of packed rows: whether x^g divides
+        x^a, that is whether every guard bit of (a | guard) - g survives."""
+        ge = ((points[:, None] | self.guard) - gens) & self.guard
+        return (ge == self.guard).all(axis=2)
+
+
 def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     """The lcm lattice of the generator rows as an int64 (points, n) array,
     sorted descending-lexicographically.
@@ -146,37 +194,39 @@ def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
         lcm(a, g) = (a & keep) | (g & ~keep)
 
     for all points at once.  Each step sorts the points with their lcms
-    and g ascending with ``np.lexsort`` over the words and drops adjacent
-    duplicates; at the end the order is reversed and the fields read back
-    as exponents.  Raises ValueError when ``cap`` is below 1 and
-    ResourceCapError exactly when the lattice has more than ``cap`` points.
+    and g ascending and drops adjacent duplicates: with one word a point,
+    as on every benchmark table, ``np.sort`` of the 1-D words; with more,
+    ``np.lexsort`` over the word columns.  At the end the order is
+    reversed and the fields read back as exponents.  Raises ValueError when
+    ``cap`` is below 1 and ResourceCapError exactly when the lattice has
+    more than ``cap`` points.
     """
     if cap < 1:
         raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
     n = gens.shape[1]
     if n == 0:  # no columns to sort on; at most the unit
         return gens[:1]
-    width = max(1, int(gens.max(initial=0)).bit_length())
-    per_word = _WORD_BITS // (width + 1)
-    column = np.arange(n)
-    word = column // per_word
-    shift = (per_word - 1 - column % per_word) * (width + 1)
-    first = np.arange(0, n, per_word)
-    guard = np.add.reduceat(1 << (shift + width), first)
-    packed = np.add.reduceat(gens << shift, first, axis=1)  # fields are disjoint
+    words = _Words.fit(gens)
+    width, guard, packed = words.width, words.guard, words.pack(gens)
+    if len(guard) == 1:  # one word a point: 1-D words, sorted by value
+        packed, guard = packed[:, 0], guard[0]
     points = packed[:0]
     for g in packed[np.argsort(gens.max(axis=1, initial=0), kind="stable")]:
         ge = ((points | guard) - g) & guard
         keep = ge - (ge >> width)
         joins = (points & keep) | (g & ~keep)
         points = np.concatenate([points, joins, g[None]])
-        points = points[np.lexsort(points.T[::-1])]
         fresh = np.ones(len(points), dtype=np.bool_)
-        fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
+        if points.ndim == 1:
+            points.sort()
+            fresh[1:] = points[1:] != points[:-1]
+        else:
+            points = points[np.lexsort(points.T[::-1])]
+            fresh[1:] = (points[1:] != points[:-1]).any(axis=1)
         points = points[fresh]
         if len(points) > cap:
             raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
-    return (points[::-1, word] >> shift) & ((1 << width) - 1)
+    return words.unpack(points.reshape(len(points), len(words.guard))[::-1])
 
 
 def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:
@@ -187,13 +237,14 @@ def lcm_lattice(I: MonomialIdeal, cap: int = LATTICE_CAP) -> list[Monomial]:
 
 def _full_simplex(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Which points a have K^a(I) a full simplex on a nonempty supp(a):
-    some generator g divides x^a with g_i < a_i on all of supp(a)."""
+    some generator g divides x^a with g_i < a_i on all of supp(a), that
+    is, g divides x^a / x_supp(a)."""
+    words = _Words.fit(gens, points)
+    packed, below = words.pack(gens), words.pack(points - (points > 0))
     out = np.zeros(len(points), dtype=np.bool_)
     step = _block(len(gens))
     for start in range(0, len(points), step):
-        a = points[start : start + step, None, :]
-        strict = (gens[None] < a) | ((gens[None] == 0) & (a == 0))
-        out[start : start + step] = strict.all(axis=2).any(axis=1)
+        out[start : start + step] = words.divides(packed, below[start : start + step]).any(axis=1)
     return out & points.any(axis=1)
 
 
@@ -213,26 +264,31 @@ def _face_rows(gens: np.ndarray, points: np.ndarray, v: int) -> np.ndarray:
     a uint8 array of packed bit rows, one per point: bit F is set when the
     face F lies in the facet {i in supp(a) : g_i < a_i} of a generator g
     dividing x^a.  Face masks give the k-th support variable of each point
-    bit k.  A block holds at most ``_BLOCK_ROWS`` * n (point, face,
-    generator) triples, as many elements as a ``_full_simplex`` block, or
-    one point and ``_BLOCK_ROWS`` faces."""
+    bit k.  In each block of points, the generators dividing each point are
+    found on packed words (:class:`_Words`) and only their facets are
+    formed; one scatter sets the facets in a (points, 2^v) boolean array,
+    and v in-place passes close it downward: pass j adds F to every face
+    F + j.  A block holds at most ``_BLOCK_ROWS`` * n (point, generator,
+    variable) triples and at most as many face masks, or one point."""
     size = 1 << v
-    face_step = min(size, _BLOCK_ROWS)
-    point_step = max(1, _BLOCK_ROWS * gens.shape[1] // (face_step * max(len(gens), 1)))
+    n = gens.shape[1]
+    step = max(1, _BLOCK_ROWS * n // max(len(gens) * n, size))
     support = points > 0
     weights = np.left_shift(support, np.cumsum(support, axis=1) - support)
-    rows = np.zeros((len(points), (size + 7) // 8), dtype=np.uint8)
-    for p0 in range(0, len(points), point_step):
-        a = points[p0 : p0 + point_step, None, :]
-        facets = ((gens < a) @ weights[p0 : p0 + point_step, :, None])[..., 0]
-        # bit v marks the facets of dividing generators; the others hold no face
-        facets |= (gens <= a).all(axis=2) << v
-        for f0 in range(0, size, face_step):
-            faces = np.arange(f0, f0 + face_step) | (1 << v)
-            inside = ((faces[:, None] & ~facets[:, None, :]) == 0).any(axis=2)
-            rows[p0 : p0 + point_step, f0 // 8 : (f0 + face_step + 7) // 8] = np.packbits(
-                inside, axis=1
-            )
+    words = _Words.fit(gens, points)
+    packed, packed_points = words.pack(gens), words.pack(points)
+    rows = np.empty((len(points), (size + 7) // 8), dtype=np.uint8)
+    for p0 in range(0, len(points), step):
+        a = points[p0 : p0 + step]
+        # (point, generator) pairs with g dividing x^a, and their facets
+        at, g = np.nonzero(words.divides(packed, packed_points[p0 : p0 + step]))
+        facets = ((gens[g] < a[at]) * weights[p0 + at]).sum(axis=1)
+        inside = np.zeros((len(a), size), dtype=np.bool_)
+        inside[at, facets] = True
+        for j in range(v):
+            pair = inside.reshape(len(a), -1, 2, 1 << j)
+            pair[:, :, 0] |= pair[:, :, 1]
+        rows[p0 : p0 + step] = np.packbits(inside, axis=1)
     return rows
 
 

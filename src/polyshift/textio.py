@@ -239,17 +239,23 @@ def _scan_string(sc: _Scanner) -> str:
     return value
 
 
+def _at(doc: dict, field: str, sc: _Scanner) -> Optional[int]:
+    """Where an error in a document's field goes: at the field's key, or at
+    the document's 'type' key when the field is missing."""
+    return sc.key_at.get((id(doc), field if field in doc else "type"))
+
+
 def _intlist(doc: Any, field: str, sc: _Scanner) -> tuple[int, ...]:
     value = doc.get(field)
     if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise sc.error(f"field {field!r} must be a list of integers")
+        raise sc.error(f"field {field!r} must be a list of integers", _at(doc, field, sc))
     return tuple(value)
 
 
 def _int(doc: Any, field: str, sc: _Scanner, default: Optional[int] = None) -> int:
     value = doc.get(field, default)
     if not isinstance(value, int):
-        raise sc.error(f"field {field!r} must be an integer")
+        raise sc.error(f"field {field!r} must be an integer", _at(doc, field, sc))
     return value
 
 
@@ -266,9 +272,7 @@ def _only_fields(doc: dict, sc: _Scanner, *fields: str) -> None:
     misspelt optional field would change the answer without a word."""
     for key in doc:
         if key != "type" and key not in fields:
-            raise sc.error(
-                f"{doc['type']} document has no field {key!r}", sc.key_at.get((id(doc), key))
-            )
+            raise sc.error(f"{doc['type']} document has no field {key!r}", _at(doc, key, sc))
 
 
 def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
@@ -287,7 +291,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         _only_fields(doc, sc, "gens", "n")
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
-            raise sc.error("borel document needs a nonempty 'gens' list")
+            raise sc.error("borel document needs a nonempty 'gens' list", _at(doc, "gens", sc))
         parsed = [_generator(g, sc) for g in raw]
         n = _int(doc, "n", sc, max(m.n for m in parsed))
         check_variable_count(n)
@@ -313,7 +317,10 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         if not isinstance(raw, list) or not raw or not all(
             isinstance(A, list) and all(isinstance(i, int) for i in A) for A in raw
         ):
-            raise sc.error("transversal document needs a nonempty 'sets' list of integer lists")
+            raise sc.error(
+                "transversal document needs a nonempty 'sets' list of integer lists",
+                _at(doc, "sets", sc),
+            )
         sets = tuple(frozenset(A) for A in raw)
         n = _int(doc, "n", sc, max((i for A in sets for i in A), default=0))
         check_variable_count(n)
@@ -322,25 +329,25 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         _only_fields(doc, sc, "factors")
         factors = doc.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
-            raise sc.error("product document needs at least two factors")
+            raise sc.error("product document needs at least two factors", _at(doc, "factors", sc))
         return ProductSpec(tuple(spec_from_doc(f, sc) for f in factors))
     if tag == "power":
         _only_fields(doc, sc, "base", "k")
         base = doc.get("base")
         if not isinstance(base, dict):
-            raise sc.error("power document needs a 'base' object")
+            raise sc.error("power document needs a 'base' object", _at(doc, "base", sc))
         return PowerSpec(spec_from_doc(base, sc), _int(doc, "k", sc))
     if tag == "explicit":
         _only_fields(doc, sc, "gens", "n")
         raw = doc.get("gens")
         if not isinstance(raw, list):
-            raise sc.error("explicit document needs a 'gens' list")
+            raise sc.error("explicit document needs a 'gens' list", _at(doc, "gens", sc))
         parsed = [_generator(g, sc) for g in raw]
         n = _int(doc, "n", sc, max((m.n for m in parsed), default=0))
         check_variable_count(n)
         gens = [Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed]
         return ExplicitSpec(MonomialIdeal(n, gens))
-    raise sc.error(f"unknown family type {tag!r}")
+    raise sc.error(f"unknown family type {tag!r}", _at(doc, "type", sc))
 
 
 def spec_to_doc(spec: FamilySpec) -> dict[str, Any]:

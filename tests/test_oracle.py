@@ -19,10 +19,12 @@ from polyshift import (
     NotStronglyStableError,
     ResourceCapError,
     SimplicialComplexFrame,
+    VeroneseSpec,
     betti_table,
     ek_betti,
     lcm_lattice,
     minimal_generators,
+    realize,
     reduced_homology_ranks,
     upper_koszul,
 )
@@ -225,6 +227,28 @@ class TestLatticeClosure:
                 lattice_outcome(_lattice, shuffled, cap), lattice_outcome(_lattice, gens, cap), cap
             )
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_one_word_sort_equals_several_words(self, data):
+        # rows that fit one word are sorted as 1-D words; fewer bits to a
+        # word spread the same rows over several, sorted by lexsort
+        n = data.draw(st.integers(2, 8))
+        gens = data.draw(distinct_rows(n, data.draw(st.sampled_from([1, 3, 40]))))
+        assert packed_words(gens) == 1
+        field = max(1, int(gens.max()).bit_length()) + 1
+        bits = data.draw(st.integers(field, n * field - 1))
+        expected = _lattice(gens, LATTICE_CAP)
+        caps = sorted({0, 1, len(expected) - 1, len(expected), len(expected) + 1})
+        outcomes = [lattice_outcome(_lattice, gens, cap) for cap in caps]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_WORD_BITS", bits)
+            assert len(oracle._Words.fit(gens).guard) > 1
+            got = _lattice(gens, LATTICE_CAP)
+            spread = [lattice_outcome(_lattice, gens, cap) for cap in caps]
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for cap, have, want in zip(caps, spread, outcomes):
+            assert_same_outcome(have, want, cap)
+
     @pytest.mark.parametrize(
         "I",
         [MonomialIdeal(3), ideal("[1] n=0"), ideal("[1] n=3")],
@@ -351,6 +375,77 @@ class TestUpperKoszul:
             if I.contains(a / Monomial.from_support(face, n)):
                 expected.append(mask)
         assert list(frame.face_masks) == expected
+
+
+def assert_face_rows_match_reference(I, points, v):
+    """``_face_rows`` of the points, all with v support variables, as one
+    support-size group: each row is the packed face set of
+    ``frame_reference`` at its point."""
+    matrix = np.array([a.exponents for a in points], dtype=np.int64)
+    rows = oracle._face_rows(_gen_matrix(I), matrix, v)
+    assert rows.shape == (len(points), ((1 << v) + 7) // 8)
+    for a, row in zip(points, rows):
+        assert np.array_equal(row, face_row(v, frame_reference(I, a).face_masks)), a
+
+
+class TestFaceRowBlocks:
+    """``_face_rows`` scatters a block's facets into one (points, 2^v) array
+    and closes it downward; rows must not depend on where blocks split."""
+
+    def test_group_over_several_point_blocks(self):
+        # with m * n >= 2^v a block holds _BLOCK_ROWS // m points; the
+        # points leave out different variables, so blocks differ in support,
+        # and a top support exponent of 3 puts that vertex in every facet
+        n, v = 7, 6
+        I = MonomialIdeal(
+            n, [Monomial(e) for e in itertools.product(range(3), repeat=n) if sum(e) == 4]
+        )
+        points = []
+        for gap in range(n):
+            for low in itertools.product((1, 2), repeat=v - 1):
+                for top in (2, 3):
+                    e = [*low, top]
+                    e.insert(gap, 0)
+                    points.append(Monomial(tuple(e)))
+        assert len(points) > 3 * (oracle._BLOCK_ROWS // I.num_gens)
+        assert I.num_gens * n >= 1 << v
+        assert_face_rows_match_reference(I, points, v)
+
+    def test_one_point_fills_a_block(self):
+        # at v = 16 in 17 variables 2^v exceeds _BLOCK_ROWS * n, so each
+        # point is a block of its own
+        n = 17
+        I = MonomialIdeal(
+            n,
+            [
+                Monomial.from_support(s, n)
+                for s in (range(1, 9), range(5, 13), range(9, 17), range(2, 18, 2), (1, 17))
+            ],
+        )
+        assert oracle._BLOCK_ROWS * n // (1 << 16) == 1
+        points = [
+            Monomial((2,) * 16 + (0,)),
+            Monomial((0,) + (2,) * 16),
+            Monomial((1,) * 8 + (2,) * 8 + (0,)),
+            Monomial((2,) + (1,) * 15 + (0,)),
+        ]
+        assert_face_rows_match_reference(I, points, 16)
+
+    def test_void_and_irrelevant_frames_in_one_block(self):
+        # void frames (no generator divides), irrelevant ones (the point is
+        # a generator no other divides) and frames up to the full simplex,
+        # all on two vertices and all in one block
+        n, v = 4, 2
+        I = ideal("[x1^2*x2, x2*x3^2, x3*x4, x1*x4^2] n=4")
+        points = [
+            Monomial(e)
+            for e in itertools.product(range(4), repeat=n)
+            if sum(x > 0 for x in e) == v
+        ]
+        kinds = Counter(len(frame_reference(I, a).face_masks) for a in points)
+        assert kinds[0] and kinds[1] and kinds[1 << v]
+        assert len(points) <= oracle._BLOCK_ROWS // I.num_gens
+        assert_face_rows_match_reference(I, points, v)
 
 
 PRIMES = (2, 3, 32003, 2**31 - 1)
@@ -602,6 +697,27 @@ class TestBettiAgainstPerPointReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_frame_temporaries_stay_blocked(self):
+        import tracemalloc
+
+        # Veronese type (4, 2, 4, 4, 2), d = 5: 93 generators, the most of
+        # any betti-veronese benchmark table, and 1011 lattice points.
+        # One (points, generators) int64 array alone would take 0.75 MB; the
+        # frame and lattice temporaries stay near _BLOCK_ROWS rows (0.19 MiB
+        # in all).  A first call in a fresh process also imports part of
+        # numpy (about 1.2 MiB more), so the measured call comes second.
+        I = realize(VeroneseSpec((4, 2, 4, 4, 2), 5))
+        assert I.num_gens == 93
+        expected = table_items(betti_table(I))
+        tracemalloc.start()
+        try:
+            table = betti_table(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_items(table) == expected
         assert peak < 1 << 20
 
 

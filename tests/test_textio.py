@@ -190,6 +190,41 @@ class TestFamilyDocuments:
             parse_ideal(text)
         assert (info.value.line, info.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text, reason, line, column",
+        [
+            ("{type:explicit,\n gens:[x1],\n n:[2]\n}", "field 'n' must be an integer", 3, 2),
+            ("{type:lp,\n alpha:[1, x],\n beta:[2, 3]}", "field 'alpha' must be a list of integers", 2, 2),
+            ("{type:power,\n base:{type:lp, alpha:[1], beta:[2]},\n k:x}", "field 'k' must be an integer", 3, 2),
+            ("{type:borel,\n gens:[]}", "borel document needs a nonempty 'gens' list", 2, 2),
+            (
+                "{type:transversal,\n sets:[[1], 2]}",
+                "transversal document needs a nonempty 'sets' list of integer lists", 2, 2,
+            ),
+            (
+                "{type:product,\n factors:[{type:lp, alpha:[1], beta:[2]}]}",
+                "product document needs at least two factors", 2, 2,
+            ),
+            ("{type:power,\n base:5,\n k:2}", "power document needs a 'base' object", 2, 2),
+            ("{type:explicit,\n gens:x1}", "explicit document needs a 'gens' list", 2, 2),
+            ("{n:3,\n type:mystery}", "unknown family type 'mystery'", 2, 2),
+            # a missing field is placed at the 'type' key of its document
+            ("{k:2,\n base:{type:veronese,\n b:[1,1]},\n type:power}", "field 'd' must be an integer", 2, 8),
+            ("{\n type:power,\n k:2\n}", "power document needs a 'base' object", 2, 2),
+        ],
+        ids=[
+            "int", "intlist", "power-k", "borel", "transversal", "product", "power-base",
+            "explicit", "unknown-type", "missing-nested", "missing-base",
+        ],
+    )
+    def test_field_error_is_placed_at_the_key(self, text, reason, line, column):
+        # the position once lay at the end of the document: line 4, column 2
+        # for the first case, although n is on line 3
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert info.value.reason == reason
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_key_outside_the_fields_of_a_plain_dict(self):
         doc = {"type": "lp", "alpha": [1, 3], "beta": [4, 5]}
         assert spec_from_doc(doc) == LPSpec((1, 3), (4, 5), 5)
