@@ -21,6 +21,8 @@ import sys
 import time
 from typing import Any, Optional
 
+import numpy as np
+
 from .errors import (
     DegreeMismatchError,
     FamilySpecError,
@@ -33,8 +35,8 @@ from .errors import (
 )
 from .families import as_transversal, check_exchange, is_strongly_stable
 from .fuzzlab import CONJECTURE_KEYS, CampaignConfig, run_campaign
-from .monomials import MonomialIdeal, VariableOrder
-from .oracle import LATTICE_CAP, betti_table, validate_prime
+from .monomials import MonomialIdeal, VariableOrder, _term
+from .oracle import LATTICE_CAP, _betti_rows, betti_table, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -276,27 +278,45 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _multidegrees(rows: np.ndarray) -> list[str]:
+    """``str(Monomial(row))`` of each exponent row.  Each column's distinct
+    exponents are written once, by ``monomials._term`` with a ``*``
+    after, and every row joins its columns' and drops the last ``*``."""
+    columns = []
+    for i, column in enumerate(rows.T.tolist(), 1):
+        terms = {e: _term(i, e) + "*" if e else "" for e in set(column)}
+        columns.append(list(map(terms.__getitem__, column)))
+    if not columns:  # no variables: every row is the unit
+        return ["1"] * len(rows)
+    return [text[:-1] or "1" for text in map("".join, zip(*columns))]
+
+
 def cmd_betti(args) -> int:
     source = _load_source(args)
     I = source.ideal
-    table = betti_table(I, args.prime, cap=args.cap)
+    prime, rows, index, rank = _betti_rows(I, args.prime, args.cap)
+    # the rows come in lattice order, so a stable sort on the index alone
+    # keeps each index's multidegrees descending-lex
+    order = np.argsort(index, kind="stable")
+    index, rank = index[order], rank[order]
+    levels, first = np.unique(index, return_index=True)
+    pd = int(levels[-1]) if len(levels) else -1
     entries = [
-        {"i": i, "multidegree": str(a), "rank": r}
-        # entries come in lattice order, so a stable sort on the index alone
-        # keeps each index's multidegrees descending-lex
-        for (i, a), r in sorted(table.entries.items(), key=lambda kv: kv[0][0])
+        {"i": i, "multidegree": a, "rank": r}
+        for i, a, r in zip(index.tolist(), _multidegrees(rows[order]), rank.tolist())
     ]
     report = {
         "command": "betti",
         "input": format_ideal(I),
         "n": I.n,
-        "prime": table.prime,
-        "pd": table.pd,
-        "totals": {str(i): t for i, t in table.totals().items()},
+        "prime": prime,
+        "pd": pd,
+        "totals": {
+            str(i): t for i, t in zip(levels.tolist(), np.add.reduceat(rank, first).tolist())
+        },
         "entries": entries,
         # pd relative to the support; the unit ideal counts as maximal
-        "max_pd": not I.is_zero
-        and (not I.support or table.pd == len(I.support) - 1),
+        "max_pd": not I.is_zero and (not I.support or pd == len(I.support) - 1),
     }
     _emit(report, args)
     return 0

@@ -127,7 +127,7 @@ def check_instance(
 ) -> dict[str, Any]:
     """All per-instance computations and comparisons; returns the report row."""
     J, _ = restrict_to_support(ideal)
-    return _instance_row(spec, ideal, J, _check_supported(J, config), config)
+    return _instance_row(spec, ideal, J, _check_supported(J, config), config, {})
 
 
 def _packed(I: MonomialIdeal) -> bytes:
@@ -265,9 +265,12 @@ def _instance_row(
     J: MonomialIdeal,
     part: str,
     config: CampaignConfig,
+    socles: dict[bytes, MonomialIdeal],
 ) -> dict[str, Any]:
     """The report row: ``part`` (from ``_check_supported(J, config)``)
-    merged with the checks that read the spec, which run on every call."""
+    merged with the checks that read the spec, which run on every call.
+    J's colon socle is formed on the first call that needs it and kept in
+    ``socles`` under ``_packed(J)``."""
     fields, flags, early, late = json.loads(part)
     row: dict[str, Any] = {
         "spec": spec_to_doc(spec),
@@ -285,7 +288,10 @@ def _instance_row(
         if tspec is not None and tspec.covers_variables:
             candidates = spanning_tree_socle(tspec)
             if not candidates.is_zero:
-                soc_colon = socle_colon(J)
+                key = _packed(J)
+                if key not in socles:
+                    socles[key] = socle_colon(J)
+                soc_colon = socles[key]
                 if not all(soc_colon.contains(g) for g in candidates.gens):
                     row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
                 row["spanning_tree_socle_equal"] = candidates == soc_colon
@@ -299,8 +305,10 @@ def run_campaign(
     """Run the full campaign; stream one JSON line per instance to ``sink``."""
     summary = CampaignSummary(config)
     budget = config.budget
-    # the J-only checks of each distinct supported ideal, keyed exactly
+    # the J-only checks of each distinct supported ideal, keyed exactly, and
+    # the colon socles of those a transversal instance has needed
     checked: dict[bytes, str] = {}
+    socles: dict[bytes, MonomialIdeal] = {}
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
         spec, ideal = random_polymatroidal(seed, budget)
@@ -308,7 +316,7 @@ def run_campaign(
         key = _packed(J)
         if key not in checked:
             checked[key] = _check_supported(J, config)
-        row = _instance_row(spec, ideal, J, checked[key], config)
+        row = _instance_row(spec, ideal, J, checked[key], config, socles)
         row["index"] = index
         row["seed"] = seed
         for flag in row["flags"]:

@@ -108,16 +108,17 @@ class Monomial:
         return Monomial(tuple(e * k for e in self.exponents))
 
     def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"x{i + 1}")
-            elif e > 1:
-                parts.append(f"x{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
+        return "*".join([_term(i, e) for i, e in enumerate(self.exponents, 1) if e]) or "1"
 
     def __repr__(self) -> str:
         return f"Monomial({self.exponents!r})"
+
+
+def _term(i: int, e: int) -> str:
+    """The factor x_i^e, e >= 1, as a monomial's string writes it: ``x3``
+    or ``x3^2``.  The factors of the nonzero exponents, joined by ``*``,
+    make the string; the unit is ``1``."""
+    return f"x{i}" if e == 1 else f"x{i}^{e}"
 
 
 def _position(i: int, n: int) -> int:

@@ -259,12 +259,17 @@ def _int(doc: Any, field: str, sc: _Scanner, default: Optional[int] = None) -> i
     return value
 
 
-def _generator(value: Any, sc: _Scanner) -> Monomial:
-    """A generator of a family document, its errors placed like a field's."""
-    try:
-        return parse_monomial(str(value))
-    except ParseError as exc:
-        raise sc.error(f"bad generator {str(value)!r}: {exc.reason}") from None
+def _generators(doc: dict, sc: _Scanner) -> list[Monomial]:
+    """The generators of a document's 'gens' list, an error placed at its key."""
+    out = []
+    for value in doc["gens"]:
+        try:
+            out.append(parse_monomial(str(value)))
+        except ParseError as exc:
+            raise sc.error(
+                f"bad generator {str(value)!r}: {exc.reason}", _at(doc, "gens", sc)
+            ) from None
+    return out
 
 
 def _only_fields(doc: dict, sc: _Scanner, *fields: str) -> None:
@@ -275,12 +280,16 @@ def _only_fields(doc: dict, sc: _Scanner, *fields: str) -> None:
             raise sc.error(f"{doc['type']} document has no field {key!r}", _at(doc, key, sc))
 
 
-def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
+def spec_from_doc(
+    doc: Any, sc: Optional[_Scanner] = None, pos: Optional[int] = None
+) -> FamilySpec:
     """Build a family spec from a parsed document.  A key outside the
-    type's fields, at any depth, is a parse error."""
+    type's fields, at any depth, is a parse error.  A nested document is
+    read with ``pos``, the position of its key in the enclosing one, where
+    an error that has no key of its own goes."""
     sc = sc or _Scanner("")
     if not isinstance(doc, dict) or "type" not in doc:
-        raise sc.error("family document must be an object with a 'type' field")
+        raise sc.error("family document must be an object with a 'type' field", pos)
     tag = doc["type"]
     if tag == "veronese":
         _only_fields(doc, sc, "b", "d")
@@ -292,7 +301,7 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         raw = doc.get("gens")
         if not isinstance(raw, list) or not raw:
             raise sc.error("borel document needs a nonempty 'gens' list", _at(doc, "gens", sc))
-        parsed = [_generator(g, sc) for g in raw]
+        parsed = _generators(doc, sc)
         n = _int(doc, "n", sc, max(m.n for m in parsed))
         check_variable_count(n)
         gens = tuple(
@@ -330,19 +339,20 @@ def spec_from_doc(doc: Any, sc: Optional[_Scanner] = None) -> FamilySpec:
         factors = doc.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
             raise sc.error("product document needs at least two factors", _at(doc, "factors", sc))
-        return ProductSpec(tuple(spec_from_doc(f, sc) for f in factors))
+        at = _at(doc, "factors", sc)
+        return ProductSpec(tuple(spec_from_doc(f, sc, at) for f in factors))
     if tag == "power":
         _only_fields(doc, sc, "base", "k")
         base = doc.get("base")
         if not isinstance(base, dict):
             raise sc.error("power document needs a 'base' object", _at(doc, "base", sc))
-        return PowerSpec(spec_from_doc(base, sc), _int(doc, "k", sc))
+        return PowerSpec(spec_from_doc(base, sc, _at(doc, "base", sc)), _int(doc, "k", sc))
     if tag == "explicit":
         _only_fields(doc, sc, "gens", "n")
         raw = doc.get("gens")
         if not isinstance(raw, list):
             raise sc.error("explicit document needs a 'gens' list", _at(doc, "gens", sc))
-        parsed = [_generator(g, sc) for g in raw]
+        parsed = _generators(doc, sc)
         n = _int(doc, "n", sc, max((m.n for m in parsed), default=0))
         check_variable_count(n)
         gens = [Monomial(m.exponents + (0,) * (n - m.n)) for m in parsed]

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyshift.cli import build_parser, main
-from util import RP2_DOC, RP2_TOTALS, child_env, ideal
+from polyshift import Monomial, MonomialIdeal, betti_table, format_ideal, parse_ideal
+from polyshift.cli import _multidegrees, build_parser, main
+from util import RP2_DOC, RP2_TOTALS, child_env, ideal, mixed_degree_ideals
 
 
 def cycle_doc(n):
@@ -177,21 +183,33 @@ HS_JSON_PINS = {
 }
 
 
-# sha256 of the exact `betti --json` stdout of the per-frame oracle, before
+# sha256 of the exact `betti --json` stdout, keyed by the input and the
+# options after --json.  The first three are of the per-frame oracle, before
 # frames were batched and their homology memoized: the 5-cycle, a
 # mixed-degree ideal and a Veronese document (58 generators, 338 entries).
 # The fourth, taken before the lattice was packed into words, spreads a
 # 5-cycle over 70 variables with one exponent at 2^31 - 1, so every one of
-# its 70 guard-bit fields takes 32 bits, a word of its own.
+# its 70 guard-bit fields takes 32 bits, a word of its own.  The rest were
+# taken while table entries were still Monomials: the RP^2 ideal over F_2,
+# whose multidegree x1*...*x6 carries indices 2 and 3, the zero ideal, and
+# the unit ideal in three variables and in none.
 BETTI_JSON_PINS = {
-    CYCLE5:
+    (CYCLE5, ()):
         "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",
-    "[x1^2, x1*x2, x2^3, x2^2*x3] n=3":
+    ("[x1^2, x1*x2, x2^3, x2^2*x3] n=3", ()):
         "8b9a7940af6304dc332a624b8390d2928939e89c9136fb7e67fb767abe2dee90",
-    "{type:veronese, b:[2, 3, 4, 3, 2], d:4}":
+    ("{type:veronese, b:[2, 3, 4, 3, 2], d:4}", ()):
         "eb47911c6bdf5392ef456183e4a1d3629208d1a4f125202a30c981d06072d08f",
-    WIDE_CYCLE5:
+    (WIDE_CYCLE5, ()):
         "405bca76a31d37ddabdf1ab05af5a884d843dfd7d8bb80a5f4ae8a793e0fa526",
+    (RP2_DOC, ("--prime", "2")):
+        "80236baa0af1bec6576895c32320195715cc0934fd6b4e284c4edcca6cb3d798",
+    ("[] n=3", ()):
+        "039bcf3595bb7bd11b987d2919c3c80d42943f6c714c00c8f3587eb47ad4796a",
+    ("[1] n=3", ()):
+        "4675468bcbb82f370db5ab6df2f51efa441660c39cf91dd17787f639e8b5f62f",
+    ("[1] n=0", ()):
+        "9675f6c8acec8b22c5d4e82eef3e4e165434f6b137d23e9c2d2005f1ba67f96d",
 }
 
 
@@ -828,17 +846,29 @@ class TestCheckCommand:
         assert json.loads(out)["verdict"] is True
 
 
+@st.composite
+def generator_lists(draw):
+    """Ideals of one to eight generators in one to five variables, the
+    exponents at most 3: equigenerated and mixed, redundant members too."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=8))
+    return MonomialIdeal(n, [Monomial(g) for g in gens])
+
+
 class TestBettiCommand:
     @pytest.mark.parametrize(
-        "text",
+        "text, options",
         list(BETTI_JSON_PINS),
-        ids=["cycle5", "mixed-degree", "veronese", "wide-cycle5"],
+        ids=[
+            "cycle5", "mixed-degree", "veronese", "wide-cycle5", "rp2-prime2",
+            "zero", "unit", "unit-no-variables",
+        ],
     )
-    def test_json_bytes_pinned(self, text, tmp_path, capsys):
+    def test_json_bytes_pinned(self, text, options, tmp_path, capsys):
         path = write(tmp_path, "in.txt", text)
-        code, out, err = run_cli(["betti", "--input", path, "--json"], capsys)
+        code, out, err = run_cli(["betti", "--input", path, "--json", *options], capsys)
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == BETTI_JSON_PINS[text]
+        assert hashlib.sha256(out.encode()).hexdigest() == BETTI_JSON_PINS[text, options]
 
     def test_trio_table(self, tmp_path, capsys):
         path = write(tmp_path, "trio.txt", "[x2*x4, x1*x2, x1*x3] n=4")
@@ -868,7 +898,7 @@ class TestBettiCommand:
         ],
     )
     def test_max_pd_comes_from_the_one_table(self, text, tmp_path, capsys, monkeypatch):
-        from polyshift.oracle import betti_table
+        from polyshift.oracle import _betti_rows
         from polyshift.socle import max_pd
 
         expected = max_pd(ideal(text))
@@ -876,12 +906,13 @@ class TestBettiCommand:
 
         def counted(*args, **kwargs):
             tables.append(args[0])
-            return betti_table(*args, **kwargs)
+            return _betti_rows(*args, **kwargs)
 
-        # every module's name for it, so a table built through socle counts too
+        # every module's name for the table engine, so a table built through
+        # betti_table or socle counts too
         for name, module in list(sys.modules.items()):
-            if name.startswith("polyshift") and module.__dict__.get("betti_table") is betti_table:
-                monkeypatch.setattr(module, "betti_table", counted)
+            if name.startswith("polyshift") and module.__dict__.get("_betti_rows") is _betti_rows:
+                monkeypatch.setattr(module, "_betti_rows", counted)
         path = write(tmp_path, "i.txt", text)
         code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
         assert code == 0
@@ -965,6 +996,56 @@ class TestBettiCommand:
         )
         assert code == 3
         assert "resource cap" in err
+
+    @settings(deadline=None, max_examples=80)
+    @given(I=st.one_of(mixed_degree_ideals(), generator_lists()))
+    def test_report_agrees_with_the_table(self, I, tmp_path_factory):
+        # the report sorts, formats and sums the engine's rows; the table
+        # keys the same entries by Monomial
+        path = tmp_path_factory.mktemp("betti") / "in.txt"
+        path.write_text(format_ideal(I), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["betti", "--input", str(path), "--json"]) == 0
+        report = json.loads(out.getvalue())
+        table = betti_table(I)
+        # by index, then descending-lex in the exponents
+        items = sorted(
+            table.entries.items(), key=lambda kv: (kv[0][0], [-e for e in kv[0][1].exponents])
+        )
+        assert report["entries"] == [
+            {"i": i, "multidegree": str(a), "rank": r} for (i, a), r in items
+        ]
+        assert report["totals"] == {str(i): t for i, t in table.totals().items()}
+        assert report["pd"] == table.pd
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        rows=st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(st.integers(0, 3), st.integers(10, 2**31)), min_size=n, max_size=n
+                ),
+                max_size=8,
+            ).map(lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), n))
+        )
+    )
+    def test_row_strings_are_monomial_strings(self, rows):
+        assert _multidegrees(rows) == [str(Monomial(tuple(r))) for r in rows.tolist()]
+
+    def test_no_monomial_per_entry(self, tmp_path, capsys, monkeypatch):
+        # the report once made a Monomial for each of the 338 entries, as
+        # the table keys them
+        text = "{type:veronese, b:[2, 3, 4, 3, 2], d:4}"
+        made = []
+        monkeypatch.setattr(Monomial, "__post_init__", lambda self: made.append(self))
+        source = parse_ideal(text)
+        realization = len(made)
+        path = write(tmp_path, "v.txt", text)
+        code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["entries"]) == 338
+        assert len(made) - realization <= realization + source.ideal.num_gens
 
 
 def veronese_doc(n):

@@ -167,6 +167,26 @@ class TestDistinctIdeals:
         assert len(top_level) == summary.counters["distinct_ideals"]
         assert len(set(top_level)) == len(top_level)
 
+    def test_colon_socle_once_per_distinct_ideal(self, monkeypatch):
+        # the spanning-tree check once formed J's colon socle on every
+        # transversal instance; without chl nothing else forms it
+        config = CampaignConfig(
+            seed=13, instance_count=300, n_max=3, degree_max=3,
+            conjectures=frozenset({"transversal_socle"}),
+        )
+        real = fuzzlab.socle_colon
+        formed: list[bytes] = []
+
+        def colon(J):
+            formed.append(fuzzlab._packed(J))
+            return real(J)
+
+        monkeypatch.setattr(fuzzlab, "socle_colon", colon)
+        lines: list[str] = []
+        run_campaign(config, lines.append)
+        checked = sum("spanning_tree_socle_equal" in json.loads(line) for line in lines)
+        assert len(set(formed)) == len(formed) < checked
+
     @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
     def test_memo_keys_across_the_wide_encoding(self, low, high):
         # every number of a key takes 4 bytes, so exponents on either side of

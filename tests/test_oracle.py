@@ -48,6 +48,7 @@ from util import (
     ideal,
     lattice_reference,
     lcm_many,
+    mixed_degree_ideals,
 )
 
 
@@ -586,24 +587,6 @@ class TestBettiTable:
         table = betti_table(trio_ideal)
         assert table.shift_ideal(0) == trio_ideal
         assert table.shift_ideal(5).is_zero
-
-
-@st.composite
-def mixed_degree_ideals(draw):
-    """Ideals in 0 to 6 variables with mixed degrees: the generators use only
-    some of the variables (partial supports), and several generators share a
-    support with different exponents (repeated supports).  The zero ideal,
-    the unit ideal and principal ideals are among them."""
-    n = draw(st.integers(0, 6))
-    used = sorted(draw(st.sets(st.integers(0, n - 1) if n else st.nothing())))
-    subsets = st.sets(st.sampled_from(used)) if used else st.just(set())
-    supports = draw(st.lists(subsets, min_size=1, max_size=3))
-    gens = []
-    for _ in range(draw(st.integers(0, 6))):
-        support = draw(st.sampled_from(supports))
-        exponents = [draw(st.integers(1, 3)) if i in support else 0 for i in range(n)]
-        gens.append(Monomial(tuple(exponents)))
-    return MonomialIdeal(n, gens)
 
 
 def table_items(table):

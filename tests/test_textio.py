@@ -241,28 +241,58 @@ class TestFamilyDocuments:
             parse_ideal("{type:lp, alpha:[1, x], beta:[2, 3]}")
 
     @pytest.mark.parametrize(
-        "text, message, line",
+        "text, message, line, column",
         [
             (
                 '{type:explicit,\n gens:[x1*x2,\n  "x2*y3"]}',
                 "bad generator 'x2*y3': expected a variable factor like x3 or x3^2",
-                3,
+                2,
+                2,
             ),
             (
                 '{type:borel, gens:[x1, "x1^"], n:2}',
                 "bad generator 'x1^': expected an integer",
                 1,
+                14,
+            ),
+            (
+                '{type:explicit,\n gens:[x1, "y2"],\n n:2\n}',
+                "bad generator 'y2': expected a variable factor like x3 or x3^2",
+                2,
+                2,
             ),
         ],
-        ids=["explicit", "borel"],
+        ids=["explicit", "borel", "explicit-before-n"],
     )
-    def test_bad_generator_is_placed_in_the_document(self, text, message, line):
+    def test_bad_generator_is_placed_in_the_document(self, text, message, line, column):
         # the error once gave a position inside the generator string, such as
-        # line 1, column 4 for a generator on line 3
+        # line 1, column 4 for a generator on line 3, and then the end of the
+        # document: line 4, column 2 for the last case
         with pytest.raises(ParseError) as info:
             parse_ideal(text)
         assert info.value.reason == message
-        assert (info.value.line, info.value.column) == (line, len(text.splitlines()[-1]) + 1)
+        assert (info.value.line, info.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("{type:power,\n base:{k:2},\n k:2\n}", 2, 2),
+            ("{type:power,\n base:{},\n k:2}", 2, 2),
+            ("{type:product,\n factors:[{type:lp, alpha:[1], beta:[2]},\n {n:2}]}", 2, 2),
+            ("{type:product,\n factors:[{type:lp, alpha:[1], beta:[2]}, 3]}", 2, 2),
+            ("{type:power, k:2,\n base:{type:power, k:1,\n  base:{d:1}}}", 3, 3),
+            ("{k:2,\n base:{type:lp, alpha:[1], beta:[2]}}", 2, 38),
+        ],
+        ids=["power-base", "empty-base", "product-factor", "factor-not-object", "inner-base", "top"],
+    )
+    def test_document_without_type_is_placed_at_its_key(self, text, line, column):
+        # a nested document without a 'type' field once gave the end of the
+        # whole document (line 4, column 2 for the first case); the top
+        # document has no key and keeps the end
+        with pytest.raises(ParseError) as info:
+            parse_ideal(text)
+        assert info.value.reason == "family document must be an object with a 'type' field"
+        assert (info.value.line, info.value.column) == (line, column)
 
     def test_nesting_limit_boundary(self):
         # powers of powers around a Veronese document whose bound list is

@@ -859,3 +859,21 @@ RP2_TOTALS = [
     (3, {0: 10, 1: 15, 2: 6}),
     (32003, {0: 10, 1: 15, 2: 6}),
 ]
+
+
+@st.composite
+def mixed_degree_ideals(draw):
+    """Ideals in 0 to 6 variables with mixed degrees: the generators use only
+    some of the variables (partial supports), and several generators share a
+    support with different exponents (repeated supports).  The zero ideal,
+    the unit ideal and principal ideals are among them."""
+    n = draw(st.integers(0, 6))
+    used = sorted(draw(st.sets(st.integers(0, n - 1) if n else st.nothing())))
+    subsets = st.sets(st.sampled_from(used)) if used else st.just(set())
+    supports = draw(st.lists(subsets, min_size=1, max_size=3))
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.sampled_from(supports))
+        exponents = [draw(st.integers(1, 3)) if i in support else 0 for i in range(n)]
+        gens.append(Monomial(tuple(exponents)))
+    return MonomialIdeal(n, gens)
