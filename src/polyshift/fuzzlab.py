@@ -16,23 +16,31 @@ once, by the first exchange check that fails); a route mismatch is recorded
 as an internal disagreement instead, and the campaign reports both counts.
 Flags are reports, never failures: the questions are open.
 
-The draws repeat J often, so a campaign runs the checks that read only J
-once per distinct J (``distinct_ideals`` in the summary), and the checks
-that read the spec (the row header and the spanning-tree socle) on every
-instance.
+The draws repeat J often, and every check that reads only J gives the same
+answer on any relabelling of the variables.  So a campaign runs those
+checks once per class of J up to relabelling (``ideal_classes`` in the
+summary; ``distinct_ideals`` counts the distinct J), and the checks that
+read the spec (the row header and the spanning-tree socle) on every
+instance.  A class's answer is shared only when it has no flags and no
+disagreements, whose text may name J's own variables.  To keep testing
+that the routes do not depend on the labels, the second distinct member of
+every ``AUDIT_EVERY``-th class is checked anyway (``relabelling_audits``),
+and a different answer is reported as a ``relabelling`` disagreement.
 
 Everything is deterministic in the campaign seed; each instance derives its
 own seed, so a single row reproduces in isolation, equal to its row in the
-campaign.
+campaign (less a ``relabelling`` disagreement, which only a campaign sees).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from .families import (
@@ -73,6 +81,10 @@ CONJECTURE_KEYS = ("bbh", "chl", "transversal_socle")
 
 # the refined nesting check runs on instances with at most this many generators
 REFINED_NESTING_CAP = 40
+
+# the second distinct member of every AUDIT_EVERY-th class of supported ideals
+# up to relabelling, in order of first appearance, is checked on its own
+AUDIT_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -130,11 +142,44 @@ def check_instance(
     return _instance_row(spec, ideal, J, _check_supported(J, config), config, {})
 
 
+def _pack(numbers: list[int]) -> bytes:
+    """The numbers as one byte string, equal for equal lists only: one byte
+    each when all are below 256, else 4 bytes each, which hold every
+    exponent up to the 2^31 limit, behind a byte that names the width."""
+    try:
+        return b"B" + bytes(numbers)
+    except ValueError:  # a number above 255
+        return b"I" + array("I", numbers).tobytes()
+
+
 def _packed(I: MonomialIdeal) -> bytes:
-    """I as one byte string, equal for equal ideals only: the variable count
-    and the generators' exponent vectors in order, each number in 4 bytes,
-    which hold every exponent up to the 2^31 limit."""
-    return array("I", [I.n, *(e for g in I.gens for e in g.exponents)]).tobytes()
+    """I as one byte string, equal for equal ideals only: the variable count,
+    the generator count (which tells the zero and unit ideals on no variables
+    apart) and the generators' exponent vectors in order."""
+    return _pack([I.n, I.num_gens, *(e for g in I.gens for e in g.exponents)])
+
+
+def _class_key(J: MonomialIdeal) -> bytes:
+    """J up to relabelling the variables: equal for two ideals exactly when a
+    permutation of the variables takes one to the other.
+
+    The columns of J's exponent rows are ordered by their sorted values, and
+    only the orders that permute columns with equal sorted values are tried;
+    the key packs J as ``_packed`` does, with the least of their sorted row
+    lists for its generators.
+    """
+    rows = [g.exponents for g in J.gens]
+    if J.n < 2:
+        least = rows
+    else:
+        values = {c: sorted([r[c] for r in rows]) for c in range(J.n)}
+        columns = sorted(range(J.n), key=values.__getitem__)
+        tied = [tuple(g) for _, g in itertools.groupby(columns, key=values.__getitem__)]
+        least = min(
+            sorted(map(itemgetter(*itertools.chain.from_iterable(order)), rows))
+            for order in itertools.product(*map(itertools.permutations, tied))
+        )
+    return _pack([J.n, J.num_gens, *itertools.chain.from_iterable(least)])
 
 
 def _veronese_spec(J: MonomialIdeal) -> Optional[VeroneseSpec]:
@@ -282,6 +327,7 @@ def _instance_row(
         "disagreements": early,
     }
     if "pd" not in fields:  # no lex certificate
+        row["disagreements"] += late
         return row
     if "transversal_socle" in config.conjectures:
         tspec = as_transversal(spec)
@@ -299,15 +345,53 @@ def _instance_row(
     return row
 
 
+def _class_part(
+    J: MonomialIdeal,
+    config: CampaignConfig,
+    shared: dict[bytes, Optional[str]],
+    unaudited: set[bytes],
+    summary: CampaignSummary,
+) -> str:
+    """``_check_supported(J, config)`` for a J new to the campaign, taken
+    from J's class up to relabelling where the class shares its part.  The
+    audited member keeps its own part, with a ``relabelling`` disagreement
+    last when it differs from the class's."""
+    ckey = _class_key(J)
+    if ckey not in shared:
+        part = _check_supported(J, config)
+        _, flags, early, late = json.loads(part)
+        shared[ckey] = None if flags or early or late else part
+        if (len(shared) - 1) % AUDIT_EVERY == 0:
+            unaudited.add(ckey)
+        return part
+    part = shared[ckey]
+    if part is not None and ckey not in unaudited:
+        return part
+    own = _check_supported(J, config)
+    if part is None:
+        return own
+    unaudited.remove(ckey)
+    summary.bump("relabelling_audits")
+    if own == part:
+        return part
+    fields, flags, early, late = json.loads(own)
+    return _row_part(fields, flags, early, late + [{"kind": "relabelling"}])
+
+
 def run_campaign(
     config: CampaignConfig, sink: Optional[Callable[[str], None]] = None
 ) -> CampaignSummary:
     """Run the full campaign; stream one JSON line per instance to ``sink``."""
     summary = CampaignSummary(config)
     budget = config.budget
-    # the J-only checks of each distinct supported ideal, keyed exactly, and
-    # the colon socles of those a transversal instance has needed
+    # the J-only checks of each distinct supported ideal, keyed exactly; the
+    # checks each class up to relabelling shares (None when its first member
+    # has flags or disagreements, so each member is checked); the classes
+    # whose second member is still to be audited; and the colon socles of
+    # the J a transversal instance has needed
     checked: dict[bytes, str] = {}
+    shared: dict[bytes, Optional[str]] = {}
+    unaudited: set[bytes] = set()
     socles: dict[bytes, MonomialIdeal] = {}
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
@@ -315,7 +399,7 @@ def run_campaign(
         J, _ = restrict_to_support(ideal)
         key = _packed(J)
         if key not in checked:
-            checked[key] = _check_supported(J, config)
+            checked[key] = _class_part(J, config, shared, unaudited, summary)
         row = _instance_row(spec, ideal, J, checked[key], config, socles)
         row["index"] = index
         row["seed"] = seed
@@ -337,6 +421,8 @@ def run_campaign(
         if sink is not None:
             sink(json.dumps(row, sort_keys=True))
     summary.bump("distinct_ideals", len(checked))
+    summary.bump("ideal_classes", len(shared))
+    summary.bump("relabelling_audits", 0)  # present when no class was audited
     summary.bump("flags", len(summary.flags))
     summary.bump("disagreements", len(summary.disagreements))
     return summary

@@ -200,6 +200,52 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _backtrack(
+    gens: list[tuple[int, ...]], node_budget: int
+) -> tuple[Optional[list[int]], int]:
+    """The first admissible order of ``gens`` in depth-first order, or None
+    when there is none, and the nodes visited; past ``node_budget`` nodes it
+    raises :class:`_BudgetExceeded`.
+
+    A node is one candidate tried after a prefix.  A prefix's set of
+    generators that no extension completes is kept in ``dead``, since the
+    colon steps after a prefix read only its set.  The depth-first search
+    keeps its own stack, ``starts[k]`` the next candidate at depth k, so an
+    order of any length needs no recursion.
+    """
+    m = len(gens)
+    table = coordinate_bitsets(gens)
+    dead: set[int] = set()
+    nodes = 0
+    prefix: list[int] = []
+    used = 0
+    starts = [0]
+    while starts:
+        if len(prefix) == m:
+            return prefix, nodes
+        c = starts[-1]
+        while c < m:
+            if not used >> c & 1:
+                nodes += 1
+                if nodes > node_budget:
+                    raise _BudgetExceeded
+                if not _colon_step(table, gens[c], used)[1]:
+                    break
+            c += 1
+        if c < m:
+            starts[-1] = c + 1
+            if used | 1 << c not in dead:
+                prefix.append(c)
+                used |= 1 << c
+                starts.append(0)
+        else:
+            dead.add(used)
+            starts.pop()
+            if prefix:
+                used &= ~(1 << prefix.pop())
+    return None, nodes
+
+
 def find_admissible_order(
     I: MonomialIdeal, node_budget: int = SEARCH_NODE_BUDGET
 ) -> OrderSearch:
@@ -224,35 +270,8 @@ def find_admissible_order(
             result = certify_lex(I, VariableOrder(perm))
             if isinstance(result, QuotientCertificate):
                 return OrderSearch("certified", result)
-    gens = [g.exponents for g in I.gens]
-    table = coordinate_bitsets(gens)
-    dead: set[int] = set()
-    nodes = 0
-
-    def extend(prefix: list[int], used: int) -> Optional[list[int]]:
-        nonlocal nodes
-        if len(prefix) == m:
-            return list(prefix)
-        if used in dead:
-            return None
-        for c in range(m):
-            if used >> c & 1:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetExceeded
-            _, uncovered = _colon_step(table, gens[c], used)
-            if not uncovered:
-                prefix.append(c)
-                found = extend(prefix, used | 1 << c)
-                if found is not None:
-                    return found
-                prefix.pop()
-        dead.add(used)
-        return None
-
     try:
-        found = extend([], 0)
+        found, _ = _backtrack([g.exponents for g in I.gens], node_budget)
     except _BudgetExceeded:
         return OrderSearch("inconclusive")
     if found is None:

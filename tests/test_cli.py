@@ -753,6 +753,20 @@ class TestCheckCommand:
         assert report["verdict"] is False
         assert report["status"] == "none"
 
+    def test_linear_quotients_past_the_recursion_limit(self, tmp_path, capsys):
+        # 1891 generators on 3 variables skip the lex sweep, so the order
+        # comes from the backtracking search, which once recursed once per
+        # generator and ended in a RecursionError
+        path = write(tmp_path, "v.txt", "{type:veronese, b:[60,60,60], d:60}")
+        code, out, err = run_cli(
+            ["check", "--input", path, "--property", "linear-quotients", "--json"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["verdict"] is True
+        assert len(report["order"]) == 1891
+
     @pytest.mark.parametrize(
         "prop, text, witness",
         [

@@ -1,9 +1,12 @@
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshift import (
     AdmissibleOrderFailure,
@@ -104,7 +107,7 @@ class TestCampaign:
         kinds = set(re.findall(r'"kind": "([^"]+)"', source))
         docs = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
         rows = re.findall(r"^\| `([^`]+)` \|", docs.read_text(encoding="utf-8"), re.M)
-        assert len(kinds) == 9
+        assert len(kinds) == 10
         assert kinds <= set(rows)
         tests = Path(__file__).read_text(encoding="utf-8")
         assert {kind for kind in kinds if f'"{kind}"' not in tests} == set()
@@ -123,6 +126,21 @@ class TestCampaign:
         assert hashlib.sha256(data).hexdigest() == (
             "f6cacd155bc94f52a841306de24ceef7ee58b9a473bdaa43e4d27e959049b1b9"
         )
+
+    def test_default_budget_campaign_bytes_pinned(self):
+        # the JSONL of the default budget's campaign, whose rows mostly come
+        # from a class of J shared up to relabelling, byte for byte as when
+        # every distinct J was checked on its own
+        lines: list[str] = []
+        summary = run_campaign(CampaignConfig(1, 4000, prime=32003), lines.append)
+        data = ("\n".join(lines) + "\n").encode()
+        assert len(data) == 1303485
+        assert hashlib.sha256(data).hexdigest() == (
+            "3dcd43b79110abdda5440815f69ec382926d5e2b120bd4b75cd739f6ab243733"
+        )
+        counters = summary.counters
+        assert (counters["distinct_ideals"], counters["ideal_classes"]) == (859, 432)
+        assert counters["relabelling_audits"] > 0 and counters["disagreements"] == 0
 
 
 def supported_draws(config: CampaignConfig):
@@ -164,7 +182,11 @@ class TestDistinctIdeals:
         monkeypatch.setattr(fuzzlab, "certify_lex", certify)
         summary = run_campaign(self.CONFIG)
         assert len(supported) == self.CONFIG.instance_count
-        assert len(top_level) == summary.counters["distinct_ideals"]
+        # once per class of J up to relabelling, and again for each audited
+        # member, never twice for one J
+        counters = summary.counters
+        assert len(top_level) == counters["ideal_classes"] + counters["relabelling_audits"]
+        assert len(top_level) < counters["distinct_ideals"]
         assert len(set(top_level)) == len(top_level)
 
     def test_colon_socle_once_per_distinct_ideal(self, monkeypatch):
@@ -189,17 +211,19 @@ class TestDistinctIdeals:
 
     @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
     def test_memo_keys_across_the_wide_encoding(self, low, high):
-        # every number of a key takes 4 bytes, so exponents on either side of
-        # a byte's range, which no campaign of the default budget reaches,
-        # still give distinct keys; a collision would give one ideal the
+        # a key takes one byte per number while all are below 256 and four
+        # past that, so exponents on either side of a byte's range, which no
+        # campaign of the default budget reaches, still give distinct keys,
+        # exact and up to relabelling; a collision would give one ideal the
         # checks of another
-        def key(e, reverse=False):
+        def ideal(e, reverse=False):
             gens = [Monomial((e, 1, 0)), Monomial((0, 1, e))]
-            return fuzzlab._packed(MonomialIdeal(3, gens[::-1] if reverse else gens))
+            return MonomialIdeal(3, gens[::-1] if reverse else gens)
 
-        assert key(low) != key(high)
-        assert key(low) == key(low, reverse=True)
-        assert key(high) == key(high, reverse=True)
+        for key in (fuzzlab._packed, fuzzlab._class_key):
+            assert key(ideal(low)) != key(ideal(high))
+            assert key(ideal(low)) == key(ideal(low, reverse=True))
+            assert key(ideal(high)) == key(ideal(high, reverse=True))
 
     def test_entries_hold_no_ideal(self):
         # an entry is one JSON text: [fields, flags, early, late]
@@ -272,6 +296,171 @@ class TestDistinctIdeals:
             else:
                 assert "spanning-tree-not-in-socle" not in kinds
         assert True in repeats and False in repeats
+
+
+def relabelled(J: MonomialIdeal, perm) -> MonomialIdeal:
+    """J with its variables permuted: column perm[k] of J becomes column k."""
+    return MonomialIdeal(J.n, [Monomial(tuple(g.exponents[c] for c in perm)) for g in J.gens])
+
+
+def brute_force_relabelling(A: MonomialIdeal, B: MonomialIdeal) -> bool:
+    """Does one of the n! permutations of the variables take A to B?"""
+    return A.n == B.n and any(
+        relabelled(A, perm) == B for perm in itertools.permutations(range(A.n))
+    )
+
+
+@st.composite
+def small_ideals(draw, n):
+    """Ideals on n variables with up to 4 generators of exponents 0-2."""
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
+    return MonomialIdeal(n, [Monomial(row) for row in rows])
+
+
+class TestClassKey:
+    """``_class_key`` is a canonical form of J up to relabelling the
+    variables: equal keys exactly for relabellings of one ideal."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.data())
+    def test_relabelled_draw_has_the_same_key(self, seed, data):
+        J = restrict_to_support(random_polymatroidal(seed)[1])[0]
+        perm = data.draw(st.permutations(range(J.n)))
+        assert fuzzlab._class_key(relabelled(J, perm)) == fuzzlab._class_key(J)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(small_ideals(n), small_ideals(n))),
+           st.data())
+    def test_equal_keys_exactly_for_relabellings(self, pair, data):
+        A, B = pair
+        # half the time B is a relabelling of A, so both outcomes are drawn
+        if data.draw(st.booleans()):
+            B = relabelled(A, data.draw(st.permutations(range(A.n))))
+        same = fuzzlab._class_key(A) == fuzzlab._class_key(B)
+        assert same == brute_force_relabelling(A, B)
+
+    def test_graphs_on_four_vertices(self):
+        # the edge ideals of the 63 graphs with an edge on 4 labelled
+        # vertices fall into the 10 graphs up to isomorphism; most have
+        # columns with equal sorted values
+        edges = [e for e in itertools.product((0, 1), repeat=4) if sum(e) == 2]
+        ideals = [
+            MonomialIdeal(4, map(Monomial, chosen))
+            for size in range(1, 7)
+            for chosen in itertools.combinations(edges, size)
+        ]
+        keys = [fuzzlab._class_key(I) for I in ideals]
+        assert len(set(keys)) == 10
+        for (A, a), (B, b) in itertools.combinations(zip(ideals, keys), 2):
+            assert (a == b) == brute_force_relabelling(A, B)
+
+    def test_all_columns_tied(self):
+        # every column of a Veronese type with equal bounds, and of the
+        # 4-cycle, has the same sorted values, so all 24 orders are tried
+        veronese = realize(VeroneseSpec((2, 2, 2, 2), 3))
+        cycle = MonomialIdeal(4, [Monomial(e) for e in [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)]])
+        for I in (veronese, cycle):
+            keys = {fuzzlab._class_key(relabelled(I, p)) for p in itertools.permutations(range(4))}
+            assert keys == {fuzzlab._class_key(I)}
+        assert len({relabelled(cycle, p) for p in itertools.permutations(range(4))}) == 3
+        matching = MonomialIdeal(4, [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1))])
+        assert fuzzlab._class_key(matching) != fuzzlab._class_key(cycle)
+
+    def test_keys_differ_across_variable_counts(self):
+        # the zero ideal has no rows on any n, the unit ideal one zero row,
+        # and on no variables that row is empty too
+        for key in (fuzzlab._packed, fuzzlab._class_key):
+            zero = [key(MonomialIdeal(n)) for n in range(5)]
+            unit = [key(MonomialIdeal(n, [Monomial.unit(n)])) for n in range(5)]
+            assert len(set(zero + unit)) == 10
+
+
+class TestIdealClasses:
+    """A campaign shares the J-only checks across a class of J up to
+    relabelling, and audits the second member of every AUDIT_EVERY-th
+    class."""
+
+    CONFIG = CampaignConfig(seed=1, instance_count=400)
+
+    def rows(self):
+        lines: list[str] = []
+        summary = run_campaign(self.CONFIG, lines.append)
+        return [json.loads(line) for line in lines], summary.counters
+
+    def test_class_hits_equal_their_rows_alone(self):
+        rows, counters = self.rows()
+        seen_ideals, seen_classes, hits = set(), set(), 0
+        for row, (seed, spec, ideal, J) in zip(rows, supported_draws(self.CONFIG)):
+            key = fuzzlab._class_key(J)
+            if J not in seen_ideals and key in seen_classes:
+                hits += 1
+                row.pop("index")
+                assert row.pop("seed") == seed
+                assert json.loads(json.dumps(check_instance(spec, ideal, self.CONFIG))) == row
+            seen_ideals.add(J)
+            seen_classes.add(key)
+        assert counters["ideal_classes"] == len(seen_classes)
+        assert hits == counters["distinct_ideals"] - counters["ideal_classes"] > 0
+
+    def test_unpatched_audits_find_nothing(self):
+        rows, counters = self.rows()
+        assert counters["relabelling_audits"] > 0
+        assert counters["disagreements"] == 0
+
+    @pytest.mark.parametrize("route", ["is_matroidal", "certify_lex"])
+    def test_label_dependent_route_is_audited(self, monkeypatch, route):
+        # a matroidal verdict, or a lex certificate refused, read off x1's
+        # exponent in the first generator differs between relabellings; only
+        # the audit sees it, and its row keeps the member's own checks, even
+        # when they stop at the refused certificate
+        real = getattr(fuzzlab, route)
+
+        def patched(I):
+            if route == "is_matroidal":
+                return I.gens[0].exponents[0] > 1
+            if I.gens[0].exponents[0] > 1:
+                return AdmissibleOrderFailure(2, I.gens[0], I.gens[0])
+            return real(I)
+
+        monkeypatch.setattr(fuzzlab, route, patched)
+        rows, counters = self.rows()
+        flagged = [row for row in rows if {"kind": "relabelling"} in row["disagreements"]]
+        assert flagged and counters["relabelling_audits"] > 0
+        if route == "certify_lex":
+            assert any("pd" not in row for row in flagged)
+        for row in flagged:
+            assert row["disagreements"][-1] == {"kind": "relabelling"}
+            row["disagreements"].pop()
+            row.pop("index")
+            spec, ideal = random_polymatroidal(row.pop("seed"), self.CONFIG.budget)
+            assert json.loads(json.dumps(check_instance(spec, ideal, self.CONFIG))) == row
+        assert len(flagged) <= counters["disagreements"]
+
+    def test_only_the_audited_members_are_checked_twice(self, monkeypatch):
+        # the second distinct member of classes 0, 8, 16, ... in order of
+        # first appearance, and no other, is checked though its class is known
+        checked: list[bytes] = []
+        real = fuzzlab._check_supported
+
+        def check(J, config):
+            checked.append(fuzzlab._packed(J))
+            return real(J, config)
+
+        monkeypatch.setattr(fuzzlab, "_check_supported", check)
+        _, counters = self.rows()
+        classes: dict[tuple, list[bytes]] = {}
+        for _, _, _, J in supported_draws(self.CONFIG):
+            members = classes.setdefault(fuzzlab._class_key(J), [])
+            if fuzzlab._packed(J) not in members:
+                members.append(fuzzlab._packed(J))
+        audited = [
+            members[1]
+            for ordinal, members in enumerate(classes.values())
+            if ordinal % fuzzlab.AUDIT_EVERY == 0 and len(members) > 1
+        ]
+        firsts = [members[0] for members in classes.values()]
+        assert sorted(checked) == sorted(firsts + audited)
+        assert counters["relabelling_audits"] == len(audited) > 0
 
 
 def failing_check(I, mode="exchange"):
@@ -362,7 +551,8 @@ class TestDisagreementPaths:
         ]
         assert "pd" not in row and "spanning_tree_socle_equal" not in row
         assert counters == {
-            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+            "instances": 3, "distinct_ideals": 1, "ideal_classes": 1,
+            "relabelling_audits": 0, "flags": 0, "disagreements": 3,
         }
 
     def test_distance_route(self, monkeypatch):
@@ -373,7 +563,8 @@ class TestDisagreementPaths:
         # HS_5 is zero on both routes
         assert row["disagreements"] == [{"kind": "distance-route", "j": j} for j in range(5)]
         assert counters == {
-            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 15,
+            "instances": 3, "distinct_ideals": 1, "ideal_classes": 1,
+            "relabelling_audits": 0, "flags": 0, "disagreements": 15,
             "max_pd": 3, "transversal_socle_equal": 3,
         }
 
@@ -387,7 +578,8 @@ class TestDisagreementPaths:
         ]
         assert row["max_pd"] is True and row["spanning_tree_socle_equal"] is False
         assert counters == {
-            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 6,
+            "instances": 3, "distinct_ideals": 1, "ideal_classes": 1,
+            "relabelling_audits": 0, "flags": 0, "disagreements": 6,
             "max_pd": 3, "transversal_socle_strict": 3,
         }
 
@@ -405,7 +597,8 @@ class TestDisagreementPaths:
         assert row["disagreements"] == [{"kind": "shift-not-certifiable", "j": 1}]
         assert row["refined_nesting_equal"] == [None, None]
         assert counters == {
-            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+            "instances": 3, "distinct_ideals": 1, "ideal_classes": 1,
+            "relabelling_audits": 0, "flags": 0, "disagreements": 3,
             "matroidal": 3,
         }
 
@@ -423,7 +616,8 @@ class TestDisagreementPaths:
         assert row["disagreements"] == [{"kind": "matroidal-nesting", "j": 1}]
         assert row["refined_nesting_equal"] == [False, True]
         assert counters == {
-            "instances": 3, "distinct_ideals": 1, "flags": 0, "disagreements": 3,
+            "instances": 3, "distinct_ideals": 1, "ideal_classes": 1,
+            "relabelling_audits": 0, "flags": 0, "disagreements": 3,
             "matroidal": 3,
         }
 

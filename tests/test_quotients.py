@@ -26,13 +26,14 @@ from polyshift import (
     shifts_by_distance,
     total_betti_from_certificate,
 )
-from polyshift.quotients import SEARCH_NODE_BUDGET
+from polyshift.quotients import SEARCH_NODE_BUDGET, _backtrack, _BudgetExceeded
 from util import (
     EXAMPLE_HS3,
     EXAMPLE_HS4,
     EXAMPLE_SET_TABLE,
     M,
     all_monomials,
+    backtrack_reference,
     certify_order_reference,
     find_admissible_order_reference,
     gens_set,
@@ -272,6 +273,22 @@ class TestCertifyAgainstPairScanReference:
                 find_admissible_order_reference(I, node_budget)
             )
 
+    @settings(deadline=None, max_examples=150)
+    @given(mixed_degree_ideals(max_gens=7), st.integers(1, 60))
+    def test_backtracking_matches_the_recursive_search(self, I, budget):
+        # the explicit stack visits the nodes of the recursive search in the
+        # same order: the same order found, the same node count, and the
+        # same budget at which it gives up
+        gens = [g.exponents for g in I.gens]
+        for node_budget in (budget, SEARCH_NODE_BUDGET):
+            outcomes = []
+            for search in (_backtrack, backtrack_reference):
+                try:
+                    outcomes.append(search(gens, node_budget))
+                except _BudgetExceeded:
+                    outcomes.append("inconclusive")
+            assert outcomes[0] == outcomes[1]
+
     @pytest.mark.parametrize(
         "text, status",
         [
@@ -289,6 +306,10 @@ class TestCertifyAgainstPairScanReference:
         if search.certificate is not None:
             assert search.certificate.variable_order is None
         assert search == find_admissible_order_reference(I)
+        gens = [g.exponents for g in I.gens]
+        found, nodes = _backtrack(gens, SEARCH_NODE_BUDGET)
+        assert (found, nodes) == backtrack_reference(gens, SEARCH_NODE_BUDGET)
+        assert nodes > len(gens)
 
     @pytest.mark.parametrize(
         "text",

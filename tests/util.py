@@ -40,7 +40,12 @@ from polyshift.families import (
     as_transversal,
     check_exchange,
 )
-from polyshift.monomials import VariableOrder, _check_same_ring, ideal_power
+from polyshift.monomials import (
+    VariableOrder,
+    _check_same_ring,
+    coordinate_bitsets,
+    ideal_power,
+)
 from polyshift.oracle import (
     LATTICE_CAP,
     BettiTable,
@@ -56,6 +61,8 @@ from polyshift.quotients import (
     AdmissibleOrderFailure,
     OrderSearch,
     QuotientCertificate,
+    _BudgetExceeded,
+    _colon_step,
 )
 from polyshift.socle import family_socle, intersection_graph, socle_report
 
@@ -593,6 +600,43 @@ def find_admissible_order_reference(
     if found is None:
         return OrderSearch("none")
     return OrderSearch("certified", certify_order_reference(I, found))
+
+
+def backtrack_reference(gens, node_budget: int):
+    """Reference ``quotients._backtrack``: the same depth-first search over
+    the same bitset steps and ``dead`` memo, by one recursive call per
+    generator placed, so only orders shorter than the recursion limit.
+    Returns the first admissible order (None when there is none) and the
+    nodes visited, and raises ``_BudgetExceeded`` past ``node_budget``."""
+    m = len(gens)
+    table = coordinate_bitsets(gens)
+    dead: set[int] = set()
+    nodes = 0
+
+    def extend(prefix: list[int], used: int):
+        nonlocal nodes
+        if len(prefix) == m:
+            return list(prefix)
+        if used in dead:
+            return None
+        for c in range(m):
+            if used >> c & 1:
+                continue
+            nodes += 1
+            if nodes > node_budget:
+                raise _BudgetExceeded
+            _, uncovered = _colon_step(table, gens[c], used)
+            if not uncovered:
+                prefix.append(c)
+                found = extend(prefix, used | 1 << c)
+                if found is not None:
+                    return found
+                prefix.pop()
+        dead.add(used)
+        return None
+
+    found = extend([], 0)
+    return found, nodes
 
 
 def homological_shift_reference(cert, j: int) -> MonomialIdeal:
