@@ -24,8 +24,10 @@ read the spec (the row header and the spanning-tree socle) on every
 instance.  A class's answer is shared only when it has no flags and no
 disagreements, whose text may name J's own variables.  To keep testing
 that the routes do not depend on the labels, the second distinct member of
-every ``AUDIT_EVERY``-th class is checked anyway (``relabelling_audits``),
-and a different answer is reported as a ``relabelling`` disagreement.
+every ``AUDIT_EVERY``-th sharing class is checked anyway
+(``relabelling_audits``), and a different answer is reported as a
+``relabelling`` disagreement.  An ideal with too many relabellings to try
+(``CLASS_KEY_ORDERS``) is a class of its own.
 
 Everything is deterministic in the campaign seed; each instance derives its
 own seed, so a single row reproduces in isolation, equal to its row in the
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -83,8 +86,13 @@ CONJECTURE_KEYS = ("bbh", "chl", "transversal_socle")
 REFINED_NESTING_CAP = 40
 
 # the second distinct member of every AUDIT_EVERY-th class of supported ideals
-# up to relabelling, in order of first appearance, is checked on its own
+# up to relabelling that shares its checks, in order of first appearance, is
+# checked on its own
 AUDIT_EVERY = 8
+
+# the most orders of tied columns _class_key tries (all those of 6 columns,
+# above the 5! of the default budget); past it an ideal is a class of its own
+CLASS_KEY_ORDERS = 720
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,9 @@ def _class_key(J: MonomialIdeal) -> bytes:
     The columns of J's exponent rows are ordered by their sorted values, and
     only the orders that permute columns with equal sorted values are tried;
     the key packs J as ``_packed`` does, with the least of their sorted row
-    lists for its generators.
+    lists for its generators.  When there are more than ``CLASS_KEY_ORDERS``
+    such orders, J is a class of its own: the key is ``_packed(J)`` behind a
+    byte no other key starts with, so equal keys still mean relabellings.
     """
     rows = [g.exponents for g in J.gens]
     if J.n < 2:
@@ -175,6 +185,8 @@ def _class_key(J: MonomialIdeal) -> bytes:
         values = {c: sorted([r[c] for r in rows]) for c in range(J.n)}
         columns = sorted(range(J.n), key=values.__getitem__)
         tied = [tuple(g) for _, g in itertools.groupby(columns, key=values.__getitem__)]
+        if math.prod(math.factorial(len(group)) for group in tied) > CLASS_KEY_ORDERS:
+            return b"=" + _packed(J)
         least = min(
             sorted(map(itemgetter(*itertools.chain.from_iterable(order)), rows))
             for order in itertools.product(*map(itertools.permutations, tied))
@@ -348,7 +360,8 @@ def _instance_row(
 def _class_part(
     J: MonomialIdeal,
     config: CampaignConfig,
-    shared: dict[bytes, Optional[str]],
+    shared: dict[bytes, str],
+    unshared: set[bytes],
     unaudited: set[bytes],
     summary: CampaignSummary,
 ) -> str:
@@ -357,25 +370,27 @@ def _class_part(
     audited member keeps its own part, with a ``relabelling`` disagreement
     last when it differs from the class's."""
     ckey = _class_key(J)
-    if ckey not in shared:
-        part = _check_supported(J, config)
+    if ckey in shared:
+        part = shared[ckey]
+        if ckey not in unaudited:
+            return part
+        unaudited.remove(ckey)
+        summary.bump("relabelling_audits")
+        own = _check_supported(J, config)
+        if own == part:
+            return part
+        fields, flags, early, late = json.loads(own)
+        return _row_part(fields, flags, early, late + [{"kind": "relabelling"}])
+    part = _check_supported(J, config)
+    if ckey not in unshared:
         _, flags, early, late = json.loads(part)
-        shared[ckey] = None if flags or early or late else part
-        if (len(shared) - 1) % AUDIT_EVERY == 0:
-            unaudited.add(ckey)
-        return part
-    part = shared[ckey]
-    if part is not None and ckey not in unaudited:
-        return part
-    own = _check_supported(J, config)
-    if part is None:
-        return own
-    unaudited.remove(ckey)
-    summary.bump("relabelling_audits")
-    if own == part:
-        return part
-    fields, flags, early, late = json.loads(own)
-    return _row_part(fields, flags, early, late + [{"kind": "relabelling"}])
+        if flags or early or late:
+            unshared.add(ckey)
+        else:
+            shared[ckey] = part
+            if (len(shared) - 1) % AUDIT_EVERY == 0:
+                unaudited.add(ckey)
+    return part
 
 
 def run_campaign(
@@ -385,12 +400,13 @@ def run_campaign(
     summary = CampaignSummary(config)
     budget = config.budget
     # the J-only checks of each distinct supported ideal, keyed exactly; the
-    # checks each class up to relabelling shares (None when its first member
-    # has flags or disagreements, so each member is checked); the classes
-    # whose second member is still to be audited; and the colon socles of
-    # the J a transversal instance has needed
+    # checks each class up to relabelling shares; the classes whose first
+    # member has flags or disagreements, so each member is checked; the
+    # sharing classes whose second member is still to be audited; and the
+    # colon socles of the J a transversal instance has needed
     checked: dict[bytes, str] = {}
-    shared: dict[bytes, Optional[str]] = {}
+    shared: dict[bytes, str] = {}
+    unshared: set[bytes] = set()
     unaudited: set[bytes] = set()
     socles: dict[bytes, MonomialIdeal] = {}
     for index in range(config.instance_count):
@@ -399,7 +415,7 @@ def run_campaign(
         J, _ = restrict_to_support(ideal)
         key = _packed(J)
         if key not in checked:
-            checked[key] = _class_part(J, config, shared, unaudited, summary)
+            checked[key] = _class_part(J, config, shared, unshared, unaudited, summary)
         row = _instance_row(spec, ideal, J, checked[key], config, socles)
         row["index"] = index
         row["seed"] = seed
@@ -421,7 +437,7 @@ def run_campaign(
         if sink is not None:
             sink(json.dumps(row, sort_keys=True))
     summary.bump("distinct_ideals", len(checked))
-    summary.bump("ideal_classes", len(shared))
+    summary.bump("ideal_classes", len(shared) + len(unshared))
     summary.bump("relabelling_audits", 0)  # present when no class was audited
     summary.bump("flags", len(summary.flags))
     summary.bump("disagreements", len(summary.disagreements))

@@ -366,6 +366,23 @@ class TestClassKey:
         matching = MonomialIdeal(4, [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1))])
         assert fuzzlab._class_key(matching) != fuzzlab._class_key(cycle)
 
+    def test_too_many_orders_key_the_ideal_alone(self):
+        # the 12 variables of (x1, ..., x12) and of a 7-cycle are all tied,
+        # past CLASS_KEY_ORDERS orders, so each ideal keys only itself, apart
+        # from every canonical key; a 6-cycle's 720 orders are still tried
+        def cycle(n):
+            return MonomialIdeal(n, [Monomial.from_support([i, i % n + 1], n) for i in range(1, n + 1)])
+
+        maximal = MonomialIdeal(12, [Monomial.from_support([i], 12) for i in range(1, 13)])
+        assert fuzzlab._class_key(maximal) == b"=" + fuzzlab._packed(maximal)
+        perms = list(itertools.permutations(range(7)))[::97]
+        sevens = {relabelled(cycle(7), p) for p in perms}
+        keys = {fuzzlab._class_key(I) for I in sevens}
+        assert len(keys) == len(sevens) > 1
+        assert all(key[:1] == b"=" for key in keys)
+        six = {fuzzlab._class_key(relabelled(cycle(6), p)) for p in itertools.permutations(range(6))}
+        assert len(six) == 1 and six.pop()[:1] != b"="
+
     def test_keys_differ_across_variable_counts(self):
         # the zero ideal has no rows on any n, the unit ideal one zero row,
         # and on no variables that row is empty too
@@ -436,31 +453,64 @@ class TestIdealClasses:
             assert json.loads(json.dumps(check_instance(spec, ideal, self.CONFIG))) == row
         assert len(flagged) <= counters["disagreements"]
 
-    def test_only_the_audited_members_are_checked_twice(self, monkeypatch):
-        # the second distinct member of classes 0, 8, 16, ... in order of
-        # first appearance, and no other, is checked though its class is known
+    @pytest.mark.parametrize("unshared", [False, True])
+    def test_only_the_audited_members_are_checked_twice(self, monkeypatch, unshared):
+        # the second distinct member of the sharing classes 0, 8, 16, ... in
+        # order of first appearance, and no other, is checked though its
+        # class is known; with a disagreement on every J with a generator
+        # count divisible by 3, those classes share nothing, each member is
+        # checked, and the audits fall on the next sharing classes
         checked: list[bytes] = []
         real = fuzzlab._check_supported
 
+        def unshareable(J):
+            return unshared and J.num_gens % 3 == 0
+
         def check(J, config):
             checked.append(fuzzlab._packed(J))
-            return real(J, config)
+            part = real(J, config)
+            if not unshareable(J):
+                return part
+            fields, flags, early, late = json.loads(part)
+            return fuzzlab._row_part(fields, flags, early, late + [{"kind": "relabelling"}])
 
         monkeypatch.setattr(fuzzlab, "_check_supported", check)
         _, counters = self.rows()
-        classes: dict[tuple, list[bytes]] = {}
+        classes: dict[bytes, list[MonomialIdeal]] = {}
         for _, _, _, J in supported_draws(self.CONFIG):
             members = classes.setdefault(fuzzlab._class_key(J), [])
-            if fuzzlab._packed(J) not in members:
-                members.append(fuzzlab._packed(J))
+            if J not in members:
+                members.append(J)
+        sharing = [members for members in classes.values() if not unshareable(members[0])]
+        alone = [J for members in classes.values() if unshareable(members[0]) for J in members]
         audited = [
             members[1]
-            for ordinal, members in enumerate(classes.values())
+            for ordinal, members in enumerate(sharing)
             if ordinal % fuzzlab.AUDIT_EVERY == 0 and len(members) > 1
         ]
-        firsts = [members[0] for members in classes.values()]
-        assert sorted(checked) == sorted(firsts + audited)
+        expected = [members[0] for members in sharing] + alone + audited
+        assert sorted(checked) == sorted(map(fuzzlab._packed, expected))
         assert counters["relabelling_audits"] == len(audited) > 0
+        assert counters["ideal_classes"] == len(classes)
+        if unshared:
+            assert any(len(members) > 1 for members in classes.values() if unshareable(members[0]))
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_wide_ties_do_not_stall_a_campaign(self, seed):
+        # a budget of 12 variables draws ideals with 11 tied columns, 11!
+        # orders, at these seeds; each such ideal is a class of its own, and
+        # the rows are those of the instances checked alone
+        config = CampaignConfig(seed, 10, n_max=12)
+        lines: list[str] = []
+        counters = run_campaign(config, lines.append).counters
+        keys = [fuzzlab._class_key(J) for _, _, _, J in supported_draws(config)]
+        assert any(key[:1] == b"=" for key in keys)
+        assert counters["ideal_classes"] == len(set(keys))
+        for line, (seed, spec, ideal, _) in zip(lines, supported_draws(config)):
+            row = json.loads(line)
+            row.pop("index")
+            assert row.pop("seed") == seed
+            assert json.loads(json.dumps(check_instance(spec, ideal, config))) == row
 
 
 def failing_check(I, mode="exchange"):
