@@ -19,15 +19,16 @@ Flags are reports, never failures: the questions are open.
 The draws repeat J often, and every check that reads only J gives the same
 answer on any relabelling of the variables.  So a campaign runs those
 checks once per class of J up to relabelling (``ideal_classes`` in the
-summary; ``distinct_ideals`` counts the distinct J), and the checks that
-read the spec (the row header and the spanning-tree socle) on every
-instance.  A class's answer is shared only when it has no flags and no
-disagreements, whose text may name J's own variables.  To keep testing
-that the routes do not depend on the labels, the second distinct member of
-every ``AUDIT_EVERY``-th sharing class is checked anyway
-(``relabelling_audits``), and a different answer is reported as a
-``relabelling`` disagreement.  An ideal with too many relabellings to try
-(``CLASS_KEY_ORDERS``) is a class of its own.
+summary; ``distinct_ideals`` counts the distinct J), keeps their answer as
+plain values that every row of J shares, and runs the checks that read the
+spec (the row header, and the spanning-tree socle with the colon socle it
+is compared with) on every instance.  A class's answer is shared only when
+it has no flags and no disagreements, whose text may name J's own
+variables.  To keep testing that the routes do not depend on the labels,
+the second distinct member of every ``AUDIT_EVERY``-th sharing class is
+checked anyway (``relabelling_audits``), and a different answer is
+reported as a ``relabelling`` disagreement.  An ideal with too many
+relabellings to try (``CLASS_KEY_ORDERS``) is a class of its own.
 
 Everything is deterministic in the campaign seed; each instance derives its
 own seed, so a single row reproduces in isolation, equal to its row in the
@@ -40,7 +41,6 @@ import functools
 import itertools
 import json
 import math
-import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -147,7 +147,7 @@ def check_instance(
 ) -> dict[str, Any]:
     """All per-instance computations and comparisons; returns the report row."""
     J, _ = restrict_to_support(ideal)
-    return _instance_row(spec, ideal, J, _check_supported(J, config), config, {})
+    return _instance_row(spec, ideal, J, _check_supported(J, config), config)
 
 
 def _pack(numbers: list[int]) -> bytes:
@@ -206,19 +206,13 @@ def _veronese_spec(J: MonomialIdeal) -> Optional[VeroneseSpec]:
     return VeroneseSpec(bounds, d) if ways[d] == J.num_gens else None
 
 
-def _row_part(fields: dict, flags: list, early: list, late: list) -> str:
-    """The JSON text of [fields, flags, early, late], interned: most distinct
-    supported ideals share one text."""
-    return sys.intern(json.dumps([fields, flags, early, late]))
-
-
-def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
+def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> tuple:
     """The checks that read only the supported ideal J.
 
-    Returns the row fields they set, their flags, and the disagreements that
-    come before the spanning-tree check (``early``) and after it (``late``)
-    as one JSON text.  The text holds no ideal, so a campaign keeps one per
-    distinct J.
+    Returns ``(fields, flags, early, late)``: the row fields they set, their
+    flags, and the disagreements that come before the spanning-tree check
+    (``early``) and after it (``late``).  The part holds plain JSON values
+    and no ideal, and every row of J shares it, so it is never changed.
     """
     fields: dict[str, Any] = {}
     flags: list[dict] = []
@@ -229,7 +223,7 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
         early.append(
             {"kind": "no-lex-certificate", "detail": "polymatroidal ideal refused lex order"}
         )
-        return _row_part(fields, flags, early, late)
+        return fields, flags, early, late
     pd = cert.projective_dimension
     fields["pd"] = pd
     fields["matroidal"] = is_matroidal(J)
@@ -313,22 +307,20 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> str:
         for level in range(1, pd + 1):
             if veronese_shift(own, level) != shifts[level]:
                 late.append({"kind": "veronese-closed-form", "j": level})
-    return _row_part(fields, flags, early, late)
+    return fields, flags, early, late
 
 
 def _instance_row(
     spec: FamilySpec,
     ideal: MonomialIdeal,
     J: MonomialIdeal,
-    part: str,
+    part: tuple,
     config: CampaignConfig,
-    socles: dict[bytes, MonomialIdeal],
 ) -> dict[str, Any]:
     """The report row: ``part`` (from ``_check_supported(J, config)``)
     merged with the checks that read the spec, which run on every call.
-    J's colon socle is formed on the first call that needs it and kept in
-    ``socles`` under ``_packed(J)``."""
-    fields, flags, early, late = json.loads(part)
+    The rows of one J share ``part``, so its lists are copied, not grown."""
+    fields, flags, early, late = part
     row: dict[str, Any] = {
         "spec": spec_to_doc(spec),
         "n": ideal.n,
@@ -336,7 +328,7 @@ def _instance_row(
         "degree": ideal.generation_degree,
         **fields,
         "flags": flags,
-        "disagreements": early,
+        "disagreements": list(early),
     }
     if "pd" not in fields:  # no lex certificate
         row["disagreements"] += late
@@ -346,51 +338,12 @@ def _instance_row(
         if tspec is not None and tspec.covers_variables:
             candidates = spanning_tree_socle(tspec)
             if not candidates.is_zero:
-                key = _packed(J)
-                if key not in socles:
-                    socles[key] = socle_colon(J)
-                soc_colon = socles[key]
+                soc_colon = socle_colon(J)
                 if not all(soc_colon.contains(g) for g in candidates.gens):
                     row["disagreements"].append({"kind": "spanning-tree-not-in-socle"})
                 row["spanning_tree_socle_equal"] = candidates == soc_colon
     row["disagreements"] += late
     return row
-
-
-def _class_part(
-    J: MonomialIdeal,
-    config: CampaignConfig,
-    shared: dict[bytes, str],
-    unshared: set[bytes],
-    unaudited: set[bytes],
-    summary: CampaignSummary,
-) -> str:
-    """``_check_supported(J, config)`` for a J new to the campaign, taken
-    from J's class up to relabelling where the class shares its part.  The
-    audited member keeps its own part, with a ``relabelling`` disagreement
-    last when it differs from the class's."""
-    ckey = _class_key(J)
-    if ckey in shared:
-        part = shared[ckey]
-        if ckey not in unaudited:
-            return part
-        unaudited.remove(ckey)
-        summary.bump("relabelling_audits")
-        own = _check_supported(J, config)
-        if own == part:
-            return part
-        fields, flags, early, late = json.loads(own)
-        return _row_part(fields, flags, early, late + [{"kind": "relabelling"}])
-    part = _check_supported(J, config)
-    if ckey not in unshared:
-        _, flags, early, late = json.loads(part)
-        if flags or early or late:
-            unshared.add(ckey)
-        else:
-            shared[ckey] = part
-            if (len(shared) - 1) % AUDIT_EVERY == 0:
-                unaudited.add(ckey)
-    return part
 
 
 def run_campaign(
@@ -399,24 +352,43 @@ def run_campaign(
     """Run the full campaign; stream one JSON line per instance to ``sink``."""
     summary = CampaignSummary(config)
     budget = config.budget
-    # the J-only checks of each distinct supported ideal, keyed exactly; the
-    # checks each class up to relabelling shares; the classes whose first
-    # member has flags or disagreements, so each member is checked; the
-    # sharing classes whose second member is still to be audited; and the
-    # colon socles of the J a transversal instance has needed
-    checked: dict[bytes, str] = {}
-    shared: dict[bytes, str] = {}
+    # the J-only part of each distinct supported ideal, keyed exactly; the
+    # part each class up to relabelling shares; the classes whose first
+    # member has flags or disagreements, so each member is checked; and the
+    # sharing classes whose second member is still to be audited
+    checked: dict[bytes, tuple] = {}
+    shared: dict[bytes, tuple] = {}
     unshared: set[bytes] = set()
     unaudited: set[bytes] = set()
-    socles: dict[bytes, MonomialIdeal] = {}
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
         spec, ideal = random_polymatroidal(seed, budget)
         J, _ = restrict_to_support(ideal)
         key = _packed(J)
-        if key not in checked:
-            checked[key] = _class_part(J, config, shared, unshared, unaudited, summary)
-        row = _instance_row(spec, ideal, J, checked[key], config, socles)
+        part = checked.get(key)
+        if part is None:
+            ckey = _class_key(J)
+            part = shared.get(ckey)
+            if part is None:
+                part = _check_supported(J, config)
+                if ckey not in unshared:
+                    if any(part[1:]):  # flags or disagreements
+                        unshared.add(ckey)
+                    else:
+                        shared[ckey] = part
+                        if (len(shared) - 1) % AUDIT_EVERY == 0:
+                            unaudited.add(ckey)
+            elif ckey in unaudited:
+                # the audited member keeps its own part, with a relabelling
+                # disagreement last when it differs from its class's
+                unaudited.remove(ckey)
+                summary.bump("relabelling_audits")
+                own = _check_supported(J, config)
+                if own != part:
+                    fields, flags, early, late = own
+                    part = fields, flags, early, late + [{"kind": "relabelling"}]
+            checked[key] = part
+        row = _instance_row(spec, ideal, J, part, config)
         row["index"] = index
         row["seed"] = seed
         for flag in row["flags"]:

@@ -377,8 +377,6 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     I = cert.ideal
     if not I.is_equigenerated:
         raise DegreeMismatchError("distance route requires an equigenerated ideal")
-    if j == 0:
-        return MonomialIdeal(I.n, cert.ordered_gens)
     return MonomialIdeal(
         I.n, _shift_generators(cert.ordered_gens, cert.distance_adds, j)
     )

@@ -189,26 +189,6 @@ class TestDistinctIdeals:
         assert len(top_level) < counters["distinct_ideals"]
         assert len(set(top_level)) == len(top_level)
 
-    def test_colon_socle_once_per_distinct_ideal(self, monkeypatch):
-        # the spanning-tree check once formed J's colon socle on every
-        # transversal instance; without chl nothing else forms it
-        config = CampaignConfig(
-            seed=13, instance_count=300, n_max=3, degree_max=3,
-            conjectures=frozenset({"transversal_socle"}),
-        )
-        real = fuzzlab.socle_colon
-        formed: list[bytes] = []
-
-        def colon(J):
-            formed.append(fuzzlab._packed(J))
-            return real(J)
-
-        monkeypatch.setattr(fuzzlab, "socle_colon", colon)
-        lines: list[str] = []
-        run_campaign(config, lines.append)
-        checked = sum("spanning_tree_socle_equal" in json.loads(line) for line in lines)
-        assert len(set(formed)) == len(formed) < checked
-
     @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
     def test_memo_keys_across_the_wide_encoding(self, low, high):
         # a key takes one byte per number while all are below 256 and four
@@ -226,11 +206,11 @@ class TestDistinctIdeals:
             assert key(ideal(high)) == key(ideal(high, reverse=True))
 
     def test_entries_hold_no_ideal(self):
-        # an entry is one JSON text: [fields, flags, early, late]
+        # an entry is (fields, flags, early, late), all plain JSON values
         for _, _, _, J in supported_draws(self.CONFIG):
             part = fuzzlab._check_supported(J, self.CONFIG)
-            assert isinstance(part, str)
-            assert len(json.loads(part)) == 4
+            assert isinstance(part, tuple) and len(part) == 4
+            assert json.loads(json.dumps(part)) == list(part)
 
     def test_veronese_type_matches_a_realization(self):
         # J is of Veronese type exactly when its largest exponents realize it
@@ -471,8 +451,8 @@ class TestIdealClasses:
             part = real(J, config)
             if not unshareable(J):
                 return part
-            fields, flags, early, late = json.loads(part)
-            return fuzzlab._row_part(fields, flags, early, late + [{"kind": "relabelling"}])
+            fields, flags, early, late = part
+            return fields, flags, early, late + [{"kind": "relabelling"}]
 
         monkeypatch.setattr(fuzzlab, "_check_supported", check)
         _, counters = self.rows()
