@@ -331,6 +331,8 @@ def _parse_budget(text: str) -> dict[str, int]:
         key = key.strip()
         if key not in ("n_max", "degree_max", "gen_max"):
             raise ParseError(f"unknown budget key {key!r}")
+        if key in out:
+            raise ParseError(f"budget entry {key} is given twice")
         if not eq:
             raise ParseError(f"budget entry {key} has no value; write {key}=<integer>")
         try:

@@ -6,7 +6,8 @@ componentwise exponent bounds), principal and multi-generator Borel ideals
 windows), LP ideals (products of interval primes), transversal ideals
 (products of arbitrary monomial primes), and products / powers / explicit
 generator lists.  Every realized family is polymatroidal, which the random
-generator asserts on each draw.
+generator asserts on each draw (a fuzz campaign, once per distinct
+supported ideal).
 
 Veronese, PLP, Borel and LP specs and their powers are the union of the
 prefix-sum windows ``plp_windows`` reads off them (a Borel spec has one per
@@ -40,7 +41,6 @@ from .monomials import (
     exchange_moves,
     ideal_power,
     ideal_product,
-    support_filter,
 )
 
 
@@ -379,20 +379,26 @@ def _windows_into(out: dict, lower, upper, alphas, beta) -> None:
         rec(0, 0, (1 << len(rows)) - 1)
 
 
-def _realize_windows(n: int, windows: Iterable[Window]) -> MonomialIdeal:
-    """The ideal generated by the monomials of all the windows, each formed
-    once: the windows that share lower, upper and beta are searched together.
-    An infeasible window (an upper bound below its lower bound, or prefix
-    sums no vector can meet) adds nothing, which the socle closed forms rely
-    on.  Raises ResourceCapError once the windows would form more than
-    GENERATOR_CAP distinct monomials."""
+def _window_exponents(windows: Iterable[Window]) -> dict[tuple[int, ...], None]:
+    """The exponent vectors of the monomials of all the windows, as keys,
+    each formed once: the windows that share lower, upper and beta are
+    searched together.  An infeasible window (an upper bound below its lower
+    bound, or prefix sums no vector can meet) adds nothing, which the socle
+    closed forms rely on.  Raises ResourceCapError once the windows would
+    form more than GENERATOR_CAP distinct vectors."""
     groups: dict[tuple, list] = {}
     for lower, upper, alpha, beta in windows:
         groups.setdefault((tuple(lower), tuple(upper), tuple(beta)), []).append(alpha)
     formed: dict[tuple[int, ...], None] = {}
     for (lower, upper, beta), alphas in groups.items():
         _windows_into(formed, lower, upper, alphas, beta)
-    return MonomialIdeal(n, map(Monomial, formed))
+    return formed
+
+
+def _realize_windows(n: int, windows: Iterable[Window]) -> MonomialIdeal:
+    """The ideal generated by the monomials of all the windows
+    (``_window_exponents``)."""
+    return MonomialIdeal(n, map(Monomial, _window_exponents(windows)))
 
 
 def prime_ideal(indices: Iterable[int], n: int) -> MonomialIdeal:
@@ -563,11 +569,14 @@ def is_matroidal(I: MonomialIdeal) -> bool:
 
 def veronese_shift(spec: VeroneseSpec, level: int) -> MonomialIdeal:
     """Closed form for the level-th shift ideal of a Veronese-type ideal:
-    realize the same bounds at degree d + level, keep support size > level."""
+    the monomials of degree d + level under the same bounds whose support
+    has more than level variables, taken off the raised spec's window, so
+    one ideal is built."""
     if level < 0:
         raise ValueError("shift level must be nonnegative")
-    raised = VeroneseSpec(spec.bounds, spec.degree + level)
-    return support_filter(realize(raised), level)
+    raised = plp_windows(VeroneseSpec(spec.bounds, spec.degree + level))
+    kept = [e for e in _window_exponents(raised) if len(e) - e.count(0) > level]
+    return MonomialIdeal(spec.n, map(Monomial, kept))
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +684,10 @@ def _draw_spec(rng: random.Random, budget: GenBudget, n: int, deg: int, depth: i
 DRAW_ATTEMPTS = 400
 
 
-def random_polymatroidal(
-    seed: int, budget: GenBudget = GenBudget()
-) -> tuple[FamilySpec, MonomialIdeal]:
-    """Deterministically draw one random polymatroidal ideal.
-
-    Composes the family constructors (with occasional products and powers)
-    under the budget, retrying until the realization is a nonzero, non-unit
-    ideal within the generator cap, at most DRAW_ATTEMPTS times.  The exchange
-    property of the output is asserted, not assumed.
-    """
+def _draw(seed: int, budget: GenBudget) -> tuple[FamilySpec, MonomialIdeal]:
+    """The draw of ``random_polymatroidal`` without its assertion: retry
+    until the realization is a nonzero, non-unit ideal within the generator
+    cap, at most DRAW_ATTEMPTS times."""
     rng = random.Random(seed)
     degrees = list(range(1, budget.degree_max + 1))
     for _ in range(DRAW_ATTEMPTS):
@@ -697,9 +700,33 @@ def random_polymatroidal(
             continue
         if ideal.is_zero or ideal.is_unit or ideal.num_gens > budget.gen_max:
             continue
-        if not check_exchange(ideal, "exchange").holds:
-            raise AssertionError(f"family realization is not polymatroidal: {spec!r}")
         return spec, ideal
     raise ResourceCapError(
         f"no polymatroidal instance found for seed {seed} within {DRAW_ATTEMPTS} attempts"
     )
+
+
+def _assert_polymatroidal(spec: FamilySpec, ideal: MonomialIdeal) -> None:
+    """Refuse a realization of spec that is not polymatroidal, by an explicit
+    raise that ``python -O`` keeps.  ``ideal`` may also be the realization
+    restricted to its support, which has the exchange property exactly when
+    the realization has."""
+    if not check_exchange(ideal, "exchange").holds:
+        raise AssertionError(f"family realization is not polymatroidal: {spec!r}")
+
+
+def random_polymatroidal(
+    seed: int, budget: GenBudget = GenBudget()
+) -> tuple[FamilySpec, MonomialIdeal]:
+    """Deterministically draw one random polymatroidal ideal.
+
+    Composes the family constructors (with occasional products and powers)
+    under the budget, retrying until the realization is a nonzero, non-unit
+    ideal within the generator cap, at most DRAW_ATTEMPTS times.  The exchange
+    property of the output is asserted, not assumed.  A fuzz campaign draws
+    without the assertion and asserts it once per distinct supported ideal
+    instead (``fuzzlab.run_campaign``), since the draws repeat those often.
+    """
+    spec, ideal = _draw(seed, budget)
+    _assert_polymatroidal(spec, ideal)
+    return spec, ideal

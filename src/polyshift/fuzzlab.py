@@ -3,7 +3,8 @@
 Each campaign instance draws a random polymatroidal ideal I, forms the
 shift ideals HS_0..HS_{pd+1} of its supported ideal J =
 ``restrict_to_support(I)`` once along the lexicographic certificate,
-cross-checks the distance route, and then tests the open questions:
+cross-checks the distance route on the generators' exponent sets, and then
+tests the open questions:
 
 * does every shift ideal stay polymatroidal (first shift heredity is a
   theorem; the higher shifts are the open part),
@@ -17,7 +18,9 @@ as an internal disagreement instead, and the campaign reports both counts.
 Flags are reports, never failures: the questions are open.
 
 The draws repeat J often, and every check that reads only J gives the same
-answer on any relabelling of the variables.  So a campaign runs those
+answer on any relabelling of the variables.  So a campaign asserts the
+draw's exchange property once per distinct J (``random_polymatroidal``
+asserts it on every draw; J has it exactly when I has), and runs those
 checks once per class of J up to relabelling (``ideal_classes`` in the
 summary; ``distinct_ideals`` counts the distinct J), keeps their answer as
 plain values that every row of J shares, and runs the checks that read the
@@ -50,10 +53,11 @@ from .families import (
     FamilySpec,
     GenBudget,
     VeroneseSpec,
+    _assert_polymatroidal,
+    _draw,
     as_transversal,
     check_exchange,
     is_matroidal,
-    random_polymatroidal,
     veronese_shift,
 )
 from .monomials import (
@@ -66,9 +70,9 @@ from .monomials import (
 from .oracle import betti_table, default_prime, validate_prime
 from .quotients import (
     QuotientCertificate,
+    _distance_exponents,
     certify_lex,
     homological_shift,
-    shifts_by_distance,
 )
 from .socle import (
     socle_colon,
@@ -233,9 +237,11 @@ def _check_supported(J: MonomialIdeal, config: CampaignConfig) -> tuple:
     # J's Betti table, built by the first fallback that reads it
     oracle = functools.cache(functools.partial(betti_table, J, config.prime))
 
-    # route cross-check: the distance characterization must agree everywhere
+    # route cross-check: the distance characterization must agree everywhere;
+    # both routes' products have degree d + j, so each ideal's generators are
+    # exactly its product set, and the sets are compared
     for j, shift in enumerate(shifts):
-        if shifts_by_distance(cert, j) != shift:
+        if _distance_exponents(cert, j) != shift.exponent_set:
             early.append({"kind": "distance-route", "j": j})
 
     if "bbh" in config.conjectures:
@@ -362,11 +368,14 @@ def run_campaign(
     unaudited: set[bytes] = set()
     for index in range(config.instance_count):
         seed = instance_seed(config.seed, index)
-        spec, ideal = random_polymatroidal(seed, budget)
+        spec, ideal = _draw(seed, budget)
         J, _ = restrict_to_support(ideal)
         key = _packed(J)
         part = checked.get(key)
         if part is None:
+            # the draw's assertion, once per distinct J: J is polymatroidal
+            # exactly when the draw is, and every J in checked has passed
+            _assert_polymatroidal(spec, J)
             ckey = _class_key(J)
             part = shared.get(ckey)
             if part is None:

@@ -284,10 +284,9 @@ def find_admissible_order(
 
 def _shift_generators(
     gens: Sequence[Monomial], variable_sets: Sequence[tuple[int, ...]], j: int
-) -> list[Monomial]:
-    """The products x_F * u, for each generator u and each j-subset F of its
-    variable set, added on exponent lists; one validated Monomial is built
-    per distinct product."""
+) -> set[tuple[int, ...]]:
+    """The exponent vectors of the products x_F * u, for each generator u and
+    each j-subset F of its variable set, added on exponent lists."""
     products: set[tuple[int, ...]] = set()
     for u, variables in zip(gens, variable_sets):
         if len(variables) < j:
@@ -297,7 +296,7 @@ def _shift_generators(
             for i in F:
                 exps[i - 1] += 1
             products.add(tuple(exps))
-    return [Monomial(e) for e in products]
+    return products
 
 
 def homological_shift(cert: QuotientCertificate, j: int) -> MonomialIdeal:
@@ -309,12 +308,12 @@ def homological_shift(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     """
     if j < 0:
         raise ValueError("homological index must be nonnegative")
-    mons = _shift_generators(cert.ordered_gens, cert.colon_vars, j)
-    result = MonomialIdeal(cert.ideal.n, mons)
-    # equal degrees: minimalization may only deduplicate, never drop
-    if cert.ideal.is_equigenerated and result.num_gens != len(mons):
+    products = _shift_generators(cert.ordered_gens, cert.colon_vars, j)
+    result = MonomialIdeal(cert.ideal.n, map(Monomial, products))
+    # equal degrees: the products are distinct, so minimalization may drop none
+    if cert.ideal.is_equigenerated and result.num_gens != len(products):
         raise AssertionError(
-            f"minimalization dropped {len(mons) - result.num_gens} of {len(mons)} "
+            f"minimalization dropped {len(products) - result.num_gens} of {len(products)} "
             f"distinct products from an equigenerated shift ideal (j = {j})"
         )
     return result
@@ -372,11 +371,15 @@ def shifts_by_distance(cert: QuotientCertificate, j: int) -> MonomialIdeal:
     O(m n^2) move lookups and shared by every j; each call only enumerates
     the j-subsets of them.
     """
+    return MonomialIdeal(cert.ideal.n, map(Monomial, _distance_exponents(cert, j)))
+
+
+def _distance_exponents(cert: QuotientCertificate, j: int) -> set[tuple[int, ...]]:
+    """The exponent vectors of the generators of ``shifts_by_distance(cert,
+    j)``: every chain lcm has degree d + j, so none divides another and the
+    set is the ideal's generating set, formed without building the ideal."""
     if j < 0:
         raise ValueError("homological index must be nonnegative")
-    I = cert.ideal
-    if not I.is_equigenerated:
+    if not cert.ideal.is_equigenerated:
         raise DegreeMismatchError("distance route requires an equigenerated ideal")
-    return MonomialIdeal(
-        I.n, _shift_generators(cert.ordered_gens, cert.distance_adds, j)
-    )
+    return _shift_generators(cert.ordered_gens, cert.distance_adds, j)

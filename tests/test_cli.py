@@ -1181,8 +1181,10 @@ class TestFuzzCommand:
         [
             ("n_max", "budget entry n_max has no value; write n_max=<integer>"),
             ("n_max=abc", "budget entry n_max must be an integer, got 'abc'"),
+            # a repeated key is refused, not read as its last value
+            ("n_max=5,gen_max=9,n_max=6", "budget entry n_max is given twice"),
         ],
-        ids=["no-value", "not-an-integer"],
+        ids=["no-value", "not-an-integer", "repeated-key"],
     )
     def test_malformed_budget_exit_code(self, budget, message, capsys):
         # the entry's key is named, and no position in a document is made up

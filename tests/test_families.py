@@ -4,7 +4,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyshift import (
@@ -32,6 +32,7 @@ from polyshift import (
     monomial_multiples,
     random_polymatroidal,
     realize,
+    support_filter,
     veronese_shift,
 )
 from polyshift import families, monomials
@@ -662,6 +663,21 @@ class TestVeroneseShift:
         clipped = VeroneseSpec(tuple(min(b, d) for b in bounds), d)
         for level in range(len(bounds) + 1):
             assert veronese_shift(raw, level) == veronese_shift(clipped, level)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=7),
+    )
+    @example([0, 2, 0], 3, 1)  # bounds below the degree: the zero ideal
+    @example([1, 0, 1, 1], 2, 3)  # a level past every support
+    def test_equals_filtering_the_raised_realization(self, bounds, d, level):
+        # the closed form takes the raised window's vectors and builds one
+        # ideal, not the raised realization and then its filtered copy
+        spec = VeroneseSpec(tuple(bounds), d)
+        expected = support_filter(realize(VeroneseSpec(spec.bounds, d + level)), level)
+        assert veronese_shift(spec, level) == expected
 
 
 class TestRandomPolymatroidal:

@@ -24,9 +24,10 @@ from polyshift import (
     restrict_to_support,
     run_campaign,
 )
-from polyshift import fuzzlab
+from polyshift import families, fuzzlab
 from polyshift.families import as_transversal
 from polyshift.fuzzlab import instance_seed
+from util import outcome_under_optimize
 
 
 class TestCampaign:
@@ -143,6 +144,62 @@ class TestCampaign:
         assert counters["relabelling_audits"] > 0 and counters["disagreements"] == 0
 
 
+class TestDrawAssertion:
+    """A campaign asserts the draw's exchange property once per distinct J,
+    so a draw that realizes a non-polymatroidal ideal, which gives a J no
+    earlier instance had, still ends the campaign at its own instance with
+    the message the draw alone raises, also under ``python -O``."""
+
+    CONFIG = CampaignConfig(seed=5, instance_count=6)
+    BAD_INDEX = 3
+    # a campaign's draw with the ideal of one seed replaced by x1*x2, x3*x4
+    DRAW = (
+        "def bad_draw(real, bad_seed):\n"
+        "    from polyshift import parse_ideal\n"
+        "    bad = parse_ideal('[x1*x2, x3*x4]').ideal\n"
+        "    def draw(seed, budget):\n"
+        "        spec, ideal = real(seed, budget)\n"
+        "        return spec, (bad if seed == bad_seed else ideal)\n"
+        "    return draw\n"
+    )
+
+    def bad_seed_and_message(self):
+        seed = instance_seed(self.CONFIG.seed, self.BAD_INDEX)
+        spec, _ = families._draw(seed, self.CONFIG.budget)
+        return seed, f"family realization is not polymatroidal: {spec!r}"
+
+    def test_bad_draw_ends_the_campaign_at_its_instance(self, monkeypatch):
+        seed, message = self.bad_seed_and_message()
+        scope: dict = {}
+        exec(self.DRAW, scope)
+        monkeypatch.setattr(families, "_draw", scope["bad_draw"](families._draw, seed))
+        with pytest.raises(AssertionError) as alone:
+            random_polymatroidal(seed, self.CONFIG.budget)
+        assert str(alone.value) == message
+        monkeypatch.setattr(fuzzlab, "_draw", families._draw)
+        lines: list[str] = []
+        with pytest.raises(AssertionError) as campaign:
+            run_campaign(self.CONFIG, lines.append)
+        assert str(campaign.value) == message
+        assert len(lines) == self.BAD_INDEX
+
+    def test_bad_draw_survives_optimize_flag(self, tmp_path):
+        seed, message = self.bad_seed_and_message()
+        body = self.DRAW + (
+            "import polyshift.fuzzlab as fuzzlab\n"
+            "from polyshift import CampaignConfig, run_campaign\n"
+            f"fuzzlab._draw = bad_draw(fuzzlab._draw, {seed})\n"
+            "lines = []\n"
+            "try:\n"
+            f"    run_campaign(CampaignConfig({self.CONFIG.seed}, "
+            f"{self.CONFIG.instance_count}), lines.append)\n"
+            "except AssertionError as exc:\n"
+            "    raise AssertionError(f'after {len(lines)} rows: {exc}') from None\n"
+        )
+        outcome = outcome_under_optimize(body, tmp_path)
+        assert outcome == f"raised after {self.BAD_INDEX} rows: {message}"
+
+
 def supported_draws(config: CampaignConfig):
     """(seed, spec, ideal, supported ideal) of each instance, in order."""
     for index in range(config.instance_count):
@@ -188,6 +245,21 @@ class TestDistinctIdeals:
         assert len(top_level) == counters["ideal_classes"] + counters["relabelling_audits"]
         assert len(top_level) < counters["distinct_ideals"]
         assert len(set(top_level)) == len(top_level)
+
+    def test_draw_assertion_once_per_distinct_ideal(self, monkeypatch):
+        # the campaign asserts the exchange property of each distinct J, on J
+        real = fuzzlab._assert_polymatroidal
+        asserted: list[MonomialIdeal] = []
+
+        def spy(spec, ideal):
+            asserted.append(ideal)
+            real(spec, ideal)
+
+        monkeypatch.setattr(fuzzlab, "_assert_polymatroidal", spy)
+        summary = run_campaign(self.CONFIG)
+        distinct = {J for _, _, _, J in supported_draws(self.CONFIG)}
+        assert len(asserted) == summary.counters["distinct_ideals"] == len(distinct)
+        assert set(asserted) == distinct
 
     @pytest.mark.parametrize("low, high", [(255, 256), (256, 257)])
     def test_memo_keys_across_the_wide_encoding(self, low, high):
@@ -564,7 +636,7 @@ class TestDisagreementPaths:
 
     def campaign(self, monkeypatch, spec):
         ideal = realize(spec)
-        monkeypatch.setattr(fuzzlab, "random_polymatroidal", lambda seed, budget: (spec, ideal))
+        monkeypatch.setattr(fuzzlab, "_draw", lambda seed, budget: (spec, ideal))
         lines: list[str] = []
         summary = run_campaign(CampaignConfig(1, 3), lines.append)
         rows = [json.loads(line) for line in lines]
@@ -586,9 +658,7 @@ class TestDisagreementPaths:
         }
 
     def test_distance_route(self, monkeypatch):
-        monkeypatch.setattr(
-            fuzzlab, "shifts_by_distance", lambda cert, j: MonomialIdeal(cert.ideal.n)
-        )
+        monkeypatch.setattr(fuzzlab, "_distance_exponents", lambda cert, j: set())
         row, counters = self.campaign(monkeypatch, self.LP)
         # HS_5 is zero on both routes
         assert row["disagreements"] == [{"kind": "distance-route", "j": j} for j in range(5)]

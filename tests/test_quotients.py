@@ -23,10 +23,16 @@ from polyshift import (
     minimal_generators,
     random_polymatroidal,
     realize,
+    restrict_to_support,
     shifts_by_distance,
     total_betti_from_certificate,
 )
-from polyshift.quotients import SEARCH_NODE_BUDGET, _backtrack, _BudgetExceeded
+from polyshift.quotients import (
+    SEARCH_NODE_BUDGET,
+    _backtrack,
+    _BudgetExceeded,
+    _distance_exponents,
+)
 from util import (
     EXAMPLE_HS3,
     EXAMPLE_HS4,
@@ -419,6 +425,19 @@ class TestDistanceAgainstUnitExchangeReference:
         for route in (shifts_by_distance, shifts_by_distance_reference):
             with pytest.raises(DegreeMismatchError):
                 route(cert, 1)
+
+
+class TestDistanceExponents:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equal_the_route_ideals_generators(self, seed):
+        # the fuzz campaign compares these sets with the certificate route's
+        # on the supported ideals of its draws, at the default budget
+        _, I = random_polymatroidal(seed, GenBudget(n_max=5, degree_max=4, gen_max=120))
+        cert = certify_lex(restrict_to_support(I)[0])
+        assert isinstance(cert, QuotientCertificate)
+        for j in range(cert.projective_dimension + 2):
+            assert _distance_exponents(cert, j) == shifts_by_distance(cert, j).exponent_set, j
 
 
 class TestNesting:
