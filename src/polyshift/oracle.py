@@ -4,7 +4,8 @@ Independent of the combinatorial routes, this module computes the full Betti
 table of an arbitrary monomial ideal: candidate multidegrees are the subset
 lcms of the generators (the lcm lattice bounds every true shift), and the
 Betti number at a multidegree is a reduced homology rank of the upper Koszul
-complex there, computed over a prime field by boundary-matrix elimination.
+complex there, computed over a prime field by element matchings and, where
+they do not decide it, boundary-matrix elimination.
 
 Both steps work on int64 arrays, and so does the table: the engine
 ``_betti_rows`` gives the nonzero entries as aligned arrays of exponent
@@ -47,29 +48,47 @@ face rows are merged by one sort of their bytes,
 so the homology of each distinct face set is taken once and each point
 finds it through one index array.  Frames are not keyed up to vertex
 relabelling: on frames of at most 11 vertices, as on every benchmark
-workload, a frame's homology in the stacked elimination below costs less
-than such a key.  The 9171 frames of the 23 Veronese-type tables of the
-betti-veronese benchmark hold 319 distinct face sets.
+workload, a frame's homology below costs less than such a key.  The 9171
+frames of the 23 Veronese-type tables of the betti-veronese benchmark hold
+319 distinct face sets.
 
 The homology of a frame K is taken relative to the closed star
 st_x K = {F : F + x in K} of its busiest vertex x.  The star is a cone with
 apex x, so its reduced homology vanishes, and the long exact sequence of the
 pair gives H~_k(K) = H_k(K, st_x K) for every k >= -1.  The relative complex
-keeps only the faces F with F + x not in K, so the boundary matrices are
-small (at most 36 rows on the 10- and 11-cycles, against 462 for the full
-complex).  The homology of all the distinct face sets of a support-size
-group is taken in one pass: apexes, cells and the index of each cell among
-those of its frame and size come from array operations on the unpacked face
-rows, and the signed entries of every (frame, size) boundary matrix are
-scattered into zero-padded stacks of matrices of like shape, each ranked by
-one stacked elimination.  In-process on one vCPU of a shared 2-core Xeon VM
-(fastest of nine runs), the relabelled 10- and 11-cycle tables of the
-betti-cycles benchmark (seed 1) take 0.018 s.  Homology takes 0.011 s of
-it for 499 frames in 19 groups, 0.004 s of that in the elimination of 1104
-boundary matrices in 15 stacks (96 column steps).  The 23 Veronese-type
-tables take 0.10 s: 0.028 s in the lattice, 0.008 s in the full-simplex
-test, 0.022 s in the face rows and 0.005 s in homology, where none of
-their 319 frames needs a matrix.
+keeps only the faces F with F + x not in K: in the terms of algebraic
+discrete Morse theory, the star quotient is the element matching of F with
+F + x (Jonsson, "Simplicial Complexes of Graphs", 2008, section 4; over a
+field, Skoldberg, "Morse theory from an algebraic viewpoint", 2006).  A
+frame whose relative cells lie in no two adjacent sizes has zero
+differentials, and its ranks are its cell counts.  Every other frame gets
+element matchings on its remaining vertices in ascending order: pass y
+pairs F with F + y wherever both are still unmatched.  The union of the
+matchings is acyclic (a gradient path stops at the first cell that holds
+the matched vertex, and successive matchings compose by the cluster
+lemma), and every matched incidence is +1 or -1, a unit in every F_p, so
+the unmatched (critical) cells span a Morse complex with the frame's
+homology.  Where no two adjacent sizes both hold critical cells, every
+Morse differential is zero and the rank in dimension s - 1 is the number of
+critical cells of size s, at every prime.  Only the frames whose critical
+cells still lie in two adjacent sizes are eliminated, with their relative
+cells, so no Morse differential is ever formed.  All the distinct face sets
+of a support-size group go through these steps together, as array
+operations on the unpacked face rows, and the signed entries of every
+(frame, size) boundary matrix left are scattered into zero-padded stacks of
+matrices of like shape, each ranked by one stacked elimination.
+In-process on one vCPU of a shared 2-core Xeon VM (fastest of 30 runs), the
+relabelled 10- and 11-cycle tables of the betti-cycles benchmark (seed 1)
+take 0.011 s.  Homology takes 0.006 s of it for 499 frames in 19 groups.
+The matchings leave 10 of those frames to the elimination, which ranks 23
+boundary matrices in 4 stacks (22 column steps) in 0.001 s.  Eliminating
+every frame would rank 1104 matrices in 15 stacks (96 column steps), and
+the two tables would take 0.016 s.  The 16-cycle's table takes 0.28-0.32 s
+against 0.72-0.81 s (fastest of three runs, in three sessions).  The 23
+Veronese-type tables take 0.074 s: 0.030 s in the lattice, 0.010 s in the
+full-simplex test, 0.025 s in the face rows and 0.007 s in homology, where
+none of their 319 frames has relative cells in two adjacent sizes, so none
+reaches a matching.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -352,8 +371,15 @@ def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[in
 
     It uses the convention that the empty face is a (-1)-cell: the irrelevant
     complex {0} has rank 1 in dimension -1, the void complex has none.
+    A frame on more than ``_MAX_FRAME_VERTICES`` vertices raises
+    ResourceCapError before any 2^v array, and a face mask outside
+    [0, 2^v) raises ValueError.
     """
     v = len(frame.vertices)
+    _refuse_wide(np.array([frame.multidegree.exponents], dtype=np.int64), np.array([v]))
+    bad = [m for m in frame.face_masks if not 0 <= m < 1 << v]
+    if bad:
+        raise ValueError(f"face mask {bad[0]} is not a subset of {v} vertices")
     inside = np.zeros(1 << v, dtype=np.bool_)
     inside[np.array(frame.face_masks, dtype=np.int64)] = True
     return _group_homology(np.packbits(inside)[None], v, prime)[0]
@@ -376,7 +402,12 @@ def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]
     or no vertices) the star is empty and every face is a cell.
 
     Frames go in blocks of at most 16 * ``_BLOCK_ROWS`` face masks, or one
-    frame, unpacked to one byte per mask.  Within a block every cell gets
+    frame, unpacked to one byte per mask.  A frame whose relative cells lie
+    in two adjacent sizes gets the element matchings on the other vertices
+    in ascending order (see the module docstring), on a copy of its cells.
+    Where no two adjacent sizes both hold critical cells, the homology in
+    dimension s - 1 is the number of critical cells of size s.  The frames
+    left go to :func:`_cell_ranks` with their relative cells: every cell gets
     its index among the cells of its frame and size, and the signed entries
     of all the (frame, size) boundary matrices are scattered into
     zero-padded stacks of matrices sorted by shape, each of at most
@@ -393,11 +424,30 @@ def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]
     for k0 in range(0, len(rows), step):
         inside = np.unpackbits(rows[k0 : k0 + step], axis=1, count=1 << v).view(np.bool_)
         cells = inside if not v else _relative_cells(inside, v)
-        counts, ranks = _cell_ranks(cells, w, p, budget)
-        h = counts - ranks
-        h[:, :-1] -= ranks[:, 1:]
+        h = _cells_by_size(cells, w)[-1]
+        left = _adjacent_sizes(h)
+        if len(left):
+            # element matchings on the other vertices in turn: pass y
+            # clears F and F + y wherever both are still critical
+            critical = cells[left]
+            for y in range(w):
+                pair = critical.reshape(len(left), -1, 2, 1 << y)
+                pair ^= (pair[:, :, 0] & pair[:, :, 1])[:, :, None]
+            h[left] = _cells_by_size(critical, w)[-1]
+            left = left[_adjacent_sizes(h[left])]
+        if len(left):
+            counts, ranks = _cell_ranks(cells[left], w, p, budget)
+            counts -= ranks
+            counts[:, :-1] -= ranks[:, 1:]
+            h[left] = counts
         out += [{s - 1: x for s, x in enumerate(row) if x} for row in h.tolist()]
     return out
+
+
+def _adjacent_sizes(counts: np.ndarray) -> np.ndarray:
+    """The rows of a (frames, sizes) count array with cells in two
+    adjacent sizes."""
+    return np.flatnonzero(((counts[:, :-1] > 0) & (counts[:, 1:] > 0)).any(axis=1))
 
 
 def _relative_cells(inside: np.ndarray, v: int) -> np.ndarray:
@@ -416,6 +466,19 @@ def _relative_cells(inside: np.ndarray, v: int) -> np.ndarray:
     return cells
 
 
+def _cells_by_size(
+    cells: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of frames given as boolean rows over 2^w masks: each
+    cell's frame, mask, mask bits and group (frame * (w + 1) + size), then
+    the cell count of every group as a (frames, w + 1) int64 array."""
+    frame, mask = np.nonzero(cells)
+    bits = (mask[:, None] >> np.arange(w)) & 1
+    group = frame * (w + 1) + bits.sum(axis=1)
+    counts = np.bincount(group, minlength=len(cells) * (w + 1))
+    return frame, mask, bits, group, counts.reshape(-1, w + 1)
+
+
 def _cell_ranks(
     cells: np.ndarray, w: int, p: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -423,10 +486,8 @@ def _cell_ranks(
     indexed by cell size, of frames whose cells are boolean rows over 2^w
     masks; r[:, s] is the rank of the boundary from size s to size s - 1."""
     sizes = w + 1
-    frame, mask = np.nonzero(cells)
-    bits = (mask[:, None] >> np.arange(w)) & 1
-    group = frame * sizes + bits.sum(axis=1)
-    counts = np.bincount(group, minlength=len(cells) * sizes)
+    frame, mask, bits, group, counts = _cells_by_size(cells, w)
+    counts = counts.ravel()
     ranks = np.zeros(len(counts), dtype=np.int64)
     # one matrix per (frame, size s >= 1) with cells of sizes s - 1 and s
     matrices = np.flatnonzero((counts[:-1] > 0) & (counts[1:] > 0)) + 1

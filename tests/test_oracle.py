@@ -39,6 +39,7 @@ from polyshift.textio import format_ideal
 from util import (
     M,
     RP2_DOC,
+    RP2_FACETS,
     RP2_TOTALS,
     betti_table_reference,
     borel_closure,
@@ -516,6 +517,26 @@ class TestReducedHomology:
         assert got == full_boundary_homology(frame, prime)
         assert list(got) == sorted(got)
 
+    @pytest.mark.parametrize("mask", [-1, 4], ids=["negative", "past-the-vertices"])
+    def test_refuses_mask_outside_the_vertices(self, mask):
+        # numpy once read mask -1 as mask 3, the full simplex, and answered {}
+        with pytest.raises(ValueError, match=f"face mask {mask} is not a subset of 2"):
+            reduced_homology_ranks(frame_on(2, (0, 1, 2, mask)), 32003)
+
+    @pytest.mark.parametrize("v", [40, 70])
+    def test_refuses_wide_frame_before_face_masks(self, v):
+        # these once ended in a MemoryError (2^40 bytes) and a numpy ValueError
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"has {v} vertices"):
+                reduced_homology_ranks(frame_on(v, (0, 1)), 32003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestBettiTable:
     def test_trio(self, trio_ideal):
@@ -754,6 +775,20 @@ def face_row(v, faces):
     return np.packbits(inside)
 
 
+def eliminated_frames(monkeypatch):
+    """Patch ``oracle._cell_ranks`` to record how many frames each call
+    takes to the elimination; the list it appends to."""
+    frames = []
+    cell_ranks = oracle._cell_ranks
+
+    def counted(cells, w, p, budget):
+        frames.append(len(cells))
+        return cell_ranks(cells, w, p, budget)
+
+    monkeypatch.setattr(oracle, "_cell_ranks", counted)
+    return frames
+
+
 def distinct_rows_reference(rows):
     """The distinct rows as bytes in order of first appearance, and the
     index of each row among them."""
@@ -811,19 +846,22 @@ class TestDistinctRows:
 class TestHomologyCount:
     """The number of frames whose homology is taken on relabelled cycles:
     one per distinct face set of each support size, pinned so that a merge
-    that drops or repeats frames fails here and not only in the benchmark."""
+    that drops or repeats frames fails here and not only in the benchmark.
+    Beside it, the number of those frames that the element matchings leave
+    to the elimination, pinned so that a filter that stops filtering fails
+    here too."""
 
     @pytest.mark.parametrize(
-        "perm, computations",
+        "perm, computations, eliminated",
         [
-            ((6, 8, 9, 7, 5, 3, 0, 4, 1, 2), 179),
-            ((5, 9, 3, 4, 6, 7, 2, 8, 1, 0), 203),
-            ((6, 8, 10, 7, 5, 3, 0, 4, 1, 9, 2), 344),
-            ((7, 10, 3, 4, 2, 8, 6, 5, 9, 1, 0), 366),
+            ((6, 8, 9, 7, 5, 3, 0, 4, 1, 2), 179, 5),
+            ((5, 9, 3, 4, 6, 7, 2, 8, 1, 0), 203, 7),
+            ((6, 8, 10, 7, 5, 3, 0, 4, 1, 9, 2), 344, 18),
+            ((7, 10, 3, 4, 2, 8, 6, 5, 9, 1, 0), 366, 18),
         ],
         ids=["cycle10-a", "cycle10-b", "cycle11-a", "cycle11-b"],
     )
-    def test_relabelled_cycles(self, perm, computations, monkeypatch):
+    def test_relabelled_cycles(self, perm, computations, eliminated, monkeypatch):
         frames = []
         group_homology = oracle._group_homology
 
@@ -832,9 +870,11 @@ class TestHomologyCount:
             return group_homology(rows, v, prime)
 
         monkeypatch.setattr(oracle, "_group_homology", counted)
+        ranked = eliminated_frames(monkeypatch)
         n = len(perm)
         table = betti_table(cycle(n, perm))
         assert sum(frames) == computations
+        assert sum(ranked) == eliminated
         natural = betti_table_reference(cycle(n, range(n)))
         assert table.entries == {
             (i, Monomial(relabel(a.exponents, perm))): r
@@ -869,11 +909,11 @@ class TestHomologyCount:
 
 @st.composite
 def face_set_groups(draw):
-    """A vertex count v from 0 to 6 and a list of downward-closed face sets
+    """A vertex count v from 0 to 8 and a list of downward-closed face sets
     on v vertices, the void complex and the irrelevant complex {0} among
     them (in both, no vertex lies in a face)."""
-    v = draw(st.integers(0, 6))
-    facets = st.lists(st.integers(0, (1 << v) - 1), max_size=6)
+    v = draw(st.integers(0, 8))
+    facets = st.lists(st.integers(0, (1 << v) - 1), max_size=10)
     complexes = [set(closure(v, f)) for f in draw(st.lists(facets, max_size=10))]
     return v, draw(st.permutations(complexes + [set(), {0}]))
 
@@ -904,6 +944,28 @@ class TestGroupHomology:
         got = oracle._group_homology(rows, v, 32003)
         assert got == [full_boundary_homology(frame_on(v, faces), 32003) for faces in complexes]
         assert any(got)
+
+    def test_both_kinds_of_frame(self, monkeypatch):
+        # a fixed corpus on 8 vertices: the element matchings decide some
+        # frames by their critical counts and leave the others, RP^2 on
+        # vertices 1..6 among them, to the elimination
+        rng = random.Random(5)
+        v = 8
+        rp2 = [sum(1 << int(c) - 1 for c in facet) for facet in RP2_FACETS]
+        complexes = [set(closure(v, rp2))] + [
+            set(closure(v, [rng.getrandbits(v) for _ in range(rng.randint(2, 8))]))
+            for _ in range(60)
+        ]
+        rows = np.stack([face_row(v, faces) for faces in complexes])
+        eliminated = eliminated_frames(monkeypatch)
+        for prime in PRIMES:
+            got = oracle._group_homology(rows, v, prime)
+            assert got == [full_boundary_homology(frame_on(v, faces), prime) for faces in complexes]
+            assert got[0] == ({1: 1, 2: 1} if prime == 2 else {})
+        assert 0 < eliminated[0] < len(complexes)
+        assert eliminated == eliminated[:1] * len(PRIMES)
+        oracle._group_homology(rows[:1], v, 2)
+        assert eliminated[-1] == 1
 
     def test_refuses_composite_modulus(self):
         rows = face_row(0, {0})[None]
@@ -1078,11 +1140,15 @@ class TestCrossPrime:
             assert betti_table(I, 32003).entries == betti_table(I, 101).entries
 
     @pytest.mark.parametrize("prime, totals", RP2_TOTALS, ids=["p2", "p3", "p32003"])
-    def test_prime_reaches_the_elimination(self, prime, totals):
-        # the real projective plane has torsion, so p = 2 differs
+    def test_prime_reaches_the_elimination(self, prime, totals, monkeypatch):
+        # the real projective plane has torsion, so p = 2 differs; the
+        # element matchings leave its frame critical cells in two adjacent
+        # sizes, so the prime reaches the elimination
+        eliminated = eliminated_frames(monkeypatch)
         table = betti_table(ideal(RP2_DOC), prime)
         assert table.prime == prime
         assert table.totals() == totals
+        assert sum(eliminated) > 0
 
 
 class TestEliahouKervaire:
