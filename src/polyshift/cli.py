@@ -36,7 +36,7 @@ from .errors import (
 from .families import as_transversal, check_exchange, is_strongly_stable
 from .fuzzlab import CONJECTURE_KEYS, CampaignConfig, run_campaign
 from .monomials import MonomialIdeal, VariableOrder, _term
-from .oracle import LATTICE_CAP, _betti_rows, betti_table, validate_prime
+from .oracle import LATTICE_CAP, betti_table, validate_prime
 from .quotients import (
     QuotientCertificate,
     certify_lex,
@@ -294,26 +294,23 @@ def _multidegrees(rows: np.ndarray) -> list[str]:
 def cmd_betti(args) -> int:
     source = _load_source(args)
     I = source.ideal
-    prime, rows, index, rank = _betti_rows(I, args.prime, args.cap)
+    table = betti_table(I, args.prime, args.cap)
     # the rows come in lattice order, so a stable sort on the index alone
     # keeps each index's multidegrees descending-lex
-    order = np.argsort(index, kind="stable")
-    index, rank = index[order], rank[order]
-    levels, first = np.unique(index, return_index=True)
-    pd = int(levels[-1]) if len(levels) else -1
+    order = np.argsort(table.index, kind="stable")
+    index, rank = table.index[order].tolist(), table.rank[order].tolist()
     entries = [
         {"i": i, "multidegree": a, "rank": r}
-        for i, a, r in zip(index.tolist(), _multidegrees(rows[order]), rank.tolist())
+        for i, a, r in zip(index, _multidegrees(table.rows[order]), rank)
     ]
+    pd = table.pd
     report = {
         "command": "betti",
         "input": format_ideal(I),
         "n": I.n,
-        "prime": prime,
+        "prime": table.prime,
         "pd": pd,
-        "totals": {
-            str(i): t for i, t in zip(levels.tolist(), np.add.reduceat(rank, first).tolist())
-        },
+        "totals": {str(i): t for i, t in table.totals().items()},
         "entries": entries,
         # pd relative to the support; the unit ideal counts as maximal
         "max_pd": not I.is_zero and (not I.support or pd == len(I.support) - 1),

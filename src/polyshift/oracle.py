@@ -7,13 +7,14 @@ Betti number at a multidegree is a reduced homology rank of the upper Koszul
 complex there, computed over a prime field by element matchings and, where
 they do not decide it, boundary-matrix elimination.
 
-Both steps work on int64 arrays, and so does the table: the engine
-``_betti_rows`` gives the nonzero entries as aligned arrays of exponent
-rows, homological indices and ranks, and :func:`betti_table` is a view that
-keys them by Monomial.  The ``betti`` report reads the arrays and makes no
-Monomial for an entry: keying the 9171 entries of the 23 seed-1 tables of
-the betti-veronese benchmark by Monomial takes 12 ms, against 75-80 ms for
-the arrays (in-process, fastest of 11 runs, shared 2-core VM).
+Both steps work on int64 arrays, and so does the table: a
+:class:`BettiTable` holds its nonzero entries as aligned arrays of exponent
+rows, homological indices and ranks, which its pd, totals, shift ideals and
+linearity test read.  Its ``entries``, keyed by Monomial, are derived on
+request, and the ``betti`` report never asks for them: keying the 9171
+entries of the 23 seed-1 tables of the betti-veronese benchmark takes
+12 ms, against 66-72 ms for the tables (in-process, fastest of 11 runs,
+shared 2-core VM).
 
 The lattice is built one generator row at a time: that of g_1..g_k is that
 of g_1..g_{k-1}, plus g_k, plus the lcm of g_k with each of its points,
@@ -99,14 +100,14 @@ prime when characteristic effects are a concern.  Every prime must pass
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from ._kernels import validate_prime
-from .errors import NotStronglyStableError, ResourceCapError
+from .errors import DimensionMismatchError, NotStronglyStableError, ResourceCapError
 from .monomials import Monomial, MonomialIdeal
 from .families import is_strongly_stable
 
@@ -355,7 +356,13 @@ class SimplicialComplexFrame:
 
 
 def upper_koszul(I: MonomialIdeal, a: Monomial) -> SimplicialComplexFrame:
-    """Faces F of supp(a) with x^a / x_F still inside the ideal."""
+    """Faces F of supp(a) with x^a / x_F still inside the ideal; a
+    multidegree in another number of variables than the ideal's raises
+    DimensionMismatchError."""
+    if len(a.exponents) != I.n:
+        raise DimensionMismatchError(
+            f"multidegree {a} has {len(a.exponents)} variables, expected {I.n}"
+        )
     point = np.array([a.exponents], dtype=np.int64)
     v = len(a.support)
     _refuse_wide(point, np.array([v]))
@@ -365,9 +372,9 @@ def upper_koszul(I: MonomialIdeal, a: Monomial) -> SimplicialComplexFrame:
 
 
 def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[int, int]:
-    """Nonzero reduced homology ranks of the frame, keyed by dimension:
-    :func:`_group_homology` on a group of one, so it takes 2^v bytes for a
-    frame on v vertices, as :func:`upper_koszul` does.
+    """Nonzero reduced homology ranks of the frame, keyed by dimension: the
+    row of :func:`_group_homology` on a group of one, so it takes 2^v bytes
+    for a frame on v vertices, as :func:`upper_koszul` does.
 
     It uses the convention that the empty face is a (-1)-cell: the irrelevant
     complex {0} has rank 1 in dimension -1, the void complex has none.
@@ -382,13 +389,16 @@ def reduced_homology_ranks(frame: SimplicialComplexFrame, prime: int) -> dict[in
         raise ValueError(f"face mask {bad[0]} is not a subset of {v} vertices")
     inside = np.zeros(1 << v, dtype=np.bool_)
     inside[np.array(frame.face_masks, dtype=np.int64)] = True
-    return _group_homology(np.packbits(inside)[None], v, prime)[0]
+    ranks = _group_homology(np.packbits(inside)[None], v, prime)[0]
+    return {i - 1: r for i, r in enumerate(ranks.tolist()) if r}
 
 
-def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]]:
-    """Nonzero reduced homology ranks, keyed by dimension, of each complex
-    on v vertices whose face set is a packed bit row (bit F set when the
-    face mask F is a face), as :func:`reduced_homology_ranks` gives them.
+def _group_homology(rows: np.ndarray, v: int, prime: int) -> np.ndarray:
+    """The reduced homology ranks of each complex on v vertices whose face
+    set is a packed bit row (bit F set when the face mask F is a face), as
+    an int64 (complexes, max(v - 1, 0) + 1) array: column i holds the rank
+    in dimension i - 1, which is the Betti number at homological index i
+    when the complex is an upper Koszul frame.
 
     The ranks of a complex K are those of the pair (K, st_x K), where x is
     the vertex in the most faces (the lowest such index) and
@@ -419,7 +429,7 @@ def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]
     p = validate_prime(prime)
     budget = 16 * _BLOCK_ROWS
     w = max(v - 1, 0)  # vertices left once the apex is dropped
-    out: list[dict[int, int]] = []
+    out = np.empty((len(rows), w + 1), dtype=np.int64)
     step = max(1, budget >> v)
     for k0 in range(0, len(rows), step):
         inside = np.unpackbits(rows[k0 : k0 + step], axis=1, count=1 << v).view(np.bool_)
@@ -440,7 +450,7 @@ def _group_homology(rows: np.ndarray, v: int, prime: int) -> list[dict[int, int]
             counts -= ranks
             counts[:, :-1] -= ranks[:, 1:]
             h[left] = counts
-        out += [{s - 1: x for s, x in enumerate(row) if x} for row in h.tolist()]
+        out[k0 : k0 + step] = h
     return out
 
 
@@ -549,87 +559,69 @@ def _boundary_ranks(
     return ranks
 
 
-def _betti_rows(
-    I: MonomialIdeal, prime: Optional[int], cap: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The prime and the nonzero entries of the Betti table over F_prime as
-    aligned arrays in lattice order (multidegrees descending-lex, then
-    indices ascending): the multidegrees' exponent rows, an int64 (k, n)
-    array, then the homological indices and the ranks, each of length k.
+@dataclass(frozen=True, eq=False)
+class BettiTable:
+    """Multigraded Betti numbers over F_prime: the nonzero entries as aligned
+    arrays in lattice order (multidegrees descending-lex, then indices
+    ascending), the exponent rows an int64 (k, n) array."""
 
-    Frames with equal face sets share their homology, and each point takes
-    its entries from its frame's by one repeat: Python loops run once per
-    distinct frame, never per point."""
+    n: int
+    prime: int
+    rows: np.ndarray
+    index: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def entries(self) -> dict[tuple[int, Monomial], int]:
+        """(homological index, multidegree) -> rank, in the arrays' order."""
+        rows, index, rank = self.rows.tolist(), self.index.tolist(), self.rank.tolist()
+        return {(i, Monomial(tuple(e))): r for e, i, r in zip(rows, index, rank)}
+
+    @property
+    def pd(self) -> int:
+        """Projective dimension: the largest index present (-1 when empty)."""
+        return int(self.index.max(initial=-1))
+
+    def totals(self) -> dict[int, int]:
+        levels = np.unique(self.index).tolist()
+        return {i: int(self.rank[self.index == i].sum()) for i in levels}
+
+    def shift_ideal(self, j: int) -> MonomialIdeal:
+        """HS_j(I): the multidegrees at index j; ValueError for j < 0."""
+        if j < 0:
+            raise ValueError("homological index must be nonnegative")
+        # pd first, so that a j past int64 never meets the array
+        rows = self.rows[self.index == j] if j <= self.pd else self.rows[:0]
+        return MonomialIdeal(self.n, [Monomial(tuple(e)) for e in rows.tolist()])
+
+    def is_linear(self, d: int) -> bool:
+        """All entries concentrated in degree d + i: a d-linear resolution."""
+        return bool((self.rows.sum(axis=1) == d + self.index).all())
+
+
+def betti_table(
+    I: MonomialIdeal, prime: Optional[int] = None, cap: int = LATTICE_CAP
+) -> BettiTable:
+    """Full multigraded Betti table of the ideal over F_prime.
+
+    Frames with equal face sets share their homology, and each point of a
+    support size takes its frame's row of ranks by one index into a
+    (points, indices) array, whose nonzero entries in row-major order are
+    the table: Python loops run once per support size, never per point."""
     p = default_prime() if prime is None else validate_prime(prime)
     gens = _gen_matrix(I)
     points = _lattice(gens, cap)
     points = points[~_full_simplex(gens, points)]
     sizes = (points > 0).sum(axis=1)
     _refuse_wide(points, sizes)
-    # point k's frame is found[which[k]]
-    found: list[dict[int, int]] = []
-    which = np.empty(len(points), dtype=np.int64)
+    ranks = np.zeros((len(points), sizes.max(initial=0) + 1), dtype=np.int64)
     for v in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == v)
         rows, frame = _distinct_rows(_face_rows(gens, points[group], v))
-        which[group] = len(found) + frame
-        found += _group_homology(rows, v, p)
-    # each frame's (index, rank) pairs, ascending, laid end to end
-    pairs = np.array(
-        [(dim + 1, rank) for ranks in found for dim, rank in ranks.items()], dtype=np.int64
-    ).reshape(-1, 2)
-    counts = np.array([len(ranks) for ranks in found], dtype=np.int64)
-    per_point = counts[which]
-    # point k's entries are pairs starts[which[k]] on, and entries before[k] on
-    starts, before = np.cumsum(counts) - counts, np.cumsum(per_point) - per_point
-    entry = np.arange(per_point.sum()) + np.repeat(starts[which] - before, per_point)
-    index, rank = pairs[entry].T
-    return p, np.repeat(points, per_point, axis=0), index, rank
-
-
-@dataclass
-class BettiTable:
-    """Multigraded Betti numbers: (homological index, multidegree) -> rank."""
-
-    n: int
-    entries: dict[tuple[int, Monomial], int] = field(default_factory=dict)
-    prime: int = field(default_factory=default_prime)
-
-    @property
-    def pd(self) -> int:
-        """Projective dimension: the largest index present (-1 when empty)."""
-        if not self.entries:
-            return -1
-        return max(i for i, _ in self.entries)
-
-    def totals(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (i, _), r in self.entries.items():
-            out[i] = out.get(i, 0) + r
-        return dict(sorted(out.items()))
-
-    def shift_ideal(self, j: int) -> MonomialIdeal:
-        return MonomialIdeal(self.n, [a for (i, a) in self.entries if i == j])
-
-    def is_linear(self, d: int) -> bool:
-        """All entries concentrated in degree d + i: a d-linear resolution."""
-        return all(a.degree == d + i for (i, a) in self.entries)
-
-
-def betti_table(
-    I: MonomialIdeal, prime: Optional[int] = None, cap: int = LATTICE_CAP
-) -> BettiTable:
-    """Full multigraded Betti table of the ideal over F_prime, its entries in
-    lattice order (multidegrees descending-lex, then indices ascending).
-
-    A view of :func:`_betti_rows`: the arrays are read back once and each
-    entry's multidegree becomes a Monomial here."""
-    p, rows, index, rank = _betti_rows(I, prime, cap)
-    entries = {
-        (i, Monomial(tuple(e))): r
-        for e, i, r in zip(rows.tolist(), index.tolist(), rank.tolist())
-    }
-    return BettiTable(I.n, entries, p)
+        homology = _group_homology(rows, v, p)
+        ranks[group, : homology.shape[1]] = homology[frame]
+    point, index = np.nonzero(ranks)
+    return BettiTable(I.n, p, points[point], index, ranks[point, index])
 
 
 def ek_betti(I: MonomialIdeal) -> tuple[dict[int, int], int]:

@@ -316,6 +316,33 @@ class TestHsCommand:
         shifts = report["routes"]["certificate"]["shifts"]
         assert shifts["4"] == ["x1*x2*x3^2*x4*x5", "x1*x2*x3*x4^2*x5"]
 
+    @pytest.mark.parametrize(
+        "text, route",
+        [("[x1*x2, x2*x3]", route) for route in ("certificate", "distance", "oracle", "all")]
+        + [(CYCLE5, "oracle"), (CYCLE5, "all")],
+        ids=["path-certificate", "path-distance", "path-oracle", "path-all", "cycle5-oracle", "cycle5-all"],
+    )
+    def test_negative_level_refused(self, text, route, tmp_path, capsys):
+        # the oracle route once exited 0 with "shifts": {"-3": []}; the
+        # 5-cycle has no admissible order, so only the oracle runs there
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(
+            ["hs", "--input", path, "-j", "-3", "--route", route, "--json"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "invalid value: homological index must be nonnegative\n"
+
+    @pytest.mark.parametrize("text", ["[x1*x2, x2*x3]", CYCLE5], ids=["path", "cycle5"])
+    def test_level_past_int64_is_zero(self, text, tmp_path, capsys):
+        level = "99999999999999999999"
+        path = write(tmp_path, "in.txt", text)
+        code, out, err = run_cli(["hs", "--input", path, "-j", level, "--json"], capsys)
+        assert (code, err) == (0, "")
+        routes = json.loads(out)["routes"]
+        ran = [r["shifts"] for r in routes.values() if r["status"] == "ok"]
+        assert "shifts" in routes["oracle"]
+        assert ran and all(shifts == {level: []} for shifts in ran)
+
     @pytest.mark.parametrize("flags", [["-j", "1", "--all"], ["--all", "-j", "1"]])
     def test_single_level_and_all_are_exclusive(self, flags, tmp_path, capsys):
         # the pair once printed every level and dropped -j without a word
@@ -912,21 +939,22 @@ class TestBettiCommand:
         ],
     )
     def test_max_pd_comes_from_the_one_table(self, text, tmp_path, capsys, monkeypatch):
-        from polyshift.oracle import _betti_rows
+        from polyshift import oracle
         from polyshift.socle import max_pd
 
         expected = max_pd(ideal(text))
+        real = oracle.betti_table
         tables = []
 
         def counted(*args, **kwargs):
             tables.append(args[0])
-            return _betti_rows(*args, **kwargs)
+            return real(*args, **kwargs)
 
-        # every module's name for the table engine, so a table built through
-        # betti_table or socle counts too
+        # every module's name for the table, so a table built through cli,
+        # socle or the package counts too
         for name, module in list(sys.modules.items()):
-            if name.startswith("polyshift") and module.__dict__.get("_betti_rows") is _betti_rows:
-                monkeypatch.setattr(module, "_betti_rows", counted)
+            if name.startswith("polyshift") and module.__dict__.get("betti_table") is real:
+                monkeypatch.setattr(module, "betti_table", counted)
         path = write(tmp_path, "i.txt", text)
         code, out, _ = run_cli(["betti", "--input", path, "--json"], capsys)
         assert code == 0

@@ -28,8 +28,8 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     "SimplicialComplexFrame.faces": "ROADMAP item 8: the frame the tracer hooks, "
     "kept with it until the tracer reads counters",
-    "BettiTable.totals": "library view of the table: the total Betti numbers; "
-    "the betti report sums its exponent rows directly, and the tests hold the two equal",
+    "BettiTable.entries": "README library view of the table keyed by Monomial; "
+    "the package reads the arrays, and the tests hold the two equal",
 }
 
 

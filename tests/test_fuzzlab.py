@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from polyshift import (
     AdmissibleOrderFailure,
-    BettiTable,
     CampaignConfig,
     ExchangeResult,
     ExplicitSpec,
@@ -27,7 +26,7 @@ from polyshift import (
 from polyshift import families, fuzzlab
 from polyshift.families import as_transversal
 from polyshift.fuzzlab import instance_seed
-from util import outcome_under_optimize
+from util import outcome_under_optimize, table_from_entries
 
 
 class TestCampaign:
@@ -616,7 +615,7 @@ class TestOracleFallbacks:
             for key in table.entries:
                 first.setdefault(key[0], key)
             kept = {k: r for k, r in table.entries.items() if k not in first.values()}
-            return BettiTable(table.n, kept, table.prime)
+            return table_from_entries(table.n, table.prime, kept)
 
         monkeypatch.setattr(fuzzlab, "betti_table", perturbed)
         row = check_instance(self.SPEC, realize(self.SPEC), CampaignConfig(1, 1))

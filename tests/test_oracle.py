@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyshift import (
+    DimensionMismatchError,
     Monomial,
     MonomialIdeal,
     NotStronglyStableError,
@@ -356,6 +357,13 @@ class TestUpperKoszul:
         assert frame.face_masks == ()  # the void complex
         assert reduced_homology_ranks(frame, 32003) == {}
 
+    @pytest.mark.parametrize("length", [2, 4], ids=["n-minus-one", "n-plus-one"])
+    def test_multidegree_in_another_ring(self, length):
+        # these once ended in numpy's "operands could not be broadcast together"
+        I = ideal("[x1*x2, x2*x3]")
+        with pytest.raises(DimensionMismatchError, match=f"has {length} variables, expected 3"):
+            upper_koszul(I, Monomial((1,) * length))
+
     def test_frame_too_wide_for_face_bitmasks(self):
         n = 70
         I = MonomialIdeal(n, [Monomial.from_support(range(1, 64), n)])
@@ -608,6 +616,29 @@ class TestBettiTable:
         table = betti_table(trio_ideal)
         assert table.shift_ideal(0) == trio_ideal
         assert table.shift_ideal(5).is_zero
+        assert table.shift_ideal(10**20).is_zero  # past int64
+        with pytest.raises(ValueError, match="homological index must be nonnegative"):
+            table.shift_ideal(-1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(I=mixed_degree_ideals())
+    @example(I=MonomialIdeal(3))
+    @example(I=MonomialIdeal(3, [Monomial.unit(3)]))
+    @example(I=MonomialIdeal(0, [Monomial.unit(0)]))
+    def test_views_read_the_entries(self, I):
+        # the array views against the same values recomputed from entries
+        table = betti_table(I)
+        entries = table.entries
+        pd = max((i for i, _ in entries), default=-1)
+        assert table.pd == pd
+        totals = Counter()
+        for (i, _), r in entries.items():
+            totals[i] += r
+        assert table.totals() == dict(sorted(totals.items()))
+        for j in range(pd + 2):
+            assert table.shift_ideal(j) == MonomialIdeal(I.n, [a for i, a in entries if i == j])
+        for d in range(max((g.degree for g in I.gens), default=0) + 2):
+            assert table.is_linear(d) == all(a.degree == d + i for i, a in entries)
 
 
 def table_items(table):
@@ -918,6 +949,12 @@ def face_set_groups(draw):
     return v, draw(st.permutations(complexes + [set(), {0}]))
 
 
+def ranks_by_dimension(ranks):
+    """The rows of a ``_group_homology`` rank array as the dicts that
+    ``full_boundary_homology`` gives: nonzero ranks keyed by dimension."""
+    return [{i - 1: r for i, r in enumerate(row) if r} for row in ranks.tolist()]
+
+
 class TestGroupHomology:
     """``_group_homology`` takes the homology of many frames in one call."""
 
@@ -931,8 +968,10 @@ class TestGroupHomology:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_BLOCK_ROWS", block_rows)
             got = oracle._group_homology(rows, v, prime)
-        assert got == [full_boundary_homology(frame_on(v, faces), prime) for faces in complexes]
-        assert all(list(ranks) == sorted(ranks) for ranks in got)
+        assert got.dtype == np.int64 and got.shape == (len(complexes), max(v - 1, 0) + 1)
+        assert ranks_by_dimension(got) == [
+            full_boundary_homology(frame_on(v, faces), prime) for faces in complexes
+        ]
 
     def test_two_frame_blocks(self):
         # at v = 6 a block holds 16 * _BLOCK_ROWS >> 6 frames
@@ -942,8 +981,10 @@ class TestGroupHomology:
         complexes = [set(closure(v, [rng.getrandbits(v) for _ in range(3)])) for _ in range(count)]
         rows = np.stack([face_row(v, faces) for faces in complexes])
         got = oracle._group_homology(rows, v, 32003)
-        assert got == [full_boundary_homology(frame_on(v, faces), 32003) for faces in complexes]
-        assert any(got)
+        assert ranks_by_dimension(got) == [
+            full_boundary_homology(frame_on(v, faces), 32003) for faces in complexes
+        ]
+        assert got.any()
 
     def test_both_kinds_of_frame(self, monkeypatch):
         # a fixed corpus on 8 vertices: the element matchings decide some
@@ -959,7 +1000,7 @@ class TestGroupHomology:
         rows = np.stack([face_row(v, faces) for faces in complexes])
         eliminated = eliminated_frames(monkeypatch)
         for prime in PRIMES:
-            got = oracle._group_homology(rows, v, prime)
+            got = ranks_by_dimension(oracle._group_homology(rows, v, prime))
             assert got == [full_boundary_homology(frame_on(v, faces), prime) for faces in complexes]
             assert got[0] == ({1: 1, 2: 1} if prime == 2 else {})
         assert 0 < eliminated[0] < len(complexes)

@@ -416,13 +416,23 @@ def betti_table_reference(
     own and its homology taken, with no full-simplex test, no support groups
     and no memo.  Entries go in lattice order, indices ascending."""
     p = default_prime() if prime is None else _kernels.validate_prime(prime)
-    table = BettiTable(I.n, {}, p)
-    if I.is_zero:
-        return table
-    for a in lcm_lattice(I, cap):
-        for dim, rank in reduced_homology_ranks(frame_reference(I, a), p).items():
-            table.entries[(dim + 1, a)] = rank
-    return table
+    entries = {}
+    if not I.is_zero:
+        for a in lcm_lattice(I, cap):
+            for dim, rank in reduced_homology_ranks(frame_reference(I, a), p).items():
+                entries[(dim + 1, a)] = rank
+    return table_from_entries(I.n, p, entries)
+
+
+def table_from_entries(
+    n: int, prime: int, entries: dict[tuple[int, Monomial], int]
+) -> BettiTable:
+    """The BettiTable whose arrays hold the (index, multidegree) -> rank
+    entries in their order."""
+    rows = np.array([a.exponents for _, a in entries], dtype=np.int64).reshape(len(entries), n)
+    index = np.array([i for i, _ in entries], dtype=np.int64)
+    rank = np.array(list(entries.values()), dtype=np.int64)
+    return BettiTable(n, prime, rows, index, rank)
 
 
 def pairwise_exchange_reference(I: MonomialIdeal, mode: str = "exchange") -> ExchangeResult:
