@@ -1,17 +1,18 @@
 """Numpy kernels: matrix rank over a prime field, and batched divisibility.
 
 The homology oracle ranks its boundary matrices with
-:func:`rank_mod_p_stack`: the matrices of the frames of one support-size
-group that element matchings leave undecided, zero-padded into stacks of
-like shape, and one column step per loop iteration for every matrix of a
-stack.  Frames are taken relative to the star of a vertex, so the matrices
+:func:`rank_mod_p_stack`: the matrices of the frames of one frame group
+(one support size, or the narrowest sizes together) that element matchings
+leave undecided, zero-padded into stacks of like shape, and one column
+step per loop iteration for every matrix of a stack.  Frames are taken relative to the star of a vertex, so the matrices
 are small (4.9 x 4.0 on average and at most 15 x 15 on the relabelled 10-
 and 11-cycles) and the cost is numpy call overhead, which a stack shares
 out.  In-process on one vCPU of a shared 2-core Xeon VM (fastest of 30
 runs), the two tables of the betti-cycles benchmark (seed 1) rank 23
-matrices in 4 stacks, 22 column steps in 0.0006 s; without the matchings
-they would rank 1104 matrices in 15 stacks, 96 column steps in 0.0035 s.  The
-23 Veronese-type tables of the betti-veronese benchmark need no matrix.
+matrices in 4 stacks, 22 column steps in 0.0004 s; without the matchings,
+and with a group for each support size, they ranked 1104 matrices in 15
+stacks, 96 column steps in 0.0035 s.  The 23 Veronese-type tables of the
+betti-veronese benchmark need no matrix.
 :func:`rank_mod_p` is the kernel on a stack of one.  :func:`contains_mask` (does any generator divide each
 of a batch of monomials) stays because perfbench names it.
 

@@ -99,6 +99,9 @@ def cmd_hs(args) -> int:
     I = source.ideal
     if I.is_zero:
         raise ZeroIdealError("shift ideals of the zero ideal are all zero")
+    # before any route: a route that is skipped would never see the level
+    if args.j is not None and args.j < 0:
+        raise ValueError("homological index must be nonnegative")
     vo = (
         parse_variable_order(args.order, I.n)
         if args.order

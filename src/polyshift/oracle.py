@@ -13,7 +13,7 @@ rows, homological indices and ranks, which its pd, totals, shift ideals and
 linearity test read.  Its ``entries``, keyed by Monomial, are derived on
 request, and the ``betti`` report never asks for them: keying the 9171
 entries of the 23 seed-1 tables of the betti-veronese benchmark takes
-12 ms, against 66-72 ms for the tables (in-process, fastest of 11 runs,
+12 ms, against 44-49 ms for the tables (in-process, fastest of 15 runs,
 shared 2-core VM).
 
 The lattice is built one generator row at a time: that of g_1..g_k is that
@@ -41,17 +41,28 @@ nonempty supp(a), that is, when some generator divides x^a / x_supp(a);
 that test runs on the whole lattice in blocks.  Both it and the frames'
 divisibility tests compare the same packed words, one subtraction a word.
 The other points are grouped by the number v of their support variables.
-For each block of a group, the facets of the dividing generators are set
-in a (points, 2^v) boolean array by one scatter, and v in-place passes
-close the array downward: pass j adds F to every face F + j.  Every frame
-temporary stays near ``_BLOCK_ROWS`` rows or one point.  A group's packed
-face rows are merged by one sort of their bytes,
-so the homology of each distinct face set is taken once and each point
-finds it through one index array.  Frames are not keyed up to vertex
-relabelling: on frames of at most 11 vertices, as on every benchmark
-workload, a frame's homology below costs less than such a key.  The 9171
-frames of the 23 Veronese-type tables of the betti-veronese benchmark hold
-319 distinct face sets.
+The narrowest sizes share one group, read on the widest v among them,
+while its points times 2^v stay within ``_FRAME_MASKS`` = 65536 face
+masks; every wider size is a group of its own.  Bit k of a face mask is
+the k-th support variable, so a frame on fewer vertices is the same bit
+row with zeros after it; a vertex in no face changes no reduced homology,
+and it counts 0, so the busiest vertex (the lowest of the most faces) is
+the same, and the padding changes no rank.  For each block of a group,
+the facets of the dividing generators are set in a (points, 2^v) boolean
+array by one scatter, and v in-place passes close the array downward:
+pass j adds F to every face F + j.  A block of the
+full-simplex test or the face rows holds at most ``_BLOCK_ROWS`` = 16384
+(point, generator) pairs or one point, and a block of frame homology at
+most ``_FRAME_MASKS`` face masks or one frame.  A group's packed face rows
+are merged by one sort of their bytes, so the homology of each distinct
+face set is taken once and each point finds it through one index array.
+Frames are not keyed up to vertex relabelling: on frames of at most 11
+vertices, as on every benchmark workload, a frame's homology below costs
+less than such a key.  The 9171 frames of the 23 Veronese-type tables of
+the betti-veronese benchmark fall in 23 groups, one a table, which hold
+252 distinct face sets; with a group for each support size they were 103
+groups and 319 face sets, as equal face sets of different sizes did not
+merge.
 
 The homology of a frame K is taken relative to the closed star
 st_x K = {F : F + x in K} of its busiest vertex x.  The star is a cone with
@@ -74,22 +85,24 @@ Morse differential is zero and the rank in dimension s - 1 is the number of
 critical cells of size s, at every prime.  Only the frames whose critical
 cells still lie in two adjacent sizes are eliminated, with their relative
 cells, so no Morse differential is ever formed.  All the distinct face sets
-of a support-size group go through these steps together, as array
+of a frame group go through these steps together, as array
 operations on the unpacked face rows, and the signed entries of every
 (frame, size) boundary matrix left are scattered into zero-padded stacks of
 matrices of like shape, each ranked by one stacked elimination.
 In-process on one vCPU of a shared 2-core Xeon VM (fastest of 30 runs), the
 relabelled 10- and 11-cycle tables of the betti-cycles benchmark (seed 1)
-take 0.011 s.  Homology takes 0.006 s of it for 499 frames in 19 groups.
+take 0.007 s.  Homology takes 0.004 s of it for 499 frames in 9 groups.
 The matchings leave 10 of those frames to the elimination, which ranks 23
-boundary matrices in 4 stacks (22 column steps) in 0.001 s.  Eliminating
-every frame would rank 1104 matrices in 15 stacks (96 column steps), and
-the two tables would take 0.016 s.  The 16-cycle's table takes 0.28-0.32 s
-against 0.72-0.81 s (fastest of three runs, in three sessions).  The 23
-Veronese-type tables take 0.074 s: 0.030 s in the lattice, 0.010 s in the
-full-simplex test, 0.025 s in the face rows and 0.007 s in homology, where
-none of their 319 frames has relative cells in two adjacent sizes, so none
-reaches a matching.
+boundary matrices in 4 stacks (22 column steps) in 0.001 s.  With a group
+for each support size, eliminating every frame ranked 1104 matrices in 15
+stacks (96 column steps), and the two tables took 0.016 s against 0.011 s.
+The 16-cycle's table takes 0.27 s, against 0.33 s with a group for each
+support size.  The 23 Veronese-type tables take 0.044-0.049 s: 0.024 s in
+the lattice, 0.006 s in the full-simplex test, 0.013 s in the face rows
+and 0.002 s in homology, where none of their 252 frames has relative cells
+in two adjacent sizes, so none reaches a matching.  The Veronese type
+(2^9, d = 7), 2304 generators, takes 0.91 s, against 1.36 s with blocks of
+4096 pairs.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -112,8 +125,12 @@ from .monomials import Monomial, MonomialIdeal
 from .families import is_strongly_stable
 
 LATTICE_CAP = 50_000
-# (point, generator) pairs per array block; blocks hold one point at least
-_BLOCK_ROWS = 4096
+# (point, generator) pairs per block of the full-simplex test and the face
+# rows; blocks hold one point at least
+_BLOCK_ROWS = 16384
+# face masks per block of frame homology, and at most in the one group that
+# merges the narrowest support sizes (see betti_table)
+_FRAME_MASKS = 1 << 16
 # a frame on v vertices takes working arrays of order 2^v bytes: betti_table
 # of x1*...*xv peaks at 85 MB RSS in 0.5 s at v = 24 and 247 MB in 2 s at
 # v = 26 (shared 2-core VM); int64 face masks alone would allow 62
@@ -296,7 +313,9 @@ def _face_rows(gens: np.ndarray, points: np.ndarray, v: int) -> np.ndarray:
     formed; one scatter sets the facets in a (points, 2^v) boolean array,
     and v in-place passes close it downward: pass j adds F to every face
     F + j.  A block holds at most ``_BLOCK_ROWS`` * n (point, generator,
-    variable) triples and at most as many face masks, or one point."""
+    variable) triples and at most as many face masks, or one point.  The
+    points may have fewer than v support variables: their face masks then
+    lie below 2^(their size), and the passes past it change nothing."""
     size = 1 << v
     n = gens.shape[1]
     step = max(1, _BLOCK_ROWS * n // max(len(gens) * n, size))
@@ -411,29 +430,32 @@ def _group_homology(rows: np.ndarray, v: int, prime: int) -> np.ndarray:
     vertex, and so the signs.  When x lies in no face (only the empty face,
     or no vertices) the star is empty and every face is a cell.
 
-    Frames go in blocks of at most 16 * ``_BLOCK_ROWS`` face masks, or one
-    frame, unpacked to one byte per mask.  A frame whose relative cells lie
-    in two adjacent sizes gets the element matchings on the other vertices
-    in ascending order (see the module docstring), on a copy of its cells.
+    Frames go in blocks of at most ``_FRAME_MASKS`` face masks, or one
+    frame, unpacked to one byte per mask.  A vertex in no face is never
+    the apex unless every vertex is in none, and it changes no rank, so
+    rows padded with such vertices keep their ranks (see ``betti_table``).
+    A frame whose relative cells lie in two adjacent sizes gets the element
+    matchings on the other vertices in ascending order (see the module
+    docstring), on a copy of its cells.
     Where no two adjacent sizes both hold critical cells, the homology in
     dimension s - 1 is the number of critical cells of size s.  The frames
     left go to :func:`_cell_ranks` with their relative cells: every cell gets
     its index among the cells of its frame and size, and the signed entries
     of all the (frame, size) boundary matrices are scattered into
     zero-padded stacks of matrices sorted by shape, each of at most
-    16 * ``_BLOCK_ROWS`` entries or one matrix, each ranked by one
+    ``_FRAME_MASKS`` entries or one matrix, each ranked by one
     :func:`_kernels.rank_mod_p_stack` call.  Cells of size s have dimension
     s - 1 and homology c_s - r_s - r_{s+1}, with c_s the cells of size s and
     r_s the rank of the boundary from size s to size s - 1.
     """
     p = validate_prime(prime)
-    budget = 16 * _BLOCK_ROWS
+    budget = _FRAME_MASKS
     w = max(v - 1, 0)  # vertices left once the apex is dropped
     out = np.empty((len(rows), w + 1), dtype=np.int64)
     step = max(1, budget >> v)
     for k0 in range(0, len(rows), step):
         inside = np.unpackbits(rows[k0 : k0 + step], axis=1, count=1 << v).view(np.bool_)
-        cells = inside if not v else _relative_cells(inside, v)
+        cells = inside if not v else _relative_cells(inside, v, budget)
         h = _cells_by_size(cells, w)[-1]
         left = _adjacent_sizes(h)
         if len(left):
@@ -460,19 +482,33 @@ def _adjacent_sizes(counts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(((counts[:, :-1] > 0) & (counts[:, 1:] > 0)).any(axis=1))
 
 
-def _relative_cells(inside: np.ndarray, v: int) -> np.ndarray:
+def _relative_cells(inside: np.ndarray, v: int, budget: int) -> np.ndarray:
     """The cells of each frame relative to the star of its busiest vertex,
-    as a (frames, 2^(v-1)) boolean array over the other vertices."""
-    counts = np.empty((len(inside), v), dtype=np.int64)
-    for j in range(v):
-        counts[:, j] = inside.reshape(len(inside), -1, 2, 1 << j)[:, :, 1].sum(axis=(1, 2))
-    apex = counts.argmax(axis=1)
-    cells = np.empty((len(inside), 1 << (v - 1)), dtype=np.bool_)
-    for j in np.flatnonzero(np.bincount(apex)).tolist():
-        at = apex == j
-        # masks without vertex j, then the same masks with it
-        pair = inside[at].reshape(-1, 1 << (v - 1 - j), 2, 1 << j)
-        cells[at] = (pair[:, :, 0] & ~pair[:, :, 1]).reshape(len(pair), -1)
+    as a (frames, 2^(v-1)) boolean array over the other vertices.
+
+    The faces on each vertex are counted on a (2^(v-h), 2^h) view of each
+    frame, h = v // 2: its column sums times a table of mask bits count
+    them on the low h vertices, its row sums on the others.  Each cell mask
+    is spread to the mask without the apex, and that mask and the one with
+    the apex are read by fancy indexing into the flat frames, at most
+    ``budget`` // 2 cells at a time (one at least), so no index array
+    outgrows the block."""
+    frames, half = len(inside), 1 << (v - 1)
+    h = v // 2
+    grid = inside.reshape(frames, 1 << (v - h), 1 << h)
+    bits = (np.arange(1 << (v - h))[:, None] >> np.arange(v - h)) & 1
+    counts = np.concatenate(
+        [grid.sum(axis=1) @ bits[: 1 << h, :h], grid.sum(axis=2) @ bits], axis=1
+    )
+    low = (1 << counts.argmax(axis=1)[:, None]) - 1  # the masks below the apex
+    start = np.arange(frames)[:, None] << v
+    flat = inside.ravel()
+    cells = np.empty((frames, half), dtype=np.bool_)
+    step = max(1, budget // (2 * frames))
+    for m0 in range(0, half, step):
+        mask = np.arange(m0, min(m0 + step, half))
+        without = start | (mask & ~low) << 1 | mask & low
+        cells[:, m0 : m0 + step] = flat[without] & ~flat[without | low + 1]
     return cells
 
 
@@ -605,9 +641,11 @@ def betti_table(
     """Full multigraded Betti table of the ideal over F_prime.
 
     Frames with equal face sets share their homology, and each point of a
-    support size takes its frame's row of ranks by one index into a
+    frame group takes its frame's row of ranks by one index into a
     (points, indices) array, whose nonzero entries in row-major order are
-    the table: Python loops run once per support size, never per point."""
+    the table: Python loops run once per frame group, never per point.
+    The groups are those of :func:`_group_sizes`; the points of the first
+    are read on its widest support size."""
     p = default_prime() if prime is None else validate_prime(prime)
     gens = _gen_matrix(I)
     points = _lattice(gens, cap)
@@ -615,13 +653,27 @@ def betti_table(
     sizes = (points > 0).sum(axis=1)
     _refuse_wide(points, sizes)
     ranks = np.zeros((len(points), sizes.max(initial=0) + 1), dtype=np.int64)
-    for v in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == v)
+    low = -1
+    for v in _group_sizes(sizes).tolist():
+        group = np.flatnonzero((sizes > low) & (sizes <= v))
+        low = v
         rows, frame = _distinct_rows(_face_rows(gens, points[group], v))
         homology = _group_homology(rows, v, p)
         ranks[group, : homology.shape[1]] = homology[frame]
     point, index = np.nonzero(ranks)
     return BettiTable(I.n, p, points[point], index, ranks[point, index])
+
+
+def _group_sizes(sizes: np.ndarray) -> np.ndarray:
+    """The widest support size of each frame group, ascending: the
+    narrowest sizes share one group while its points times 2^v, v the widest
+    of them, stay within ``_FRAME_MASKS``, and every wider size is a group
+    of its own."""
+    vs, counts = np.unique(sizes, return_counts=True)
+    # points times 2^v grows with each size taken, so the sizes that fit
+    # are a prefix; the narrowest size is a group even when it does not fit
+    fits = (np.cumsum(counts) << vs) <= _FRAME_MASKS
+    return vs[max(1, int(fits.sum())) - 1 :]
 
 
 def ek_betti(I: MonomialIdeal) -> tuple[dict[int, int], int]:

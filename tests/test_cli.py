@@ -192,7 +192,10 @@ HS_JSON_PINS = {
 # its 70 guard-bit fields takes 32 bits, a word of its own.  The rest were
 # taken while table entries were still Monomials: the RP^2 ideal over F_2,
 # whose multidegree x1*...*x6 carries indices 2 and 3, the zero ideal, and
-# the unit ideal in three variables and in none.
+# the unit ideal in three variables and in none.  The last three were taken
+# while each support size was a frame group of its own: the 93-generator
+# Veronese type (4, 2, 4, 4, 2), d = 5, the 11-cycle, and a mixed-degree
+# ideal whose equal face sets fall in different support sizes.
 BETTI_JSON_PINS = {
     (CYCLE5, ()):
         "82dbb1d18c57f758ab4de1c8a0f4e31ead942d16cafc7a0da45190f32907f5a4",
@@ -210,6 +213,12 @@ BETTI_JSON_PINS = {
         "4675468bcbb82f370db5ab6df2f51efa441660c39cf91dd17787f639e8b5f62f",
     ("[1] n=0", ()):
         "9675f6c8acec8b22c5d4e82eef3e4e165434f6b137d23e9c2d2005f1ba67f96d",
+    ("{type:veronese, b:[4,2,4,4,2], d:5}", ()):
+        "d5de9c34b860bd9995240386ff6093e0950753e887c2408bc4e2fe5ccc19881d",
+    (cycle_doc(11), ()):
+        "7937d244fc5ba1c98925523844fdba49e610e9f11f6af834e75566e1bf5f4c88",
+    ("[x1^2, x1*x2*x3, x2^2*x4, x3^3, x4^2*x5, x1*x5^2]", ()):
+        "16c1c39a63aa3bbfc309531cbede1b1a59aade7dfd67596c00b3db152d19232b",
 }
 
 
@@ -319,12 +328,16 @@ class TestHsCommand:
     @pytest.mark.parametrize(
         "text, route",
         [("[x1*x2, x2*x3]", route) for route in ("certificate", "distance", "oracle", "all")]
-        + [(CYCLE5, "oracle"), (CYCLE5, "all")],
-        ids=["path-certificate", "path-distance", "path-oracle", "path-all", "cycle5-oracle", "cycle5-all"],
+        + [(CYCLE5, route) for route in ("certificate", "distance", "oracle", "all")],
+        ids=[
+            "path-certificate", "path-distance", "path-oracle", "path-all",
+            "cycle5-certificate", "cycle5-distance", "cycle5-oracle", "cycle5-all",
+        ],
     )
     def test_negative_level_refused(self, text, route, tmp_path, capsys):
         # the oracle route once exited 0 with "shifts": {"-3": []}; the
-        # 5-cycle has no admissible order, so only the oracle runs there
+        # 5-cycle has no admissible order, so its certificate and distance
+        # routes are skipped, and they once exited 0 without a refusal
         path = write(tmp_path, "in.txt", text)
         code, out, err = run_cli(
             ["hs", "--input", path, "-j", "-3", "--route", route, "--json"], capsys
@@ -902,7 +915,8 @@ class TestBettiCommand:
         list(BETTI_JSON_PINS),
         ids=[
             "cycle5", "mixed-degree", "veronese", "wide-cycle5", "rp2-prime2",
-            "zero", "unit", "unit-no-variables",
+            "zero", "unit", "unit-no-variables", "veronese-93", "cycle11",
+            "mixed-sizes",
         ],
     )
     def test_json_bytes_pinned(self, text, options, tmp_path, capsys):

@@ -421,9 +421,10 @@ class TestFaceRowBlocks:
         assert I.num_gens * n >= 1 << v
         assert_face_rows_match_reference(I, points, v)
 
-    def test_one_point_fills_a_block(self):
-        # at v = 16 in 17 variables 2^v exceeds _BLOCK_ROWS * n, so each
-        # point is a block of its own
+    def test_one_point_fills_a_block(self, monkeypatch):
+        # at v = 16 in 17 variables 2^v exceeds _BLOCK_ROWS * n once the
+        # pair budget is 4096, so each point is a block of its own
+        monkeypatch.setattr(oracle, "_BLOCK_ROWS", 4096)
         n = 17
         I = MonomialIdeal(
             n,
@@ -740,11 +741,28 @@ class TestBettiAgainstPerPointReference:
         # Veronese type (4, 2, 4, 4, 2), d = 5: 93 generators, the most of
         # any betti-veronese benchmark table, and 1011 lattice points.
         # One (points, generators) int64 array alone would take 0.75 MB; the
-        # frame and lattice temporaries stay near _BLOCK_ROWS rows (0.19 MiB
+        # frame and lattice temporaries stay near _BLOCK_ROWS rows (0.40 MiB
         # in all).  A first call in a fresh process also imports part of
         # numpy (about 1.2 MiB more), so the measured call comes second.
         I = realize(VeroneseSpec((4, 2, 4, 4, 2), 5))
         assert I.num_gens == 93
+        expected = table_items(betti_table(I))
+        tracemalloc.start()
+        try:
+            table = betti_table(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_items(table) == expected
+        assert peak < 1 << 20
+
+    def test_cycle_frame_temporaries_stay_blocked(self):
+        import tracemalloc
+
+        # the 11-cycle: frames on up to 11 vertices, the narrowest support
+        # sizes padded to the widest of their group, which holds at most
+        # _FRAME_MASKS face masks (0.47 MiB in all, second call as above)
+        I = cycle(11, range(11))
         expected = table_items(betti_table(I))
         tracemalloc.start()
         try:
@@ -913,10 +931,16 @@ class TestHomologyCount:
         }
 
     @settings(deadline=None, max_examples=100)
-    @given(drawn=relabelled_ideals())
-    def test_each_distinct_frame_once(self, drawn):
-        # recount: the distinct (v, face set) pairs of the lattice points
-        # whose frame is not a full simplex on a nonempty support
+    @given(
+        drawn=relabelled_ideals(),
+        frame_masks=st.sampled_from([1, 16, 64, oracle._FRAME_MASKS]),
+    )
+    def test_each_distinct_frame_once(self, drawn, frame_masks):
+        # recount: the distinct (group, face set) pairs of the lattice points
+        # whose frame is not a full simplex on a nonempty support.  The
+        # narrowest support sizes share the group of the widest of them
+        # while its points times 2^v fit the frame-mask budget, and every
+        # wider size is a group of its own; small budgets split the sizes
         I, perm = drawn
         J = MonomialIdeal(I.n, [Monomial(relabel(g.exponents, perm)) for g in I.gens])
         frames = []
@@ -928,14 +952,42 @@ class TestHomologyCount:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_group_homology", counted)
-            betti_table(J)
-        distinct = set()
+            patch.setattr(oracle, "_FRAME_MASKS", frame_masks)
+            table = betti_table(J)
+        assert table_items(table) == table_items(betti_table_reference(J))
+        kept = []
         for a in lcm_lattice(J):
             frame = frame_reference(J, a)
             v = len(frame.vertices)
             if not v or len(frame.face_masks) < 1 << v:
-                distinct.add((v, frame.face_masks))
+                kept.append((v, frame.face_masks))
+        points = Counter(v for v, _ in kept)
+        top, taken = min(points, default=0), 0
+        for v in sorted(points):
+            taken += points[v]
+            if taken << v > frame_masks:
+                break
+            top = v
+        distinct = {(max(v, top), faces) for v, faces in kept}
         assert sorted(frames) == sorted(Counter(v for v, _ in distinct).items())
+
+    def test_narrow_sizes_share_one_group(self, monkeypatch):
+        # support sizes 1 to 5 fit one group on 5 vertices: one homology
+        # call where one call per size made five, on 1, 2, 5, 9 and 14
+        # distinct face sets; equal face sets of different sizes merge, so
+        # the group holds 29, not 31
+        calls = []
+        group_homology = oracle._group_homology
+
+        def counted(rows, v, prime):
+            calls.append((v, len(rows)))
+            return group_homology(rows, v, prime)
+
+        monkeypatch.setattr(oracle, "_group_homology", counted)
+        I = ideal("[x1^2, x1*x2*x3, x2^2*x4, x3^3, x4^2*x5, x1*x5^2]")
+        table = betti_table(I)
+        assert calls == [(5, 29)]
+        assert table_items(table) == table_items(betti_table_reference(I))
 
 
 @st.composite
@@ -960,24 +1012,40 @@ class TestGroupHomology:
 
     @pytest.mark.parametrize("prime", PRIMES)
     @settings(deadline=None, max_examples=80)
-    @given(drawn=face_set_groups(), block_rows=st.sampled_from([1, 4, oracle._BLOCK_ROWS]))
-    def test_equals_full_boundary_reference(self, drawn, block_rows, prime):
-        # small block sizes split the frames and the matrix stacks
+    @given(drawn=face_set_groups(), frame_masks=st.sampled_from([16, 64, oracle._FRAME_MASKS]))
+    def test_equals_full_boundary_reference(self, drawn, frame_masks, prime):
+        # small budgets split the frames and the matrix stacks
         v, complexes = drawn
         rows = np.stack([face_row(v, faces) for faces in complexes])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_BLOCK_ROWS", block_rows)
+            patch.setattr(oracle, "_FRAME_MASKS", frame_masks)
             got = oracle._group_homology(rows, v, prime)
         assert got.dtype == np.int64 and got.shape == (len(complexes), max(v - 1, 0) + 1)
         assert ranks_by_dimension(got) == [
             full_boundary_homology(frame_on(v, faces), prime) for faces in complexes
         ]
 
+    @settings(deadline=None, max_examples=80)
+    @given(drawn=face_set_groups(), k=st.integers(1, 3), prime=st.sampled_from(PRIMES))
+    def test_vertices_in_no_face_change_nothing(self, drawn, k, prime):
+        # betti_table reads the frames of narrow support sizes on the widest
+        # size of their group: the same bit rows, with k more vertices that
+        # lie in no face.  Among the complexes: void, {0}, the full simplex
+        # (a cone once padded) and v points, every vertex tied for busiest
+        v, complexes = drawn
+        complexes = complexes + [set(range(1 << v)), set(closure(v, [1 << i for i in range(v)]))]
+        got = oracle._group_homology(np.stack([face_row(v, f) for f in complexes]), v, prime)
+        padded = oracle._group_homology(
+            np.stack([face_row(v + k, f) for f in complexes]), v + k, prime
+        )
+        assert np.array_equal(padded[:, : got.shape[1]], got)
+        assert not padded[:, got.shape[1] :].any()
+
     def test_two_frame_blocks(self):
-        # at v = 6 a block holds 16 * _BLOCK_ROWS >> 6 frames
+        # at v = 6 a block holds _FRAME_MASKS >> 6 frames
         rng = random.Random(7)
         v = 6
-        count = (16 * oracle._BLOCK_ROWS >> v) + 40
+        count = (oracle._FRAME_MASKS >> v) + 40
         complexes = [set(closure(v, [rng.getrandbits(v) for _ in range(3)])) for _ in range(count)]
         rows = np.stack([face_row(v, faces) for faces in complexes])
         got = oracle._group_homology(rows, v, 32003)
