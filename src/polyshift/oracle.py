@@ -13,26 +13,38 @@ rows, homological indices and ranks, which its pd, totals, shift ideals and
 linearity test read.  Its ``entries``, keyed by Monomial, are derived on
 request, and the ``betti`` report never asks for them: keying the 9171
 entries of the 23 seed-1 tables of the betti-veronese benchmark takes
-12 ms, against 44-49 ms for the tables (in-process, fastest of 15 runs,
-shared 2-core VM).
+11 ms, against 35-36 ms for the tables (in-process, fastest of 15 and of
+30 runs, shared 2-core VM).
 
-The lattice is built one generator row at a time: that of g_1..g_k is that
+The lattice is built on packed words: every coordinate takes a field of w
+bits, w the bit length of the largest entry, with one guard bit above it.
+The fields are packed into int64 words of at most 63 bits, variable 1
+highest and none across two words, so the words order the points as their
+exponents do, and the lcm of two points is a few whole-word operations
+(SWAR, as in Lamport's "Multiple byte processing with full-word
+instructions", 1975).  Two paths build it, and both take lcms by the same
+helper.  The sweep maps each column's exponents to their ranks among that
+column's distinct values, 0 included; the map is monotone, so it commutes
+with taking lcms.  It lays out the box of rank vectors, prod L_i cells in
+C order for the L_i distinct values of column i, one packed word a cell,
+puts each generator's ranks at its own cell and sweeps a prefix lcm along
+each axis, L_i - 1 whole-array steps.  Each cell then holds the lcm of the
+generators dividing it, and it is a lattice point exactly when that lcm is
+the cell itself; the origin is one only when the unit is a generator.  The
+closure adds one generator row at a time: the lattice of g_1..g_k is that
 of g_1..g_{k-1}, plus g_k, plus the lcm of g_k with each of its points,
-sorted and deduplicated, so no lattice array exceeds 2 * cap + 1 rows.  The
-generators are fed in increasing order of their largest exponent, which
-halves the rows the closure touches on the 23 Veronese-type tables of the
-betti-veronese benchmark (371,886 against 745,778 in the given order) and
-leaves the result alone.  The closure runs on packed words: every
-coordinate takes a field of w bits, w the bit length of the largest
-exponent, with one guard bit above it.  The fields are packed into int64
-words of at most 63 bits, variable 1 highest and none across two words, so
-the words order the points as their exponents do, and the lcm of g with
-every point is a few whole-word operations (SWAR, as in Lamport's
-"Multiple byte processing with full-word instructions", 1975).  One word
-holds the Veronese tables in five variables and the 10- and 11-cycles; 70
-squarefree variables take three.  When the points fit one word, each
-step sorts a 1-D array of words.  The points are read back into exponents
-once, at the end.
+sorted and deduplicated, so no closure array exceeds 2 * cap + 1 rows.
+It feeds the generators in increasing order of their largest exponent,
+which halves the rows it touches on the 23 Veronese-type tables of the
+betti-veronese benchmark (371,886 against 745,778 in the given order).
+The sweep runs when the ranks fit one word, the box has at most
+``_SWEEP_CELLS`` = 65536 cells and its sum(L_i - 1) steps are fewer than
+the m steps of the closure; its arrays are bounded by the box, not by the
+cap.  The closure runs otherwise: it alone takes boxes past the budget,
+such as 70 squarefree variables (three words a point), and it is cheaper
+with few generators.  The Veronese-type tables of the benchmark take the
+sweep, and the cycles, where sum(L_i - 1) = m, the closure.  Either way
+the points are read back into exponents once, at the end.
 The upper Koszul complex K^a(I) = {F subset of supp(a) : x^a / x_F
 in I} is generated by facets: x^a / x_F lies in I exactly when F is
 contained in {i : g_i < a_i} for some generator g dividing x^a.  So K^a(I)
@@ -97,12 +109,15 @@ boundary matrices in 4 stacks (22 column steps) in 0.001 s.  With a group
 for each support size, eliminating every frame ranked 1104 matrices in 15
 stacks (96 column steps), and the two tables took 0.016 s against 0.011 s.
 The 16-cycle's table takes 0.27 s, against 0.33 s with a group for each
-support size.  The 23 Veronese-type tables take 0.044-0.049 s: 0.024 s in
-the lattice, 0.006 s in the full-simplex test, 0.013 s in the face rows
-and 0.002 s in homology, where none of their 252 frames has relative cells
-in two adjacent sizes, so none reaches a matching.  The Veronese type
-(2^9, d = 7), 2304 generators, takes 0.91 s, against 1.36 s with blocks of
-4096 pairs.
+support size.  The 23 Veronese-type tables take 0.035-0.036 s: 0.008 s in
+the lattice sweep (the closure takes 0.025-0.027 s), 0.006 s in the
+full-simplex test, 0.014 s in the face rows and 0.002 s in homology, where
+none of their 252 frames has relative cells in two adjacent sizes, so none
+reaches a matching.  The Veronese type (2^9, d = 7), 2304 generators,
+takes 0.46 s (fastest of 3); the sweep builds its 16,622 lattice points
+in 0.0035 s, against 0.49 s by the closure.  The cycles take the closure: on the 10-
+and 11-cycles it takes 0.13 and 0.14 ms, against 0.24 and 0.32 ms for the
+sweep, and on the 16-cycle 0.62 ms against 4.7 ms.
 
 The default prime is 32003; set POLYSHIFT_PRIME to override it (it is read
 at call time), and compare the table with ``betti --prime`` over a second
@@ -137,6 +152,8 @@ _FRAME_MASKS = 1 << 16
 _MAX_FRAME_VERTICES = 26
 # bits per packed lattice word: the sign bit of an int64 stays clear
 _WORD_BITS = 63
+# cells of the rank box at most, for the lattice sweep (see _lattice)
+_SWEEP_CELLS = 1 << 16
 
 
 def default_prime() -> int:
@@ -173,11 +190,13 @@ def _block(m: int) -> int:
 
 @dataclass(frozen=True)
 class _Words:
-    """The guard-bit word layout of exponent rows (see :func:`_lattice`):
-    every column gets a field of ``width`` + 1 bits, the top bit a guard,
-    ``_WORD_BITS`` // (``width`` + 1) fields to an int64 word, column 1
-    highest in word 0.  ``word`` and ``shift`` place each column's field,
-    and ``guard`` holds each word's guard bits."""
+    """The guard-bit word layout of exponent rows: every column gets a
+    field of ``width`` + 1 bits, ``width`` = max(1, bit_length(e)) for the
+    largest entry e, the top bit a guard that stays clear in a row.
+    ``_WORD_BITS`` // (``width`` + 1) fields go to an int64 word, column 1
+    highest in word 0, so the order of the word tuples is the lex order of
+    the rows.  ``word`` and ``shift`` place each column's field, and
+    ``guard`` holds each word's guard bits."""
 
     width: int
     word: np.ndarray
@@ -205,6 +224,21 @@ class _Words:
         """The exponent rows of a (rows, words) array."""
         return (words[:, self.word] >> self.shift) & ((1 << self.width) - 1)
 
+    def lcm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The fieldwise maximum of packed rows a and b, which broadcast
+        against each other and, along their last axis, against ``guard``.
+        Field i of (a | guard) - b holds 2^w + a_i - b_i, w = ``width``,
+        so no borrow crosses a field and its guard bit survives exactly
+        when a_i >= b_i:
+
+            ge = ((a | guard) - b) & guard      guard bit of i set iff a_i >= b_i
+            keep = ge - (ge >> w)               w low bits of those fields
+            lcm(a, b) = b ^ ((a ^ b) & keep)    a's fields in keep, b's elsewhere
+        """
+        ge = ((a | self.guard) - b) & self.guard
+        keep = ge - (ge >> self.width)
+        return b ^ ((a ^ b) & keep)
+
     def divides(self, gens: np.ndarray, points: np.ndarray) -> np.ndarray:
         """A (points, gens) boolean array of packed rows: whether x^g divides
         x^a, that is whether every guard bit of (a | guard) - g survives."""
@@ -214,52 +248,127 @@ class _Words:
 
 def _lattice(gens: np.ndarray, cap: int) -> np.ndarray:
     """The lcm lattice of the generator rows as an int64 (points, n) array,
-    sorted descending-lexicographically.
+    sorted descending-lexicographically.  Raises ValueError when ``cap`` is
+    below 1 and ResourceCapError exactly when the lattice has more than
+    ``cap`` points.
+
+    Two paths build the same array; both take lcms on guard-bit words
+    (:meth:`_Words.lcm`).  The sweep (:func:`_sweep`) works on the box of
+    rank vectors (:func:`_ranks`), whose side i is the number L_i of distinct
+    values of column i, 0 included.  It runs when the ranks fit one word
+    (checked first, so that the product of the L_i cannot overflow), the box
+    has at most ``_SWEEP_CELLS`` cells, and its sum(L_i - 1) whole-array
+    steps are fewer than the m steps of the closure (:func:`_closure`),
+    which builds the lattice one generator at a time.  Otherwise the
+    closure runs: it alone takes boxes past the budget, as of 70 squarefree
+    variables, and it is cheaper with few generators, as on the 10- and
+    11-cycles, where sum(L_i - 1) = m.
+    """
+    if cap < 1:
+        raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
+    if gens.shape[1] == 0:  # no columns to sort on; at most the unit
+        return gens[:1]
+    if len(gens):
+        # L_i - 1, the distinct nonzero values of column i: its largest rank
+        column = np.sort(gens, axis=0)
+        top = (column[0] > 0) + (column[1:] != column[:-1]).sum(axis=0)
+        if (
+            len(_Words.fit(top[None]).guard) == 1
+            and (top + 1).prod() <= _SWEEP_CELLS
+            and top.sum() < len(gens)
+        ):
+            return _sweep(gens, cap)
+    return _closure(gens, cap)
+
+
+def _ranks(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank among the distinct values of its column, 0
+    included, as an int64 array shaped like the rows, and the value
+    table: row i lists column i's distinct values ascending, padded with
+    0.  The map from a value to its rank is monotone, so it commutes with
+    taking lcms, and the table maps a rank vector back to its exponents."""
+    index = np.arange(gens.shape[1])
+    order = np.argsort(gens, axis=0)
+    column = gens[order, index]
+    fresh = np.empty(column.shape, dtype=np.int64)
+    fresh[0] = column[0] > 0
+    fresh[1:] = column[1:] != column[:-1]
+    rank = np.cumsum(fresh, axis=0)
+    ranks = np.empty_like(rank)
+    ranks[order, index] = rank
+    values = np.zeros((len(index), rank[-1].max() + 1), dtype=np.int64)
+    values[index, rank] = column
+    return ranks, values
+
+
+def _sweep(gens: np.ndarray, cap: int) -> np.ndarray:
+    """The lcm lattice of the generator rows, with at least one row and
+    one column, by a prefix lcm over the box of their rank vectors (see
+    :func:`_ranks`), whose ranks must fit one word.
+
+    The box has a cell for every rank vector r, in C order, which is the
+    lex order of the rows; ``own`` holds r itself as one packed word in the
+    layout ``words``.  Each generator's packed ranks go to its own cell,
+    every other cell starts at 0, and a prefix lcm runs along each axis in
+    turn, L_i - 1 whole-array steps on axis i.  After axis i, a cell holds
+    the lcm of the generators at the cells that agree with it past axis i
+    and lie at or below it up to i; after the last axis, of all the
+    generators dividing it.  So a cell is a lattice point exactly when that
+    lcm is its own rank vector, and the origin, where the lcm of no
+    generator is 0 as well, exactly when the unit is a generator.  The
+    points are read in descending order and mapped back through the value
+    table.  Every array is the size of the box, so the whole box is laid
+    out even when the lattice is past the cap; the count of points decides
+    the cap exactly."""
+    ranks, values = _ranks(gens)
+    words = _Words.fit(ranks)
+    lengths = ranks.max(axis=0) + 1
+    own = sum(np.ix_(*[np.arange(k) << s for k, s in zip(lengths.tolist(), words.shift)]))
+    cells = np.ravel_multi_index(tuple(ranks.T), lengths)
+    lcms = np.zeros_like(own)
+    lcms.flat[cells] = own.flat[cells]
+    size = lcms.size
+    for length in lengths.tolist():
+        # axis i as the middle axis of a (cells before, L_i, cells after) view
+        size //= length
+        side = lcms.reshape(-1, length, size)
+        for k in range(1, length):
+            side[:, k] = words.lcm(side[:, k], side[:, k - 1])
+    hit = lcms == own
+    hit.flat[0] = (cells == 0).any()
+    found = np.flatnonzero(hit)[::-1]
+    if len(found) > cap:
+        raise ResourceCapError(f"lcm lattice exceeds the cap of {cap} points")
+    return values[np.arange(len(lengths)), words.unpack(own.ravel()[found, None])]
+
+
+def _closure(gens: np.ndarray, cap: int) -> np.ndarray:
+    """The lcm lattice of the generator rows, with at least one column, one
+    generator at a time, on packed words.
 
     The lattice of g_1..g_k is that of g_1..g_{k-1}, plus g_k, plus
     lcm(a, g_k) for each of its points a: every subset lcm holding g_k is
     lcm(lcm(S'), g_k).  So the points are built one generator at a time,
-    never more than 2 * cap + 1 rows at once.  The generators go in
-    increasing order of their largest exponent (a stable sort); every
-    intermediate lattice lies inside the final one, so the order changes
-    neither the rows nor the cap outcome, only how many rows each step
-    meets.
+    never more than 2 * cap + 1 rows at once, and the closure stops as soon
+    as a partial lattice passes the cap.  The generators go in increasing
+    order of their largest exponent (a stable sort); every intermediate
+    lattice lies inside the final one, so the order changes neither the
+    rows nor the cap outcome, only how many rows each step meets.
 
-    The closure runs on packed words.  Every coordinate gets a field of
-    w + 1 bits, w = max(1, bit_length(e)) for the largest exponent e, the
-    top bit a guard that stays clear in a point.  63 // (w + 1) fields go
-    in each int64 word, variable 1 highest in word 0, so the order of the
-    word tuples is the lex order of the rows.  Field i of
-    (a | guard) - g holds 2^w + a_i - g_i, so no borrow crosses a field
-    and the guard bit survives exactly when a_i >= g_i:
-
-        ge = ((a | guard) - g) & guard      guard bit of i set iff a_i >= g_i
-        keep = ge - (ge >> w)               w low bits of those fields
-        lcm(a, g) = (a & keep) | (g & ~keep)
-
-    for all points at once.  Each step sorts the points with their lcms
-    and g ascending and drops adjacent duplicates: with one word a point,
-    as on every benchmark table, ``np.sort`` of the 1-D words; with more,
-    ``np.lexsort`` over the word columns.  At the end the order is
-    reversed and the fields read back as exponents.  Raises ValueError when
-    ``cap`` is below 1 and ResourceCapError exactly when the lattice has
-    more than ``cap`` points.
+    Each step takes the lcms of g with all points at once (:meth:`_Words.lcm`),
+    sorts the points with their lcms and g ascending and drops adjacent
+    duplicates: with one word a point, as on every benchmark table,
+    ``np.sort`` of the 1-D words; with more, ``np.lexsort`` over the word
+    columns.  At the end the order is reversed and the fields read back as
+    exponents.
     """
-    if cap < 1:
-        raise ValueError(f"the lcm lattice cap must be at least 1, got {cap}")
-    n = gens.shape[1]
-    if n == 0:  # no columns to sort on; at most the unit
-        return gens[:1]
     words = _Words.fit(gens)
-    width, guard, packed = words.width, words.guard, words.pack(gens)
-    if len(guard) == 1:  # one word a point: 1-D words, sorted by value
-        packed, guard = packed[:, 0], guard[0]
+    packed = words.pack(gens)
+    if len(words.guard) == 1:  # one word a point: 1-D words, sorted by value
+        packed = packed[:, 0]
     points = packed[:0]
     for g in packed[np.argsort(gens.max(axis=1, initial=0), kind="stable")]:
-        ge = ((points | guard) - g) & guard
-        keep = ge - (ge >> width)
-        joins = (points & keep) | (g & ~keep)
-        points = np.concatenate([points, joins, g[None]])
+        points = np.concatenate([points, words.lcm(points, g), g[None]])
         fresh = np.ones(len(points), dtype=np.bool_)
         if points.ndim == 1:
             points.sort()

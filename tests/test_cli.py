@@ -1006,7 +1006,7 @@ class TestBettiCommand:
         assert report["totals"] == {str(i): t for i, t in totals.items()}
 
     def test_lattice_cap_refused_early(self, tmp_path, capsys):
-        # 5328 generators; the closure meets the cap of 2000 within a few steps
+        # 5328 generators, whose rank box of 4^8 cells the sweep takes in one pass
         path = write(tmp_path, "v38.txt", "{type:veronese, b:[3,3,3,3,3,3,3,3], d:9}")
         start = time.perf_counter()
         code, out, err = run_cli(
@@ -1015,6 +1015,17 @@ class TestBettiCommand:
         assert time.perf_counter() - start < 5
         assert (code, out) == (3, "")
         assert "resource cap: lcm lattice exceeds the cap of 2000 points" in err
+
+    def test_lattice_cap_refused_at_the_default_cap(self, tmp_path, capsys):
+        # the rank box of this input has 4^8 = 65536 cells, so the sweep
+        # counts its lattice in one pass instead of closing 50,000 points
+        # one generator at a time (about 3 s)
+        path = write(tmp_path, "v38.txt", "{type:veronese, b:[3,3,3,3,3,3,3,3], d:9}")
+        start = time.perf_counter()
+        code, out, err = run_cli(["betti", "--input", path, "--json"], capsys)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert "resource cap: lcm lattice exceeds the cap of 50000 points" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_exit_code(self, cap, tmp_path, capsys):

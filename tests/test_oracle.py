@@ -111,10 +111,16 @@ class TestLcmLattice:
         assert table.shift_ideal(1).gens == (Monomial.from_support((1, 2, 70, 71), n),)
 
 
+EXPONENT_TOP = 2**31 - 1
+
+
 class TestLatticeClosure:
-    """The one-generator-at-a-time closure on guard-bit words against the
-    frontier closure it replaced: the same rows in the same order, and the
-    same cap outcomes, in any order of the generator rows."""
+    """Both paths of ``_lattice``, the closure one generator at a time and
+    the prefix-lcm sweep over the rank box, against the frontier closure
+    that the closure replaced: the same rows in the same order, the same
+    dtype and the same cap outcomes, in any order of the generator rows.
+    ``assert_lattice_matches_reference`` runs each case on the closure and,
+    where its rank box fits one word and ``SWEEP_TEST_CELLS``, the sweep."""
 
     @settings(deadline=None, max_examples=80)
     @given(st.data())
@@ -223,18 +229,20 @@ class TestLatticeClosure:
         gens = data.draw(rows_from([value] * n))
         shuffled = gens[data.draw(st.permutations(range(len(gens))))]
         expected = _lattice(gens, LATTICE_CAP)
-        assert np.array_equal(_lattice(shuffled, LATTICE_CAP), expected)
         size = len(expected)
-        for cap in sorted({0, 1, size - 1, size, size + 1}):
-            assert_same_outcome(
-                lattice_outcome(_lattice, shuffled, cap), lattice_outcome(_lattice, gens, cap), cap
-            )
+        for path in lattice_paths(gens):
+            assert np.array_equal(on_path(path, shuffled, LATTICE_CAP), expected), path
+            for cap in sorted({0, 1, size - 1, size, size + 1}):
+                assert_same_outcome(
+                    on_path(path, shuffled, cap), lattice_outcome(_lattice, gens, cap), (path, cap)
+                )
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_one_word_sort_equals_several_words(self, data):
         # rows that fit one word are sorted as 1-D words; fewer bits to a
-        # word spread the same rows over several, sorted by lexsort
+        # word spread the same rows over several, sorted by lexsort, and
+        # the sweep runs only while the ranks still fit one word
         n = data.draw(st.integers(2, 8))
         gens = data.draw(distinct_rows(n, data.draw(st.sampled_from([1, 3, 40]))))
         assert packed_words(gens) == 1
@@ -246,11 +254,11 @@ class TestLatticeClosure:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_WORD_BITS", bits)
             assert len(oracle._Words.fit(gens).guard) > 1
-            got = _lattice(gens, LATTICE_CAP)
-            spread = [lattice_outcome(_lattice, gens, cap) for cap in caps]
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        for cap, have, want in zip(caps, spread, outcomes):
-            assert_same_outcome(have, want, cap)
+            for path in lattice_paths(gens):
+                got = on_path(path, gens, LATTICE_CAP)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), path
+                for cap, want in zip(caps, outcomes):
+                    assert_same_outcome(on_path(path, gens, cap), want, (path, cap))
 
     @pytest.mark.parametrize(
         "I",
@@ -259,11 +267,88 @@ class TestLatticeClosure:
     )
     def test_named_cases(self, I):
         gens = _gen_matrix(I)
-        assert_lattice_matches_reference(gens)
-        assert _lattice(gens, 1).tolist() == gens.tolist()
+        # the unit in three variables takes the sweep; the zero ideal and
+        # n = 0 reach neither path
+        paths = assert_lattice_matches_reference(gens)
+        assert paths == (("closure", "sweep") if I.num_gens and I.n else ("closure",))
+        for path in paths:
+            assert on_path(path, gens, 1).tolist() == gens.tolist()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the origin is a point only when the unit is a row
+            [[0, 0, 0], [1, 0, 2], [0, 3, 0]],
+            [[1, 0, 2], [0, 3, 0], [1, 3, 0]],
+            # all-zero columns around columns that reach the exponent limit
+            [[0, EXPONENT_TOP, 0, 1, 0], [0, 1, 0, EXPONENT_TOP, 0], [0, 0, 0, 2, 0]],
+            [[0, 0], [0, 0], [0, 0]],
+            # duplicate rows, and rows that other rows divide
+            [[1, 2], [1, 2], [2, 1], [2, 1], [1, 2]],
+            [[1, 1, 0], [2, 1, 0], [1, 3, 0], [2, 3, 1], [1, 1, 0]],
+        ],
+        ids=[
+            "unit-row", "no-unit-row", "zero-columns-exponent-top", "only-unit-rows",
+            "duplicate-rows", "non-minimal-rows",
+        ],
+    )
+    def test_named_rows(self, rows):
+        gens = np.array(rows, dtype=np.int64)
+        assert assert_lattice_matches_reference(gens) == ("closure", "sweep")
+
+    @pytest.mark.parametrize("n", [64, 72], ids=["squarefree-64", "squarefree-72"])
+    def test_wide_squarefree_takes_the_closure(self, n, monkeypatch):
+        # 2n prefixes and suffixes of x1*...*xn: far more generators than
+        # the n steps of a sweep, but n one-bit ranks of two bits each
+        # need three words, so the closure builds the lattice
+        prefix = np.tril(np.ones((n, n), dtype=np.int64))
+        gens = np.concatenate([prefix, prefix[:, ::-1]])
+
+        def refuse(gens, cap):
+            raise AssertionError("the sweep ran on ranks past one word")
+
+        monkeypatch.setattr(oracle, "_sweep", refuse)
+        assert assert_lattice_matches_reference(gens) == ("closure",)
 
 
-EXPONENT_TOP = 2**31 - 1
+class TestLatticePath:
+    """Which path ``_lattice`` takes on the inputs of the benchmark's
+    workloads: the sweep on Veronese types, whose box is small and whose
+    sum(L_i - 1) steps are far fewer than their generators, the closure
+    on cycles, where the two are equal."""
+
+    @pytest.mark.parametrize(
+        "make, path",
+        [
+            (lambda: realize(VeroneseSpec((4, 2, 4, 4, 2), 5)), "sweep"),
+            (lambda: realize(VeroneseSpec((2,) * 9, 7)), "sweep"),
+            (lambda: cycle(10, range(10)), "closure"),
+            (lambda: cycle(11, range(11)), "closure"),
+            (lambda: cycle(16, range(16)), "closure"),
+        ],
+        ids=["veronese-93", "veronese-2x9-d7", "cycle10", "cycle11", "cycle16"],
+    )
+    def test_workload_paths(self, make, path, monkeypatch):
+        I = make()
+        runs = []
+
+        def counted(name):
+            run = getattr(oracle, name)
+
+            def counting(gens, cap):
+                runs.append(name[1:])
+                return run(gens, cap)
+
+            return counting
+
+        for name in ("_sweep", "_closure"):
+            monkeypatch.setattr(oracle, name, counted(name))
+        points = [m.exponents for m in lcm_lattice(I)]
+        monkeypatch.undo()
+        assert runs == [path]
+        # the other path builds the same lattice
+        other = on_path("closure" if path == "sweep" else "sweep", _gen_matrix(I), LATTICE_CAP)
+        assert points == [tuple(row) for row in other.tolist()]
 
 
 def distinct_rows(n, top):
@@ -285,19 +370,57 @@ def packed_words(gens):
     return -(-gens.shape[1] // (63 // field))
 
 
+# the largest rank box that the tests force the sweep onto
+SWEEP_TEST_CELLS = 1 << 16
+
+
+def lattice_paths(gens):
+    """The paths of ``_lattice`` that the rows can be forced onto: the
+    closure always, and the sweep when there are rows and columns and the
+    rank box fits one word and ``SWEEP_TEST_CELLS``."""
+    if not gens.size:
+        return ("closure",)
+    ranks, _ = oracle._ranks(gens)
+    if len(oracle._Words.fit(ranks).guard) > 1:
+        return ("closure",)
+    cells = math.prod((ranks.max(axis=0) + 1).tolist())
+    return ("closure", "sweep") if cells <= SWEEP_TEST_CELLS else ("closure",)
+
+
+def on_path(path, gens, cap):
+    """``lattice_outcome`` of ``_lattice`` with its choice forced: onto the
+    closure by a box constant of 0, onto the sweep by sending the
+    closure's calls to it.  Either way the cap check and the n = 0 case
+    are ``_lattice``'s own."""
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "closure":
+            patch.setattr(oracle, "_SWEEP_CELLS", 0)
+        else:
+            patch.setattr(oracle, "_closure", oracle._sweep)
+        return lattice_outcome(_lattice, gens, cap)
+
+
 def assert_lattice_matches_reference(gens):
-    """``_lattice`` equals ``lattice_reference`` as an array, and at caps 0,
-    1, size - 1, size and size + 1 both return the same array or raise the
-    same error."""
-    expected = lattice_reference(gens, LATTICE_CAP)
-    got = _lattice(gens, LATTICE_CAP)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(got, expected)
+    """``_lattice``, and each of its paths in ``lattice_paths``, equals
+    ``lattice_reference`` as an array of the same dtype, and at caps 0, 1,
+    size - 1, size and size + 1 each returns the same array or raises the
+    same error; returns the paths.  The reference is given the distinct
+    rows, as it keeps repeated rows."""
+    distinct = np.unique(gens, axis=0)
+    expected = lattice_reference(distinct, LATTICE_CAP)
     size = len(expected)
-    for cap in sorted({0, 1, size - 1, size, size + 1}):
-        assert_same_outcome(
-            lattice_outcome(_lattice, gens, cap), lattice_outcome(lattice_reference, gens, cap), cap
-        )
+    caps = sorted({0, 1, size - 1, size, size + 1})
+    wanted = [lattice_outcome(lattice_reference, distinct, cap) for cap in caps]
+    got = _lattice(gens, LATTICE_CAP)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    paths = lattice_paths(gens)
+    for path in paths:
+        got = on_path(path, gens, LATTICE_CAP)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, path
+        assert np.array_equal(got, expected), path
+        for cap, want in zip(caps, wanted):
+            assert_same_outcome(on_path(path, gens, cap), want, (path, cap))
+    return paths
 
 
 def assert_same_outcome(have, want, cap):
@@ -308,10 +431,11 @@ def assert_same_outcome(have, want, cap):
         assert np.array_equal(have, want), cap
 
 
-def lattice_outcome(closure, gens, cap):
-    """The closure's array, or the class of the error it raised."""
+def lattice_outcome(build, gens, cap):
+    """The lattice that ``build`` returns, or the class of the error it
+    raised."""
     try:
-        return closure(gens, cap)
+        return build(gens, cap)
     except (ValueError, ResourceCapError) as exc:
         return type(exc)
 
